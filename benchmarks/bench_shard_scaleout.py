@@ -6,12 +6,17 @@ event kernel over every tenant) and once through the sharded engine
 (four tenant partitions, each its own event kernel in its own worker
 process, conservative virtual-time grants between them).
 
-The speedup is *algorithmic*, not just parallel: the monolithic kernel's
-poll-loop work grows with tenants × horizon, so four quarter-size
-partitions on compressed schedules do strictly less total work — which
-is why the wall-clock win survives even a single-core host.  Full mode
-asserts the headline ≥2× at 4 shards; quick mode records the ratio
-without gating on it (CI machines are noisy).
+The two sides are not the same simulated model: a partition's tenants
+contend only with each other, so cross-partition bus/DMA/DRAM contention
+is dropped, and the ratio is not a same-model speedup.  Kernel work is
+not where it comes from either — with wake-on-arrival polling both
+sides execute about three events per packet.  It comes from per-kernel
+host work that grows faster than linearly in the tenants of one kernel
+(FCFS blame pairs in the contention phase, window rotations over every
+tenant's instruments), which four quarter-size partitions shrink,
+plus the worker processes running in parallel.  Full mode asserts ≥2×
+at 4 shards; quick mode records the ratio without gating on it (CI
+machines are noisy).
 
 Wall-clock timing is the point of this scenario, as in the harness
 itself — these numbers are measurements, never byte-compared.

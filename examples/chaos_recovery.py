@@ -4,11 +4,11 @@
 Two tenants share an S-NIC.  A seeded :class:`~repro.faults.FaultPlan`
 schedules an ``NF_CRASH`` against one of them mid-traffic; the
 :class:`~repro.faults.FaultInjector` turns that plan entry into a real
-``FatalFunctionError`` out of the runtime's poll loop; and the
-:class:`~repro.faults.NFSupervisor` runs the §4.6 recovery sequence —
-``nf_teardown`` scrubs the crashed function's extent, the scrub is
-*verified* from page metadata, and the same config relaunches as a
-fresh identity.  The co-tenant keeps processing packets throughout:
+``FatalFunctionError`` out of the faulty function's next runtime poll;
+and the :class:`~repro.faults.NFSupervisor` runs the §4.6 recovery
+sequence — ``nf_teardown`` scrubs the crashed function's extent, the
+scrub is *verified* from page metadata, and the same config relaunches
+as a fresh identity.  The co-tenant keeps processing packets throughout:
 the blast radius is the faulty tenant, not the device.
 
 Run:  python examples/chaos_recovery.py

@@ -7,9 +7,17 @@ on the discrete-event kernel (:mod:`repro.hw.events`):
 
 * packet arrivals are scheduled at their trace timestamps;
 * the packet input module runs at line-rate granularity (per arrival);
-* each function's cores poll their RX ring on a fixed interval and
-  spend a modelled per-packet service time;
+* each function's cores poll their RX ring on a fixed grid
+  (``origin + k·poll_interval_ns``, ``k ≥ 1``, origin = the clock at
+  :meth:`SNICRuntime.begin`) and spend a modelled per-packet service
+  time;
 * the output module drains TX rings as functions produce packets.
+
+Polls are woken on arrival: frames delivered to a function with no
+armed poll arm one at the next grid point, which drains the ring and
+does not re-arm.  Each frame meets the poll an always-on loop would
+have served it with, so idle tenants cost no kernel events and
+:meth:`SNICRuntime.drain` can simply run until the queue is empty.
 
 The runtime records per-packet end-to-end latency (wire-in → wire-out),
 giving latency/throughput distributions for full-system experiments.
@@ -20,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.hw.events import Simulator
+from repro.hw.events import EventHandle, Simulator
 from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
 from repro.obs.tracer import get_tracer
@@ -87,8 +95,11 @@ class SNICRuntime:
         self.on_complete: Optional[Callable[[int, int, int], None]] = None
         self._functions: Dict[int, NetworkFunction] = {}
         self._arrival_by_identity: Dict[int, List[int]] = {}
-        self._last_arrival_ns = 0
-        self._began = False
+        #: The one armed poll per woken function, and the frames it
+        #: must leave for the next grid point (see :meth:`_wake`).
+        self._armed: Dict[int, EventHandle] = {}
+        self._held: Dict[int, int] = {}
+        self._origin_ns: Optional[int] = None  # the clock at begin()
         # Bind the tracer at construction time, not import time: shard
         # workers build their runtime after per-process isolation, so
         # the instance must see *that* process's tracer singleton.
@@ -104,18 +115,32 @@ class SNICRuntime:
             raise ValueError(f"NF {nf_id} is not live on this S-NIC")
         self._functions[nf_id] = nf
 
+    def detach(self, nf_id: int) -> Optional[NetworkFunction]:
+        """Unbind a crashed identity so nothing fires against it once
+        torn down: cancel its armed poll, drop its arrival stamps."""
+        armed = self._armed.pop(nf_id, None)
+        if armed is not None:
+            armed.cancel()
+        self._held.pop(nf_id, None)
+        self._arrival_by_identity.pop(nf_id, None)
+        return self._functions.pop(nf_id, None)
+
     # ------------------------------------------------------------------
 
     def inject(self, packets: Sequence[Packet]) -> None:
         """Schedule packet arrivals at their ``arrival_ns`` timestamps."""
+        # Frames meet the poll an always-on loop would have served them
+        # with.  That loop arms its poll at grid point T at T - P (or at
+        # begin()), so an arrival at T injected after then queues behind.
+        armed_until = -1 if self._origin_ns is None \
+            else self.sim.now_ns + self.poll_interval_ns
         for packet in packets:
-            self._last_arrival_ns = max(self._last_arrival_ns,
-                                        packet.arrival_ns)
+            behind = packet.arrival_ns <= armed_until
             self.sim.schedule_at(
-                packet.arrival_ns, lambda p=packet: self._on_arrival(p)
-            )
+                packet.arrival_ns,
+                lambda p=packet, b=behind: self._on_arrival(p, b))
 
-    def _on_arrival(self, packet: Packet) -> None:
+    def _on_arrival(self, packet: Packet, behind_poll: bool) -> None:
         self.snic.rx_port.wire_arrival(packet)
         delivered = self.snic.process_ingress()
         tracer = self._tracer
@@ -135,18 +160,39 @@ class SNICRuntime:
                     self.snic.record(nf_id).vpp.rx_ring.occupancy,
                     ts_ns=self.sim.now_ns, tenant=nf_id, track="rx-ring",
                     cat="runtime")
+            if nf_id in self._functions:
+                self._wake(nf_id, count, behind_poll)
+
+    def _wake(self, nf_id: int, count: int, behind_poll: bool) -> None:
+        """Arm ``nf_id``'s poll at the first grid point that sees the
+        ``count`` frames just delivered: at or after now, or the next
+        one if they queued behind this instant's poll.  A poll already
+        armed for this instant then leaves them for the next one.
+        """
+        now = self.sim.now_ns
+        armed = self._armed.get(nf_id)
+        if armed is not None:
+            if behind_poll and armed.time_ns == now:
+                self._held[nf_id] = self._held.get(nf_id, 0) + count
+            return
+        origin, period = self._origin_ns, self.poll_interval_ns
+        if origin is None:
+            raise RuntimeError("packet arrival executed before begin()")
+        due = origin + period * max(1, -(-(now - origin) // period))
+        if behind_poll and due == now:
+            due += period
+        self._armed[nf_id] = self.sim.schedule_at(
+            due, lambda: self._poll(nf_id))
 
     def _poll(self, nf_id: int) -> None:
-        record = self.snic.record(nf_id)
+        del self._armed[nf_id]
         nf = self._functions[nf_id]
-        served = 0
-        while True:
-            frame = record.vpp.rx_ring.pop()
-            if frame is None:
-                break
-            served += 1
-            arrival = self._arrival_by_identity.get(nf_id, [0]).pop(0) \
-                if self._arrival_by_identity.get(nf_id) else self.sim.now_ns
+        ring = self.snic.record(nf_id).vpp.rx_ring
+        stamps = self._arrival_by_identity.get(nf_id)
+        held = self._held.pop(nf_id, 0)
+        for served in range(1, ring.occupancy - held + 1):
+            frame = ring.pop()
+            arrival = stamps.pop(0) if stamps else self.sim.now_ns
             result = nf.process(Packet.from_bytes(frame))
             finish = self.sim.now_ns + served * self.service_ns_per_packet
             if self._tracer.enabled:
@@ -164,9 +210,9 @@ class SNICRuntime:
                         n, r, a
                     ),
                 )
-        # Re-arm the poll loop while the experiment runs.
-        if self._running:
-            self.sim.schedule(self.poll_interval_ns, lambda: self._poll(nf_id))
+        if held:
+            self._armed[nf_id] = self.sim.schedule(
+                self.poll_interval_ns, lambda: self._poll(nf_id))
 
     def _on_complete(self, nf_id: int, packet: Packet, arrival_ns: int) -> None:
         record = self.snic.record(nf_id)
@@ -187,60 +233,37 @@ class SNICRuntime:
 
     # ------------------------------------------------------------------
 
-    _running = False
-
     def begin(self) -> None:
-        """Arm the poll loops without running the kernel.
+        """Fix the poll grid's origin without running the kernel.
 
-        The sharded execution path splits :meth:`run` into phases: the
-        shard engine grants virtual-time windows and the worker calls
-        :meth:`advance_to` per grant, then :meth:`drain` once the last
-        grant lands.  Idempotent, so :meth:`run` can delegate to it.
+        The shard worker then injects and runs grant by grant before
+        :meth:`drain`.  Idempotent, so :meth:`run` can delegate to it.
         """
-        if self._began:
-            return
-        self._began = True
-        self._running = True
-        for nf_id in self._functions:
-            self.sim.schedule(self.poll_interval_ns, lambda n=nf_id: self._poll(n))
-
-    def advance_to(self, until_ns: int) -> None:
-        """Execute every event up to ``until_ns`` (one grant window)."""
-        if not self._began:
-            raise RuntimeError("advance_to() before begin()")
-        self.sim.run(until_ns=until_ns)
+        if self._origin_ns is None:
+            self._origin_ns = self.sim.now_ns
 
     def drain(self) -> RuntimeStats:
-        """Run until only re-armed polls remain: stop once every
-        injected packet has completed or been dropped."""
-        if not self._began:
+        """Run the kernel until its queue is empty.
+
+        An exception out of an event (a crashed function's
+        :class:`~repro.core.errors.FatalFunctionError`) propagates; a
+        later call resumes where it stopped.  Raises
+        :class:`RuntimeError` if the kernel's ``max_events`` guard stops
+        it with work still queued.
+        """
+        if self._origin_ns is None:
             raise RuntimeError("drain() before begin()")
-        horizon = 0
-        while True:
-            self.sim.advance(self.poll_interval_ns * 4)
-            pending_work = any(
-                self.snic.record(nf_id).vpp.rx_ring.occupancy
-                for nf_id in self._functions
-            )
-            arrivals_pending = self.sim.now_ns <= self._last_arrival_ns
-            if (not pending_work and not self.snic.rx_port._staged
-                    and not arrivals_pending):
-                horizon += 1
-                if horizon >= 3:
-                    break
-            else:
-                horizon = 0
-        self._stop()
+        self.sim.run()
+        if self.sim.peek_next_ns() is not None:
+            raise RuntimeError(
+                f"drain() hit the kernel's max_events guard at "
+                f"{self.sim.now_ns} ns with work still queued")
         return self.stats
 
     def run(self, duration_ns: Optional[int] = None) -> RuntimeStats:
         """Run the experiment until the queue drains (or ``duration_ns``)."""
         self.begin()
         if duration_ns is not None:
-            self.sim.schedule(duration_ns, self._stop)
             self.sim.run(until_ns=duration_ns)
             return self.stats
         return self.drain()
-
-    def _stop(self) -> None:
-        self._running = False

@@ -469,7 +469,7 @@ def _nf_crash_workload(snic: bool, inject: bool, seed: int,
     """The faulty NF raises ``FatalFunctionError`` mid-handler.
 
     S-NIC runs the full event-driven rig: the crash kills only that
-    function's poll chain, the supervisor tears it down (scrub-verified,
+    function's poll, the supervisor tears it down (scrub-verified,
     §4.6) and relaunches it, and the victim's packet timings are
     bit-identical to the clean run.  Commodity serializes both tenants
     through one firmware loop: the crash drops everything queued and the
@@ -516,7 +516,7 @@ def _nf_crash_snic(inject: bool, seed: int,
     from repro.scenario.build import build_scenario
 
     with build_scenario(_crash_spec(seed)) as built:
-        snic_dev, nic_os, runtime = built.snic, built.nic_os, built.runtime
+        nic_os, runtime = built.nic_os, built.runtime
         victim_id = built.tenants["chaos-victim"]
         faulty_id = built.tenants["chaos-faulty"]
         packets: List = []
@@ -535,40 +535,15 @@ def _nf_crash_snic(inject: bool, seed: int,
         try:
             if injector is not None:
                 injector.arm_all()
-            # A crash-tolerant replica of SNICRuntime.run()'s drain loop:
-            # the injected FatalFunctionError surfaces out of the kernel,
-            # the supervisor restarts the crashed identity, and the drain
-            # continues.  The clean run takes the exact same loop.
-            runtime._running = True
-            for nf_id in runtime._functions:
-                runtime.sim.schedule(runtime.poll_interval_ns,
-                                     lambda n=nf_id: runtime._poll(n))
-            # Windows advance to *absolute* targets: a crash interrupting
-            # a window must not shift later window boundaries, or the
-            # clean and faulted runs would drain on different schedules
-            # and the victim's timings would differ for bookkeeping
-            # reasons.
-            window_ns = runtime.poll_interval_ns * 4
-            target = runtime.sim.now_ns + window_ns
-            horizon = 0
+            # The injected FatalFunctionError surfaces out of the drain,
+            # the supervisor restarts the crashed identity, and the
+            # drain resumes.  The clean run takes the exact same loop.
             while True:
                 try:
-                    runtime.sim.run(until_ns=target)
+                    runtime.run()
+                    break
                 except FatalFunctionError:
-                    crashed = injector.records[-1].tenant
-                    supervisor.on_crash(crashed)
-                    continue  # finish the interrupted window
-                target += window_ns
-                pending = any(
-                    snic_dev.record(nf_id).vpp.rx_ring.occupancy
-                    for nf_id in runtime._functions)
-                if not pending and not snic_dev.rx_port._staged:
-                    horizon += 1
-                    if horizon >= 3:
-                        break
-                else:
-                    horizon = 0
-            runtime._stop()
+                    supervisor.on_crash(injector.records[-1].tenant)
         finally:
             if injector is not None:
                 injector.uninstall()

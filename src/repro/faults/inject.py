@@ -383,6 +383,10 @@ class FaultInjector:
         wrap(RXPort, "wire_arrival", wire_factory)
 
         # -- Runtime: NF crash mid-handler -----------------------------
+        # The crash lands on the function's next woken poll (one that
+        # has frames to serve).  The poll's armed slot is left behind
+        # for the supervisor's ``SNICRuntime.detach`` to clear, so the
+        # crashed identity is never polled again.
         def poll_factory(orig: _Method) -> _Method:
             def _poll(runtime: Any, nf_id: int) -> Any:
                 event = inj._take(FaultKind.NF_CRASH, nf_id)

@@ -186,7 +186,7 @@ class NFSupervisor:
        (:func:`verify_scrubbed` — a failure here is an
        :class:`IsolationViolation`, not a recovery detail);
     4. relaunch the same config as a *new* identity and re-attach the
-       behavioural NF to the runtime, restarting its poll chain.
+       behavioural NF to the runtime; its next arrival wakes its poll.
 
     The restart budget is per function *name* (identities change across
     restarts); exceeding it raises :class:`RecoveryExhausted`.
@@ -218,10 +218,8 @@ class NFSupervisor:
                 f"({self.max_restarts})")
         self._restarts_by_name[config.name] = used + 1
 
-        nf = None
-        if self.runtime is not None:
-            nf = self.runtime._functions.pop(nf_id, None)
-            self.runtime._arrival_by_identity.pop(nf_id, None)
+        nf = self.runtime.detach(nf_id) if self.runtime is not None \
+            else None
         self.nic_os.NF_destroy(nf_id)
 
         problems = verify_scrubbed(snic.memory, pages)
@@ -233,12 +231,6 @@ class NFSupervisor:
         vnic = self.nic_os.NF_create(config)
         if self.runtime is not None and nf is not None:
             self.runtime.attach(vnic.nf_id, nf)
-            if self.runtime._running:
-                # The crashed identity's poll chain died with the
-                # exception; restart one for the new identity only.
-                self.runtime.sim.schedule(
-                    self.runtime.poll_interval_ns,
-                    lambda n=vnic.nf_id: self.runtime._poll(n))
         self.restarts.append((nf_id, vnic.nf_id))
         get_registry().counter(
             "fault_restarts_total", nf=config.name,

@@ -305,8 +305,6 @@ class BuiltScenario:
         """Tear everything down; safe to call twice or after a crash."""
         if self.injector is not None and self.injector.installed:
             self.injector.uninstall()
-        if self.runtime is not None:
-            self.runtime._stop()
         if self.nic_os is not None:
             for nf_id in list(self.tenants.values()):
                 if nf_id in self.snic.live_functions:

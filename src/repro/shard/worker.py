@@ -34,6 +34,9 @@ from repro.shard.frames import (
     trace_events_to_frame,
 )
 
+#: When the grant phase's hold event would fire: never, in practice.
+_HOLD_NS = 2 ** 62
+
 
 def granted_packet_phase(built, conn, index: int):
     """Drive the traffic phase grant by grant (the worker-side half of
@@ -49,9 +52,16 @@ def granted_packet_phase(built, conn, index: int):
     """
     runtime = built.runtime
     runtime.begin()
+    # Arrivals not yet granted are work still to come.  Hold one event
+    # past every horizon until Finish, so kernel-driven samplers that
+    # keep ticking only while other work is queued (the SLO
+    # aggregator) rotate through idle gaps between grants, as they do
+    # in a monolithic run with every arrival queued up front.
+    hold = runtime.sim.schedule_at(_HOLD_NS, lambda: None)
     while True:
         frame = conn.recv()
         if isinstance(frame, FinishFrame):
+            hold.cancel()
             return runtime.drain()
         if not isinstance(frame, GrantFrame) or frame.index != index:
             raise ShardProtocolError(
@@ -73,7 +83,8 @@ def granted_packet_phase(built, conn, index: int):
             index=index,
             now_ns=report.now_ns,
             executed=report.executed,
-            next_event_ns=report.next_event_ns,
+            next_event_ns=None if report.next_event_ns == _HOLD_NS
+            else report.next_event_ns,
         ))
 
 

@@ -95,6 +95,38 @@ class TestRuntime:
         assert stats.dropped == 5
         assert stats.completed == 0
 
+    @pytest.mark.parametrize("n", [27, 40, 64])
+    def test_burst_inside_one_poll_interval_loses_nothing(self, n):
+        # Every packet lands before the first poll, which schedules n
+        # completions up to n * 600 ns out; drain must run them all.
+        snic, vnic = make_system()
+        runtime = SNICRuntime(snic)
+        runtime.attach(vnic.nf_id, Monitor())
+        runtime.inject(timed_packets(n, spacing_ns=25))
+        stats = runtime.run()
+        assert stats.completed + stats.dropped == n
+        assert len(snic.tx_port.transmitted) == stats.completed
+
+    def test_drain_ends_exactly_at_last_completion(self):
+        snic, vnic = make_system()
+        runtime = SNICRuntime(snic)
+        runtime.attach(vnic.nf_id, Monitor())
+        runtime.inject(timed_packets(3))
+        stats = runtime.run()
+        assert runtime.sim.now_ns == max(t.departure_ns for t in stats.timings)
+        assert runtime.sim.peek_next_ns() is None
+
+    def test_drain_raises_when_event_guard_stops_it(self, monkeypatch):
+        snic, vnic = make_system()
+        runtime = SNICRuntime(snic)
+        runtime.attach(vnic.nf_id, Monitor())
+        runtime.inject(timed_packets(5))
+        run = runtime.sim.run
+        monkeypatch.setattr(runtime.sim, "run",
+                            lambda **kw: run(max_events=3, **kw))
+        with pytest.raises(RuntimeError, match="max_events"):
+            runtime.run()
+
     def test_attach_requires_live_function(self):
         snic, _ = make_system()
         runtime = SNICRuntime(snic)
