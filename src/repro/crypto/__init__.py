@@ -1,13 +1,18 @@
 """Cryptographic substrate for S-NIC attestation (Appendix A).
 
-Everything here is implemented from scratch (no external crypto
-dependencies): SHA-256 (:mod:`repro.crypto.sha256`), classic finite-field
+No external crypto dependencies: SHA-256 (:mod:`repro.crypto.sha256`;
+digests come from ``hashlib``, and the from-scratch ``SHA256`` class is
+the reference the tests check them against), classic finite-field
 Diffie–Hellman (:mod:`repro.crypto.dh`), RSA signatures with Miller–Rabin
-key generation (:mod:`repro.crypto.rsa`), and the endorsement/attestation
-key hierarchy with vendor certificates (:mod:`repro.crypto.keys`).
+key generation and CRT signing (:mod:`repro.crypto.rsa`), and the
+endorsement/attestation key hierarchy with vendor certificates
+(:mod:`repro.crypto.keys`).  Seeded key pairs are computed once per
+process; unseeded ones are always fresh.
 
 These are simulation-grade implementations: correct algorithms with small
 default key sizes chosen for test speed, not hardened production crypto.
+The simulated cost of every operation comes from
+:mod:`repro.core.timing`, never from host time.
 """
 
 from repro.crypto.sha256 import sha256, sha256_hex

@@ -4,17 +4,26 @@ S-NIC burns an endorsement key pair (EK) into each NIC and generates an
 attestation key pair (AK) at boot (Appendix A).  ``nf_attest`` signs the
 function-state hash with the AK; the microbenchmarks (Figure 6) report
 ~5.6 ms per RSA signing operation on the Marvell security co-processor.
+That cost comes from :mod:`repro.core.timing`'s calibrated clock, never
+from host time.
 
 We implement textbook RSA with a deterministic full-domain-hash-style
-padding: ``sig = FDH(message)^d mod n``.  Key generation uses Miller–Rabin
-primality testing.  Default 1024-bit keys keep tests fast; sizes are
-configurable.
+padding: ``sig = FDH(message)^d mod n``, computed with the CRT (Garner
+recombination over ``p`` and ``q``), which gives the same integer.  Key
+generation uses Miller–Rabin primality testing.  Default 1024-bit keys
+keep tests fast; sizes are configurable.
+
+Seeded key generation is a pure function returning frozen dataclasses, so
+each ``(bits, seed)`` pair is computed once per process and the same
+:class:`RSAKeyPair` is returned after that.  Unseeded calls draw from
+``SystemRandom`` and are never cached.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from repro.crypto.sha256 import sha256
@@ -99,8 +108,15 @@ class RSAPublicKey:
 
 @dataclass(frozen=True)
 class RSAPrivateKey:
+    """``d`` plus the CRT components ``rsa_sign`` exponentiates with."""
+
     n: int
     d: int
+    p: int
+    q: int
+    dp: int  # d mod (p - 1)
+    dq: int  # d mod (q - 1)
+    qinv: int  # q^-1 mod p
 
     @property
     def byte_length(self) -> int:
@@ -117,9 +133,21 @@ def rsa_generate(bits: int = 1024, seed: Optional[int] = None) -> RSAKeyPair:
     """Generate an RSA key pair of roughly ``bits`` modulus bits.
 
     ``seed`` makes generation deterministic (tests, reproducible NIC
-    provisioning); omit it for system randomness.
+    provisioning) and returns the one key pair this process computed for
+    ``(bits, seed)``; omit it for fresh system randomness.
     """
-    rng = random.Random(seed) if seed is not None else random.SystemRandom()
+    if seed is None:
+        return _generate(bits, random.SystemRandom())
+    return _generate_seeded(bits, seed)
+
+
+@lru_cache(maxsize=64)
+def _generate_seeded(bits: int, seed: int) -> RSAKeyPair:
+    """Seeded generation is pure and its result frozen, so it is shared."""
+    return _generate(bits, random.Random(seed))
+
+
+def _generate(bits: int, rng: random.Random) -> RSAKeyPair:
     e = 65537
     half = bits // 2
     while True:
@@ -132,9 +160,11 @@ def rsa_generate(bits: int = 1024, seed: Optional[int] = None) -> RSAKeyPair:
         if phi % e == 0:
             continue
         d = _modinv(e, phi)
-        return RSAKeyPair(
-            public=RSAPublicKey(n=n, e=e), private=RSAPrivateKey(n=n, d=d)
+        private = RSAPrivateKey(
+            n=n, d=d, p=p, q=q, dp=d % (p - 1), dq=d % (q - 1),
+            qinv=_modinv(q, p),
         )
+        return RSAKeyPair(public=RSAPublicKey(n=n, e=e), private=private)
 
 
 def _fdh(message: bytes, width: int) -> int:
@@ -150,10 +180,14 @@ def _fdh(message: bytes, width: int) -> int:
 
 
 def rsa_sign(private: RSAPrivateKey, message: bytes) -> bytes:
-    """Sign ``message`` (FDH-then-exponentiate)."""
+    """Sign ``message`` (FDH-then-exponentiate, via the CRT)."""
     width = private.byte_length
     representative = _fdh(message, width)
-    signature = pow(representative, private.d, private.n)
+    # Garner: the unique s < n with s = m1 (mod p) and s = m2 (mod q),
+    # i.e. representative^d mod n.
+    m1 = pow(representative, private.dp, private.p)
+    m2 = pow(representative, private.dq, private.q)
+    signature = m2 + (private.qinv * (m1 - m2)) % private.p * private.q
     return signature.to_bytes(width, "big")
 
 

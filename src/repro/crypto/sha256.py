@@ -1,14 +1,15 @@
-"""SHA-256, implemented from scratch (FIPS 180-4).
+"""SHA-256 (FIPS 180-4): ``hashlib`` digests plus a from-scratch reference.
 
 S-NIC's ``nf_launch`` builds a cumulative SHA-256 hash over a function's
 initial state (§4.6), and the microbenchmarks of Appendix C time SHA-256
 digesting on the NIC's security co-processor.  This module provides the
-digest itself; :mod:`repro.core.timing` layers the calibrated clock on top.
+digest itself; :mod:`repro.core.timing` layers the calibrated clock on top,
+so the host's hashing speed never reaches a simulated number.
 
-The implementation is validated against the FIPS test vectors in the test
-suite.  For large inputs a ``fast=True`` flag delegates to ``hashlib``
-(same algorithm, C speed) so whole-function-image hashing stays cheap;
-both paths produce identical digests.
+:func:`sha256` and :func:`sha256_hex` always go through ``hashlib`` (same
+algorithm, C speed).  :class:`SHA256` is the pure-Python implementation,
+kept as the reference: the test suite checks it against the FIPS vectors
+and checks ``hashlib`` against it at every padding boundary.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _compress(state: List[int], block: bytes) -> List[int]:
 
 
 class SHA256:
-    """Incremental SHA-256 hasher (pure Python)."""
+    """Incremental SHA-256 hasher (pure Python, the tested reference)."""
 
     digest_size = 32
     block_size = 64
@@ -106,21 +107,10 @@ class SHA256:
         return self.digest().hex()
 
 
-#: Inputs above this size use the hashlib fast path in :func:`sha256`.
-_FAST_PATH_THRESHOLD = 1 << 16
+def sha256(data: bytes) -> bytes:
+    """SHA-256 digest of ``data`` (``hashlib``; equal to :class:`SHA256`)."""
+    return hashlib.sha256(data).digest()
 
 
-def sha256(data: bytes, fast: bool = True) -> bytes:
-    """SHA-256 digest of ``data``.
-
-    ``fast=True`` (the default) lets large inputs go through ``hashlib``
-    for speed; the pure-Python path is always used below 64 KiB and when
-    ``fast=False``, and the two are verified identical in tests.
-    """
-    if fast and len(data) > _FAST_PATH_THRESHOLD:
-        return hashlib.sha256(data).digest()
-    return SHA256(data).digest()
-
-
-def sha256_hex(data: bytes, fast: bool = True) -> str:
-    return sha256(data, fast=fast).hex()
+def sha256_hex(data: bytes) -> str:
+    return sha256(data).hex()

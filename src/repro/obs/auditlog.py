@@ -21,7 +21,8 @@ Record shape (all JSON-able)::
 where ``payload`` is the record minus ``prev``/``hash``, canonicalized
 as compact sorted-key JSON, and record 0 chains from a fixed
 :data:`GENESIS` anchor.  Hashing reuses :mod:`repro.crypto.sha256` (the
-same primitive the attestation model uses) in its ``fast`` mode.
+same primitive the attestation model uses), whose digests come from
+``hashlib`` and are checked against its from-scratch reference.
 
 Emission sites go through the :class:`AuditEmitter` facade so each
 instrumented module pays the usual zero-cost-when-off toll::

@@ -1,4 +1,4 @@
-"""Tests for the from-scratch crypto substrate (SHA-256, RSA, DH, keys)."""
+"""Tests for the crypto substrate (SHA-256, RSA, DH, keys)."""
 
 import hashlib
 
@@ -16,6 +16,7 @@ from repro.crypto.keys import (
     quote_digest,
 )
 from repro.crypto.rsa import (
+    _fdh,
     _is_probable_prime,
     _modinv,
     _random_prime,
@@ -41,7 +42,8 @@ class TestSHA256:
 
     @pytest.mark.parametrize("message,digest", VECTORS)
     def test_fips_vectors(self, message, digest):
-        assert sha256_hex(message, fast=False) == digest
+        assert SHA256(message).hexdigest() == digest
+        assert sha256_hex(message) == digest
 
     def test_million_a(self):
         # The classic one-million-'a' vector, via incremental updates.
@@ -56,29 +58,38 @@ class TestSHA256:
     @pytest.mark.parametrize("length", [54, 55, 56, 57, 63, 64, 65, 119, 120])
     def test_padding_boundaries(self, length):
         message = bytes(range(256))[:length] * 1
-        assert sha256(message, fast=False) == hashlib.sha256(message).digest()
+        assert SHA256(message).digest() == hashlib.sha256(message).digest()
+
+    def test_hashlib_matches_reference_across_padding_boundaries(self):
+        # 0..200 bytes crosses the 55/56/63/64/65-byte padding edges of
+        # one, two and three blocks.
+        data = bytes((7 * i + 3) & 0xFF for i in range(200))
+        for length in range(201):
+            message = data[:length]
+            assert sha256(message) == SHA256(message).digest(), length
+            assert sha256_hex(message) == SHA256(message).hexdigest()
 
     def test_incremental_equals_oneshot(self):
         h = SHA256()
         h.update(b"hello ")
         h.update(b"world")
-        assert h.digest() == sha256(b"hello world", fast=False)
+        assert h.digest() == SHA256(b"hello world").digest()
 
     def test_digest_does_not_finalize(self):
         h = SHA256(b"ab")
         first = h.digest()
         assert h.digest() == first
         h.update(b"c")
-        assert h.digest() == sha256(b"abc", fast=False)
+        assert h.digest() == SHA256(b"abc").digest()
 
     def test_fast_path_matches_pure(self):
         blob = b"z" * (1 << 17)
-        assert sha256(blob, fast=True) == sha256(blob, fast=False)
+        assert sha256(blob) == SHA256(blob).digest()
 
     @settings(max_examples=30)
     @given(st.binary(max_size=300))
     def test_matches_hashlib_property(self, data):
-        assert sha256(data, fast=False) == hashlib.sha256(data).digest()
+        assert SHA256(data).digest() == hashlib.sha256(data).digest()
 
 
 class TestRSA:
@@ -98,10 +109,13 @@ class TestRSA:
         assert not rsa_verify(kp.public, b"messagE", sig)
 
     def test_tampered_signature_fails(self):
+        # Every single-bit flip of a (CRT-computed) signature is rejected.
         kp = rsa_generate(512, seed=1)
-        sig = bytearray(rsa_sign(kp.private, b"message"))
-        sig[5] ^= 0x01
-        assert not rsa_verify(kp.public, b"message", bytes(sig))
+        sig = int.from_bytes(rsa_sign(kp.private, b"message"), "big")
+        width = kp.public.byte_length
+        for bit in range(8 * width):
+            flipped = (sig ^ (1 << bit)).to_bytes(width, "big")
+            assert not rsa_verify(kp.public, b"message", flipped), bit
 
     def test_wrong_key_fails(self):
         kp1 = rsa_generate(512, seed=1)
@@ -120,6 +134,39 @@ class TestRSA:
     def test_fingerprint_stable(self):
         kp = rsa_generate(512, seed=4)
         assert kp.public.fingerprint() == kp.public.fingerprint()
+
+    def test_seeded_generation_is_computed_once(self):
+        assert rsa_generate(1024, seed=7) is rsa_generate(1024, seed=7)
+
+    def test_unseeded_generation_is_fresh(self):
+        a = rsa_generate(512)
+        b = rsa_generate(512)
+        assert a.public.n != b.public.n
+
+    # sha256 of the big-endian moduli an S-NIC built with ``key_seed=7``
+    # uses (vendor CA, EK, AK): seeded keys must never drift.
+    MODULUS_DIGESTS = {
+        7: "8c1941e23d1c59ed97efe6289b1552bb5d98e8e5db66843eef504a2d7226c98f",
+        8: "54556ea0f5b0d611aae258aa797e23aab8f490ada20b5a31e842f5df20c0b856",
+        9: "9953b5708c75b9b327134fc465bd3cb2c2ccf96fa4018ef8e01062f089e18b9a",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(MODULUS_DIGESTS))
+    def test_seeded_modulus_known_answer(self, seed):
+        public = rsa_generate(1024, seed=seed).public
+        modulus = public.n.to_bytes(public.byte_length, "big")
+        assert hashlib.sha256(modulus).hexdigest() == self.MODULUS_DIGESTS[seed]
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_crt_signature_equals_textbook(self, seed):
+        kp = rsa_generate(1024, seed=seed)
+        private, width = kp.private, kp.private.byte_length
+        for i in range(64):
+            message = b"quote-%d" % i + bytes(i)
+            textbook = pow(_fdh(message, width), private.d, private.n)
+            signature = rsa_sign(private, message)
+            assert signature == textbook.to_bytes(width, "big")
+            assert rsa_verify(kp.public, message, signature)
 
     @pytest.mark.parametrize("prime", [2, 3, 5, 101, 104729, 2**31 - 1])
     def test_miller_rabin_accepts_primes(self, prime):
