@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import Counter, MetricsRegistry, get_registry
 
 #: Canonical resource names, in scorecard display order.
 RESOURCE_BUS = "bus"
@@ -70,15 +70,23 @@ class InterferenceAccountant:
     """The blame sink: resolves ``(resource, victim, culprit)`` to the
     registry's counter pair and adds to it.
 
-    Instruments are resolved through the registry's get-or-create on
-    every call (no caching), so the accountant stays correct across
-    :func:`repro.obs.metrics.reset` — components hold the accountant,
-    never the counters.  Blame events are orders of magnitude rarer
-    than cache accesses, so two dict lookups per call is cheap enough.
+    The pair is memoised per ``(resource, victim, culprit)``, so a
+    repeat blame costs one dict lookup and two float adds.  A miss
+    still mints through :meth:`MetricsRegistry.counter`, in the same
+    order as an uncached accountant would.  The memo is keyed on
+    ``(registry, registry.generation)``: :func:`repro.obs.metrics.reset`
+    bumps the generation and the next blame starts a fresh memo, so
+    components may hold the accountant across resets, never the
+    counters.  Memo keys are the raw label values; tenant ids are ints
+    (or ``None``), which never collide under ``==`` while stringifying
+    differently.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self._registry = registry
+        self._memo: Dict[Tuple[str, object, object],
+                         Tuple[Counter, Counter]] = {}
+        self._memo_owner: Tuple[Optional[MetricsRegistry], int] = (None, -1)
 
     def _resolve(self) -> MetricsRegistry:
         return self._registry if self._registry is not None else get_registry()
@@ -95,10 +103,20 @@ class InterferenceAccountant:
         if wait_ns <= 0.0 and events <= 0:
             return
         registry = self._resolve()
-        registry.counter(WAIT_METRIC, resource=resource,
-                         tenant=victim, culprit=culprit).value += wait_ns
-        registry.counter(EVENTS_METRIC, resource=resource,
-                         tenant=victim, culprit=culprit).value += events
+        owner = self._memo_owner
+        if owner[0] is not registry or owner[1] != registry.generation:
+            self._memo = {}
+            self._memo_owner = (registry, registry.generation)
+        key = (resource, victim, culprit)
+        pair = self._memo.get(key)
+        if pair is None:
+            pair = self._memo[key] = (
+                registry.counter(WAIT_METRIC, resource=resource,
+                                 tenant=victim, culprit=culprit),
+                registry.counter(EVENTS_METRIC, resource=resource,
+                                 tenant=victim, culprit=culprit))
+        pair[0].value += wait_ns
+        pair[1].value += events
 
     # ------------------------------------------------------------------
     # Read side
@@ -125,16 +143,19 @@ def blame_matrix(registry: Optional[MetricsRegistry] = None,
 
     Returns ``{resource: {(victim, culprit): {"wait_ns": w, "events": n}}}``
     with tenant ids as the registry's string labels.  Deterministically
-    ordered (resources and cells sorted).
+    ordered (resources and cells sorted).  Reads the two counter
+    families straight off the registry, without a full snapshot: each
+    cell field is one instrument's value, so the scan order does not
+    matter.
     """
     registry = registry if registry is not None else get_registry()
     matrix: BlameMatrix = {}
-    for sample in registry.snapshot():
-        name = sample["name"]
-        if name not in (WAIT_METRIC, EVENTS_METRIC):
+    for instrument in registry.instruments():
+        name = instrument.name  # type: ignore[attr-defined]
+        if name != WAIT_METRIC and name != EVENTS_METRIC:
             continue
-        labels = sample["labels"]
-        res = str(labels.get("resource", "?"))
+        labels = dict(instrument.labels)  # type: ignore[attr-defined]
+        res = labels.get("resource", "?")
         if resource is not None and res != resource:
             continue
         key = (_tenant_key(labels.get("tenant")),
@@ -142,7 +163,7 @@ def blame_matrix(registry: Optional[MetricsRegistry] = None,
         cell = matrix.setdefault(res, {}).setdefault(
             key, {"wait_ns": 0.0, "events": 0.0})
         field = "wait_ns" if name == WAIT_METRIC else "events"
-        cell[field] += float(sample["value"])  # type: ignore[arg-type]
+        cell[field] += float(instrument.value)  # type: ignore[attr-defined]
     return {
         res: dict(sorted(cells.items()))
         for res, cells in sorted(matrix.items())

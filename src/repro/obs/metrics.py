@@ -253,12 +253,19 @@ class MetricsRegistry:
     ``register_collector`` attaches a zero-overhead pull source: a
     callable invoked only at :meth:`snapshot` time, for components whose
     hot loops are too hot even for a counter increment.
+
+    Between two :meth:`clear` calls instruments are only ever added, in
+    mint order, and never replaced.  ``generation`` counts the clears,
+    so a reader that cached instrument objects (or how far it has
+    scanned :meth:`minted_since`) keys the cache on ``(registry,
+    generation)`` and knows it is still valid.
     """
 
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, LabelKey], object] = {}
         self._collectors: List[Callable[[], Iterable[Dict[str, object]]]] = []
         self._serial = itertools.count(1)
+        self.generation = 0
 
     def instance_label(self, prefix: str) -> str:
         """A unique per-instance label minted from this registry's
@@ -347,6 +354,11 @@ class MetricsRegistry:
     def instruments(self) -> List[object]:
         return list(self._instruments.values())
 
+    def minted_since(self, start: int) -> List[Tuple[Tuple[str, LabelKey], object]]:
+        """``(key, instrument)`` pairs from the ``start``-th minted on,
+        in mint order (valid within one :attr:`generation`)."""
+        return list(itertools.islice(self._instruments.items(), start, None))
+
     def snapshot(self) -> List[Dict[str, object]]:
         """Every instrument (and collector output) as plain dicts."""
         samples = [inst.sample() for inst in self._instruments.values()]
@@ -363,10 +375,11 @@ class MetricsRegistry:
 
     def clear(self) -> None:
         """Drop every instrument and collector entirely and restart the
-        per-instance serial stream."""
+        per-instance serial stream.  Bumps :attr:`generation`."""
         self._instruments.clear()
         self._collectors.clear()
         self._serial = itertools.count(1)
+        self.generation += 1
 
 
 #: The default process-wide registry every component instruments into.

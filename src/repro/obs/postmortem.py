@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Dict, List, Optional, TextIO
 
@@ -119,7 +120,11 @@ def build_bundle(*, reason: Any,
 
 def write_bundle(bundle: Dict[str, Any], path: str) -> str:
     """Serialize a bundle deterministically (sorted keys, trailing
-    newline) so same-seed bundles are byte-identical."""
+    newline) so same-seed bundles are byte-identical.  Missing parent
+    directories are created."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(bundle, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -35,12 +35,19 @@ the same resolution the cumulative histogram offers anyway.
 
 Only instruments whose name starts with one of the configured
 ``prefixes`` are tracked (default: the ``slo_`` and ``interference_``
-families), keeping rotation cost proportional to the telemetry the SLO
-layer actually judges, not the whole hw-layer registry.
+families).  The aggregator keeps its tracked instruments sorted
+between rotations, each with its value at the previous rotation: the
+registry only grows between clears, so a rotation scans just the
+instruments minted since the previous one and merges them in.  A
+rotation therefore costs one pass over the tracked instruments (plus a
+merge when new ones were minted), never a walk or sort of the whole
+registry.  A registry ``clear()`` (a new ``generation``) rebuilds the
+index from scratch.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.hw.events import Simulator
@@ -61,10 +68,6 @@ DEFAULT_PREFIXES: Tuple[str, ...] = ("slo_", "interference_")
 DEFAULT_MAX_WINDOWS = 4096
 
 InstrumentKey = Tuple[str, LabelKey]
-
-
-def _labels_dict(labels: LabelKey) -> Dict[str, str]:
-    return {k: v for k, v in labels}
 
 
 class WindowSnapshot:
@@ -109,8 +112,12 @@ class WindowSnapshot:
         for (name, labels), delta in self.counters.items():
             if name != "interference_wait_ns_total" or delta <= 0.0:
                 continue
-            by = _labels_dict(labels)
-            victim, culprit = by.get("tenant"), by.get("culprit")
+            victim = culprit = None
+            for label, value in labels:
+                if label == "tenant":
+                    victim = value
+                elif label == "culprit":
+                    culprit = value
             if victim is None or victim == culprit:
                 continue
             waits[victim] = waits.get(victim, 0.0) + delta
@@ -127,6 +134,11 @@ class WindowSnapshot:
             "cross_tenant_wait_by_victim":
                 self.cross_tenant_wait_by_victim(),
         }
+
+
+def _histogram_state(histogram: Histogram) -> Tuple[List[int], int, float]:
+    """A histogram's ``(counts, count, sum)``, the base of its next delta."""
+    return list(histogram.counts), histogram.count, histogram.sum
 
 
 def _delta_histogram(current: Histogram, base_counts: List[int],
@@ -190,26 +202,57 @@ class WindowedAggregator:
         self.snapshots: List[WindowSnapshot] = []
         self.windows_dropped = 0
         self._window_start_ns = 0.0
-        self._counter_base: Dict[InstrumentKey, float] = {}
-        self._hist_base: Dict[InstrumentKey,
-                              Tuple[List[int], int, float]] = {}
         self._handle = None
         self._closed = False
+        #: Tracked counters/gauges and histograms as ``[key,
+        #: instrument, base]`` entries in key order, ``base`` being the
+        #: state at the last rotation (a float, or ``(counts, count,
+        #: sum)`` for a histogram).  Valid for ``_index_owner``'s
+        #: ``(registry, generation)`` after scanning its first
+        #: ``_index_seen`` instruments.
+        self._counters: List[list] = []
+        self._histograms: List[list] = []
+        self._index_owner: Tuple[Optional[MetricsRegistry], int] = (None, -1)
+        self._index_seen = 0
 
     def _resolve(self) -> MetricsRegistry:
         return self._registry if self._registry is not None \
             else get_registry()
 
-    def _tracked(self) -> List[Tuple[InstrumentKey, object]]:
-        """Tracked instruments in deterministic (name, labels) order."""
-        out: List[Tuple[InstrumentKey, object]] = []
-        for instrument in self._resolve().instruments():
-            name = getattr(instrument, "name", "")
-            if not name.startswith(self.prefixes):
+    def _tracked(self) -> Tuple[List[list], List[list]]:
+        """Tracked counters/gauges and histograms, each in deterministic
+        (name, labels) order.
+
+        Scans only the instruments minted since the previous call and
+        merges them into the kept entries (see the module docstring).
+        A new registry generation starts from empty entries, so every
+        base restarts at zero.
+        """
+        registry = self._resolve()
+        if self._index_owner != (registry, registry.generation):
+            self._counters, self._histograms = [], []
+            self._index_owner = (registry, registry.generation)
+            self._index_seen = 0
+        minted = registry.minted_since(self._index_seen)
+        self._index_seen += len(minted)
+        new_counters: List[list] = []
+        new_histograms: List[list] = []
+        for key, instrument in minted:
+            if not key[0].startswith(self.prefixes):
                 continue
-            out.append(((name, instrument.labels), instrument))
-        out.sort(key=lambda item: item[0])
-        return out
+            if isinstance(instrument, Histogram):
+                new_histograms.append(
+                    [key, instrument, ([0] * len(instrument.counts), 0, 0.0)])
+            elif isinstance(instrument, (Counter, Gauge)):
+                new_counters.append([key, instrument, 0.0])
+        for entries, new in ((self._counters, new_counters),
+                             (self._histograms, new_histograms)):
+            if new:
+                # The kept entries are one sorted run, so this sort
+                # costs about a merge, not a full re-sort.
+                entries.extend(new)
+                entries.sort(key=itemgetter(0))
+        return self._counters, self._histograms
 
     # ------------------------------------------------------------------
     # Rotation
@@ -223,22 +266,21 @@ class WindowedAggregator:
         call it directly with their own timestamps.
         """
         now = float(self.sim.now_ns) if now_ns is None else float(now_ns)
+        tracked_counters, tracked_histograms = self._tracked()
         counters: Dict[InstrumentKey, float] = {}
+        for entry in tracked_counters:
+            value = entry[1].value
+            delta = value - entry[2]
+            if delta:
+                counters[entry[0]] = delta
+            entry[2] = value
         histograms: Dict[InstrumentKey, Histogram] = {}
-        for key, instrument in self._tracked():
-            if isinstance(instrument, Histogram):
-                base = self._hist_base.get(
-                    key, ([0] * len(instrument.counts), 0, 0.0))
-                if instrument.count != base[1]:
-                    histograms[key] = _delta_histogram(
-                        instrument, base[0], base[1], base[2])
-                self._hist_base[key] = (list(instrument.counts),
-                                        instrument.count, instrument.sum)
-            elif isinstance(instrument, (Counter, Gauge)):
-                delta = instrument.value - self._counter_base.get(key, 0.0)
-                if delta:
-                    counters[key] = delta
-                self._counter_base[key] = instrument.value
+        for entry in tracked_histograms:
+            key, instrument, base = entry
+            if instrument.count != base[1]:
+                histograms[key] = _delta_histogram(
+                    instrument, base[0], base[1], base[2])
+            entry[2] = _histogram_state(instrument)
         snapshot = WindowSnapshot(
             index=len(self.snapshots) + self.windows_dropped,
             start_ns=self._window_start_ns, end_ns=now,
@@ -275,12 +317,11 @@ class WindowedAggregator:
 
     def _prime_bases(self) -> None:
         """Capture the pre-run state so window 0 holds only new work."""
-        for key, instrument in self._tracked():
-            if isinstance(instrument, Histogram):
-                self._hist_base[key] = (list(instrument.counts),
-                                        instrument.count, instrument.sum)
-            elif isinstance(instrument, (Counter, Gauge)):
-                self._counter_base[key] = instrument.value
+        tracked_counters, tracked_histograms = self._tracked()
+        for entry in tracked_counters:
+            entry[2] = entry[1].value
+        for entry in tracked_histograms:
+            entry[2] = _histogram_state(entry[1])
 
     def _tick(self) -> None:
         self._handle = None

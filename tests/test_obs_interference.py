@@ -12,17 +12,22 @@ from repro.hw.cores import ProgrammableCore
 from repro.hw.dma import DMAController, DMAWindow
 from repro.hw.dram import DRAMChannel
 from repro.hw.memory import HostMemory, PhysicalMemory
+from repro.obs import metrics
 from repro.obs.interference import (
     RESOURCE_BUS,
     RESOURCE_CACHE,
     RESOURCE_CORES,
+    EVENTS_METRIC,
+    WAIT_METRIC,
     FCFSWaitAttributor,
+    InterferenceAccountant,
     blame_matrix,
     cross_tenant_events,
     cross_tenant_wait_ns,
     format_matrix,
     get_accountant,
 )
+from repro.obs.metrics import MetricsRegistry
 
 VICTIM = 1
 AGGRESSOR = 2
@@ -76,6 +81,85 @@ class TestAccountant:
 
     def test_format_matrix_empty(self):
         assert "no interference recorded" in format_matrix({})
+
+
+def snapshot_blame_matrix(registry, resource=None):
+    """The blame matrix rebuilt from a full registry snapshot: the
+    reference the direct instrument scan must agree with."""
+    matrix = {}
+    for sample in registry.snapshot():
+        name = sample["name"]
+        if name not in (WAIT_METRIC, EVENTS_METRIC):
+            continue
+        labels = sample["labels"]
+        res = str(labels.get("resource", "?"))
+        if resource is not None and res != resource:
+            continue
+        key = (str(labels.get("tenant")), str(labels.get("culprit")))
+        cell = matrix.setdefault(res, {}).setdefault(
+            key, {"wait_ns": 0.0, "events": 0.0})
+        field = "wait_ns" if name == WAIT_METRIC else "events"
+        cell[field] += float(sample["value"])
+    return {res: dict(sorted(cells.items()))
+            for res, cells in sorted(matrix.items())}
+
+
+class TestMemoisedBlame:
+    """The accountant caches counter pairs; a registry clear must not
+    let it keep writing into the dropped instruments."""
+
+    def test_blame_after_reset_lands_in_the_new_registry_only(self):
+        acc = get_accountant()
+        acc.blame("bus", victim=VICTIM, culprit=AGGRESSOR, wait_ns=10.0)
+        stale = metrics.get_registry().counter(
+            WAIT_METRIC, resource="bus", tenant=VICTIM, culprit=AGGRESSOR)
+        metrics.reset()
+        acc.blame("bus", victim=VICTIM, culprit=AGGRESSOR, wait_ns=5.0)
+        assert cell("bus", VICTIM, AGGRESSOR) == {"wait_ns": 5.0,
+                                                  "events": 1.0}
+        assert stale.value == 10.0
+
+    def test_explicit_registry_clear_drops_the_memo(self):
+        registry = MetricsRegistry()
+        acc = InterferenceAccountant(registry=registry)
+        acc.blame("dma", victim=VICTIM, culprit=AGGRESSOR, wait_ns=3.0)
+        registry.clear()
+        acc.blame("dma", victim=VICTIM, culprit=AGGRESSOR, wait_ns=4.0)
+        assert blame_matrix(registry) == {
+            "dma": {("1", "2"): {"wait_ns": 4.0, "events": 1.0}}}
+        assert blame_matrix() == {}
+
+    def test_mint_order_matches_uncached_blame(self):
+        registry = MetricsRegistry()
+        acc = InterferenceAccountant(registry=registry)
+        for victim, culprit in ((2, 1), (1, 2), (2, 1), (1, 1)):
+            acc.blame("bus", victim=victim, culprit=culprit, wait_ns=1.0)
+        minted = [(inst.name, dict(inst.labels)["tenant"],
+                   dict(inst.labels)["culprit"])
+                  for inst in registry.instruments()]
+        assert minted == [
+            (WAIT_METRIC, "2", "1"), (EVENTS_METRIC, "2", "1"),
+            (WAIT_METRIC, "1", "2"), (EVENTS_METRIC, "1", "2"),
+            (WAIT_METRIC, "1", "1"), (EVENTS_METRIC, "1", "1"),
+        ]
+
+    def test_blame_matrix_equals_snapshot_reference(self):
+        registry = MetricsRegistry()
+        acc = InterferenceAccountant(registry=registry)
+        registry.histogram("slo_latency_ns", tenant=1).observe(120.0)
+        registry.gauge("bus_backlog", tenant=None).set(4)
+        registry.counter("cache_hits_total", tenant=2).inc(9)
+        for i, (res, victim, culprit) in enumerate((
+                ("bus", 1, 2), ("dram", 2, 1), ("bus", 1, 1),
+                ("cache", 3, 1), ("bus", None, 2), ("dma", 10, 2))):
+            acc.blame(res, victim=victim, culprit=culprit,
+                      wait_ns=0.1 * (i + 1), events=i + 1)
+        registry.histogram("interference_probe_ns", tenant=1).observe(5.0)
+        for resource in (None, "bus", "cores"):
+            assert blame_matrix(registry, resource=resource) == \
+                snapshot_blame_matrix(registry, resource=resource)
+        assert list(blame_matrix(registry)) == ["bus", "cache", "dma",
+                                                "dram"]
 
 
 class TestFCFSWaitAttributor:

@@ -122,6 +122,24 @@ class TestDeterminism:
         assert load_bundle(p1) == bundle
 
 
+    def test_write_bundle_creates_missing_directories(self, tmp_path):
+        drive_forensics()
+        bundle = build_bundle(reason="r")
+        path = write_bundle(bundle, bundle_path(str(tmp_path / "a" / "b"),
+                                                "fresh"))
+        assert path.endswith("/a/b/POSTMORTEM_fresh.json")
+        assert load_bundle(path) == bundle
+
+    def test_chaos_writes_into_a_directory_it_creates(self, tmp_path):
+        from repro.faults.chaos import run_chaos
+
+        directory = tmp_path / "a" / "b"
+        report = run_chaos(kinds=["nf_crash"], postmortem_dir=str(directory))
+        names = report["postmortem"]["bundles"]
+        assert names == ["POSTMORTEM_chaos-nf_crash-snic-s0.json"]
+        assert verify_bundle(load_bundle(str(directory / names[0]))) == []
+
+
 class TestVerification:
     def test_tampered_record_fails_with_offending_index(self):
         drive_forensics()

@@ -1,8 +1,11 @@
 """Tests for repro.obs.windows: sim-time windowed delta aggregation."""
 
+import random
+
 import pytest
 
 from repro.hw.events import Simulator
+from repro.obs import metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.windows import (
     DEFAULT_PREFIXES,
@@ -92,6 +95,79 @@ class TestRotation:
         with pytest.raises(ValueError):
             WindowedAggregator(sim, window_ns=10, registry=registry,
                                max_windows=0)
+
+
+class TestIncrementalIndex:
+    """The aggregator keeps its sorted instrument index between
+    rotations; every window must still look like a fresh sorted walk
+    of the whole registry."""
+
+    def test_instrument_minted_between_rotations_in_sorted_position(
+            self, registry):
+        sim = Simulator()
+        for tenant in range(0, 80, 2):
+            registry.counter("slo_events_total", tenant=tenant)
+        agg = WindowedAggregator(sim, window_ns=100, registry=registry)
+        agg.start()
+        agg.rotate(now_ns=100)
+        registry.counter("slo_events_total", tenant=41).inc(7)
+        registry.counter("slo_events_total", tenant=40).inc(1)
+        registry.counter("slo_events_total", tenant=42).inc(1)
+        snap = agg.rotate(now_ns=200)
+        assert list(snap.counters) == [
+            ("slo_events_total", (("tenant", str(t)),))
+            for t in (40, 41, 42)]
+        assert snap.counter("slo_events_total", tenant=41) == 7
+
+    def test_windows_match_a_full_sorted_walk(self, registry):
+        sim = Simulator()
+        rng = random.Random(5)
+        names = ("slo_events_total", "interference_wait_ns_total",
+                 "cache_hits_total", "slo_bad_total")
+        agg = WindowedAggregator(sim, window_ns=100, registry=registry)
+        agg.start()
+        previous = {}
+        for window in range(1, 9):
+            for _ in range(rng.randrange(1, 60)):
+                registry.counter(rng.choice(names),
+                                 tenant=rng.randrange(30)).inc(
+                    rng.randrange(1, 5))
+            snap = agg.rotate(now_ns=100 * window)
+            current = {(inst.name, inst.labels): inst.value
+                       for inst in registry.instruments()
+                       if inst.name.startswith(DEFAULT_PREFIXES)}
+            expected = {key: value - previous.get(key, 0.0)
+                        for key, value in sorted(current.items())
+                        if value - previous.get(key, 0.0)}
+            assert list(snap.counters.items()) == list(expected.items())
+            previous = current
+
+    def test_explicit_registry_ignores_the_default_registry(self, registry):
+        sim = Simulator()
+        mine = registry.counter("slo_events_total", tenant=1)
+        agg = WindowedAggregator(sim, window_ns=100, registry=registry)
+        agg.start()
+        mine.inc(2)
+        metrics.get_registry().counter("slo_events_total", tenant=9).inc(5)
+        first = agg.rotate(now_ns=100)
+        metrics.reset()
+        mine.inc(3)
+        metrics.get_registry().counter("slo_events_total", tenant=9).inc(5)
+        second = agg.rotate(now_ns=200)
+        key = ("slo_events_total", (("tenant", "1"),))
+        assert first.counters == {key: 2.0}
+        assert second.counters == {key: 3.0}
+
+    def test_registry_clear_rebuilds_the_index(self, registry):
+        sim = Simulator()
+        registry.counter("slo_events_total", tenant=1).inc(4)
+        agg = WindowedAggregator(sim, window_ns=100, registry=registry)
+        agg.start()
+        registry.clear()
+        registry.counter("slo_events_total", tenant=2).inc(6)
+        snap = agg.rotate(now_ns=100)
+        assert snap.counters == {("slo_events_total", (("tenant", "2"),)):
+                                 6.0}
 
 
 class TestKernelDriven:
