@@ -1,8 +1,9 @@
 """Simulated reports are pinned byte for byte.
 
-``tests/fixtures/report_digests.json`` holds the sha256 of two seeded
+``tests/fixtures/report_digests.json`` holds the sha256 of seeded
 ``--format json`` reports, a quick scenario-matrix sweep and a quick
-16-tenant SLO run, and of that SLO run's ``--openmetrics`` export.
+16-tenant SLO run, each also partitioned on two shard workers, and of
+the SLO run's ``--openmetrics`` export.
 Between them they run key provisioning, attested launch and teardown,
 the packet path and every arbiter; the export adds every window's
 per-rotation deltas.  So a host-side change (a cache, a faster
@@ -38,6 +39,11 @@ REPORTS: Dict[str, Tuple[List[str], str]] = {
                                    "-o"),
     "slo_quick_16_tenants_seed7_openmetrics": (_SLO_QUICK_16,
                                                "--openmetrics"),
+    "matrix_quick_seed7_commodityx2t_shards2": (
+        ["matrix", "--quick", "--seed", "7", "--only", "commodityx2t",
+         "--shards", "2", "--format", "json"], "-o"),
+    "slo_quick_16_tenants_seed7_shards2": (
+        [*_SLO_QUICK_16, "--shards", "2", "--format", "json"], "-o"),
 }
 
 
