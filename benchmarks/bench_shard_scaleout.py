@@ -1,10 +1,10 @@
-"""Shard scale-out: monolithic vs 4-shard co-simulation (DESIGN §1.12).
+"""Shard scale-out: monolithic vs 4 independent partitions (DESIGN §1.12).
 
 Runs the hundreds-of-tenants SLO scorecard (the OSMOSIS-scale workload)
 twice on the same seeded spec: once through the monolithic builder (one
-event kernel over every tenant) and once through the sharded engine
-(four tenant partitions, each its own event kernel in its own worker
-process, conservative virtual-time grants between them).
+event kernel over every tenant) and once split into four tenant
+partitions, each an independent NIC with its own event kernel, run on
+a pool of worker processes.
 
 The two sides are not the same simulated model: a partition's tenants
 contend only with each other, so cross-partition bus/DMA/DRAM contention
@@ -39,11 +39,10 @@ def _monolithic(n_tenants: int, quick: bool) -> dict:
 
 
 def _sharded(n_tenants: int, quick: bool) -> dict:
-    from repro.shard.engine import run_scorecard_sharded
+    from repro.obs.scorecard import run_scorecard
 
-    return run_scorecard_sharded(n_tenants=n_tenants, seed=SEED,
-                                 quick=quick, arbiters=(ARBITER,),
-                                 workers=WORKERS)
+    return run_scorecard(n_tenants=n_tenants, seed=SEED, quick=quick,
+                         arbiters=(ARBITER,), workers=WORKERS)
 
 
 def run(quick: bool = False) -> dict:
@@ -78,8 +77,7 @@ def run(quick: bool = False) -> dict:
          ["sharded x4", sharded_wall_s, n_tenants, shard_row["n_pass"],
           shard_row["n_fail"], shard_row["packets_completed"]]])
     print(f"\nspeedup: {speedup:.2f}x "
-          f"({shard_block['partitions']} partitions, "
-          f"lookahead {sharded['sharded']['link_latency_ns']} ns)")
+          f"({shard_block['partitions']} partitions)")
 
     # Structural parity: the sharded path judged every tenant, in spec
     # order, with an intact audit chain.

@@ -12,8 +12,9 @@ Commands:
   ``{nic_model} x {tenant_count} x {fault_class} x {arbiter} x {seed}``
   and emit one schema-versioned record per cell
   (``--quick`` for the 16-cell CI gate, ``--format text|json|csv``,
-  ``--sanitize`` to run every cell under IsoSan, ``--shards N`` to run
-  each cell on the sharded co-simulation engine; same ``--seed`` gives
+  ``--sanitize`` to run every cell under IsoSan, ``--shards N`` to
+  split each cell into its spec's independent partitions, one NIC
+  each, run on N worker processes; same ``--seed`` gives
   byte-identical reports at any shard count)
 * ``bench``   — run the unified benchmark harness over every
   ``benchmarks/bench_*.py`` scenario and write a schema-versioned
@@ -40,7 +41,8 @@ Commands:
   teardown-deadline objectives (``--quick``, ``--tenants N``,
   ``--violation-demo`` for the seeded alert self-test,
   ``--openmetrics PATH`` for the OpenMetrics export, ``--shards N``
-  for the sharded engine with byte-identical reports)
+  to split each arbiter cell into independent partitions on N worker
+  processes, with byte-identical reports at any N)
 * ``postmortem`` — inspect a forensics bundle dropped by ``chaos`` or
   ``matrix`` (``--postmortem-dir``): pretty-print the flight-recorder
   tail and audit excerpt, ``--verify`` the sha256 hash chain, or
@@ -55,7 +57,7 @@ Commands:
   the shard-safety manifest for the sharding refactor)
 * ``sanitize`` — determinism checker: run the co-tenancy demo twice
   and fail on event-stream digest divergence (``--shards`` also
-  asserts the sharded engine's worker-count invariance)
+  asserts that a partitioned cell's record ignores the worker count)
 * ``info``    — version + package inventory (default)
 """
 
@@ -244,8 +246,8 @@ def _bench(argv: list) -> int:
                              "sanitizer (isolation violations become "
                              "scenario errors)")
     parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="deal the bench scripts to N shard worker "
-                             "processes (round-robin; the artifact keeps "
+                        help="deal the bench scripts to a pool of N "
+                             "worker processes (the artifact keeps "
                              "discovery order)")
     args = parser.parse_args(argv)
 
@@ -274,17 +276,11 @@ def _bench(argv: list) -> int:
     suffix = " [IsoSan]" if args.sanitize else ""
     print(f"repro bench — {mode} run over benchmarks/bench_*.py{suffix}")
     def _run():
-        if args.shards is not None:
-            from repro.shard.engine import run_benchmarks_sharded
-
-            # Workers fork inside this call, so a surrounding
-            # sanitized() scope travels into every shard process.
-            return run_benchmarks_sharded(
-                quick=args.quick, only=args.only, capture=not args.verbose,
-                progress=progress, workers=args.shards)
+        # Shard workers fork inside this call, so a surrounding
+        # sanitized() scope travels into every worker process.
         return bench.run_benchmarks(
             quick=args.quick, only=args.only, capture=not args.verbose,
-            progress=progress)
+            progress=progress, workers=args.shards)
 
     if args.sanitize:
         from repro.analysis.isosan import sanitized

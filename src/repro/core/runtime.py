@@ -9,7 +9,7 @@ on the discrete-event kernel (:mod:`repro.hw.events`):
 * the packet input module runs at line-rate granularity (per arrival);
 * each function's cores poll their RX ring on a fixed grid
   (``origin + k·poll_interval_ns``, ``k ≥ 1``, origin = the clock at
-  :meth:`SNICRuntime.begin`) and spend a modelled per-packet service
+  the first :meth:`SNICRuntime.run`) and spend a modelled per-packet service
   time;
 * the output module drains TX rings as functions produce packets.
 
@@ -17,7 +17,7 @@ Polls are woken on arrival: frames delivered to a function with no
 armed poll arm one at the next grid point, which drains the ring and
 does not re-arm.  Each frame meets the poll an always-on loop would
 have served it with, so idle tenants cost no kernel events and
-:meth:`SNICRuntime.drain` can simply run until the queue is empty.
+:meth:`SNICRuntime.run` can simply run until the queue is empty.
 
 The runtime records per-packet end-to-end latency (wire-in → wire-out),
 giving latency/throughput distributions for full-system experiments.
@@ -47,6 +47,15 @@ class PacketTiming:
         return self.departure_ns - self.arrival_ns
 
 
+def rank_percentile(latencies: Sequence[int], q: float) -> float:
+    """The ``q``-th percentile of sorted ``latencies``: the value at
+    index ``floor(q/100 · n)``, clamped to the last; ``0.0`` if empty."""
+    if not latencies:
+        return 0.0
+    index = min(len(latencies) - 1, int(q / 100.0 * len(latencies)))
+    return float(latencies[index])
+
+
 @dataclass
 class RuntimeStats:
     """Aggregate results of one run."""
@@ -59,11 +68,7 @@ class RuntimeStats:
         return len(self.timings)
 
     def latency_percentile(self, q: float) -> float:
-        if not self.timings:
-            return 0.0
-        latencies = sorted(t.latency_ns for t in self.timings)
-        index = min(len(latencies) - 1, int(q / 100.0 * len(latencies)))
-        return float(latencies[index])
+        return rank_percentile(sorted(t.latency_ns for t in self.timings), q)
 
     def throughput_mpps(self) -> float:
         if not self.timings:
@@ -99,10 +104,10 @@ class SNICRuntime:
         #: must leave for the next grid point (see :meth:`_wake`).
         self._armed: Dict[int, EventHandle] = {}
         self._held: Dict[int, int] = {}
-        self._origin_ns: Optional[int] = None  # the clock at begin()
-        # Bind the tracer at construction time, not import time: shard
-        # workers build their runtime after per-process isolation, so
-        # the instance must see *that* process's tracer singleton.
+        self._origin_ns: Optional[int] = None  # the clock at first run()
+        # Bind the tracer at construction time, not import time: a run
+        # builds its runtime after its isolation reset, so the instance
+        # must see the tracer singleton that reset installed.
         self._tracer = get_tracer()
         if self._tracer.enabled:
             # Put every subsequent trace event on this run's simulated
@@ -131,7 +136,8 @@ class SNICRuntime:
         """Schedule packet arrivals at their ``arrival_ns`` timestamps."""
         # Frames meet the poll an always-on loop would have served them
         # with.  That loop arms its poll at grid point T at T - P (or at
-        # begin()), so an arrival at T injected after then queues behind.
+        # the first run()), so an arrival at T injected after then queues
+        # behind.
         armed_until = -1 if self._origin_ns is None \
             else self.sim.now_ns + self.poll_interval_ns
         for packet in packets:
@@ -177,7 +183,7 @@ class SNICRuntime:
             return
         origin, period = self._origin_ns, self.poll_interval_ns
         if origin is None:
-            raise RuntimeError("packet arrival executed before begin()")
+            raise RuntimeError("packet arrival executed before run()")
         due = origin + period * max(1, -(-(now - origin) // period))
         if behind_poll and due == now:
             due += period
@@ -233,37 +239,24 @@ class SNICRuntime:
 
     # ------------------------------------------------------------------
 
-    def begin(self) -> None:
-        """Fix the poll grid's origin without running the kernel.
+    def run(self, duration_ns: Optional[int] = None) -> RuntimeStats:
+        """Run the experiment until the queue drains (or ``duration_ns``).
 
-        The shard worker then injects and runs grant by grant before
-        :meth:`drain`.  Idempotent, so :meth:`run` can delegate to it.
-        """
-        if self._origin_ns is None:
-            self._origin_ns = self.sim.now_ns
-
-    def drain(self) -> RuntimeStats:
-        """Run the kernel until its queue is empty.
-
-        An exception out of an event (a crashed function's
+        The first call fixes the poll grid's origin at the kernel's
+        clock.  An exception out of an event (a crashed function's
         :class:`~repro.core.errors.FatalFunctionError`) propagates; a
         later call resumes where it stopped.  Raises
         :class:`RuntimeError` if the kernel's ``max_events`` guard stops
-        it with work still queued.
+        a drain with work still queued.
         """
         if self._origin_ns is None:
-            raise RuntimeError("drain() before begin()")
-        self.sim.run()
-        if self.sim.peek_next_ns() is not None:
-            raise RuntimeError(
-                f"drain() hit the kernel's max_events guard at "
-                f"{self.sim.now_ns} ns with work still queued")
-        return self.stats
-
-    def run(self, duration_ns: Optional[int] = None) -> RuntimeStats:
-        """Run the experiment until the queue drains (or ``duration_ns``)."""
-        self.begin()
+            self._origin_ns = self.sim.now_ns
         if duration_ns is not None:
             self.sim.run(until_ns=duration_ns)
             return self.stats
-        return self.drain()
+        self.sim.run()
+        if self.sim.peek_next_ns() is not None:
+            raise RuntimeError(
+                f"run() hit the kernel's max_events guard at "
+                f"{self.sim.now_ns} ns with work still queued")
+        return self.stats

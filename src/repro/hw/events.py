@@ -180,31 +180,6 @@ class Simulator:
             heapq.heappop(self._queue)
         return self._queue[0].time_ns if self._queue else None
 
-    def run_handoff(self, until_ns: int) -> "HandoffReport":
-        """Execute one synchronized-virtual-time window, then hand off.
-
-        The shard protocol's kernel hook: a worker receiving a grant for
-        ``until_ns`` runs every event inside the window and reports back
-        where its clock landed and when its next event is due — enough
-        for a conservative parent to schedule the next grant without
-        ever sending a shard an event in its past.
-        """
-        executed = self.run(until_ns=until_ns)
-        return HandoffReport(
-            executed=executed,
-            now_ns=self._now_ns,
-            next_event_ns=self.peek_next_ns(),
-        )
-
     @property
     def pending(self) -> int:
         return sum(1 for e in self._queue if not e.cancelled)
-
-
-@dataclass(frozen=True)
-class HandoffReport:
-    """What a shard kernel reports at the end of a grant window."""
-
-    executed: int
-    now_ns: int
-    next_event_ns: Optional[int]

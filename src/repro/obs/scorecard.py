@@ -217,7 +217,6 @@ def run_spec(spec: ScenarioSpec, quick: bool = False,
              sanitize: bool = False,
              window_ns: int = DEFAULT_WINDOW_NS,
              families_sink: Optional[List[object]] = None,
-             packet_phase=None,
              ) -> Dict[str, object]:
     """Run one scorecard cell under full state isolation.
 
@@ -225,9 +224,7 @@ def run_spec(spec: ScenarioSpec, quick: bool = False,
     the fired alerts, window/audit bookkeeping.  With ``families_sink``
     given, the cell's OpenMetrics families (registry + windows, tagged
     with an ``arbiter`` label) are appended to it before the trailing
-    isolation reset wipes the registry.  ``packet_phase`` forwards to
-    :meth:`~repro.scenario.build.BuiltScenario.drive` — the shard
-    worker's granted-injection seam.
+    isolation reset wipes the registry.
     """
     from repro.analysis.isosan import sanitized
     from repro.obs import auditlog as auditlog_mod
@@ -276,8 +273,7 @@ def run_spec(spec: ScenarioSpec, quick: bool = False,
                 outputs = built.drive(
                     quick=quick, rounds=rounds,
                     on_round=lambda _i, end_ns: aggregator.rotate(
-                        now_ns=sim.now_ns + end_ns),
-                    packet_phase=packet_phase)
+                        now_ns=sim.now_ns + end_ns))
                 aggregator.stop()
                 xwait = _xwait_by_victim(blame_matrix(registry))
                 timing = built.snic.timing
@@ -380,24 +376,42 @@ def run_scorecard(n_tenants: int = 128, seed: int = 7,
                   sanitize: bool = False,
                   window_ns: int = DEFAULT_WINDOW_NS,
                   openmetrics_path: Optional[str] = None,
+                  workers: Optional[int] = None,
                   ) -> Dict[str, object]:
-    """Sweep the arbiter axis and assemble the scorecard report."""
+    """Sweep the arbiter axis and assemble the scorecard report.
+
+    With ``workers`` set, every arbiter cell is split by its spec's
+    partition plan and run on that many worker processes
+    (:func:`repro.shard.engine.run_spec_sharded`).  The report then
+    carries a ``sharded`` block with the partition count, a property of
+    the spec, but never the worker count.
+    """
     from repro.obs import openmetrics
 
+    if workers is not None and openmetrics_path is not None:
+        raise ValueError("the OpenMetrics export needs the monolithic "
+                         "in-process registry")
     families: Optional[List[object]] = \
         [] if openmetrics_path is not None else None
     results: Dict[str, Dict[str, object]] = {}
     for arbiter in arbiters:
         spec = make_scorecard_spec(arbiter, n_tenants, seed, quick=quick)
-        results[arbiter] = run_spec(
-            spec, quick=quick, sanitize=sanitize, window_ns=window_ns,
-            families_sink=families)
+        if workers is None:
+            results[arbiter] = run_spec(
+                spec, quick=quick, sanitize=sanitize, window_ns=window_ns,
+                families_sink=families)
+        else:
+            from repro.shard.engine import run_spec_sharded
+
+            results[arbiter] = run_spec_sharded(
+                spec, quick=quick, sanitize=sanitize, window_ns=window_ns,
+                workers=workers)
     if openmetrics_path is not None:
         text = openmetrics.render_families(
             openmetrics.merge_families(families))
         with open(openmetrics_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    return {
+    report: Dict[str, object] = {
         "schema": SCHEMA,
         "schema_version": SCHEMA_VERSION,
         "mode": "quick" if quick else "full",
@@ -422,6 +436,11 @@ def run_scorecard(n_tenants: int = 128, seed: int = 7,
             for arbiter, result in results.items()
         ],
     }
+    if workers is not None:
+        report["sharded"] = {"partitions": max(
+            (result["partitions"] for result in results.values()),
+            default=0)}
+    return report
 
 
 def run_violation_demo(seed: int = 7, sanitize: bool = False,
@@ -589,9 +608,10 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
                         help="run every cell under the IsoSan runtime "
                              "sanitizer (also via REPRO_ISOSAN=1)")
     parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="run each arbiter cell through the sharded "
-                             "co-simulation engine on N worker processes "
-                             "(reports are byte-identical for any N)")
+                        help="split each arbiter cell into its spec's "
+                             "independent partitions and run them on N "
+                             "worker processes (reports are "
+                             "byte-identical for any N)")
     parser.add_argument("--violation-demo", action="store_true",
                         help="run the seeded alert self-test instead "
                              "of the sweep; exit 1 unless exactly the "
@@ -627,19 +647,11 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
                   f"expected a comma-separated subset of "
                   f"{','.join(ARBITER_POLICIES)}", file=sys.stderr)
             return 2
-        if args.shards is not None:
-            from repro.shard.engine import run_scorecard_sharded
-
-            report = run_scorecard_sharded(
-                n_tenants=n_tenants, seed=args.seed, quick=args.quick,
-                arbiters=arbiters, sanitize=sanitize,
-                window_ns=args.window_ns, workers=args.shards)
-        else:
-            report = run_scorecard(
-                n_tenants=n_tenants, seed=args.seed, quick=args.quick,
-                arbiters=arbiters, sanitize=sanitize,
-                window_ns=args.window_ns,
-                openmetrics_path=args.openmetrics)
+        report = run_scorecard(
+            n_tenants=n_tenants, seed=args.seed, quick=args.quick,
+            arbiters=arbiters, sanitize=sanitize,
+            window_ns=args.window_ns,
+            openmetrics_path=args.openmetrics, workers=args.shards)
     rendered = _FORMATTERS[args.format](report)
     stream.write(rendered)
     if args.out:

@@ -164,7 +164,8 @@ def cell_spec(cell: MatrixCell, quick: bool = False) -> ScenarioSpec:
 def run_cell(cell: MatrixCell, quick: bool = False,
              sanitize: bool = False,
              postmortem_dir: Optional[str] = None,
-             spec: Optional[ScenarioSpec] = None) -> "object":
+             spec: Optional[ScenarioSpec] = None,
+             payload: Optional[Dict[str, object]] = None) -> "object":
     """Run one cell under full state isolation; never raises.
 
     Returns a :class:`repro.obs.bench.BenchRecord` — the matrix reuses
@@ -181,6 +182,11 @@ def run_cell(cell: MatrixCell, quick: bool = False,
     armed for the cell and any error drops a forensics bundle
     (``POSTMORTEM_<cell>.json``) there before the trailing isolation
     reset wipes the evidence.
+
+    With ``payload`` given, the cell's state is serialized into it
+    before that reset, as plain data: the sorted packet latencies, the
+    metrics registry and the tracer's spans.  A shard worker hands this
+    back for the merge.
     """
     import contextlib
 
@@ -211,6 +217,9 @@ def run_cell(cell: MatrixCell, quick: bool = False,
         with scope:
             with build_scenario(spec) as built:
                 outputs = built.drive(quick=quick)
+                if payload is not None:
+                    payload["latencies"] = sorted(
+                        t.latency_ns for t in built.runtime.stats.timings)
         record.outputs = jsonable(outputs)
     except Exception as exc:
         record.status = "error"
@@ -233,6 +242,16 @@ def run_cell(cell: MatrixCell, quick: bool = False,
         record.trace_events = len(tracer.get_tracer().events)
         record.metrics_instruments = len(metrics.get_registry())
         record.histograms = _histogram_percentiles(metrics.get_registry())
+        if payload is not None:
+            from repro.shard.frames import (
+                registry_to_frame,
+                trace_events_to_frame,
+            )
+
+            payload.setdefault("latencies", [])
+            payload["registry"] = registry_to_frame(metrics.get_registry())
+            payload["trace_events"] = trace_events_to_frame(
+                tracer.get_tracer().events)
         if forensic:
             flight_mod.reset()
             auditlog_mod.reset()
@@ -303,63 +322,23 @@ def run_matrix(
     error cell drops a ``POSTMORTEM_<cell>.json`` bundle there (the
     report itself stays byte-identical either way).
 
-    ``shards`` routes every cell through the sharded co-simulation
-    engine with that many worker processes.  The partition plan lives
-    in the spec, not here, so the report is byte-identical for any
-    shard count — but it is a *different* (partitioned) simulation from
-    the monolithic path, so sharded and unsharded reports are not
-    comparable byte-for-byte.
+    ``shards`` splits every cell into its spec's partitions and runs
+    them on that many worker processes.  The partition plan lives in
+    the spec, not here, so the report is byte-identical for any shard
+    count — but each partition is an independent NIC, a *different*
+    model from the monolithic cell, so sharded and unsharded reports
+    are not comparable byte-for-byte.
     """
-    if shards is not None and postmortem_dir is not None:
-        raise ValueError("per-cell postmortem bundles are not available "
-                         "under --shards (the flight recorder is "
-                         "per-shard-process)")
     axes = default_axes(quick=quick)
     cells = expand(axes, base_seed=seed, reps=reps)
     if only:
         cells = [c for c in cells
                  if any(pat in c.name for pat in only)]
-    entries: List[Dict[str, object]] = []
-    n_ok = n_error = 0
-    for cell in cells:
-        record = _run_one(cell, quick=quick, sanitize=sanitize,
-                          postmortem_dir=postmortem_dir, shards=shards)
-        if record.status == "ok":
-            n_ok += 1
-        else:
-            n_error += 1
-        entries.append({"cell": cell.as_dict(), "record": record.as_dict()})
-        if progress is not None:
-            progress(record)
-    return {
-        "schema": SCHEMA,
-        "schema_version": SCHEMA_VERSION,
-        "record_schema": RECORD_SCHEMA,
-        "record_schema_version": RECORD_SCHEMA_VERSION,
-        "seed": seed,
-        "reps": max(1, reps),
-        "mode": "quick" if quick else "full",
-        "isosan_active": bool(sanitize),
-        "axes": axes,
-        "n_cells": len(entries),
-        "n_ok": n_ok,
-        "n_error": n_error,
-        "cells": {entry["record"]["name"]: entry for entry in entries},
-        "summary": _summary_rows(entries),
-    }
-
-
-def _run_one(cell: MatrixCell, quick: bool, sanitize: bool,
-             postmortem_dir: Optional[str], shards: Optional[int],
-             spec: Optional[ScenarioSpec] = None):
-    """Dispatch one cell to the monolithic or the sharded runner."""
-    if shards is None:
-        return run_cell(cell, quick=quick, sanitize=sanitize,
-                        postmortem_dir=postmortem_dir, spec=spec)
-    from repro.shard.engine import run_cell_sharded
-
-    return run_cell_sharded(cell, quick=quick, sanitize=sanitize,
-                            workers=shards, spec=spec)
+    return _sweep([(cell, None) for cell in cells], seed=seed,
+                  reps=max(1, reps), mode="quick" if quick else "full",
+                  axes=axes, quick=quick, sanitize=sanitize,
+                  progress=progress, postmortem_dir=postmortem_dir,
+                  shards=shards)
 
 
 def load_spec(path: str) -> ScenarioSpec:
@@ -406,42 +385,60 @@ def run_specs(
     report keeps the sweep schema and every formatter/CI consumer
     works unchanged.  ``shards`` behaves as in :func:`run_matrix`.
     """
+    runs = [
+        (MatrixCell(nic_model=spec.topology.nic_model,
+                    tenant_count=len(spec.tenants),
+                    fault_class=spec.fault.kind if spec.fault else "none",
+                    arbiter=spec.topology.arbiter.policy,
+                    seed=spec.seed),
+         spec)
+        for spec in specs
+    ]
+    return _sweep(runs, seed=specs[0].seed if specs else 0, reps=1,
+                  mode="spec", axes={"spec": [spec.name for spec in specs]},
+                  quick=quick, sanitize=sanitize, progress=progress,
+                  postmortem_dir=postmortem_dir, shards=shards)
+
+
+def _sweep(runs: List[tuple], seed: int, reps: int, mode: str,
+           axes: Dict[str, List[object]], quick: bool, sanitize: bool,
+           progress, postmortem_dir: Optional[str],
+           shards: Optional[int]) -> Dict[str, object]:
+    """Run ``(cell, spec)`` pairs in order and assemble the report.
+
+    ``spec`` ``None`` deploys the cell's generated :func:`cell_spec`.
+    """
     if shards is not None and postmortem_dir is not None:
         raise ValueError("per-cell postmortem bundles are not available "
                          "under --shards (the flight recorder is "
                          "per-shard-process)")
     entries: List[Dict[str, object]] = []
-    n_ok = n_error = 0
-    for spec in specs:
-        cell = MatrixCell(
-            nic_model=spec.topology.nic_model,
-            tenant_count=len(spec.tenants),
-            fault_class=spec.fault.kind if spec.fault else "none",
-            arbiter=spec.topology.arbiter.policy,
-            seed=spec.seed)
-        record = _run_one(cell, quick=quick, sanitize=sanitize,
-                          postmortem_dir=postmortem_dir, shards=shards,
-                          spec=spec)
-        if record.status == "ok":
-            n_ok += 1
+    for cell, spec in runs:
+        if shards is None:
+            record = run_cell(cell, quick=quick, sanitize=sanitize,
+                              postmortem_dir=postmortem_dir, spec=spec)
         else:
-            n_error += 1
+            from repro.shard.engine import run_cell_sharded
+
+            record = run_cell_sharded(cell, quick=quick, sanitize=sanitize,
+                                      workers=shards, spec=spec)
         entries.append({"cell": cell.as_dict(), "record": record.as_dict()})
         if progress is not None:
             progress(record)
+    n_ok = sum(1 for entry in entries if entry["record"]["status"] == "ok")
     return {
         "schema": SCHEMA,
         "schema_version": SCHEMA_VERSION,
         "record_schema": RECORD_SCHEMA,
         "record_schema_version": RECORD_SCHEMA_VERSION,
-        "seed": specs[0].seed if specs else 0,
-        "reps": 1,
-        "mode": "spec",
+        "seed": seed,
+        "reps": reps,
+        "mode": mode,
         "isosan_active": bool(sanitize),
-        "axes": {"spec": [spec.name for spec in specs]},
+        "axes": axes,
         "n_cells": len(entries),
         "n_ok": n_ok,
-        "n_error": n_error,
+        "n_error": len(entries) - n_ok,
         "cells": {entry["record"]["name"]: entry for entry in entries},
         "summary": _summary_rows(entries),
     }
@@ -556,9 +553,10 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
                              "of the axis sweep (repeatable; see "
                              "examples/slo_scenario.json)")
     parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="run each cell through the sharded "
-                             "co-simulation engine on N worker processes "
-                             "(reports are byte-identical for any N)")
+                        help="split each cell into its spec's independent "
+                             "partitions and run them on N worker "
+                             "processes (reports are byte-identical for "
+                             "any N)")
     parser.add_argument("--seed", type=int, default=7,
                         help="base seed; every cell seed derives from it "
                              "(default 7)")

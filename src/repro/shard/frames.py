@@ -1,138 +1,20 @@
-"""Message frames exchanged between the shard engine and its workers.
+"""What crosses a shard boundary: serialized payload only.
 
-Everything crossing a shard boundary is *serialized payload*: raw
-packet bytes, plain-dict metric snapshots, trace-event dicts,
-audit-record dicts.  Live simulation objects (an ``SNIC``, a
+A partition runs in a pool process and hands back plain data: output
+dicts, sorted latency lists, plain-dict metric snapshots and
+trace-event dicts.  Live simulation objects (an ``SNIC``, a
 ``Simulator``, a ``MetricsRegistry`` with its collector callables)
-never enter a frame — they are process-local by construction, and lint
-rule SNIC011 rejects code that tries.
-
-The conservative synchronized-virtual-time protocol, host side to NIC
-side:
-
-``TaskFrame``
-    assigns a partition (spec dict + run mode) to a worker;
-``GrantFrame``
-    grants one virtual-time window: the packets arriving inside it and
-    the horizon the shard kernel may simulate to (window end + link
-    latency — the lookahead);
-``AckFrame``
-    the shard's handoff report for a grant (clock position, events
-    executed) — the engine never issues grant ``k+1`` before grant
-    ``k``'s ack, so no shard ever receives an event in its past;
-``FinishFrame``
-    no more grants; drain and run the contention phase;
-``ResultFrame``
-    the partition's serialized results (outputs, latencies, metrics
-    snapshot, trace spans, kernel tallies — or an SLO result block);
-``ErrorFrame``
-    a worker-side exception, as a formatted traceback string;
-``ShutdownFrame``
-    the worker exits its loop.
+never cross — they are process-local by construction, and lint rule
+SNIC011 rejects code that passes one to a pool.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class ShardError(RuntimeError):
-    """A shard worker failed; carries the worker-side traceback."""
-
-
-class ShardProtocolError(RuntimeError):
-    """The synchronized-virtual-time contract was violated (a shard
-    was asked to accept an event in its past, or frames arrived out of
-    protocol order)."""
-
-
-# ----------------------------------------------------------------------
-# Frames
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TaskFrame:
-    """Assign partition ``index`` (spec as a plain dict) to a worker."""
-
-    index: int
-    spec: Dict[str, object]
-    mode: str = "cell"          # "cell" | "slo"
-    quick: bool = False
-    sanitize: bool = False
-    window_ns: int = 50_000     # slo mode only
-
-
-@dataclass(frozen=True)
-class GrantFrame:
-    """One virtual-time window: serialized packets + simulation horizon."""
-
-    index: int
-    packets: List[Dict[str, object]] = field(default_factory=list)
-    horizon_ns: int = 0
-
-
-@dataclass(frozen=True)
-class AckFrame:
-    """The shard kernel's handoff report for one grant."""
-
-    index: int
-    now_ns: int
-    executed: int
-    next_event_ns: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class FinishFrame:
-    """No more grants for this partition: drain and finish the run."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class ResultFrame:
-    """A finished partition's serialized results."""
-
-    index: int
-    data: Dict[str, object]
-
-
-@dataclass(frozen=True)
-class ErrorFrame:
-    """A worker-side exception (formatted traceback, not the object)."""
-
-    index: int
-    traceback: str
-
-
-@dataclass(frozen=True)
-class ShutdownFrame:
-    """The worker should exit its frame loop."""
-
-
-# ----------------------------------------------------------------------
-# Payload serialization (plain data only — SNIC011's contract)
-# ----------------------------------------------------------------------
-
-
-def packet_to_frame(packet) -> Dict[str, object]:
-    """Serialize a packet to wire bytes + sideband fields."""
-    return {
-        "raw": packet.to_bytes(),
-        "arrival_ns": packet.arrival_ns,
-        "vni": packet.vni,
-    }
-
-
-def packet_from_frame(data: Dict[str, object]):
-    """Reconstruct a packet from its frame form."""
-    from repro.net.packet import Packet
-
-    packet = Packet.from_bytes(data["raw"])
-    packet.arrival_ns = data["arrival_ns"]
-    packet.vni = data["vni"]
-    return packet
+    """A partition failed in its worker, or its worker died."""
 
 
 def registry_to_frame(registry) -> Dict[str, object]:
@@ -210,17 +92,7 @@ def trace_events_to_frame(events) -> List[Dict[str, object]]:
 
 
 __all__ = [
-    "AckFrame",
-    "ErrorFrame",
-    "FinishFrame",
-    "GrantFrame",
-    "ResultFrame",
     "ShardError",
-    "ShardProtocolError",
-    "ShutdownFrame",
-    "TaskFrame",
-    "packet_from_frame",
-    "packet_to_frame",
     "registry_from_frame",
     "registry_to_frame",
     "trace_events_to_frame",

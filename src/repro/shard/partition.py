@@ -74,13 +74,14 @@ def _split_packets(total: int, sizes: List[int]) -> List[int]:
 def partition_specs(spec: ScenarioSpec) -> List[ScenarioSpec]:
     """The partition plan: one self-contained sub-spec per shard.
 
-    Each partition carries its contiguous tenant chunk, a
-    proportionally scaled topology (cores exactly, DRAM/L2 with fixed
-    OS headroom), its share of the offered load on a *compressed*
-    arrival schedule (same inter-arrival period, fewer packets — the
-    per-partition horizon shrinks with the tenant count, which is where
-    the shard scale-out speedup comes from), and the fault burst iff
-    its chunk contains the fault's target tenant.  Sub-spec seeds
+    Each partition is an independent NIC: it carries its contiguous
+    tenant chunk, a proportionally scaled topology (cores exactly,
+    DRAM/L2 with fixed OS headroom), its share of the offered load on a
+    *compressed* arrival schedule (same inter-arrival period, fewer
+    packets, so the per-partition horizon shrinks with the tenant
+    count), and the fault burst iff its chunk contains the fault's
+    target tenant.  Its tenants contend only with each other: the plan
+    drops every cross-partition bus, DMA and DRAM contention.  Sub-spec seeds
     derive from the parent seed via the standard ``derive_seed`` chain.
     """
     n_parts = effective_partitions(spec)
@@ -134,14 +135,7 @@ def partition_specs(spec: ScenarioSpec) -> List[ScenarioSpec]:
     return parts
 
 
-def link_latency_ns(spec: ScenarioSpec) -> int:
-    """The fabric link latency — the protocol's conservative lookahead."""
-    shard = spec.shard if spec.shard is not None else ShardSpec()
-    return shard.link_latency_ns
-
-
 __all__ = [
     "effective_partitions",
-    "link_latency_ns",
     "partition_specs",
 ]

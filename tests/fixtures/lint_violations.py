@@ -131,9 +131,9 @@ def flight_snapshot_stamp(entries):
     return {"captured": time.time(), "n": len(entries)}
 
 
-def shard_result_push(conn, ResultFrame, built):
+def shard_task_push(pool, task, built):
     # SNIC011: live simulation objects crossing a shard boundary — the
-    # registry through the frame constructor, the runtime through the
-    # pipe directly.  Frames carry serialized payloads only.
-    conn.send(ResultFrame(index=0, data={"metrics": registry}))
-    conn.send(built.runtime)
+    # registry as a pool task argument, the runtime through a pool map.
+    # Pool tasks carry serialized payloads only.
+    pool.submit(task, {"metrics": registry})
+    pool.map(task, [built.runtime])
