@@ -557,9 +557,10 @@ class SNIC:
 
     def classify(self, packet: Packet) -> Optional[int]:
         """First-match classification over every live VPP's rules."""
+        five_tuple, vni = packet.five_tuple, packet.vni
         for nf_id in self.live_functions:
             for rule in self._records[nf_id].vpp.switching_rules:
-                if rule.matches_packet(packet):
+                if rule.match.matches(five_tuple, vni):
                     return nf_id
         return None
 

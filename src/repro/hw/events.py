@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
@@ -65,40 +64,37 @@ def reset_kernel_stats() -> None:
     _KERNEL.sim_ns_advanced = 0
 
 
-@dataclass(order=True)
-class _Event:
-    time_ns: int
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class EventHandle:
     """Returned by :meth:`Simulator.schedule`; allows cancellation."""
 
-    def __init__(self, event: _Event) -> None:
-        self._event = event
+    __slots__ = ("_entry",)
+
+    def __init__(self, entry: list) -> None:
+        self._entry = entry
 
     def cancel(self) -> None:
-        self._event.cancelled = True
+        # The kernel skips entries whose callback slot is empty.
+        self._entry[2] = None
 
     @property
     def time_ns(self) -> int:
-        return self._event.time_ns
+        return self._entry[0]
 
 
 class Simulator:
     """Discrete-event simulator with a nanosecond clock.
 
     Events scheduled for the same instant fire in scheduling order
-    (stable), which keeps component interactions deterministic.
+    (stable), which keeps component interactions deterministic.  Heap
+    entries are ``[time_ns, sequence, callback]`` lists: list comparison
+    orders them by time, then by the unique sequence number, and never
+    reaches the callback.  Cancelling empties the callback slot.
     """
 
     def __init__(self) -> None:
-        self._queue: List[_Event] = []
+        self._queue: List[list] = []
         self._sequence = itertools.count()
         self._now_ns = 0
-        self._running = False
         self._profiler: Optional[Profiler] = None
 
     def set_profiler(self, profiler: Optional[Profiler]) -> None:
@@ -117,13 +113,9 @@ class Simulator:
         """Run ``callback`` ``delay_ns`` nanoseconds from now."""
         if delay_ns < 0:
             raise ValueError("cannot schedule events in the past")
-        event = _Event(
-            time_ns=self._now_ns + int(delay_ns),
-            sequence=next(self._sequence),
-            callback=callback,
-        )
-        heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        entry = [self._now_ns + int(delay_ns), next(self._sequence), callback]
+        heapq.heappush(self._queue, entry)
+        return EventHandle(entry)
 
     def schedule_at(self, time_ns: int, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` at absolute simulated time ``time_ns``."""
@@ -131,24 +123,28 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the next pending event; returns False when queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            advanced = event.time_ns - self._now_ns
-            self._now_ns = event.time_ns
-            profiler = self._profiler
-            if profiler is not None:
-                host_start = perf_counter_ns()
-                event.callback()
-                profiler.on_kernel_event(
-                    event.callback, perf_counter_ns() - host_start, advanced)
-            else:
-                event.callback()
-            _KERNEL.events_executed += 1
-            _KERNEL.sim_ns_advanced += advanced
-            return True
+        queue = self._queue
+        while queue:
+            entry = heapq.heappop(queue)
+            if entry[2] is not None:
+                self._dispatch(entry)
+                return True
         return False
+
+    def _dispatch(self, entry: list) -> None:
+        time_ns, _, callback = entry
+        advanced = time_ns - self._now_ns
+        self._now_ns = time_ns
+        profiler = self._profiler
+        if profiler is not None:
+            host_start = perf_counter_ns()
+            callback()
+            profiler.on_kernel_event(
+                callback, perf_counter_ns() - host_start, advanced)
+        else:
+            callback()
+        _KERNEL.events_executed += 1
+        _KERNEL.sim_ns_advanced += advanced
 
     def run(self, until_ns: Optional[int] = None, max_events: int = 10_000_000) -> int:
         """Drain events, optionally stopping at ``until_ns``.
@@ -156,15 +152,17 @@ class Simulator:
         Returns the number of events executed.  ``max_events`` guards
         against accidental infinite self-rescheduling loops.
         """
+        queue = self._queue
         executed = 0
-        while self._queue and executed < max_events:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
+        while queue and executed < max_events:
+            head = queue[0]
+            if head[2] is None:
+                heapq.heappop(queue)
                 continue
-            if until_ns is not None and head.time_ns > until_ns:
+            if until_ns is not None and head[0] > until_ns:
                 break
-            self.step()
+            heapq.heappop(queue)
+            self._dispatch(head)
             executed += 1
         if until_ns is not None and self._now_ns < until_ns:
             self._now_ns = until_ns
@@ -176,10 +174,11 @@ class Simulator:
 
     def peek_next_ns(self) -> Optional[int]:
         """Timestamp of the earliest live event, or ``None`` if idle."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time_ns if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2] is None:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     @property
     def pending(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for entry in self._queue if entry[2] is not None)

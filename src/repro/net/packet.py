@@ -74,9 +74,10 @@ def ones_complement_checksum(data: bytes) -> int:
     """RFC 1071 Internet checksum over ``data`` (odd lengths zero-padded)."""
     if len(data) % 2:
         data = data + b"\x00"
-    total = 0
-    for (word,) in struct.iter_unpack("!H", data):
-        total += word
+    # Summing every word first and folding the carries afterwards gives
+    # the same one's-complement sum as folding after each word.
+    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
+    while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
 

@@ -7,14 +7,15 @@ Section 4.4 extends those rules with VXLAN Virtual Network Identifiers so
 that a tenant's virtual L2 flows can be directed to specific functions.
 
 :class:`MatchRule` is also the rule format consumed by the stateful
-firewall NF (§5.1), which scans an ordered list of these rules.
+firewall NF (§5.1), which applies an ordered list of these rules
+first-match.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.net.packet import FiveTuple, Packet, ip_to_int
 
@@ -34,17 +35,26 @@ def _parse_prefix(cidr: str) -> "Prefix":
         length = int(length_text)
     else:
         addr, length = cidr, 32
-    if not 0 <= length <= 32:
-        raise ValueError(f"bad prefix length in {cidr!r}")
     return Prefix(ip_to_int(addr), length)
 
 
 @dataclass(frozen=True)
 class Prefix:
-    """An IPv4 prefix: ``address`` with the top ``length`` bits significant."""
+    """An IPv4 prefix: ``address`` with the top ``length`` bits significant.
+
+    The mask and the network address are computed once at construction,
+    so :meth:`contains` is one AND and one compare.
+    """
 
     address: int
     length: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.length <= 32:
+            raise ValueError(f"bad prefix length {self.length}")
+        mask = (0xFFFFFFFF << (32 - self.length)) & 0xFFFFFFFF
+        object.__setattr__(self, "_mask", mask)
+        object.__setattr__(self, "_network", self.address & mask)
 
     @classmethod
     def parse(cls, cidr: str) -> "Prefix":
@@ -52,12 +62,10 @@ class Prefix:
 
     @property
     def mask(self) -> int:
-        if self.length == 0:
-            return 0
-        return (0xFFFFFFFF << (32 - self.length)) & 0xFFFFFFFF
+        return self._mask
 
     def contains(self, ip: int) -> bool:
-        return (ip & self.mask) == (self.address & self.mask)
+        return (ip & self._mask) == self._network
 
     def __str__(self) -> str:
         from repro.net.packet import ip_to_str
@@ -135,16 +143,35 @@ class SwitchingRule:
         return self.match.matches_packet(packet)
 
 
+def _exact_key(rule: MatchRule) -> Optional[Tuple[int, int]]:
+    """``(proto, dst_port)`` for a rule pinned to one protocol and one
+    destination port, else ``None`` (the rule is a wildcard)."""
+    ports = rule.dst_ports
+    if rule.proto is None or ports.low != ports.high:
+        return None
+    return rule.proto, ports.low
+
+
 class RuleTable:
     """An ordered rule list with first-match semantics.
 
-    This is the structure scanned by the firewall NF and by the packet
-    input module.  Rules are kept sorted by descending priority (ties keep
-    insertion order), and :meth:`lookup` returns the first match.
+    This is the structure the firewall NF consults.  Rules are kept
+    sorted by descending priority (ties keep insertion order), and
+    :meth:`lookup` returns the first match.
+
+    Lookups go through an index compiled on first use after any
+    :meth:`add`.  Rules with a concrete ``proto`` and a single-port
+    ``dst_ports`` land in a bucket keyed by ``(proto, dst_port)``; every
+    other rule is a wildcard.  Each bucket holds its exact rules and all
+    wildcards, merged in table order, so scanning the one bucket a
+    five-tuple selects (or the wildcard list, when it selects none)
+    returns the same rule as scanning the whole table.
     """
 
     def __init__(self, rules: Iterable[MatchRule] = ()) -> None:
         self._rules: List[MatchRule] = []
+        self._buckets: Optional[Dict[Tuple[int, int], List[MatchRule]]] = None
+        self._wildcards: List[MatchRule] = []
         for rule in rules:
             self.add(rule)
 
@@ -154,6 +181,23 @@ class RuleTable:
         while index > 0 and self._rules[index - 1].priority < rule.priority:
             index -= 1
         self._rules.insert(index, rule)
+        self._buckets = None
+
+    def _compile(self) -> Dict[Tuple[int, int], List[MatchRule]]:
+        keys = {_exact_key(rule) for rule in self._rules} - {None}
+        buckets: Dict[Tuple[int, int], List[MatchRule]] = {
+            key: [] for key in keys}
+        wildcards: List[MatchRule] = []
+        for rule in self._rules:
+            key = _exact_key(rule)
+            if key is not None:
+                buckets[key].append(rule)
+                continue
+            wildcards.append(rule)
+            for bucket in buckets.values():
+                bucket.append(rule)
+        self._buckets, self._wildcards = buckets, wildcards
+        return buckets
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -164,8 +208,13 @@ class RuleTable:
     def lookup(
         self, five_tuple: FiveTuple, vni: Optional[int] = None
     ) -> Optional[MatchRule]:
-        """Return the first rule matching ``five_tuple`` (linear scan)."""
-        for rule in self._rules:
+        """Return the first rule, in table order, matching ``five_tuple``."""
+        buckets = self._buckets
+        if buckets is None:
+            buckets = self._compile()
+        candidates = buckets.get(
+            (five_tuple.proto, five_tuple.dst_port), self._wildcards)
+        for rule in candidates:
             if rule.matches(five_tuple, vni):
                 return rule
         return None

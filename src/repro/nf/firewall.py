@@ -6,16 +6,16 @@ size to 200,000 entries, which is the cached flow limit in Open vSwitch.
 ... We configure the function with 643 rules, as in the SafeBricks
 paper."
 
-The fast path is a flow-cache lookup on the packet's 5-tuple; a miss
-scans the ordered rule list and installs the verdict in the cache with
-LRU eviction at the Open vSwitch limit.
+The fast path is a flow-cache lookup on the packet's 5-tuple and VNI;
+a miss takes the first matching rule of the ordered list and installs
+its verdict in the cache with LRU eviction at the Open vSwitch limit.
 """
 
 from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.net.packet import FiveTuple, PROTO_TCP, PROTO_UDP, Packet
 from repro.net.rules import MatchRule, PortRange, Prefix, RuleAction, RuleTable
@@ -43,7 +43,7 @@ class Firewall(NetworkFunction):
         self.rules = rules
         self.cache_capacity = cache_capacity
         self.default_action = default_action
-        self._cache: "OrderedDict[FiveTuple, RuleAction]" = OrderedDict()
+        self._cache: "OrderedDict[Tuple[FiveTuple, Optional[int]], RuleAction]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -52,15 +52,17 @@ class Firewall(NetworkFunction):
         return packet if verdict is RuleAction.ACCEPT else None
 
     def _verdict(self, five_tuple: FiveTuple, vni: Optional[int]) -> RuleAction:
-        cached = self._cache.get(five_tuple)
+        # Rules can match on the VNI, so the verdict is per (flow, VNI).
+        key = (five_tuple, vni)
+        cached = self._cache.get(key)
         if cached is not None:
             self.cache_hits += 1
-            self._cache.move_to_end(five_tuple)
+            self._cache.move_to_end(key)
             return cached
         self.cache_misses += 1
         rule = self.rules.lookup(five_tuple, vni)
         action = rule.action if rule is not None else self.default_action
-        self._cache[five_tuple] = action
+        self._cache[key] = action
         if len(self._cache) > self.cache_capacity:
             self._cache.popitem(last=False)
         return action

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.events import Simulator
+from repro.hw.events import Simulator, kernel_stats, reset_kernel_stats
 
 
 class TestSimulator:
@@ -96,3 +96,114 @@ class TestSimulator:
 
     def test_step_empty_returns_false(self):
         assert Simulator().step() is False
+
+
+class _RecordingProfiler:
+    def __init__(self):
+        self.calls = []
+
+    def on_kernel_event(self, callback, host_ns, sim_ns):
+        self.calls.append((callback, sim_ns))
+
+
+class TestHeapEntries:
+    def test_same_instant_fifo_across_interleaved_times(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(5, lambda: fired.append("a"))
+        sim.schedule(1, lambda: fired.append("x"))
+        sim.schedule(5, lambda: fired.append("b"))
+        sim.schedule(3, lambda: fired.append("y"))
+        sim.schedule(5, lambda: fired.append("c"))
+        sim.run()
+        assert fired == ["x", "y", "a", "b", "c"]
+
+    def test_cancel_head(self):
+        sim = Simulator()
+        fired = []
+        head = sim.schedule(1, lambda: fired.append("head"))
+        sim.schedule(2, lambda: fired.append("next"))
+        head.cancel()
+        assert sim.pending == 1
+        assert sim.peek_next_ns() == 2
+        sim.run()
+        assert fired == ["next"] and sim.now_ns == 2
+
+    def test_cancel_middle(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1, lambda: fired.append("a"))
+        middle = sim.schedule(2, lambda: fired.append("b"))
+        sim.schedule(3, lambda: fired.append("c"))
+        middle.cancel()
+        assert sim.pending == 2
+        assert sim.run() == 2
+        assert fired == ["a", "c"]
+
+    def test_cancel_twice_is_harmless(self):
+        sim = Simulator()
+        handle = sim.schedule(4, lambda: None)
+        sim.schedule(9, lambda: None)
+        handle.cancel()
+        handle.cancel()
+        assert sim.pending == 1
+        assert sim.run() == 1
+
+    def test_all_cancelled(self):
+        sim = Simulator()
+        handles = [sim.schedule(t, lambda: None) for t in (1, 2, 3)]
+        for handle in handles:
+            handle.cancel()
+        assert sim.pending == 0
+        assert sim.peek_next_ns() is None
+        assert sim.step() is False
+        assert sim.run() == 0 and sim.now_ns == 0
+
+    def test_step_skips_cancelled_head(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1, lambda: fired.append(1)).cancel()
+        sim.schedule(6, lambda: fired.append(6))
+        assert sim.step() is True
+        assert fired == [6] and sim.now_ns == 6
+
+    def test_time_ns_survives_cancel(self):
+        sim = Simulator()
+        sim.schedule(10, lambda: None)
+        sim.run()
+        handle = sim.schedule(15, lambda: None)
+        handle.cancel()
+        assert handle.time_ns == 25
+
+    def test_cancel_after_firing_is_harmless(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule(1, lambda: fired.append(1))
+        sim.run()
+        handle.cancel()
+        assert fired == [1] and sim.pending == 0
+
+    def test_profiler_receives_callback_object(self):
+        sim = Simulator()
+        profiler = _RecordingProfiler()
+        sim.set_profiler(profiler)
+
+        def first():
+            pass
+
+        def second():
+            own.cancel()  # a callback cancelling its own, running entry
+
+        sim.schedule(3, first)
+        own = sim.schedule(8, second)
+        sim.run()
+        assert profiler.calls == [(first, 3), (second, 5)]
+
+    def test_kernel_stats_count_only_live_events(self):
+        reset_kernel_stats()
+        sim = Simulator()
+        sim.schedule(2, lambda: None)
+        sim.schedule(5, lambda: None).cancel()
+        sim.schedule(7, lambda: None)
+        sim.run()
+        assert kernel_stats() == {"events_executed": 2, "sim_ns_advanced": 7}

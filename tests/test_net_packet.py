@@ -82,6 +82,35 @@ class TestChecksum:
         raw = header.pack()
         assert ones_complement_checksum(raw) == 0
 
+    @staticmethod
+    def _per_word(data):
+        # RFC 1071 reference: fold the carry after every 16-bit word.
+        if len(data) % 2:
+            data += b"\x00"
+        total = 0
+        for i in range(0, len(data), 2):
+            total += (data[i] << 8) | data[i + 1]
+            total = (total & 0xFFFF) + (total >> 16)
+        return (~total) & 0xFFFF
+
+    @pytest.mark.parametrize("data", [
+        b"",
+        b"\x01",
+        b"\xab\xcd\xef",
+        b"\xff" * 2,
+        b"\xff" * 7,
+        b"\xff" * 1500,
+        bytes.fromhex("80007fff"),
+        bytes.fromhex("8000") * 3 + bytes.fromhex("7fff") * 3,
+        bytes(range(256)) * 2,
+    ])
+    def test_matches_per_word_fold(self, data):
+        assert ones_complement_checksum(data) == self._per_word(data)
+
+    @given(st.binary(max_size=600))
+    def test_matches_per_word_fold_random(self, data):
+        assert ones_complement_checksum(data) == self._per_word(data)
+
 
 class TestFiveTuple:
     def test_reversed(self):

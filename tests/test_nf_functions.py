@@ -82,6 +82,18 @@ class TestFirewall:
         fw.reset()
         assert fw.stats.received == 0 and fw.cached_flows == 0
 
+    def test_cached_verdict_is_per_vni(self):
+        rules = RuleTable([MatchRule(vni=3, action=RuleAction.DROP)])
+        fw = Firewall(rules)
+        tagged = packet()
+        tagged.vni = 3
+        assert fw.process(tagged) is None
+        # Same five-tuple without the VNI: a fresh firewall accepts it,
+        # so the DROP cached for VNI 3 must not apply.
+        assert fw.process(packet()) is not None
+        assert Firewall(rules).process(packet()) is not None
+        assert fw.cached_flows == 2
+
     def test_emerging_threats_generator(self):
         rules = make_emerging_threats_rules(n_rules=643, seed=1)
         assert len(rules) == 643
