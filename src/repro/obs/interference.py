@@ -13,8 +13,12 @@ work attributable to ``culprit`` on ``resource``, the resource calls::
 
     get_accountant().blame(resource, victim=v, culprit=c, wait_ns=w)
 
-which lands in two tenant-tagged counter families in the metrics
-registry:
+FCFS queues split one wait interval across several culprits;
+:class:`FCFSWaitAttributor` hands all the shares of one interval to
+:meth:`InterferenceAccountant.blame_each`, the batched form of
+``blame`` (one event per culprit, the same counters, the same mint
+order).  Either way the blame lands in two tenant-tagged counter
+families in the metrics registry:
 
 * ``interference_wait_ns_total{resource, tenant, culprit}`` —
   nanoseconds the victim (``tenant``) spent waiting behind the
@@ -66,6 +70,16 @@ WAIT_METRIC = "interference_wait_ns_total"
 EVENTS_METRIC = "interference_events_total"
 
 
+def _counter_pair(registry: MetricsRegistry, resource: str,
+                  victim: Optional[int], culprit: Optional[int],
+                  ) -> Tuple[Counter, Counter]:
+    """Get or mint one pair's (wait, events) counters, in that order."""
+    return (registry.counter(WAIT_METRIC, resource=resource,
+                             tenant=victim, culprit=culprit),
+            registry.counter(EVENTS_METRIC, resource=resource,
+                             tenant=victim, culprit=culprit))
+
+
 class InterferenceAccountant:
     """The blame sink: resolves ``(resource, victim, culprit)`` to the
     registry's counter pair and adds to it.
@@ -91,6 +105,17 @@ class InterferenceAccountant:
     def _resolve(self) -> MetricsRegistry:
         return self._registry if self._registry is not None else get_registry()
 
+    def _pairs(self) -> Tuple[MetricsRegistry,
+                              Dict[Tuple[str, object, object],
+                                   Tuple[Counter, Counter]]]:
+        """The registry blames land in and the memo valid for it."""
+        registry = self._resolve()
+        owner = self._memo_owner
+        if owner[0] is not registry or owner[1] != registry.generation:
+            self._memo = {}
+            self._memo_owner = (registry, registry.generation)
+        return registry, self._memo
+
     def blame(
         self,
         resource: str,
@@ -102,21 +127,30 @@ class InterferenceAccountant:
         """Attribute ``wait_ns`` of the victim's delay to ``culprit``."""
         if wait_ns <= 0.0 and events <= 0:
             return
-        registry = self._resolve()
-        owner = self._memo_owner
-        if owner[0] is not registry or owner[1] != registry.generation:
-            self._memo = {}
-            self._memo_owner = (registry, registry.generation)
+        registry, memo = self._pairs()
         key = (resource, victim, culprit)
-        pair = self._memo.get(key)
+        pair = memo.get(key)
         if pair is None:
-            pair = self._memo[key] = (
-                registry.counter(WAIT_METRIC, resource=resource,
-                                 tenant=victim, culprit=culprit),
-                registry.counter(EVENTS_METRIC, resource=resource,
-                                 tenant=victim, culprit=culprit))
+            pair = memo[key] = _counter_pair(registry, *key)
         pair[0].value += wait_ns
         pair[1].value += events
+
+    def blame_each(self, resource: str, victim: Optional[int],
+                   waits: Iterable[Tuple[Optional[int], float]]) -> None:
+        """One blamed event per ``(culprit, wait_ns)``, in order.
+
+        Equivalent to calling :meth:`blame` once per entry with the
+        default ``events=1`` -- the same counter values and the same
+        mint order -- but resolves the registry and memo only once.
+        """
+        registry, memo = self._pairs()
+        for culprit, wait_ns in waits:
+            key = (resource, victim, culprit)
+            pair = memo.get(key)
+            if pair is None:
+                pair = memo[key] = _counter_pair(registry, *key)
+            pair[0].value += wait_ns
+            pair[1].value += 1
 
     # ------------------------------------------------------------------
     # Read side
@@ -132,11 +166,6 @@ Cell = Dict[str, float]
 BlameMatrix = Dict[str, Dict[Tuple[str, str], Cell]]
 
 
-def _tenant_key(value: object) -> str:
-    """Labels come back from the registry stringified; keep them so."""
-    return str(value)
-
-
 def blame_matrix(registry: Optional[MetricsRegistry] = None,
                  resource: Optional[str] = None) -> BlameMatrix:
     """The interference matrices currently in the registry.
@@ -144,25 +173,35 @@ def blame_matrix(registry: Optional[MetricsRegistry] = None,
     Returns ``{resource: {(victim, culprit): {"wait_ns": w, "events": n}}}``
     with tenant ids as the registry's string labels.  Deterministically
     ordered (resources and cells sorted).  Reads the two counter
-    families straight off the registry, without a full snapshot: each
-    cell field is one instrument's value, so the scan order does not
-    matter.
+    families straight off the registry keys, without a full snapshot:
+    each cell field is one instrument's value, so the scan order does
+    not matter.
     """
     registry = registry if registry is not None else get_registry()
     matrix: BlameMatrix = {}
-    for instrument in registry.instruments():
-        name = instrument.name  # type: ignore[attr-defined]
-        if name != WAIT_METRIC and name != EVENTS_METRIC:
+    for (name, labels), instrument in registry.minted_since(0):
+        if name == WAIT_METRIC:
+            field = "wait_ns"
+        elif name == EVENTS_METRIC:
+            field = "events"
+        else:
             continue
-        labels = dict(instrument.labels)  # type: ignore[attr-defined]
-        res = labels.get("resource", "?")
+        res, victim, culprit = "?", "None", "None"
+        for label, value in labels:
+            if label == "resource":
+                res = value
+            elif label == "tenant":
+                victim = value
+            elif label == "culprit":
+                culprit = value
         if resource is not None and res != resource:
             continue
-        key = (_tenant_key(labels.get("tenant")),
-               _tenant_key(labels.get("culprit")))
-        cell = matrix.setdefault(res, {}).setdefault(
-            key, {"wait_ns": 0.0, "events": 0.0})
-        field = "wait_ns" if name == WAIT_METRIC else "events"
+        cells = matrix.get(res)
+        if cells is None:
+            cells = matrix[res] = {}
+        cell = cells.get((victim, culprit))
+        if cell is None:
+            cell = cells[(victim, culprit)] = {"wait_ns": 0.0, "events": 0.0}
         cell[field] += float(instrument.value)  # type: ignore[attr-defined]
     return {
         res: dict(sorted(cells.items()))
@@ -236,7 +275,8 @@ class FCFSWaitAttributor:
     per granted request; when a later request issued at ``now`` cannot
     start before ``start``, :meth:`attribute` splits the wait interval
     ``[now, start)`` across the owners of the segments that cover it
-    and blames each share on its owner.
+    and blames each share on its owner, in culprit order, through one
+    :meth:`InterferenceAccountant.blame_each` call.
 
     Segments are strictly sequential (each new one starts at the
     previous end or later), so only the head segment can straddle
@@ -290,11 +330,14 @@ class FCFSWaitAttributor:
             # The in-flight head segment is partially consumed already.
             shares[head_client] = shares.get(head_client, 0.0) \
                 - (now_ns - head_start)
+        span = start_ns - now_ns
+        waits = []
         for culprit in sorted(shares):
-            wait = min(shares[culprit], start_ns - now_ns)
+            share = shares[culprit]
+            wait = span if span < share else share
             if wait > 1e-12:
-                self._accountant.blame(self.resource, victim=victim,
-                                       culprit=culprit, wait_ns=wait)
+                waits.append((culprit, wait))
+        self._accountant.blame_each(self.resource, victim, waits)
 
     def reset(self) -> None:
         self._segments.clear()

@@ -356,8 +356,15 @@ class MetricsRegistry:
 
     def minted_since(self, start: int) -> List[Tuple[Tuple[str, LabelKey], object]]:
         """``(key, instrument)`` pairs from the ``start``-th minted on,
-        in mint order (valid within one :attr:`generation`)."""
-        return list(itertools.islice(self._instruments.items(), start, None))
+        in mint order (valid within one :attr:`generation`).
+
+        Walks back from the newest instrument, so the cost is the
+        number returned, not ``start``.
+        """
+        tail = list(itertools.islice(reversed(self._instruments.items()),
+                                     max(len(self._instruments) - start, 0)))
+        tail.reverse()
+        return tail
 
     def snapshot(self) -> List[Dict[str, object]]:
         """Every instrument (and collector output) as plain dicts."""

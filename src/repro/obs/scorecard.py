@@ -230,7 +230,6 @@ def run_spec(spec: ScenarioSpec, quick: bool = False,
     from repro.obs import auditlog as auditlog_mod
     from repro.obs import openmetrics
     from repro.obs.bench import _isolate
-    from repro.obs.interference import blame_matrix
     from repro.obs.metrics import get_registry
     from repro.scenario.build import build_scenario
 
@@ -275,7 +274,7 @@ def run_spec(spec: ScenarioSpec, quick: bool = False,
                     on_round=lambda _i, end_ns: aggregator.rotate(
                         now_ns=sim.now_ns + end_ns))
                 aggregator.stop()
-                xwait = _xwait_by_victim(blame_matrix(registry))
+                xwait = _xwait_by_victim(built.blame)
                 timing = built.snic.timing
                 rows = []
                 for tenant in spec.tenants:

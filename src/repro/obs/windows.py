@@ -35,22 +35,36 @@ the same resolution the cumulative histogram offers anyway.
 
 Only instruments whose name starts with one of the configured
 ``prefixes`` are tracked (default: the ``slo_`` and ``interference_``
-families).  The aggregator keeps its tracked instruments sorted
-between rotations, each with its value at the previous rotation: the
-registry only grows between clears, so a rotation scans just the
-instruments minted since the previous one and merges them in.  A
-rotation therefore costs one pass over the tracked instruments (plus a
-merge when new ones were minted), never a walk or sort of the whole
-registry.  A registry ``clear()`` (a new ``generation``) rebuilds the
+families).  Between rotations the aggregator keeps its tracked
+counters and gauges as parallel sequences: a sorted tuple of their
+``(name, labels)`` keys, the instruments in that order, and each one's
+value at the previous rotation.  The registry only grows between
+clears, so a rotation asks it for just the instruments minted since
+the previous one, sorts those and merges them into the kept run; the
+key tuple is replaced only then, and every snapshot taken in between
+shares it.  A rotation therefore costs one read and one subtraction
+per tracked instrument, stored as one delta sequence aligned with the
+key tuple.  A registry ``clear()`` (a new ``generation``) rebuilds the
 index from scratch.
+
+A snapshot's :attr:`WindowSnapshot.counters` dict (nonzero deltas in
+key order) is built from that sequence on first access; only the
+OpenMetrics window export asks for it.  The SLO alerter reads
+:meth:`WindowSnapshot.cross_tenant_wait_by_victim`, which sums the
+positive deltas of the cross-tenant ``interference_wait_ns_total``
+keys through an index precomputed alongside the key tuple -- each
+victim's key positions, in key order -- so its float sums are those of
+a walk over the dict.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from functools import reduce
+from operator import add, itemgetter, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.hw.events import Simulator
+from repro.obs.interference import WAIT_METRIC
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -69,22 +83,51 @@ DEFAULT_MAX_WINDOWS = 4096
 
 InstrumentKey = Tuple[str, LabelKey]
 
+#: Per victim label, in label order: a function picking the deltas of
+#: that victim's cross-tenant ``interference_wait_ns_total`` keys out of
+#: a delta sequence, as a tuple in key order.
+WaitIndex = Tuple[Tuple[str, Callable[[Sequence[float]], Tuple[float, ...]]],
+                  ...]
+
 
 class WindowSnapshot:
-    """Everything that changed during one window of simulated time."""
+    """Everything that changed during one window of simulated time.
 
-    __slots__ = ("index", "start_ns", "end_ns", "counters", "histograms")
+    Counter and gauge deltas are held as one sequence aligned with the
+    aggregator's key tuple at rotation time (zeros included); the
+    :attr:`counters` dict is derived from it on first access.
+    """
+
+    __slots__ = ("index", "start_ns", "end_ns", "histograms", "_keys",
+                 "_deltas", "_wait_index", "_counters")
 
     def __init__(self, index: int, start_ns: float, end_ns: float,
-                 counters: Dict[InstrumentKey, float],
-                 histograms: Dict[InstrumentKey, Histogram]) -> None:
+                 keys: Sequence[InstrumentKey], deltas: Sequence[float],
+                 histograms: Dict[InstrumentKey, Histogram],
+                 wait_index: WaitIndex = ()) -> None:
         self.index = index
         self.start_ns = start_ns
         self.end_ns = end_ns
-        #: ``(name, labels) -> delta`` for counters and gauges.
-        self.counters = counters
         #: ``(name, labels) -> delta Histogram`` for histograms.
         self.histograms = histograms
+        self._keys = keys
+        self._deltas = deltas
+        self._wait_index = wait_index
+        self._counters: Optional[Dict[InstrumentKey, float]] = None
+
+    @property
+    def counters(self) -> Dict[InstrumentKey, float]:
+        """``(name, labels) -> delta`` for the counters and gauges that
+        changed, in key order."""
+        if self._counters is None:
+            self._counters = {key: delta for key, delta
+                              in zip(self._keys, self._deltas) if delta}
+        return self._counters
+
+    @property
+    def changed(self) -> bool:
+        """Whether any tracked instrument moved during this window."""
+        return bool(self.histograms) or any(self._deltas)
 
     @property
     def duration_ns(self) -> float:
@@ -103,25 +146,18 @@ class WindowSnapshot:
     def cross_tenant_wait_by_victim(self) -> Dict[str, float]:
         """Per-victim cross-tenant attributed wait in this window.
 
-        The read-through into the PR 4 interference families: sums
-        ``interference_wait_ns_total`` deltas where the ``tenant``
+        The read-through into the interference families: sums the
+        positive ``interference_wait_ns_total`` deltas whose ``tenant``
         (victim) and ``culprit`` labels differ, keyed by the victim's
-        string label.  Deterministically sorted.
+        string label, in key order.  Deterministically sorted.
         """
         waits: Dict[str, float] = {}
-        for (name, labels), delta in self.counters.items():
-            if name != "interference_wait_ns_total" or delta <= 0.0:
-                continue
-            victim = culprit = None
-            for label, value in labels:
-                if label == "tenant":
-                    victim = value
-                elif label == "culprit":
-                    culprit = value
-            if victim is None or victim == culprit:
-                continue
-            waits[victim] = waits.get(victim, 0.0) + delta
-        return dict(sorted(waits.items()))
+        for victim, pick in self._wait_index:
+            positive = [delta for delta in pick(self._deltas) if delta > 0.0]
+            if positive:
+                # Left to right, as a running ``+=`` over the keys.
+                waits[victim] = reduce(add, positive)
+        return waits
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-able summary (used by exporters and reports)."""
@@ -134,6 +170,29 @@ class WindowSnapshot:
             "cross_tenant_wait_by_victim":
                 self.cross_tenant_wait_by_victim(),
         }
+
+
+def _picker(positions: List[int]) \
+        -> Callable[[Sequence[float]], Tuple[float, ...]]:
+    """``itemgetter(*positions)``, returning a tuple even for one."""
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda values: (values[position],)
+    return itemgetter(*positions)
+
+
+def _cross_tenant_victim(key: InstrumentKey) -> Optional[str]:
+    """The victim label of a cross-tenant wait key, else ``None``."""
+    name, labels = key
+    if name != WAIT_METRIC:
+        return None
+    victim = culprit = None
+    for label, value in labels:
+        if label == "tenant":
+            victim = value
+        elif label == "culprit":
+            culprit = value
+    return None if victim == culprit else victim
 
 
 def _histogram_state(histogram: Histogram) -> Tuple[List[int], int, float]:
@@ -204,14 +263,22 @@ class WindowedAggregator:
         self._window_start_ns = 0.0
         self._handle = None
         self._closed = False
-        #: Tracked counters/gauges and histograms as ``[key,
-        #: instrument, base]`` entries in key order, ``base`` being the
-        #: state at the last rotation (a float, or ``(counts, count,
-        #: sum)`` for a histogram).  Valid for ``_index_owner``'s
-        #: ``(registry, generation)`` after scanning its first
-        #: ``_index_seen`` instruments.
-        self._counters: List[list] = []
+        #: Tracked counters/gauges as parallel sequences in key order:
+        #: the keys (a tuple snapshots share), the instruments, their
+        #: values at the last rotation, and each key's cross-tenant
+        #: victim (``None`` for every other key).  ``_wait_index``
+        #: groups the positions of the last by victim.
+        self._keys: Tuple[InstrumentKey, ...] = ()
+        self._instruments: List[object] = []
+        self._bases: List[float] = []
+        self._victims: List[Optional[str]] = []
+        self._wait_index: WaitIndex = ()
+        #: Tracked histograms as ``[key, instrument, (counts, count,
+        #: sum)]`` entries in key order.
         self._histograms: List[list] = []
+        #: The index is valid for ``_index_owner``'s ``(registry,
+        #: generation)`` after scanning its first ``_index_seen``
+        #: instruments.
         self._index_owner: Tuple[Optional[MetricsRegistry], int] = (None, -1)
         self._index_seen = 0
 
@@ -219,23 +286,24 @@ class WindowedAggregator:
         return self._registry if self._registry is not None \
             else get_registry()
 
-    def _tracked(self) -> Tuple[List[list], List[list]]:
-        """Tracked counters/gauges and histograms, each in deterministic
-        (name, labels) order.
+    def _refresh_index(self) -> None:
+        """Bring the tracked sequences up to date with the registry.
 
-        Scans only the instruments minted since the previous call and
-        merges them into the kept entries (see the module docstring).
-        A new registry generation starts from empty entries, so every
-        base restarts at zero.
+        Scans only the instruments minted since the previous call,
+        sorts them and merges them into the kept run (see the module
+        docstring).  A new registry generation starts from empty
+        sequences, so every base restarts at zero.
         """
         registry = self._resolve()
         if self._index_owner != (registry, registry.generation):
-            self._counters, self._histograms = [], []
+            self._keys, self._wait_index = (), ()
+            self._instruments, self._bases, self._victims = [], [], []
+            self._histograms = []
             self._index_owner = (registry, registry.generation)
             self._index_seen = 0
         minted = registry.minted_since(self._index_seen)
         self._index_seen += len(minted)
-        new_counters: List[list] = []
+        new_counters: List[Tuple[InstrumentKey, object]] = []
         new_histograms: List[list] = []
         for key, instrument in minted:
             if not key[0].startswith(self.prefixes):
@@ -244,15 +312,34 @@ class WindowedAggregator:
                 new_histograms.append(
                     [key, instrument, ([0] * len(instrument.counts), 0, 0.0)])
             elif isinstance(instrument, (Counter, Gauge)):
-                new_counters.append([key, instrument, 0.0])
-        for entries, new in ((self._counters, new_counters),
-                             (self._histograms, new_histograms)):
-            if new:
-                # The kept entries are one sorted run, so this sort
-                # costs about a merge, not a full re-sort.
-                entries.extend(new)
-                entries.sort(key=itemgetter(0))
-        return self._counters, self._histograms
+                new_counters.append((key, instrument))
+        if new_histograms:
+            self._histograms.extend(new_histograms)
+            self._histograms.sort(key=itemgetter(0))
+        if new_counters:
+            self._merge_counters(new_counters)
+
+    def _merge_counters(self,
+                        new: List[Tuple[InstrumentKey, object]]) -> None:
+        """Merge newly minted counters/gauges into the sorted sequences."""
+        new.sort(key=itemgetter(0))
+        keys = [*self._keys, *(key for key, _ in new)]
+        instruments = [*self._instruments, *(inst for _, inst in new)]
+        bases = [*self._bases, *([0.0] * len(new))]
+        victims = [*self._victims,
+                   *(_cross_tenant_victim(key) for key, _ in new)]
+        # Two sorted runs: the sort below is a single merge pass.
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self._keys = tuple([keys[i] for i in order])
+        self._instruments = [instruments[i] for i in order]
+        self._bases = [bases[i] for i in order]
+        self._victims = [victims[i] for i in order]
+        positions: Dict[str, List[int]] = {}
+        for position, victim in enumerate(self._victims):
+            if victim is not None:
+                positions.setdefault(victim, []).append(position)
+        self._wait_index = tuple((victim, _picker(positions[victim]))
+                                 for victim in sorted(positions))
 
     # ------------------------------------------------------------------
     # Rotation
@@ -266,16 +353,19 @@ class WindowedAggregator:
         call it directly with their own timestamps.
         """
         now = float(self.sim.now_ns) if now_ns is None else float(now_ns)
-        tracked_counters, tracked_histograms = self._tracked()
-        counters: Dict[InstrumentKey, float] = {}
-        for entry in tracked_counters:
-            value = entry[1].value
-            delta = value - entry[2]
-            if delta:
-                counters[entry[0]] = delta
-            entry[2] = value
+        snapshot = self._capture(now)
+        self._record(snapshot)
+        return snapshot
+
+    def _capture(self, now: float) -> WindowSnapshot:
+        """The window ending at ``now``; moves the bases and the window
+        start but records nothing."""
+        self._refresh_index()
+        values = [instrument.value for instrument in self._instruments]
+        deltas = list(map(sub, values, self._bases))
+        self._bases = values
         histograms: Dict[InstrumentKey, Histogram] = {}
-        for entry in tracked_histograms:
+        for entry in self._histograms:
             key, instrument, base = entry
             if instrument.count != base[1]:
                 histograms[key] = _delta_histogram(
@@ -284,15 +374,19 @@ class WindowedAggregator:
         snapshot = WindowSnapshot(
             index=len(self.snapshots) + self.windows_dropped,
             start_ns=self._window_start_ns, end_ns=now,
-            counters=counters, histograms=histograms)
+            keys=self._keys, deltas=deltas, histograms=histograms,
+            wait_index=self._wait_index)
+        self._window_start_ns = now
+        return snapshot
+
+    def _record(self, snapshot: WindowSnapshot) -> None:
+        """Append a finished window, prune the ring, notify."""
         self.snapshots.append(snapshot)
         if len(self.snapshots) > self.max_windows:
             del self.snapshots[0]
             self.windows_dropped += 1
-        self._window_start_ns = now
         if self.on_rotate is not None:
             self.on_rotate(snapshot)
-        return snapshot
 
     # ------------------------------------------------------------------
     # Kernel scheduling (the TimeSeriesSampler discipline)
@@ -317,10 +411,9 @@ class WindowedAggregator:
 
     def _prime_bases(self) -> None:
         """Capture the pre-run state so window 0 holds only new work."""
-        tracked_counters, tracked_histograms = self._tracked()
-        for entry in tracked_counters:
-            entry[2] = entry[1].value
-        for entry in tracked_histograms:
+        self._refresh_index()
+        self._bases = [instrument.value for instrument in self._instruments]
+        for entry in self._histograms:
             entry[2] = _histogram_state(entry[1])
 
     def _tick(self) -> None:
@@ -337,15 +430,16 @@ class WindowedAggregator:
 
         Idempotent; the trailing window is recorded only when something
         changed after the last rotation (or when time advanced past it).
+        An empty tail is dropped before it is recorded, so it neither
+        prunes a real window from a full ring nor reaches ``on_rotate``.
         """
         if self._closed:
             return
         self.stop()
         now = float(self.sim.now_ns) if now_ns is None else float(now_ns)
-        probe = self.rotate(now_ns=max(now, self._window_start_ns))
-        if not probe.counters and not probe.histograms \
-                and probe.duration_ns <= 0.0:
-            self.snapshots.pop()
+        tail = self._capture(max(now, self._window_start_ns))
+        if tail.changed or tail.duration_ns > 0.0:
+            self._record(tail)
         self._closed = True
 
     # ------------------------------------------------------------------

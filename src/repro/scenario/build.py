@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.scenario.spec import (
     ArbiterSpec,
@@ -225,6 +225,8 @@ class BuiltScenario:
         self.vnics: Dict[str, object] = {}
         self.fault_plan = None
         self.injector = None
+        #: The blame matrix at the end of the last :meth:`drive`.
+        self.blame: Dict[str, Dict[Tuple[str, str], Dict[str, float]]] = {}
         self._rig: Optional[ContentionRig] = None
         self._deployed = False
 
@@ -445,8 +447,9 @@ class BuiltScenario:
             if victim_id is not None else 0,
         })
         outputs.update(contention)
+        self.blame = blame_matrix(get_registry())
         outputs["cross_tenant_wait_ns"] = float(
-            cross_tenant_wait_ns(blame_matrix(get_registry())))
+            cross_tenant_wait_ns(self.blame))
         outputs["faults_injected"] = (
             len(self.injector.records) if self.injector is not None else 0)
         return outputs

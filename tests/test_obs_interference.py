@@ -190,6 +190,120 @@ class TestFCFSWaitAttributor:
         assert blame_matrix(resource="bus") == {}
 
 
+class PerCulpritAttributor(FCFSWaitAttributor):
+    """Reference: one keyword ``blame()`` call per culprit share, the
+    loop ``FCFSWaitAttributor.attribute`` batches."""
+
+    __slots__ = ()
+
+    def attribute(self, victim, now_ns, start_ns):
+        if start_ns <= now_ns:
+            self._prune(now_ns)
+            return
+        self._prune(now_ns)
+        if not self._segments:
+            return
+        shares = dict(self._totals)
+        head_start, _head_end, head_client = self._segments[0]
+        if head_start < now_ns:
+            shares[head_client] = shares.get(head_client, 0.0) \
+                - (now_ns - head_start)
+        for culprit in sorted(shares):
+            wait = min(shares[culprit], start_ns - now_ns)
+            if wait > 1e-12:
+                self._accountant.blame(self.resource, victim=victim,
+                                       culprit=culprit, wait_ns=wait)
+
+
+def _registry_bits(registry):
+    """Every instrument in mint order, with its exact value bits."""
+    return [(key, float(instrument.value).hex())
+            for key, instrument in registry.minted_since(0)]
+
+
+class TestBatchedBlame:
+    """``blame_each`` must be indistinguishable from a ``blame()`` per
+    share: the same counter bits and the same registry mint order."""
+
+    @staticmethod
+    def _pair(cls):
+        registry = MetricsRegistry()
+        return registry, cls("bus", InterferenceAccountant(registry))
+
+    def _drive(self, attributor, script):
+        for op, *args in script:
+            getattr(attributor, op)(*args)
+
+    def test_edge_shares_match_per_culprit_blame(self):
+        script = [
+            ("occupy", 3, 0.0, 1e-12),          # a 1e-12 share
+            ("occupy", 1, 1e-12, 100.0),        # head, partly consumed
+            ("occupy", 2, 100.0, 100.0),        # zero length: ignored
+            ("occupy", 4, 100.0, 100.0 + 1e-12),
+            ("occupy", 2, 100.0 + 1e-12, 250.5),
+            ("attribute", 5, 0.0, 300.0),
+            ("attribute", 5, 30.25, 300.0),     # inside the head segment
+            ("attribute", 6, 100.0, 100.0),     # no wait
+            ("occupy", 5, 250.5, 251.0),
+            ("attribute", 1, 250.5, 260.0),
+            ("attribute", 7, 400.0, 500.0),     # everything drained
+        ]
+        batched_reg, batched = self._pair(FCFSWaitAttributor)
+        looped_reg, looped = self._pair(PerCulpritAttributor)
+        self._drive(batched, script)
+        self._drive(looped, script)
+        assert _registry_bits(batched_reg) == _registry_bits(looped_reg)
+        matrix = blame_matrix(batched_reg)["bus"]
+        assert ("5", "3") not in matrix          # 1e-12 never blamed
+        assert ("5", "4") not in matrix
+        assert matrix[("5", "1")]["events"] == 2.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_queues_match_per_culprit_blame(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        script = []
+        now = 0.0
+        tail = 0.0
+        for _ in range(400):
+            now += rng.choice((0.0, 1e-12, rng.uniform(0.0, 40.0)))
+            client = rng.randrange(12)
+            start = max(now, tail)
+            end = start + rng.choice((0.0, 1e-12, rng.uniform(1.0, 90.0)))
+            script.append(("attribute", client, now, start))
+            script.append(("occupy", client, start, end))
+            tail = max(tail, end)
+        batched_reg, batched = self._pair(FCFSWaitAttributor)
+        looped_reg, looped = self._pair(PerCulpritAttributor)
+        self._drive(batched, script)
+        self._drive(looped, script)
+        assert _registry_bits(batched_reg) == _registry_bits(looped_reg)
+        assert len(batched_reg) > 0
+
+    def test_blame_each_equals_blame_per_entry(self):
+        waits = [(2, 0.0), (None, 1e-12), (1, 7.5), (2, 3.25), (10, 0.5),
+                 (9, 0.5)]
+        batched_reg, looped_reg = MetricsRegistry(), MetricsRegistry()
+        InterferenceAccountant(batched_reg).blame_each("dram", 4, waits)
+        looped = InterferenceAccountant(looped_reg)
+        for culprit, wait in waits:
+            looped.blame("dram", victim=4, culprit=culprit, wait_ns=wait)
+        assert _registry_bits(batched_reg) == _registry_bits(looped_reg)
+
+    def test_blame_each_after_clear_lands_in_the_new_generation(self):
+        registry = MetricsRegistry()
+        acc = InterferenceAccountant(registry)
+        acc.blame_each("bus", 1, [(2, 4.0)])
+        stale = registry.counter(WAIT_METRIC, resource="bus", tenant=1,
+                                 culprit=2)
+        registry.clear()
+        acc.blame_each("bus", 1, [(2, 5.0)])
+        assert stale.value == 4.0
+        assert blame_matrix(registry) == {
+            "bus": {("1", "2"): {"wait_ns": 5.0, "events": 1.0}}}
+
+
 # ----------------------------------------------------------------------
 # The bus: FCFS blames the queue owners; temporal partitioning never
 # blames across domains.

@@ -1,12 +1,13 @@
 """Tests for repro.obs.windows: sim-time windowed delta aggregation."""
 
 import random
+from operator import itemgetter
 
 import pytest
 
 from repro.hw.events import Simulator
 from repro.obs import metrics
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.windows import (
     DEFAULT_PREFIXES,
     WindowedAggregator,
@@ -170,6 +171,158 @@ class TestIncrementalIndex:
                                  6.0}
 
 
+class EagerWindows:
+    """Reference: a rotation that builds each window's counter dict by
+    walking every tracked instrument in sorted key order, and reads the
+    cross-tenant wait back out of that dict's labels."""
+
+    def __init__(self, registry, prefixes=DEFAULT_PREFIXES):
+        self.registry = registry
+        self.prefixes = prefixes
+        self.entries = []
+        self.generation = None
+        self.seen = 0
+
+    def _tracked(self):
+        if self.generation != self.registry.generation:
+            self.entries, self.seen = [], 0
+            self.generation = self.registry.generation
+        minted = self.registry.instruments()[self.seen:]
+        self.seen += len(minted)
+        self.entries.extend(
+            [(inst.name, inst.labels), inst, 0.0] for inst in minted
+            if inst.name.startswith(self.prefixes)
+            and isinstance(inst, (Counter, Gauge)))
+        self.entries.sort(key=itemgetter(0))
+        return self.entries
+
+    def prime(self):
+        for entry in self._tracked():
+            entry[2] = entry[1].value
+
+    def rotate(self):
+        counters = {}
+        for entry in self._tracked():
+            value = entry[1].value
+            delta = value - entry[2]
+            if delta:
+                counters[entry[0]] = delta
+            entry[2] = value
+        return counters
+
+    @staticmethod
+    def cross_tenant_wait_by_victim(counters):
+        waits = {}
+        for (name, labels), delta in counters.items():
+            if name != "interference_wait_ns_total" or delta <= 0.0:
+                continue
+            victim = culprit = None
+            for label, value in labels:
+                if label == "tenant":
+                    victim = value
+                elif label == "culprit":
+                    culprit = value
+            if victim is None or victim == culprit:
+                continue
+            waits[victim] = waits.get(victim, 0.0) + delta
+        return dict(sorted(waits.items()))
+
+
+def _bits(mapping):
+    """A mapping's items with exact float bits, in order."""
+    return [(key, float(value).hex()) for key, value in mapping.items()]
+
+
+class TestArrayBackedDifferential:
+    """Random workloads: every window's counters and cross-tenant wait
+    agree exactly with the eager dict-building reference."""
+
+    TENANTS = (None, 1, 2, 9, 10, 11, 100)
+    RESOURCES = ("bus", "dma", "dram")
+
+    def _step(self, rng, registry):
+        roll = rng.random()
+        tenant = rng.choice(self.TENANTS)
+        if roll < 0.45:
+            culprit = rng.choice(self.TENANTS)
+            amount = rng.choice((rng.uniform(0.0, 1e4), 1e-9, 0.1, 3.0))
+            if rng.random() < 0.1:
+                amount = -amount
+            name = rng.choice(("interference_wait_ns_total",
+                               "interference_events_total"))
+            registry.counter(name, resource=rng.choice(self.RESOURCES),
+                             tenant=tenant, culprit=culprit).inc(amount)
+        elif roll < 0.6:
+            gauge = registry.gauge("slo_backlog", tenant=tenant)
+            if rng.random() < 0.5:
+                gauge.dec(rng.uniform(0.0, 50.0))
+            else:
+                gauge.set(rng.uniform(-10.0, 10.0))
+        elif roll < 0.75:
+            registry.counter("slo_events_total", tenant=tenant).inc(
+                rng.randrange(1, 4))
+        elif roll < 0.85:
+            # Minted, never touched.
+            registry.counter("slo_idle_total", tenant=rng.randrange(30))
+        elif roll < 0.95:
+            registry.counter("cache_hits_total", tenant=tenant).inc()
+        else:
+            registry.histogram("slo_latency_ns", tenant=tenant).observe(
+                rng.uniform(1.0, 1e5))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_windows_match_eager_reference(self, registry, seed):
+        rng = random.Random(seed)
+        sim = Simulator()
+        for _ in range(rng.randrange(0, 40)):
+            self._step(rng, registry)
+        agg = WindowedAggregator(sim, window_ns=100, registry=registry,
+                                 max_windows=3)
+        reference = EagerWindows(registry)
+        agg.start()
+        reference.prime()
+        cleared = rng.randrange(3, 12)
+        for window in range(1, 16):
+            for _ in range(rng.randrange(0, 80)):
+                self._step(rng, registry)
+            if window == cleared:
+                registry.clear()
+                for _ in range(rng.randrange(0, 20)):
+                    self._step(rng, registry)
+            snap = agg.rotate(now_ns=100 * window)
+            expected = reference.rotate()
+            assert _bits(snap.counters) == _bits(expected)
+            assert _bits(snap.cross_tenant_wait_by_victim()) == _bits(
+                EagerWindows.cross_tenant_wait_by_victim(expected))
+        assert len(agg.snapshots) == 3
+        assert agg.windows_dropped == 12
+
+    def test_tenant_labels_sort_as_strings(self, registry):
+        sim = Simulator()
+        agg = WindowedAggregator(sim, window_ns=100, registry=registry)
+        agg.start()
+        for tenant in (10, 9, 2):
+            registry.counter("interference_wait_ns_total", resource="bus",
+                             tenant=tenant, culprit=1).inc(1.0)
+        snap = agg.rotate(now_ns=100)
+        assert [dict(labels)["tenant"] for _, labels in snap.counters] == \
+            ["10", "2", "9"]
+        assert list(snap.cross_tenant_wait_by_victim()) == ["10", "2", "9"]
+
+    def test_counters_drop_zero_deltas(self, registry):
+        sim = Simulator()
+        first = registry.counter("slo_events_total", tenant=1)
+        registry.counter("slo_events_total", tenant=2)
+        agg = WindowedAggregator(sim, window_ns=100, registry=registry)
+        agg.start()
+        first.inc()
+        one = agg.rotate(now_ns=100)
+        two = agg.rotate(now_ns=200)
+        assert one.counters == {("slo_events_total", (("tenant", "1"),)): 1.0}
+        assert two.counters == {}
+        assert one.changed and not two.changed
+
+
 class TestKernelDriven:
     def test_scheduled_rotation_on_sim_time(self, registry):
         sim = Simulator()
@@ -213,6 +366,35 @@ class TestKernelDriven:
         agg.close(now_ns=100)
         agg.close(now_ns=100)
         assert len(agg.snapshots) == 1
+
+    def test_close_at_full_ring_keeps_the_real_windows(self, registry):
+        sim = Simulator()
+        seen = []
+        agg = WindowedAggregator(sim, window_ns=100, registry=registry,
+                                 max_windows=2, on_rotate=seen.append)
+        agg.start()
+        for i in range(3):
+            agg.rotate(now_ns=(i + 1) * 100)
+        agg.close(now_ns=300)
+        assert [s.index for s in agg.snapshots] == [1, 2]
+        assert agg.windows_dropped == 1
+        assert [s.index for s in seen] == [0, 1, 2]
+
+    def test_close_at_full_ring_records_a_changed_tail(self, registry):
+        sim = Simulator()
+        counter = registry.counter("slo_events_total", tenant=1)
+        seen = []
+        agg = WindowedAggregator(sim, window_ns=100, registry=registry,
+                                 max_windows=2, on_rotate=seen.append)
+        agg.start()
+        for i in range(3):
+            agg.rotate(now_ns=(i + 1) * 100)
+        counter.inc(2)
+        agg.close(now_ns=300)
+        assert [s.index for s in agg.snapshots] == [2, 3]
+        assert agg.windows_dropped == 2
+        assert [s.index for s in seen] == [0, 1, 2, 3]
+        assert agg.snapshots[-1].counter("slo_events_total", tenant=1) == 2
 
 
 class TestDeltaHistograms:

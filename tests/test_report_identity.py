@@ -3,7 +3,9 @@
 ``tests/fixtures/report_digests.json`` holds the sha256 of seeded
 ``--format json`` reports, a quick scenario-matrix sweep and a quick
 16-tenant SLO run, each also partitioned on two shard workers, and of
-the SLO run's ``--openmetrics`` export.
+the SLO run's ``--openmetrics`` export.  It also pins the full
+192-tenant ``fcfs`` SLO scorecard (~4 s), the run whose judging cost
+grows as tenants squared.
 Between them they run key provisioning, attested launch and teardown,
 the packet path and every arbiter; the export adds every window's
 per-rotation deltas.  So a host-side change (a cache, a faster
@@ -44,6 +46,9 @@ REPORTS: Dict[str, Tuple[List[str], str]] = {
          "--shards", "2", "--format", "json"], "-o"),
     "slo_quick_16_tenants_seed7_shards2": (
         [*_SLO_QUICK_16, "--shards", "2", "--format", "json"], "-o"),
+    "slo_192_tenants_fcfs_seed7": (
+        ["slo", "--tenants", "192", "--arbiters", "fcfs", "--seed", "7",
+         "--format", "json"], "-o"),
 }
 
 
