@@ -5,7 +5,8 @@
 16-tenant SLO run, each also partitioned on two shard workers, and of
 the SLO run's ``--openmetrics`` export.  It also pins the full
 192-tenant ``fcfs`` SLO scorecard (~4 s), the run whose judging cost
-grows as tenants squared.
+grows as tenants squared.  The isolation audit, the full chaos fault
+matrix and the co-tenancy Chrome trace are pinned the same way.
 Between them they run key provisioning, attested launch and teardown,
 the packet path and every arbiter; the export adds every window's
 per-rotation deltas.  So a host-side change (a cache, a faster
@@ -49,6 +50,10 @@ REPORTS: Dict[str, Tuple[List[str], str]] = {
     "slo_192_tenants_fcfs_seed7": (
         ["slo", "--tenants", "192", "--arbiters", "fcfs", "--seed", "7",
          "--format", "json"], "-o"),
+    "audit_quick": (["audit", "--quick", "--format", "json"], "--out"),
+    "chaos_quick_matrix_seed0": (
+        ["chaos", "--quick", "--matrix", "--format", "json"], "-o"),
+    "trace_cotenancy_20_packets": (["trace", "-n", "20"], "-o"),
 }
 
 
