@@ -44,9 +44,9 @@ Subpackages
     watchdog/retry/restart recovery, and the commodity-vs-S-NIC
     blast-radius matrix (``python -m repro chaos``).
 ``repro.scenario``
-    Declarative experiments: frozen, validated ``ScenarioSpec`` objects, the
-    ``@scenario("name")`` registry, the spec-to-simulation builder, and
-    the axis-product sweep runner (``python -m repro matrix``).
+    Declarative experiments: frozen, validated ``ScenarioSpec`` objects,
+    the spec-to-simulation builder, and the axis-product sweep runner
+    (``python -m repro matrix``).
 
 Quickstart
 ----------

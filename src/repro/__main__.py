@@ -4,10 +4,9 @@ Commands:
 
 * ``report``  — the headline paper-vs-reproduced evaluation summary
 * ``attacks`` — replay the §3.3 attacks (commodity vs S-NIC)
-* ``trace``   — run a registered scenario with tracing on and write a
-  Chrome/Perfetto-loadable ``trace_event`` JSON
-  (``python -m repro trace --scenario cotenancy-demo -o snic_trace.json``;
-  ``--list`` prints the scenario catalog)
+* ``trace``   — run the two-tenant co-tenancy demo with tracing on and
+  write a Chrome/Perfetto-loadable ``trace_event`` JSON
+  (``python -m repro trace -o snic_trace.json -n 60``)
 * ``matrix``  — sweep the declarative scenario matrix
   ``{nic_model} x {tenant_count} x {fault_class} x {arbiter} x {seed}``
   and emit one schema-versioned record per cell
@@ -59,6 +58,11 @@ Commands:
   and fail on event-stream digest divergence (``--shards`` also
   asserts that a partitioned cell's record ignores the worker count)
 * ``info``    — version + package inventory (default)
+
+Each experiment has exactly this one entry point.  ``matrix``, ``slo``,
+``bench``, ``audit``, ``chaos`` and ``sanitize`` run every cell through
+:func:`repro.obs.bench.cell_scope` (state reset, IsoSan, forensics) and
+end in :func:`repro.obs.bench.emit_report`.
 """
 
 from __future__ import annotations
@@ -72,8 +76,8 @@ _COMMANDS = {
     "report": "headline paper-vs-reproduced evaluation summary",
     "attacks": "replay the §3.3 commodity attacks (corruption, DPI "
                "theft, bus DoS)",
-    "trace": "run a registered scenario with tracing on; export a "
-             "Chrome trace (--scenario NAME, --list)",
+    "trace": "trace the two-tenant co-tenancy demo; export a Chrome "
+             "trace (-o PATH, -n PACKETS, -m METRICS)",
     "matrix": "sweep {nic_model} x {tenant_count} x {fault_class} x "
               "{arbiter}; one record per cell (--quick, --shards N)",
     "bench": "run benchmarks/bench_*.py under the unified harness "
@@ -141,59 +145,30 @@ def _help() -> int:
 
 
 def _trace(argv: list) -> int:
-    """``python -m repro trace [--scenario NAME] [-o trace.json] ...``"""
+    """``python -m repro trace [-o trace.json] [-n PACKETS] [-m PATH]``"""
     import argparse
-    import json
 
     parser = argparse.ArgumentParser(
         prog="python -m repro trace",
-        description="Run a registered scenario with the repro.obs tracer "
-                    "enabled.  The default (cotenancy-demo) exports a "
-                    "Chrome trace_event JSON (load it in chrome://tracing "
-                    "or https://ui.perfetto.dev); other scenarios print "
-                    "their outputs as JSON.",
+        description="Run the two-tenant co-tenancy demo with the "
+                    "repro.obs tracer enabled and export a Chrome "
+                    "trace_event JSON (load it in chrome://tracing or "
+                    "https://ui.perfetto.dev).",
     )
-    parser.add_argument("--scenario", default="cotenancy-demo",
-                        metavar="NAME",
-                        help="registered scenario to run "
-                             "(default: cotenancy-demo; see --list)")
-    parser.add_argument("--list", action="store_true",
-                        help="list the registered scenario catalog and exit")
     parser.add_argument("-o", "--out", default="snic_trace.json",
                         help="trace output path (default: snic_trace.json)")
     parser.add_argument("-m", "--metrics", default=None,
                         help="also dump the metrics registry as JSON here")
     parser.add_argument("-n", "--packets", type=int, default=60,
                         help="packets to inject across the tenants")
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized parameters for scenarios that "
-                             "support them")
     args = parser.parse_args(argv)
 
-    from repro.scenario import registry
-
-    if args.list:
-        for entry in registry.entries():
-            tags = ",".join(entry.tags)
-            print(f"{entry.name:<20} [{tags}]  {entry.description}")
-        return 0
-
-    try:
-        summary = registry.run(args.scenario, quick=args.quick,
-                               out_path=args.out, n_packets=args.packets,
-                               metrics_path=args.metrics)
-    except registry.UnknownScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if "trace_path" not in summary:
-        # A wrapped harness (chaos, attacks, cost model) — no trace file,
-        # just structured outputs.
-        print(json.dumps(summary, indent=2, sort_keys=True, default=repr))
-        return 0
-
     from repro.obs import export, get_registry
+    from repro.obs.scenario import run_cotenancy_scenario
 
+    summary = run_cotenancy_scenario(out_path=args.out,
+                                     n_packets=args.packets,
+                                     metrics_path=args.metrics)
     print(f"wrote {summary['trace_path']}: {summary['events']} events, "
           f"{summary['spans']} spans")
     print(f"  tenants: {summary['tenants']}")
@@ -214,6 +189,8 @@ def _trace(argv: list) -> int:
 def _bench(argv: list) -> int:
     """``python -m repro bench [--quick] [--profile] [--compare A B]``"""
     import argparse
+
+    from repro.obs import bench
 
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
@@ -245,23 +222,18 @@ def _bench(argv: list) -> int:
                         help="run every scenario under the IsoSan runtime "
                              "sanitizer (isolation violations become "
                              "scenario errors)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
+    parser.add_argument("--shards", type=bench.positive_int, default=None,
+                        metavar="N",
                         help="deal the bench scripts to a pool of N "
                              "worker processes (the artifact keeps "
                              "discovery order)")
     args = parser.parse_args(argv)
 
-    from repro.obs import bench
-
-    if args.shards is not None and args.shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        return 2
-
     if args.compare:
         report = bench.compare_paths(args.compare[0], args.compare[1],
                                      threshold=args.threshold / 100.0)
-        print(bench.format_compare(report))
-        return 1 if report["n_regressions"] else 0
+        return bench.emit_report(bench.format_compare(report) + "\n",
+                                 ok=not report["n_regressions"])
 
     def progress(record):
         marker = {"ok": "ok", "error": "ERROR", "skipped": "skip"}[record.status]
@@ -290,22 +262,22 @@ def _bench(argv: list) -> int:
     else:
         artifact = _run()
     out_path = bench.write_artifact(artifact, args.out)
-    print(f"\nwrote {out_path}: {artifact['n_ok']}/{artifact['n_benchmarks']} "
-          f"scenarios ok in {artifact['total_wall_s']:.1f}s "
-          f"(schema {artifact['schema']}/v{artifact['schema_version']})")
-
+    lines = [f"\nwrote {out_path}: {artifact['n_ok']}/"
+             f"{artifact['n_benchmarks']} scenarios ok in "
+             f"{artifact['total_wall_s']:.1f}s "
+             f"(schema {artifact['schema']}/v{artifact['schema_version']})"]
     if args.profile:
         from repro.obs.profile import profile_cotenancy_scenario
 
         collapsed = str(out_path).replace(".json", "") + ".collapsed"
         result = profile_cotenancy_scenario(collapsed_path=collapsed)
         profiler = result["profiler"]
-        print(f"\nwrote {collapsed} "
-              f"({len(profiler.collapsed())} stacks; feed it to "
-              f"flamegraph.pl or https://www.speedscope.app)")
-        print(profiler.format_report(top=15))
-
-    return 0 if artifact["n_error"] == 0 else 1
+        lines += [f"\nwrote {collapsed} "
+                  f"({len(profiler.collapsed())} stacks; feed it to "
+                  f"flamegraph.pl or https://www.speedscope.app)",
+                  profiler.format_report(top=15)]
+    return bench.emit_report("\n".join(lines) + "\n",
+                             ok=artifact["n_error"] == 0)
 
 
 def main(argv: list) -> int:

@@ -26,8 +26,9 @@ instance is treated as mutation of that instance.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.dataflow.graph import ProgramGraph
 
@@ -77,7 +78,6 @@ class ModuleStateInfo:
     def as_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,
-            "line": self.lineno,
             "kind": self.kind,
             "mutable": self.mutable,
             "classification": "shard-safe" if self.shard_safe
@@ -123,16 +123,39 @@ def _value_kind(node: Optional[ast.AST]) -> Tuple[str, bool, str]:
     return type(node).__name__.lower(), True, ""
 
 
+_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _walk_scoped(root: ast.AST,
+                 qualname: str) -> Iterator[Tuple[ast.AST, str]]:
+    """``ast.walk`` order over a function, each node paired with the
+    qualname of its innermost enclosing function."""
+    todo = deque([(root, qualname)])
+    while todo:
+        node, scope = todo.popleft()
+        sep = "." if isinstance(node, ast.ClassDef) else ".<locals>."
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, _FUNCTION_NODES + (ast.ClassDef,)):
+                inner = scope + sep + child.name
+            todo.append((child, inner))
+        yield node, scope
+
+
 @dataclass
 class _Mutation:
-    """Evidence that a binding is written from function scope."""
+    """Evidence that a binding is written from function scope.
+
+    ``scope`` is the qualname of the function the write sits in, not
+    its line, so the manifest does not churn when code moves.
+    """
 
     modname: str
-    lineno: int
+    scope: str
     what: str
 
     def text(self) -> str:
-        return f"{self.modname}:{self.lineno} {self.what}"
+        return f"{self.modname}:{self.scope} {self.what}"
 
 
 class EscapeAnalysis:
@@ -217,33 +240,28 @@ class EscapeAnalysis:
                         return src
                 return None
 
-            for fn_node, in_function in self._scopes(module.tree):
-                if not in_function:
-                    continue
-                for node in ast.walk(fn_node):
-                    self._scan_node(node, modname, resolve, aliases,
-                                    record)
+            for fn_node, qualname in self._functions(module.tree):
+                for node, scope in _walk_scoped(fn_node, qualname):
+                    self._scan_node(node, modname, scope, resolve,
+                                    aliases, record)
         return out
 
-    def _scopes(self, tree: ast.AST) -> List[Tuple[ast.AST, bool]]:
-        """Top-level statements split into (node, is-function-scope)."""
-        out: List[Tuple[ast.AST, bool]] = []
+    def _functions(self, tree: ast.AST) -> List[Tuple[ast.AST, str]]:
+        """Top-level functions and methods with their qualnames."""
+        out: List[Tuple[ast.AST, str]] = []
         if not isinstance(tree, ast.Module):
             return out
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                out.append((node, True))
+            if isinstance(node, _FUNCTION_NODES):
+                out.append((node, node.name))
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item,
-                                  (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        out.append((item, True))
-            else:
-                out.append((node, False))
+                    if isinstance(item, _FUNCTION_NODES):
+                        out.append((item, f"{node.name}.{item.name}"))
         return out
 
     def _scan_node(
-            self, node: ast.AST, modname: str,
+            self, node: ast.AST, modname: str, scope: str,
             resolve: Callable[[str], Optional[Tuple[str, str]]],
             aliases: Dict[str, str],
             record: Callable[[Tuple[str, str], _Mutation], None]) -> None:
@@ -266,7 +284,7 @@ class EscapeAnalysis:
             for name in node.names:
                 key = resolve(name)
                 if key is not None:
-                    record(key, _Mutation(modname, node.lineno,
+                    record(key, _Mutation(modname, scope,
                                           f"global rebind of {name}"))
         elif isinstance(node, ast.Call) and \
                 isinstance(node.func, ast.Attribute) and \
@@ -274,7 +292,7 @@ class EscapeAnalysis:
             key = base_key(node.func.value)
             if key is not None:
                 record(key, _Mutation(
-                    modname, node.lineno,
+                    modname, scope,
                     f"mutator .{node.func.attr}() call"))
         elif isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
@@ -286,13 +304,13 @@ class EscapeAnalysis:
                         what = "subscript store" \
                             if isinstance(target, ast.Subscript) \
                             else f"attribute store .{target.attr}"
-                        record(key, _Mutation(modname, node.lineno, what))
+                        record(key, _Mutation(modname, scope, what))
         elif isinstance(node, ast.Delete):
             for target in node.targets:
                 if isinstance(target, (ast.Subscript, ast.Attribute)):
                     key = base_key(target)
                     if key is not None:
-                        record(key, _Mutation(modname, node.lineno,
+                        record(key, _Mutation(modname, scope,
                                               "del on element/attribute"))
 
     # ------------------------------------------------------------------
@@ -308,8 +326,7 @@ class EscapeAnalysis:
             info.shard_safe = False
         if evidence:
             info.shard_safe = False
-            for mut in evidence:
-                info.reasons.append(mut.text())
+            info.reasons.extend(dict.fromkeys(mut.text() for mut in evidence))
         if info.shard_safe and not info.reasons:
             info.reasons.append(
                 "mutable, but only written at import time")

@@ -4,8 +4,8 @@ The event kernel promises bit-identical reruns (integer ns clock, stable
 same-instant ordering, seeded RNGs — see :mod:`repro.hw.events`); the
 §5/§6 noninterference experiments and the bench regression gate both
 lean on that promise.  This module *enforces* it: execute a scenario
-twice under :mod:`repro.obs` tracing with full global-state resets in
-between, digest each run's event stream, and fail loudly on any
+twice under :mod:`repro.obs` tracing, each run in its own isolated
+cell scope, digest each run's event stream, and fail loudly on any
 divergence.
 
 A digest captures the stream at three resolutions so a mismatch report
@@ -34,7 +34,6 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs import metrics
 from repro.obs.tracer import TraceEvent, get_tracer
 
 
@@ -164,34 +163,26 @@ class DeterminismReport:
         return "\n".join(lines)
 
 
-def _reset_globals() -> None:
-    """Return every process-wide singleton the scenarios touch to its
-    import-time state, so run 2 starts exactly where run 1 did."""
-    tracer = get_tracer()
-    tracer.disable()
-    tracer.clear()
-    tracer.use_clock(None)
-    metrics.reset()
-
-
 def check_determinism(
     run: Callable[[], Optional[Dict[str, object]]],
     scenario: str = "custom",
     runs: int = 2,
 ) -> DeterminismReport:
-    """Execute ``run`` ``runs`` times with global resets in between and
-    digest each run's recorded event stream.
+    """Execute ``run`` ``runs`` times, each in its own
+    :func:`~repro.obs.bench.cell_scope` (so run 2 starts exactly where
+    run 1 did), and digest each run's recorded event stream.
 
     ``run`` is responsible for enabling the tracer (the packaged
     scenarios do); its optional summary dict is kept on the report.
     """
+    from repro.obs.bench import cell_scope
+
     report = DeterminismReport(scenario=scenario)
     for _ in range(runs):
-        _reset_globals()
-        summary = run()
-        report.digests.append(digest_events(get_tracer().events))
+        with cell_scope():
+            summary = run()
+            report.digests.append(digest_events(get_tracer().events))
         report.summaries.append(dict(summary) if summary else {})
-    _reset_globals()
     return report
 
 

@@ -430,7 +430,7 @@ def format_text(findings: List[Finding],
     return "\n".join(lines)
 
 
-def format_json(findings: List[Finding]) -> str:
+def format_findings_json(findings: List[Finding]) -> str:
     return json.dumps({
         "findings": [f.as_dict() for f in findings],
         "n_active": sum(1 for f in findings if f.active),
@@ -453,7 +453,7 @@ def format_github(findings: List[Finding]) -> str:
     return "\n".join(lines)
 
 
-FORMATTERS = {"text": format_text, "json": format_json,
+FORMATTERS = {"text": format_text, "json": format_findings_json,
               "github": format_github}
 
 

@@ -28,7 +28,6 @@ the same seed produces a byte-identical report.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple
 
@@ -41,15 +40,8 @@ from repro.faults.recovery import (
     Watchdog,
     retry_dma,
 )
-from repro.core.errors import (
-    IsolationViolation,
-    RecoveryExhausted,
-    WatchdogTimeout,
-)
-from repro.obs import auditlog as auditlog_mod
-from repro.obs import flight as flight_mod
-from repro.obs import metrics as metrics_mod
 from repro.obs import postmortem as postmortem_mod
+from repro.obs.bench import cell_scope, emit_report, format_json
 from repro.obs.interference import blame_matrix, cross_tenant_wait_ns
 from repro.obs.metrics import get_registry
 
@@ -691,21 +683,6 @@ _WORKLOADS: Dict[FaultKind, _Workload] = {
 # ----------------------------------------------------------------------
 
 
-def _chaos_bundle_name(kind: FaultKind, seed: int) -> str:
-    return f"chaos-{kind.value}-snic-s{seed}"
-
-
-def _write_chaos_bundle(directory: str, kind: FaultKind, seed: int,
-                        reason: object) -> str:
-    """Assemble a forensics bundle from the just-finished faulted S-NIC
-    leg's live state (must run *before* the next metrics reset)."""
-    spec = _crash_spec(seed) if kind is FaultKind.NF_CRASH else None
-    bundle = postmortem_mod.build_bundle(reason=reason, spec=spec)
-    return postmortem_mod.write_bundle(
-        bundle,
-        postmortem_mod.bundle_path(directory, _chaos_bundle_name(kind, seed)))
-
-
 def _differential(kind: FaultKind, seed: int, rounds: int,
                   postmortem_dir: Optional[str] = None
                   ) -> Tuple[Dict[str, object], List[str]]:
@@ -713,32 +690,26 @@ def _differential(kind: FaultKind, seed: int, rounds: int,
     entry: Dict[str, object] = {}
     bundles: List[str] = []
     for label, snic in (("commodity", False), ("snic", True)):
-        metrics_mod.reset()
-        clean, _ = workload(snic, False, seed, rounds)
-        metrics_mod.reset()
+        with cell_scope():
+            clean, _ = workload(snic, False, seed, rounds)
         # Forensics are armed only around the faulted S-NIC leg: the
         # injected fault is the incident under investigation, and the
         # clean/commodity legs must stay byte-identical to a run with
-        # no --postmortem-dir at all.
-        forensic = postmortem_dir is not None and snic
-        if forensic:
-            flight_mod.reset()
-            auditlog_mod.reset()
-            auditlog_mod.enable_audit_log()
-            flight_mod.enable_flight_recording()
-        try:
+        # no --postmortem-dir at all.  A containment failure that
+        # escapes the leg is captured with its exception as the reason.
+        bundle = spec = None
+        if postmortem_dir is not None and snic:
+            bundle = postmortem_mod.bundle_path(
+                postmortem_dir, f"chaos-{kind.value}-snic-s{seed}")
+            bundles.append(bundle)
+            if kind is FaultKind.NF_CRASH:
+                spec = _crash_spec(seed)
+        note = {"kind": "FaultInjected",
+                "message": f"{kind.value} injected into tenant {FAULTY} "
+                           f"(seed {seed})"}
+        with cell_scope(bundle=bundle, spec=spec, note=note):
             faulted, info = workload(snic, True, seed, rounds)
-        except (IsolationViolation, WatchdogTimeout,
-                RecoveryExhausted) as exc:
-            # A genuine containment failure: capture the crime scene
-            # before the exception unwinds the harness.
-            if forensic:
-                bundles.append(_write_chaos_bundle(
-                    postmortem_dir, kind, seed, exc))
-                flight_mod.reset()
-                auditlog_mod.reset()
-            raise
-        matrix = blame_matrix(get_registry())
+            matrix = blame_matrix(get_registry())
         disruption = {key: faulted[key] - clean[key]
                       for key in sorted(clean)}
         entry[label] = {
@@ -750,14 +721,6 @@ def _differential(kind: FaultKind, seed: int, rounds: int,
             "cross_tenant_wait_ns": float(cross_tenant_wait_ns(matrix)),
             "info": {key: info[key] for key in sorted(info)},
         }
-        if forensic:
-            bundles.append(_write_chaos_bundle(
-                postmortem_dir, kind, seed,
-                {"kind": "FaultInjected",
-                 "message": f"{kind.value} injected into tenant {FAULTY} "
-                            f"(seed {seed})"}))
-            flight_mod.reset()
-            auditlog_mod.reset()
     return entry, bundles
 
 
@@ -803,7 +766,6 @@ def run_chaos(seed: int = 0, quick: bool = False, matrix: bool = False,
                 kind, seed, rounds, postmortem_dir=postmortem_dir)
             report["kinds"][kind.value] = entry
             bundles.extend(kind_bundles)
-    metrics_mod.reset()
     if postmortem_dir is not None:
         report["postmortem"] = {
             "bundles": sorted(path.rsplit("/", 1)[-1]
@@ -898,14 +860,10 @@ def format_report_markdown(report: Dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_report_json(report: Dict[str, object]) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
 _FORMATTERS = {
     "text": format_report_text,
     "markdown": format_report_markdown,
-    "json": format_report_json,
+    "json": format_json,
 }
 
 
@@ -936,21 +894,18 @@ def main(argv: Optional[Sequence[str]] = None,
                              "bundle per faulted S-NIC leg to this "
                              "directory (inspect with `repro postmortem`)")
     args = parser.parse_args(argv)
-    out = stream if stream is not None else sys.stdout
-
     report = run_chaos(seed=args.seed, quick=args.quick,
                        matrix=args.matrix, kinds=args.kinds,
                        postmortem_dir=args.postmortem_dir)
-    rendered = _FORMATTERS[args.format](report)
-    out.write(rendered)
+    code = emit_report(_FORMATTERS[args.format](report),
+                       ok=report["verdict"]["pass"], out=args.out,
+                       stream=stream, label="chaos report")
     if args.postmortem_dir is not None:
         names = report.get("postmortem", {}).get("bundles", [])
-        out.write(f"{len(names)} post-mortem bundle(s) written to "
-                  f"{args.postmortem_dir}\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    return 0 if report["verdict"]["pass"] else 1
+        (stream if stream is not None else sys.stdout).write(
+            f"{len(names)} post-mortem bundle(s) written to "
+            f"{args.postmortem_dir}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,10 @@ hot layer:
   ``python -m repro bench``: runs every ``benchmarks/bench_*.py``
   scenario under a fresh registry and writes a schema-versioned
   ``BENCH_<timestamp>.json`` with wall-time, sim-time, and event-count
-  telemetry, plus artifact diffing with regression flags.
+  telemetry, plus artifact diffing with regression flags.  It is also
+  the one experiment harness: ``isolate()`` (the only state reset),
+  ``cell_scope()`` (isolation, IsoSan, forensics around one cell) and
+  ``emit_report()`` (the report tail every front end ends in).
 * :mod:`repro.obs.interference` — per-tenant contention attribution:
   every shared hardware resource blames each nanosecond a victim
   waited on the co-tenant that caused it
@@ -36,8 +39,8 @@ hot layer:
   solo-vs-co-tenant isolation scorecard (interference matrices,
   slowdown deltas, side-channel capacities, noninterference verdict).
 * :mod:`repro.obs.flight` — the flight recorder: a bounded,
-  sim-time-windowed ring of recent audit events, mirrored trace
-  events, and metric deltas; strictly no-op when disabled.
+  sim-time-windowed ring of recent audit events and mirrored trace
+  events; strictly no-op when disabled.
 * :mod:`repro.obs.auditlog` — an append-only, sha256 hash-chained
   audit log of security-relevant events (attestation verdicts, page
   scrubs, TLB installs, cross-tenant denials, faults, recovery

@@ -31,8 +31,6 @@ and any diff is a real behaviour change.
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 from typing import Callable, Dict, List, Optional, TextIO
 
 from repro.commodity.sidechannels import (
@@ -48,7 +46,7 @@ from repro.hw.cores import ProgrammableCore
 from repro.hw.dma import DMAController, DMAWindow
 from repro.hw.dram import DRAMChannel
 from repro.hw.memory import HostMemory, PhysicalMemory
-from repro.obs import metrics as metrics_mod
+from repro.obs.bench import cell_scope, emit_report, format_json
 from repro.obs.interference import (
     RESOURCES,
     BlameMatrix,
@@ -252,13 +250,13 @@ _METRIC_LABEL = {
 def _measure_resource(resource: str, snic: bool, rounds: int) -> Dict[str, object]:
     """One resource under one config: solo run, co-tenant run, blame."""
     workload = _WORKLOADS[resource]
-    metrics_mod.reset()
-    solo = workload(snic, False, rounds)
-    metrics_mod.reset()
-    cotenant = workload(snic, True, rounds)
-    matrix = blame_matrix(get_registry(), resource=resource)
+    with cell_scope():
+        solo = workload(snic, False, rounds)
+    with cell_scope():
+        cotenant = workload(snic, True, rounds)
+        matrix = blame_matrix(get_registry(), resource=resource)
+        percentiles = _victim_latency_percentiles()
     cells = matrix.get(resource, {})
-    percentiles = _victim_latency_percentiles()
     # A ratio is meaningless off a zero baseline (e.g. a 0% solo miss
     # rate); report null rather than a JSON-hostile Infinity.
     slowdown = cotenant / solo if solo > 0 else None
@@ -330,12 +328,11 @@ def run_audit(quick: bool = False) -> Dict[str, object]:
     rounds = _SCALE[scale]
     commodity = _measure_config(snic=False, rounds=rounds)
     snic = _measure_config(snic=True, rounds=rounds)
-    metrics_mod.reset()  # leave no audit residue in the registry
-    channels = _measure_side_channels(_CHANNEL_BITS[scale])
-    violations = check_noninterference(
-        n_trials=_NONINT_TRIALS[scale],
-        steps_per_trial=_NONINT_STEPS[scale], seed=0)
-    metrics_mod.reset()
+    with cell_scope():
+        channels = _measure_side_channels(_CHANNEL_BITS[scale])
+        violations = check_noninterference(
+            n_trials=_NONINT_TRIALS[scale],
+            steps_per_trial=_NONINT_STEPS[scale], seed=0)
 
     reasons: List[str] = []
     snic_cross = float(snic["cross_tenant_wait_ns"])  # type: ignore[arg-type]
@@ -524,13 +521,9 @@ def format_scorecard_markdown(scorecard: Dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_scorecard_json(scorecard: Dict[str, object]) -> str:
-    return json.dumps(scorecard, indent=2, sort_keys=True) + "\n"
-
-
 _FORMATTERS = {
     "text": format_scorecard_text,
-    "json": format_scorecard_json,
+    "json": format_json,
     "markdown": format_scorecard_markdown,
 }
 
@@ -548,14 +541,10 @@ def main(argv: Optional[List[str]] = None,
     parser.add_argument("--out", metavar="PATH",
                         help="also write the scorecard to this file")
     args = parser.parse_args(argv)
-    out = stream if stream is not None else sys.stdout
     scorecard = run_audit(quick=args.quick)
-    rendered = _FORMATTERS[args.format](scorecard)
-    out.write(rendered)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    return 0 if scorecard["verdict"]["pass"] else 1  # type: ignore[index]
+    return emit_report(_FORMATTERS[args.format](scorecard),
+                       ok=scorecard["verdict"]["pass"],  # type: ignore[index]
+                       out=args.out, stream=stream, label="audit report")
 
 
 if __name__ == "__main__":  # pragma: no cover

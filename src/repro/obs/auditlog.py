@@ -271,8 +271,9 @@ def refresh_emitter() -> None:
 
 
 def reset() -> None:
-    """Return the audit log to its import-time state (bench/matrix
-    ``_isolate`` and the test fixtures call this between cells)."""
+    """Return the audit log to its import-time state (the
+    ``repro.obs.bench.isolate`` reset and the test fixtures call this
+    between cells)."""
     _AUDIT_LOG.disable()
     _AUDIT_LOG.use_clock(None)
     _AUDIT_LOG.clear()

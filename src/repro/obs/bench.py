@@ -1,4 +1,5 @@
-"""``repro.obs.bench`` — the unified benchmark harness.
+"""``repro.obs.bench`` — the unified benchmark harness, and the one
+experiment harness every front end runs its cells through.
 
 The evaluation used to be 22 one-off scripts under ``benchmarks/``,
 each printing tables by hand, with no recorded performance trajectory:
@@ -23,20 +24,28 @@ unit:
   sim-side drift (different event counts for the same scenario mean the
   *model* changed, not the machine).
 
+The same isolation serves every experiment front end (``matrix``,
+``slo``, ``bench``, ``audit``, ``chaos`` and ``sanitize``):
+:func:`isolate` is the one process-wide state reset, :func:`cell_scope`
+the one way to run a cell (isolate, optionally sanitize and arm
+forensics, isolate again), and :func:`format_json` plus
+:func:`emit_report` the one report tail.
+
 CLI: ``python -m repro bench [--quick] [--profile] [--compare A B]``.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO
 
 SCHEMA = "repro.bench"
 SCHEMA_VERSION = 1
@@ -122,8 +131,15 @@ class BenchRecord:
         }
 
 
-def _isolate() -> None:
-    """Reset every piece of process-global observability state."""
+# ----------------------------------------------------------------------
+# The experiment harness: isolation, cell scope, report tail
+# ----------------------------------------------------------------------
+
+def isolate() -> None:
+    """Reset every piece of process-global observability state: the
+    metrics registry, the event-kernel counters, the tracer (disabled,
+    cleared, unclocked, unmirrored), the flight recorder and the audit
+    log."""
     from repro.hw import events as hw_events
     from repro.obs import auditlog, flight, metrics, tracer
 
@@ -138,42 +154,144 @@ def _isolate() -> None:
     auditlog.reset()
 
 
-def run_scenario(path: Path, quick: bool = False,
-                 capture: bool = True) -> BenchRecord:
-    """Run one bench script's ``run(quick)`` under full isolation."""
+def bind_clock(clock: Optional[Callable[[], float]]) -> None:
+    """Put every enabled sink (tracer, flight recorder, audit log) on
+    ``clock``, a cell's simulated time; ``None`` releases all three, so
+    nothing keeps reading a dead cell's simulator."""
+    from repro.obs.auditlog import get_audit_log
+    from repro.obs.flight import get_flight_recorder
+    from repro.obs.tracer import get_tracer
+
+    for sink in (get_tracer(), get_flight_recorder(), get_audit_log()):
+        if clock is None or sink.enabled:
+            sink.use_clock(clock)
+
+
+def _fill_record(record: BenchRecord) -> None:
+    """Copy the kernel, tracer and registry tallies into ``record``."""
     from repro.hw import events as hw_events
     from repro.obs import metrics, tracer
 
-    record = BenchRecord(name=scenario_name(path))
-    _isolate()
-    buffer = io.StringIO()
-    started = time.perf_counter()  # snic: ignore[SNIC007] -- the bench harness *measures* host wall-time; BENCH artifacts are timestamped, not byte-compared
+    stats = hw_events.kernel_stats()
+    record.sim_time_ns = stats["sim_ns_advanced"]
+    record.events_executed = stats["events_executed"]
+    record.trace_events = len(tracer.get_tracer().events)
+    registry = metrics.get_registry()
+    record.metrics_instruments = len(registry)
+    record.histograms = _histogram_percentiles(registry)
+
+
+@contextlib.contextmanager
+def cell_scope(record: Optional[BenchRecord] = None, *,
+               sanitize: bool = False, audit: bool = False,
+               bundle: Optional[str] = None, spec: object = None,
+               note: Optional[Dict[str, object]] = None) -> Iterator[None]:
+    """Run one experiment cell between two :func:`isolate` resets.
+
+    Inside, in order: IsoSan when ``sanitize``; the audit log when
+    ``audit``; the audit log *and* flight recorder when ``bundle`` (a
+    postmortem path) is set.  A forensic scope writes its bundle from
+    the live state before the trailing reset: with the exception as the
+    reason when the body raises, or with ``note`` as the reason when
+    one is given and the body returns.  With a ``record``, its kernel,
+    tracer and registry tallies are filled before that reset too, and
+    an exception marks the record an error instead of propagating;
+    without one, exceptions propagate.
+    """
+    from repro.analysis.isosan import sanitized
+    from repro.obs import auditlog, flight, postmortem
+
+    isolate()
+    if audit or bundle is not None:
+        auditlog.enable_audit_log()
+    if bundle is not None:
+        flight.enable_flight_recording()
     try:
-        with contextlib.redirect_stdout(buffer) if capture \
-                else contextlib.nullcontext():
-            module = load_scenario(path)
-            run = getattr(module, "run", None)
-            if run is None:
-                record.status = "skipped"
-                record.error = "no run(quick) entry point"
-                return record
-            outputs = run(quick=quick)
-        record.outputs = jsonable(outputs if isinstance(outputs, dict)
-                                  else {"result": outputs})
-    except Exception:
+        with sanitized() if sanitize else contextlib.nullcontext():
+            yield
+    except Exception as exc:
+        if bundle is not None:
+            postmortem.write_bundle(
+                postmortem.build_bundle(reason=exc, spec=spec), bundle)
+        if record is None:
+            raise
         record.status = "error"
-        tail = buffer.getvalue().splitlines()[-5:]
-        record.error = traceback.format_exc(limit=8) + (
-            "\n[stdout tail]\n" + "\n".join(tail) if tail else "")
+        # Start the traceback at the body, not at this scope's frame.
+        record.error = "".join(traceback.format_exception(
+            type(exc), exc, exc.__traceback__.tb_next, limit=8))
+    else:
+        if bundle is not None and note is not None:
+            postmortem.write_bundle(
+                postmortem.build_bundle(reason=note, spec=spec), bundle)
     finally:
-        record.wall_s = time.perf_counter() - started  # snic: ignore[SNIC007] -- wall_s is the bench regression signal; matrix cells leave it 0.0 instead
-        stats = hw_events.kernel_stats()
-        record.sim_time_ns = stats["sim_ns_advanced"]
-        record.events_executed = stats["events_executed"]
-        record.trace_events = len(tracer.get_tracer().events)
-        record.metrics_instruments = len(metrics.get_registry())
-        record.histograms = _histogram_percentiles(metrics.get_registry())
-        _isolate()
+        if record is not None:
+            _fill_record(record)
+        isolate()
+
+
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for counts and sizes: an integer >= 1, or a
+    usage error (exit 2) rather than a traceback from deep in a run."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def format_json(report: Dict[str, object]) -> str:
+    """A report as sorted, indented JSON: byte-stable across runs."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def emit_report(rendered: str, *, ok: bool = True,
+                out: Optional[str] = None,
+                stream: Optional[TextIO] = None,
+                label: str = "report") -> int:
+    """The one report tail: write ``rendered`` to ``stream`` (stdout)
+    and, with ``out``, to that file; return the exit code, 0 iff
+    ``ok``."""
+    (stream if stream is not None else sys.stdout).write(rendered)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(rendered)
+        print(f"{label} written to {out}", file=sys.stderr)
+    return 0 if ok else 1
+
+
+# ----------------------------------------------------------------------
+# Running bench scripts
+# ----------------------------------------------------------------------
+
+def run_scenario(path: Path, quick: bool = False,
+                 capture: bool = True) -> BenchRecord:
+    """Run one bench script's ``run(quick)`` under full isolation."""
+    record = BenchRecord(name=scenario_name(path))
+    buffer = io.StringIO()
+    with cell_scope(record):
+        started = time.perf_counter()  # snic: ignore[SNIC007] -- the bench harness *measures* host wall-time; BENCH artifacts are timestamped, not byte-compared
+        try:
+            with contextlib.redirect_stdout(buffer) if capture \
+                    else contextlib.nullcontext():
+                module = load_scenario(path)
+                run = getattr(module, "run", None)
+                if run is None:
+                    record.status = "skipped"
+                    record.error = "no run(quick) entry point"
+                    return record
+                outputs = run(quick=quick)
+            record.outputs = jsonable(outputs if isinstance(outputs, dict)
+                                      else {"result": outputs})
+        except Exception:
+            record.status = "error"
+            tail = buffer.getvalue().splitlines()[-5:]
+            record.error = traceback.format_exc(limit=8) + (
+                "\n[stdout tail]\n" + "\n".join(tail) if tail else "")
+        finally:
+            record.wall_s = time.perf_counter() - started  # snic: ignore[SNIC007] -- wall_s is the bench regression signal; matrix cells leave it 0.0 instead
     return record
 
 

@@ -7,17 +7,14 @@ tracer's unbounded event list is a debugging tool you turn on for one
 run, not something the chaos and matrix harnesses can leave enabled
 across thousands of cells.  The flight recorder is the bounded
 alternative: a ring of at most ``capacity`` entries, additionally
-evicted by simulated age (``window_ns``), fed from three sources:
+evicted by simulated age (``window_ns``), fed from two sources:
 
 * **audit events** — every security-relevant record the
   :mod:`repro.obs.auditlog` emitter routes (attestation verdicts,
   scrubs, TLB installs, denials, faults, recovery actions);
 * **trace events** — when the tracer is *also* enabled, each recorded
   span/instant/counter is mirrored into the ring (the tracer keeps its
-  full list; the ring keeps the tail);
-* **metric deltas** — :meth:`FlightRecorder.note_metrics` diffs the
-  registry against the previous call and records one entry per changed
-  value.
+  full list; the ring keeps the tail).
 
 Overhead discipline
 -------------------
@@ -96,8 +93,6 @@ class FlightRecorder:
         self._entries: Deque[FlightEntry] = deque(maxlen=capacity)
         self._clock = clock
         self._tick = 0
-        #: metric key -> last seen value (baseline for note_metrics).
-        self._metric_baseline: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -119,7 +114,6 @@ class FlightRecorder:
     def clear(self) -> None:
         self._entries.clear()
         self._tick = 0
-        self._metric_baseline = {}
 
     def now(self) -> float:
         if self._clock is not None:
@@ -163,36 +157,6 @@ class FlightRecorder:
             float(event.ts_ns), event.tenant, event.track,
             dict(event.args)))
         self._evict(float(event.ts_ns))
-
-    def note_metrics(self, ts_ns: Optional[float] = None) -> int:
-        """Record one ``metric`` entry per value changed since the last
-        call (or since :meth:`clear`); returns how many were recorded."""
-        if not self.enabled:
-            return 0
-        from repro.obs.metrics import get_registry
-
-        ts = self.now() if ts_ns is None else float(ts_ns)
-        recorded = 0
-        baseline = self._metric_baseline
-        for sample in get_registry().snapshot():
-            labels = sample["labels"]
-            key = str(sample["name"]) + "{" + ",".join(
-                f"{k}={labels[k]}" for k in sorted(labels)) + "}"
-            try:
-                value = float(sample["value"])  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                continue
-            previous = baseline.get(key)
-            if previous is None or value != previous:
-                self._entries.append(FlightEntry(
-                    "metric", key, ts, None, "metrics",
-                    {"value": value,
-                     "delta": value - (previous or 0.0)}))
-                recorded += 1
-            baseline[key] = value
-        if recorded:
-            self._evict(ts)
-        return recorded
 
     def _evict(self, now_ns: float) -> None:
         """Drop entries older than the sim-time window (capacity is
@@ -269,7 +233,7 @@ def _refresh_emitter() -> None:
 
 def reset() -> None:
     """Return the default recorder to its import-time state (used by
-    the bench/matrix ``_isolate`` discipline and the test fixtures)."""
+    the ``repro.obs.bench.isolate`` reset and the test fixtures)."""
     disable_flight_recording()
     _FLIGHT.use_clock(None)
     _FLIGHT.clear()

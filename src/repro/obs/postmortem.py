@@ -9,8 +9,8 @@ holding everything an investigator needs to reconstruct the incident:
 * ``reason`` — the triggering exception (or injected-fault note);
 * ``scenario`` — the active :class:`~repro.scenario.spec.ScenarioSpec`
   (``to_dict()``) plus its seed, so the incident replays exactly;
-* ``flight`` — the flight-recorder tail (recent spans/events/metric
-  deltas in the sim-time window before the failure);
+* ``flight`` — the flight-recorder tail (recent audit records and
+  mirrored trace events in the sim-time window before the failure);
 * ``audit`` — the audit-log tail with each record's embedded ``prev``
   pointer plus the chain head, so the excerpt *self-verifies*: any
   tampered byte in the serialized bundle breaks a link and

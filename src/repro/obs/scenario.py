@@ -72,6 +72,38 @@ def sample_snic_gauges(snic, registry: Optional[metrics.MetricsRegistry] = None)
                            tenant=bank.owner).set(bank.bytes_moved)
 
 
+def cotenancy_spec(n_packets: int = 60):
+    """The two-tenant co-tenancy demo spec: a firewall and a monitor
+    sharing one S-NIC (the ``trace`` command's scenario)."""
+    from repro.scenario.spec import (
+        ArbiterSpec,
+        NFSpec,
+        ScenarioSpec,
+        TenantSpec,
+        TopologySpec,
+        TrafficSpec,
+    )
+
+    return ScenarioSpec(
+        name="cotenancy-demo",
+        seed=7,
+        description="two tenants (firewall + monitor) sharing one S-NIC, "
+                    "every observability layer traced",
+        tags=("trace", "obs"),
+        topology=TopologySpec(nic_model="snic", n_cores=4, dram_mb=128,
+                              key_seed=7, arbiter=ArbiterSpec()),
+        tenants=(
+            TenantSpec(name="fw", nf=NFSpec(kind="firewall",
+                                            params={"rules": 64}),
+                       dst_prefix="20.0.0.0/8", dpi_units=1),
+            TenantSpec(name="mon", nf=NFSpec(kind="monitor"),
+                       dst_prefix="30.0.0.0/8", dpi_units=1),
+        ),
+        traffic=TrafficSpec(n_packets=n_packets, payload_bytes=64,
+                            arrival_period_ns=800),
+    )
+
+
 def run_cotenancy_scenario(
     out_path: str = "snic_trace.json",
     n_packets: int = 60,
@@ -82,8 +114,8 @@ def run_cotenancy_scenario(
 ) -> Dict[str, object]:
     """Run the co-tenancy demo and write a Perfetto-loadable trace.
 
-    The device, tenants, runtime, and offered load come from the
-    scenario registry's ``cotenancy-demo`` spec (or any
+    The device, tenants, runtime, and offered load come from
+    :func:`cotenancy_spec` (or any
     :class:`~repro.scenario.spec.ScenarioSpec` passed as ``spec``),
     materialized through :func:`repro.scenario.build.build_scenario` —
     this harness only owns the observability choreography on top.
@@ -103,7 +135,6 @@ def run_cotenancy_scenario(
     # Imports here keep ``import repro.obs`` itself dependency-light.
     from repro.hw.accelerator import AcceleratorRequest
     from repro.scenario.build import build_scenario
-    from repro.scenario.builtin import cotenancy_spec
 
     if spec is None:
         spec = cotenancy_spec(n_packets=n_packets)
@@ -228,6 +259,5 @@ def run_cotenancy_scenario(
             "timeseries_path": timeseries_path,
             "timeseries_samples": sampler.samples_taken,
         }
-    tracer.use_clock(None)
     tracer.disable()
     return summary

@@ -33,12 +33,11 @@ exactly those alerts fire — the alerting path's end-to-end self-test.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import io
-import json
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.bench import emit_report, format_json, positive_int
 from repro.obs.slo import (
     LATENCY_METRIC,
     BurnRateAlerter,
@@ -226,70 +225,65 @@ def run_spec(spec: ScenarioSpec, quick: bool = False,
     with an ``arbiter`` label) are appended to it before the trailing
     isolation reset wipes the registry.
     """
-    from repro.analysis.isosan import sanitized
     from repro.obs import auditlog as auditlog_mod
     from repro.obs import openmetrics
-    from repro.obs.bench import _isolate
+    from repro.obs.bench import cell_scope
     from repro.obs.metrics import get_registry
     from repro.scenario.build import build_scenario
 
-    _isolate()
-    auditlog_mod.enable_audit_log()
     rounds = 8 if quick else 16
-    try:
-        scope = sanitized() if sanitize else contextlib.nullcontext()
-        with scope:
-            with build_scenario(spec) as built:
-                registry = get_registry()
-                by_id: Dict[int, str] = {}
-                slos: Dict[int, TenantSLO] = {}
-                for tenant in spec.tenants:
-                    nf_id = built.tenants[tenant.name]
-                    by_id[nf_id] = tenant.name
-                    if tenant.slo is not None:
-                        slos[nf_id] = tenant.slo
-                    # Mint every tenant's family up front so tenants
-                    # with zero completions still render a row.
-                    registry.histogram(LATENCY_METRIC, tenant=nf_id)
+    with cell_scope(sanitize=sanitize, audit=True):
+        with build_scenario(spec) as built:
+            registry = get_registry()
+            by_id: Dict[int, str] = {}
+            slos: Dict[int, TenantSLO] = {}
+            for tenant in spec.tenants:
+                nf_id = built.tenants[tenant.name]
+                by_id[nf_id] = tenant.name
+                if tenant.slo is not None:
+                    slos[nf_id] = tenant.slo
+                # Mint every tenant's family up front so tenants
+                # with zero completions still render a row.
+                registry.histogram(LATENCY_METRIC, tenant=nf_id)
 
-                def observe(nf_id: int, latency_ns: int,
-                            _departure_ns: int) -> None:
-                    registry.histogram(
-                        LATENCY_METRIC,
-                        tenant=nf_id).observe(float(latency_ns))
+            def observe(nf_id: int, latency_ns: int,
+                        _departure_ns: int) -> None:
+                registry.histogram(
+                    LATENCY_METRIC,
+                    tenant=nf_id).observe(float(latency_ns))
 
-                built.runtime.on_complete = observe
-                horizon_ns = float(
-                    spec.traffic.n_packets * spec.traffic.arrival_period_ns
-                    + rounds * _ROUND_PERIOD_NS)
-                alerter = BurnRateAlerter(slos, horizon_ns=horizon_ns)
-                aggregator = WindowedAggregator(
-                    built.runtime.sim, window_ns=window_ns,
-                    on_rotate=alerter.observe)
-                aggregator.start()
-                offered = _offered_by_tenant(spec, built)
-                sim = built.runtime.sim
-                outputs = built.drive(
-                    quick=quick, rounds=rounds,
-                    on_round=lambda _i, end_ns: aggregator.rotate(
-                        now_ns=sim.now_ns + end_ns))
-                aggregator.stop()
-                xwait = _xwait_by_victim(built.blame)
-                timing = built.snic.timing
-                rows = []
-                for tenant in spec.tenants:
-                    nf_id = built.tenants[tenant.name]
-                    rows.append(_tenant_row(
-                        tenant, nf_id, registry, outputs, offered,
-                        xwait, timing.nf_destroy_ms(
-                            built.snic.record(nf_id).extent_bytes) * 1e6,
-                        alerter))
-                if families_sink is not None:
-                    extra = {"arbiter": spec.topology.arbiter.policy}
-                    families_sink.extend(openmetrics.registry_families(
-                        registry, extra_labels=extra))
-                    families_sink.extend(openmetrics.window_families(
-                        aggregator.snapshots, extra_labels=extra))
+            built.runtime.on_complete = observe
+            horizon_ns = float(
+                spec.traffic.n_packets * spec.traffic.arrival_period_ns
+                + rounds * _ROUND_PERIOD_NS)
+            alerter = BurnRateAlerter(slos, horizon_ns=horizon_ns)
+            aggregator = WindowedAggregator(
+                built.runtime.sim, window_ns=window_ns,
+                on_rotate=alerter.observe)
+            aggregator.start()
+            offered = _offered_by_tenant(spec, built)
+            sim = built.runtime.sim
+            outputs = built.drive(
+                quick=quick, rounds=rounds,
+                on_round=lambda _i, end_ns: aggregator.rotate(
+                    now_ns=sim.now_ns + end_ns))
+            aggregator.stop()
+            xwait = _xwait_by_victim(built.blame)
+            timing = built.snic.timing
+            rows = []
+            for tenant in spec.tenants:
+                nf_id = built.tenants[tenant.name]
+                rows.append(_tenant_row(
+                    tenant, nf_id, registry, outputs, offered,
+                    xwait, timing.nf_destroy_ms(
+                        built.snic.record(nf_id).extent_bytes) * 1e6,
+                    alerter))
+            if families_sink is not None:
+                extra = {"arbiter": spec.topology.arbiter.policy}
+                families_sink.extend(openmetrics.registry_families(
+                    registry, extra_labels=extra))
+                families_sink.extend(openmetrics.window_families(
+                    aggregator.snapshots, extra_labels=extra))
         log = auditlog_mod.get_audit_log()
         alerts = []
         for alert in alerter.alert_dicts():
@@ -313,9 +307,6 @@ def run_spec(spec: ScenarioSpec, quick: bool = False,
                 "chain_ok": log.verify_chain() is None,
             },
         }
-    finally:
-        auditlog_mod.reset()
-        _isolate()
 
 
 def _offered_by_tenant(spec: ScenarioSpec, built) -> Dict[str, int]:
@@ -482,10 +473,6 @@ def run_violation_demo(seed: int = 7, sanitize: bool = False,
 # ----------------------------------------------------------------------
 
 
-def format_json(report: Dict[str, object]) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
 _CSV_FIELDS = (
     "arbiter", "tenant", "nf_id", "offered", "completed",
     "p99_latency_ns", "cross_tenant_wait_ns", "teardown_ns", "alerts",
@@ -576,7 +563,6 @@ _FORMATTERS = {"text": format_text, "json": format_json,
 def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
     from repro.analysis.isosan import enabled_by_env
 
-    stream = stream if stream is not None else sys.stdout
     parser = argparse.ArgumentParser(
         prog="python -m repro slo",
         description="Per-tenant SLO scorecard: run N Zipf-skewed "
@@ -586,7 +572,8 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized run (fewer packets/rounds; "
                              "default 128 tenants)")
-    parser.add_argument("--tenants", type=int, default=None, metavar="N",
+    parser.add_argument("--tenants", type=positive_int, default=None,
+                        metavar="N",
                         help="tenant count per arbiter (default: 128 "
                              "quick, 256 full)")
     parser.add_argument("--seed", type=int, default=7,
@@ -596,7 +583,7 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
                         metavar="LIST",
                         help="comma-separated arbiter policies "
                              "(default fcfs,temporal,drr)")
-    parser.add_argument("--window-ns", type=int,
+    parser.add_argument("--window-ns", type=positive_int,
                         default=DEFAULT_WINDOW_NS,
                         help="aggregation window in simulated ns "
                              f"(default {DEFAULT_WINDOW_NS})")
@@ -606,7 +593,8 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
     parser.add_argument("--sanitize", action="store_true",
                         help="run every cell under the IsoSan runtime "
                              "sanitizer (also via REPRO_ISOSAN=1)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
+    parser.add_argument("--shards", type=positive_int, default=None,
+                        metavar="N",
                         help="split each arbiter cell into its spec's "
                              "independent partitions and run them on N "
                              "worker processes (reports are "
@@ -623,15 +611,11 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
     args = parser.parse_args(argv)
 
     sanitize = args.sanitize or enabled_by_env(default=False)
-    if args.shards is not None:
-        if args.shards < 1:
-            print("error: --shards must be >= 1", file=sys.stderr)
-            return 2
-        if args.violation_demo or args.openmetrics:
-            print("error: --shards cannot combine with --violation-demo "
-                  "or --openmetrics (both need the monolithic in-process "
-                  "registry)", file=sys.stderr)
-            return 2
+    if args.shards is not None and (args.violation_demo or args.openmetrics):
+        print("error: --shards cannot combine with --violation-demo "
+              "or --openmetrics (both need the monolithic in-process "
+              "registry)", file=sys.stderr)
+        return 2
     if args.violation_demo:
         report = run_violation_demo(
             seed=args.seed, sanitize=sanitize,
@@ -651,19 +635,13 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
             arbiters=arbiters, sanitize=sanitize,
             window_ns=args.window_ns,
             openmetrics_path=args.openmetrics, workers=args.shards)
-    rendered = _FORMATTERS[args.format](report)
-    stream.write(rendered)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-        print(f"slo report written to {args.out}",
-              file=sys.stderr if stream is sys.stdout else stream)
+    code = emit_report(_FORMATTERS[args.format](report),
+                       ok=report.get("alerts_match", True), out=args.out,
+                       stream=stream, label="slo report")
     if args.openmetrics:
         print(f"openmetrics export written to {args.openmetrics}",
-              file=sys.stderr if stream is sys.stdout else stream)
-    if report["mode"] == "violation-demo":
-        return 0 if report["alerts_match"] else 1
-    return 0
+              file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover — exercised via -m repro

@@ -1,15 +1,16 @@
-"""``repro.scenario`` — declarative scenarios, the registry, and the
-matrix sweep runner.
+"""``repro.scenario`` — declarative scenarios and the matrix sweep
+runner.
 
 * :mod:`repro.scenario.spec` — frozen, validated experiment specs with
   a lossless dict/JSON round-trip and mandatory explicit seeding;
-* :mod:`repro.scenario.registry` — the ``@scenario("name")`` catalog
-  with discovery, listing, and tag filtering;
 * :mod:`repro.scenario.build` — spec → live simulation, with
   context-managed setup/teardown;
-* :mod:`repro.scenario.builtin` — the four built-in scenarios;
 * :mod:`repro.scenario.matrix` — the axis-product sweep behind
   ``python -m repro matrix``.
+
+Each experiment has one entry point (a ``python -m repro`` command);
+every cell of every experiment runs through
+:func:`repro.obs.bench.cell_scope`.
 """
 
 from repro.scenario.spec import (
@@ -27,19 +28,6 @@ from repro.scenario.spec import (
     TrafficSpec,
     derive_seed,
 )
-from repro.scenario.registry import (
-    DuplicateScenarioError,
-    RegisteredScenario,
-    UnknownScenarioError,
-    discover,
-    entries,
-    get,
-    names,
-    register,
-    run,
-    scenario,
-    unregister,
-)
 from repro.scenario.build import (
     BuiltScenario,
     ContentionRig,
@@ -55,12 +43,10 @@ __all__ = [
     "ArbiterSpec",
     "BuiltScenario",
     "ContentionRig",
-    "DuplicateScenarioError",
     "FaultSpec",
     "NF_KINDS",
     "NFSpec",
     "NIC_MODELS",
-    "RegisteredScenario",
     "ScenarioBuildError",
     "ScenarioSpec",
     "ShardSpec",
@@ -68,18 +54,9 @@ __all__ = [
     "TenantSpec",
     "TopologySpec",
     "TrafficSpec",
-    "UnknownScenarioError",
     "build_scenario",
     "derive_seed",
-    "discover",
-    "entries",
-    "get",
     "make_arbiter",
     "make_nf",
     "make_packets",
-    "names",
-    "register",
-    "run",
-    "scenario",
-    "unregister",
 ]

@@ -8,7 +8,7 @@ test — gets the same lifecycle::
 
     with build_scenario(spec) as built:
         outputs = built.drive(quick=True)
-    # NFs destroyed, injector uninstalled, tracer clock released.
+    # NFs destroyed, injector uninstalled, observer clocks released.
 
 What a deployment consists of:
 
@@ -37,6 +37,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.obs.bench import bind_clock
 from repro.scenario.spec import (
     ArbiterSpec,
     NFSpec,
@@ -271,7 +272,8 @@ class BuiltScenario:
             self.snic,
             poll_interval_ns=topo.poll_interval_ns,
             service_ns_per_packet=topo.service_ns_per_packet)
-        self._arm_observers()
+        sim = self.runtime.sim
+        bind_clock(lambda: sim.now_ns)
         next_core = 0
         for tenant in self.spec.tenants:
             core_ids = tuple(range(next_core, next_core + tenant.cores))
@@ -310,38 +312,8 @@ class BuiltScenario:
             for nf_id in list(self.tenants.values()):
                 if nf_id in self.snic.live_functions:
                     self.nic_os.NF_destroy(nf_id)
-        from repro.obs import tracer as tracer_mod
-
-        tracer_mod.get_tracer().use_clock(None)
-        self._release_observers()
+        bind_clock(None)
         self._deployed = False
-
-    def _arm_observers(self) -> None:
-        """Bind any armed flight recorder / audit log to this cell's
-        simulated clock (no-op when neither is enabled — the forensic
-        layer stays zero-cost unless a harness turned it on)."""
-        from repro.obs.auditlog import get_audit_log
-        from repro.obs.flight import get_flight_recorder
-
-        sim = self.runtime.sim
-        flight = get_flight_recorder()
-        if flight.enabled:
-            flight.use_clock(lambda: sim.now_ns)
-        audit = get_audit_log()
-        if audit.enabled:
-            audit.use_clock(lambda: sim.now_ns)
-
-    def _release_observers(self) -> None:
-        """Drop clock bindings into this (now dead) cell's simulator."""
-        from repro.obs.auditlog import get_audit_log
-        from repro.obs.flight import get_flight_recorder
-
-        flight = get_flight_recorder()
-        if flight.enabled:
-            flight.use_clock(None)
-        audit = get_audit_log()
-        if audit.enabled:
-            audit.use_clock(None)
 
     # -- derived pieces ------------------------------------------------
 

@@ -5,11 +5,11 @@ The matrix is the axis product
     {nic_model} x {tenant_count} x {fault_class} x {arbiter} x {seed}
 
 expanded into :class:`MatrixCell`\\ s, each materialized through the
-scenario builder (:mod:`repro.scenario.build`) under full state
-isolation — the same reset discipline as :mod:`repro.obs.bench`: fresh
-metrics registry, zeroed event-kernel counters, disabled tracer before
-*and* after every cell.  One cell produces one ``repro.bench``-shaped
-record (schema v1), so bench tooling can read matrix artifacts.
+scenario builder (:mod:`repro.scenario.build`) inside one
+:func:`repro.obs.bench.cell_scope`: the process-wide state reset runs
+before *and* after every cell.  One cell produces one
+``repro.bench``-shaped record (schema v1), so bench tooling can read
+matrix artifacts.
 
 Determinism is a hard contract: the report contains **no wall-clock
 values** (``wall_s`` stays ``0.0``), every cell's seed is derived from
@@ -24,10 +24,10 @@ import argparse
 import io
 import json
 import sys
-import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.obs.bench import emit_report, format_json, positive_int
 from repro.scenario.spec import (
     ArbiterSpec,
     FaultSpec,
@@ -188,74 +188,35 @@ def run_cell(cell: MatrixCell, quick: bool = False,
     metrics registry and the tracer's spans.  A shard worker hands this
     back for the merge.
     """
-    import contextlib
-
-    from repro.analysis.isosan import sanitized
-    from repro.hw import events as hw_events
-    from repro.obs import metrics, tracer
-    from repro.obs.bench import (
-        BenchRecord,
-        _histogram_percentiles,
-        _isolate,
-        jsonable,
-    )
+    from repro.obs import metrics, postmortem, tracer
+    from repro.obs.bench import BenchRecord, cell_scope, jsonable
     from repro.scenario.build import build_scenario
 
     if spec is None:
         spec = cell_spec(cell, quick=quick)
     record = BenchRecord(name=spec.name)
-    _isolate()
-    forensic = postmortem_dir is not None
-    if forensic:
-        from repro.obs import auditlog as auditlog_mod
-        from repro.obs import flight as flight_mod
-
-        auditlog_mod.enable_audit_log()
-        flight_mod.enable_flight_recording()
-    try:
-        scope = sanitized() if sanitize else contextlib.nullcontext()
-        with scope:
+    bundle = None if postmortem_dir is None \
+        else postmortem.bundle_path(postmortem_dir, spec.name)
+    with cell_scope(record, sanitize=sanitize, bundle=bundle, spec=spec):
+        try:
             with build_scenario(spec) as built:
                 outputs = built.drive(quick=quick)
                 if payload is not None:
                     payload["latencies"] = sorted(
                         t.latency_ns for t in built.runtime.stats.timings)
-        record.outputs = jsonable(outputs)
-    except Exception as exc:
-        record.status = "error"
-        record.error = traceback.format_exc(limit=8)
-        if forensic:
-            from repro.obs import postmortem as postmortem_mod
+            record.outputs = jsonable(outputs)
+        finally:
+            if payload is not None:
+                from repro.shard.frames import (
+                    registry_to_frame,
+                    trace_events_to_frame,
+                )
 
-            bundle = postmortem_mod.build_bundle(
-                reason=exc, spec=spec,
-                flight=flight_mod.get_flight_recorder(),
-                audit=auditlog_mod.get_audit_log(),
-                registry=metrics.get_registry())
-            postmortem_mod.write_bundle(
-                bundle,
-                postmortem_mod.bundle_path(postmortem_dir, spec.name))
-    finally:
-        stats = hw_events.kernel_stats()
-        record.sim_time_ns = stats["sim_ns_advanced"]
-        record.events_executed = stats["events_executed"]
-        record.trace_events = len(tracer.get_tracer().events)
-        record.metrics_instruments = len(metrics.get_registry())
-        record.histograms = _histogram_percentiles(metrics.get_registry())
-        if payload is not None:
-            from repro.shard.frames import (
-                registry_to_frame,
-                trace_events_to_frame,
-            )
-
-            payload.setdefault("latencies", [])
-            payload["registry"] = registry_to_frame(metrics.get_registry())
-            payload["trace_events"] = trace_events_to_frame(
-                tracer.get_tracer().events)
-        if forensic:
-            flight_mod.reset()
-            auditlog_mod.reset()
-        _isolate()
+                payload.setdefault("latencies", [])
+                payload["registry"] = registry_to_frame(
+                    metrics.get_registry())
+                payload["trace_events"] = trace_events_to_frame(
+                    tracer.get_tracer().events)
     return record
 
 
@@ -449,10 +410,6 @@ def _sweep(runs: List[tuple], seed: int, reps: int, mode: str,
 # ----------------------------------------------------------------------
 
 
-def format_json(report: Dict[str, object]) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
 _CSV_FIELDS = (
     "name", "nic_model", "tenant_count", "fault_class", "arbiter", "seed",
     "status", "packets_completed", "packets_dropped", "latency_p50_ns",
@@ -534,7 +491,6 @@ _FORMATTERS = {"text": format_text, "json": format_json, "csv": format_csv}
 def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
     from repro.analysis.isosan import enabled_by_env
 
-    stream = stream if stream is not None else sys.stdout
     parser = argparse.ArgumentParser(
         prog="python -m repro matrix",
         description="Sweep the scenario matrix: "
@@ -552,7 +508,8 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
                         help="run a JSON or YAML ScenarioSpec file instead "
                              "of the axis sweep (repeatable; see "
                              "examples/slo_scenario.json)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
+    parser.add_argument("--shards", type=positive_int, default=None,
+                        metavar="N",
                         help="split each cell into its spec's independent "
                              "partitions and run them on N worker "
                              "processes (reports are byte-identical for "
@@ -576,15 +533,11 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
     args = parser.parse_args(argv)
 
     sanitize = args.sanitize or enabled_by_env(default=False)
-    if args.shards is not None:
-        if args.shards < 1:
-            print("error: --shards must be >= 1", file=sys.stderr)
-            return 2
-        if args.postmortem_dir is not None:
-            print("error: --shards and --postmortem-dir are mutually "
-                  "exclusive (forensics bundles are per-shard-process)",
-                  file=sys.stderr)
-            return 2
+    if args.shards is not None and args.postmortem_dir is not None:
+        print("error: --shards and --postmortem-dir are mutually "
+              "exclusive (forensics bundles are per-shard-process)",
+              file=sys.stderr)
+        return 2
     if args.spec:
         from repro.scenario.spec import SpecError
 
@@ -602,14 +555,9 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
                             sanitize=sanitize,
                             postmortem_dir=args.postmortem_dir,
                             shards=args.shards)
-    rendered = _FORMATTERS[args.format](report)
-    stream.write(rendered)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
-        print(f"matrix report written to {args.out}",
-              file=sys.stderr if stream is sys.stdout else stream)
-    return 0 if report["n_error"] == 0 else 1
+    return emit_report(_FORMATTERS[args.format](report),
+                       ok=report["n_error"] == 0, out=args.out,
+                       stream=stream, label="matrix report")
 
 
 if __name__ == "__main__":  # pragma: no cover — exercised via -m repro

@@ -15,8 +15,8 @@ from repro.analysis.lint import (
     ModuleSource,
     call_name,
     default_rules,
+    format_findings_json,
     format_github,
-    format_json,
     format_text,
     main as lint_main,
     module_name_for,
@@ -389,7 +389,7 @@ class TestOutputFormats:
         return LintEngine().lint_file(FIXTURE)
 
     def test_json_format_round_trips(self, findings):
-        payload = json.loads(format_json(findings))
+        payload = json.loads(format_findings_json(findings))
         assert payload["n_active"] == len(
             [f for f in findings if not f.suppressed])
         assert {f["rule"] for f in payload["findings"]} == ALL_RULES

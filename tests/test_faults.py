@@ -20,12 +20,13 @@ from repro.faults import (
     Watchdog,
     retry_dma,
 )
-from repro.faults.chaos import format_report_json, main as chaos_main, run_chaos
+from repro.faults.chaos import main as chaos_main, run_chaos
 from repro.faults.plan import ALL_FAULT_KINDS
 from repro.hw.bus import FCFSArbiter
 from repro.hw.dma import DMAController, DMAWindow
 from repro.hw.events import Simulator
 from repro.hw.memory import HostMemory, PhysicalMemory
+from repro.obs.bench import format_json
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +250,7 @@ class TestChaos:
     def test_single_kind_report_is_deterministic(self):
         first = run_chaos(seed=11, quick=True, kinds=["wire_drop"])
         second = run_chaos(seed=11, quick=True, kinds=["wire_drop"])
-        assert format_report_json(first) == format_report_json(second)
+        assert format_json(first) == format_json(second)
 
     def test_blast_radius_verdict_for_a_headline_kind(self):
         report = run_chaos(seed=0, quick=True, kinds=["bus_babble"])

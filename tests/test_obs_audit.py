@@ -9,12 +9,12 @@ import json
 import pytest
 
 from repro.obs.audit import (
-    format_scorecard_json,
     format_scorecard_markdown,
     format_scorecard_text,
     main as audit_main,
     run_audit,
 )
+from repro.obs.bench import format_json
 from repro.obs.interference import RESOURCES
 
 
@@ -88,13 +88,13 @@ class TestVerdict:
 class TestDeterminism:
     def test_two_audits_are_byte_identical(self, scorecard):
         again = run_audit(quick=True)
-        assert format_scorecard_json(scorecard) == \
-            format_scorecard_json(again)
+        assert format_json(scorecard) == \
+            format_json(again)
 
 
 class TestRendering:
     def test_json_is_valid_and_sorted(self, scorecard):
-        rendered = format_scorecard_json(scorecard)
+        rendered = format_json(scorecard)
         payload = json.loads(rendered)
         assert payload["schema"] == scorecard["schema"]
         assert rendered == json.dumps(payload, indent=2,

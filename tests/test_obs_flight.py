@@ -3,7 +3,7 @@ mirroring, metric deltas, and the strict disabled no-op."""
 
 from __future__ import annotations
 
-from repro.obs import auditlog, flight, metrics
+from repro.obs import auditlog, flight
 from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
 from repro.obs.tracer import get_tracer
 
@@ -62,11 +62,6 @@ class TestDisabledNoOp:
         recorder.record_trace(object())  # not even attribute-touched
         assert len(recorder) == 0
 
-    def test_disabled_note_metrics_reads_nothing(self):
-        recorder = FlightRecorder()
-        assert recorder.note_metrics() == 0
-        assert recorder._metric_baseline == {}
-
 
 class TestTracerMirror:
     def test_enable_attaches_mirror_and_disable_detaches(self):
@@ -107,25 +102,6 @@ class TestTracerMirror:
             disable_tracing()
             get_tracer().clear()
             flight.reset()  # also restores the default ring capacity
-
-
-class TestMetricDeltas:
-    def test_note_metrics_records_changed_values_once(self):
-        flight.enable_flight_recording()
-        recorder = flight.get_flight_recorder()
-        counter = metrics.get_registry().counter(
-            "fixture_flight_total", tenant=1)
-        counter.inc(5)
-        first = recorder.note_metrics(ts_ns=1.0)
-        assert first >= 1
-        # No changes → no new entries.
-        assert recorder.note_metrics(ts_ns=2.0) == 0
-        counter.inc(2)
-        assert recorder.note_metrics(ts_ns=3.0) == 1
-        deltas = [e for e in recorder.entries() if e.kind == "metric"
-                  and "fixture_flight_total" in e.name]
-        assert deltas[-1].args["delta"] == 2.0
-        assert deltas[-1].args["value"] == 7.0
 
 
 class TestEnableDisableLifecycle:

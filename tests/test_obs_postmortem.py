@@ -31,7 +31,6 @@ def drive_forensics(seed: int = 3) -> None:
     emitter.emit("memory.scrub", tenant=0, pages=seed, scrubbed=True)
     metrics.get_registry().counter(
         "fixture_pm_total", tenant=0).inc(seed)
-    flight.get_flight_recorder().note_metrics()
 
 
 class _Spec:

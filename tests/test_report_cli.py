@@ -24,6 +24,36 @@ class TestCLI:
         assert "unknown command" in completed.stderr
 
 
+#: (command, flag, bad value): every count or size that must be >= 1.
+_BAD_SIZES = [
+    ("slo", "--tenants", "0"),
+    ("slo", "--tenants", "-3"),
+    ("slo", "--window-ns", "0"),
+    ("slo", "--window-ns", "-5"),
+    ("slo", "--shards", "0"),
+    ("matrix", "--shards", "0"),
+    ("bench", "--shards", "0"),
+]
+
+
+class TestBadSizes:
+    @pytest.mark.parametrize("command,flag,value", _BAD_SIZES)
+    def test_bad_size_is_a_usage_error(self, command, flag, value,
+                                       capsys):
+        from repro.__main__ import main
+
+        argv = ["repro", command, "--quick", flag, value]
+        if flag == "--window-ns":
+            argv += ["--tenants", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(
+            f"error: argument {flag}: must be >= 1, got {value}")
+
+
 class TestReport:
     def test_report_runs_and_mentions_headlines(self, capsys):
         from repro.report import main

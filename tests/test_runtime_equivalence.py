@@ -176,18 +176,16 @@ def cell_in_process(spec: ScenarioSpec) -> Dict[str, object]:
     outputs combined: sums, the union of per-tenant counts, partition
     0's victim, percentiles over every partition's latencies."""
     from repro.core.runtime import rank_percentile
-    from repro.obs.bench import _isolate
+    from repro.obs.bench import cell_scope
     from repro.shard.partition import partition_specs
 
     outputs = []
     latencies: List[int] = []
     for part in partition_specs(spec):
-        _isolate()
-        with build_scenario(part) as built:
+        with cell_scope(), build_scenario(part) as built:
             outputs.append(built.drive(quick=True))
             latencies.extend(
                 t.latency_ns for t in built.runtime.stats.timings)
-    _isolate()
     latencies.sort()
     merged = dict(outputs[0])
     for key in ("packets_completed", "packets_dropped",

@@ -211,20 +211,17 @@ class TestEngineInvariance:
 def _cross_tenant_waits(spec: ScenarioSpec) -> dict:
     """``{(victim, culprit): wait_ns}`` by tenant name, over every
     resource, for one in-process run of ``spec``."""
-    from repro.obs.bench import _isolate
+    from repro.obs.bench import cell_scope
     from repro.obs.interference import blame_matrix
     from repro.obs.metrics import get_registry
     from repro.scenario.build import build_scenario
 
-    _isolate()
-    try:
+    with cell_scope():
         with build_scenario(spec) as built:
             built.drive(quick=True)
             names = {str(nf_id): name
                      for name, nf_id in built.tenants.items()}
             matrix = blame_matrix(get_registry())
-    finally:
-        _isolate()
     waits: dict = {}
     for cells in matrix.values():
         for (victim, culprit), cell in cells.items():
