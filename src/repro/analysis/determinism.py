@@ -260,16 +260,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="emit the report as JSON")
     args = parser.parse_args(argv)
 
+    from repro.obs.bench import emit_report
+
     reports = [check_cotenancy_determinism(n_packets=args.packets)]
     if args.shards:
         reports.append(check_shard_invariance())
     if args.json:
-        print(json.dumps([r.as_dict() for r in reports], indent=2)
-              if len(reports) > 1
-              else json.dumps(reports[0].as_dict(), indent=2))
+        rendered = json.dumps([r.as_dict() for r in reports], indent=2) \
+            if len(reports) > 1 \
+            else json.dumps(reports[0].as_dict(), indent=2)
     else:
-        print("\n".join(r.render() for r in reports))
-    return 0 if all(r.deterministic for r in reports) else 1
+        rendered = "\n".join(r.render() for r in reports)
+    return emit_report(rendered + "\n",
+                       ok=all(r.deterministic for r in reports))
 
 
 if __name__ == "__main__":

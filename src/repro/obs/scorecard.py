@@ -360,6 +360,15 @@ def _tenant_row(tenant: TenantSpec, nf_id: int, registry, outputs,
 # ----------------------------------------------------------------------
 
 
+def _write_openmetrics(path: str, families: List[object]) -> None:
+    """Merge the cells' OpenMetrics families and write them as text."""
+    from repro.obs import openmetrics
+
+    text = openmetrics.render_families(openmetrics.merge_families(families))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def run_scorecard(n_tenants: int = 128, seed: int = 7,
                   quick: bool = False,
                   arbiters: Sequence[str] = DEFAULT_ARBITERS,
@@ -376,8 +385,6 @@ def run_scorecard(n_tenants: int = 128, seed: int = 7,
     carries a ``sharded`` block with the partition count, a property of
     the spec, but never the worker count.
     """
-    from repro.obs import openmetrics
-
     if workers is not None and openmetrics_path is not None:
         raise ValueError("the OpenMetrics export needs the monolithic "
                          "in-process registry")
@@ -397,10 +404,7 @@ def run_scorecard(n_tenants: int = 128, seed: int = 7,
                 spec, quick=quick, sanitize=sanitize, window_ns=window_ns,
                 workers=workers)
     if openmetrics_path is not None:
-        text = openmetrics.render_families(
-            openmetrics.merge_families(families))
-        with open(openmetrics_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_openmetrics(openmetrics_path, families)
     report: Dict[str, object] = {
         "schema": SCHEMA,
         "schema_version": SCHEMA_VERSION,
@@ -438,18 +442,13 @@ def run_violation_demo(seed: int = 7, sanitize: bool = False,
                        openmetrics_path: Optional[str] = None,
                        ) -> Dict[str, object]:
     """Run the seeded alert self-test and compare against expectation."""
-    from repro.obs import openmetrics
-
     families: Optional[List[object]] = \
         [] if openmetrics_path is not None else None
     spec = make_violation_spec(seed)
     result = run_spec(spec, quick=True, sanitize=sanitize,
                       window_ns=window_ns, families_sink=families)
     if openmetrics_path is not None:
-        text = openmetrics.render_families(
-            openmetrics.merge_families(families))
-        with open(openmetrics_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_openmetrics(openmetrics_path, families)
     observed = sorted((a["tenant_name"], a["kind"], a["tier"])
                       for a in result["alerts"])
     expected = sorted(EXPECTED_DEMO_ALERTS)

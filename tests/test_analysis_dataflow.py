@@ -186,6 +186,27 @@ class TestEscape:
         info = infos["state.RULE_IDS"]
         assert not info.mutable and info.shard_safe
 
+    def test_reasons_name_the_writing_function_not_its_line(self, infos):
+        assert infos["state.SEEN"].reasons == [
+            "state:remember mutator .add() call"]
+        assert "pipeline:steal_and_forward subscript store" in \
+            infos["state.FLOW_TABLE"].reasons
+
+    def test_nested_writes_are_named_by_qualname_once(self, tmp_path):
+        (tmp_path / "nest.py").write_text(
+            "CACHE = {}\n"
+            "\n"
+            "class Box:\n"
+            "    def fill(self):\n"
+            "        def inner():\n"
+            "            CACHE[1] = 1\n"
+            "            CACHE[2] = 2\n"
+            "        inner()\n")
+        graph = ProgramGraph.build(load_modules([tmp_path]))
+        (info,) = EscapeAnalysis(graph).run()
+        assert info.reasons == [
+            "nest:Box.fill.<locals>.inner subscript store"]
+
     def test_singleton_factory_handle_is_unsafe(self, tmp_path):
         (tmp_path / "single.py").write_text(
             "_TRACER = get_tracer()\n")

@@ -2,7 +2,8 @@
 
 Covers discovery of ``benchmarks/bench_*.py``, isolated quick runs that
 produce schema-versioned ``BENCH_*.json`` artifacts, regression
-detection in ``compare``, and the ``jsonable`` output sanitizer.
+detection in ``compare``, the ``jsonable`` output sanitizer, and the
+``cell_scope`` every experiment front end runs its cells in.
 """
 
 from __future__ import annotations
@@ -30,6 +31,49 @@ class TestDiscovery:
         d = bench.default_bench_dir()
         assert d.name == "benchmarks"
         assert (d / "_common.py").exists()
+
+
+class TestCellScope:
+    def test_record_is_filled_before_the_trailing_reset(self):
+        from repro.obs import metrics
+
+        record = bench.BenchRecord(name="cell")
+        with bench.cell_scope(record):
+            metrics.get_registry().counter("cell_scope_total").inc()
+            raise RuntimeError("boom")
+        assert record.status == "error"
+        assert "RuntimeError: boom" in record.error
+        # The traceback starts at the body, not at the scope's frame.
+        assert "test_obs_bench.py" in record.error.splitlines()[1]
+        assert record.metrics_instruments == 1
+        assert len(metrics.get_registry()) == 0
+
+    def test_forensic_scope_bundles_and_reraises(self, tmp_path):
+        from repro.obs import auditlog, flight
+
+        path = tmp_path / "POSTMORTEM_cell.json"
+        with pytest.raises(RuntimeError):
+            with bench.cell_scope(bundle=str(path)):
+                assert flight.get_flight_recorder().enabled
+                assert auditlog.get_audit_log().enabled
+                raise RuntimeError("boom")
+        reason = json.loads(path.read_text())["reason"]
+        assert reason == {"kind": "RuntimeError", "message": "boom"}
+        assert not flight.get_flight_recorder().enabled
+        assert not auditlog.get_audit_log().enabled
+
+    def test_forensic_scope_bundles_a_success_only_with_a_note(
+            self, tmp_path):
+        quiet, noted = tmp_path / "quiet.json", tmp_path / "noted.json"
+        with bench.cell_scope(bundle=str(quiet)):
+            pass
+        with bench.cell_scope(bundle=str(noted),
+                              note={"kind": "FaultInjected",
+                                    "message": "m"}):
+            pass
+        assert not quiet.exists()
+        assert json.loads(noted.read_text())["reason"] == {
+            "kind": "FaultInjected", "message": "m"}
 
 
 class TestRunScenario:
