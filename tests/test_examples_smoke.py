@@ -17,22 +17,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.bench import cell_scope
+
 pytestmark = pytest.mark.no_isosan
 
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
-
-
-def _reset_globals() -> None:
-    from repro.hw import events as hw_events
-    from repro.obs import metrics, tracer
-
-    metrics.reset()
-    hw_events.reset_kernel_stats()
-    t = tracer.get_tracer()
-    t.disable()
-    t.use_clock(None)
-    t.clear()
 
 
 def test_examples_exist():
@@ -44,11 +34,7 @@ def test_example_runs(path: Path, tmp_path, monkeypatch):
     # Run from a scratch directory so examples that write artifacts
     # (traces, reports) don't litter the repo root.
     monkeypatch.chdir(tmp_path)
-    _reset_globals()
     buffer = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(buffer):
-            runpy.run_path(str(path), run_name="__main__")
-    finally:
-        _reset_globals()
+    with cell_scope(), contextlib.redirect_stdout(buffer):
+        runpy.run_path(str(path), run_name="__main__")
     assert buffer.getvalue().strip(), f"{path.name} printed nothing"
