@@ -12,9 +12,8 @@ Commands:
   and emit one schema-versioned record per cell
   (``--quick`` for the 16-cell CI gate, ``--format text|json|csv``,
   ``--sanitize`` to run every cell under IsoSan, ``--shards N`` to
-  split each cell into its spec's independent partitions, one NIC
-  each, run on N worker processes; same ``--seed`` gives
-  byte-identical reports at any shard count)
+  deal whole cells to N worker processes; the report is byte-identical
+  to the run without the flag)
 * ``bench``   — run the unified benchmark harness over every
   ``benchmarks/bench_*.py`` scenario and write a schema-versioned
   ``BENCH_<timestamp>.json`` (``--quick`` for CI-sized runs,
@@ -40,8 +39,8 @@ Commands:
   teardown-deadline objectives (``--quick``, ``--tenants N``,
   ``--violation-demo`` for the seeded alert self-test,
   ``--openmetrics PATH`` for the OpenMetrics export, ``--shards N``
-  to split each arbiter cell into independent partitions on N worker
-  processes, with byte-identical reports at any N)
+  to deal the arbiter cells to N worker processes, with the report
+  byte-identical to the run without the flag)
 * ``postmortem`` — inspect a forensics bundle dropped by ``chaos`` or
   ``matrix`` (``--postmortem-dir``): pretty-print the flight-recorder
   tail and audit excerpt, ``--verify`` the sha256 hash chain, or
@@ -56,7 +55,8 @@ Commands:
   the shard-safety manifest for the sharding refactor)
 * ``sanitize`` — determinism checker: run the co-tenancy demo twice
   and fail on event-stream digest divergence (``--shards`` also
-  asserts that a partitioned cell's record ignores the worker count)
+  asserts that a quick matrix sweep dealt to 1 and 2 workers equals
+  the sweep run in-process)
 * ``info``    — version + package inventory (default)
 
 Each experiment has exactly this one entry point.  ``matrix``, ``slo``,
@@ -96,8 +96,8 @@ _COMMANDS = {
     "dataflow": "whole-program taint + shard-safety analysis "
                 "SNIC009-SNIC010 (--manifest PATH, --write-baseline)",
     "sanitize": "determinism checker: same seed must give the same "
-                "event-stream digest (--shards adds worker-count "
-                "invariance)",
+                "event-stream digest (--shards adds the worker "
+                "invariance of a quick sweep)",
     "help": "this table",
 }
 
@@ -148,6 +148,8 @@ def _trace(argv: list) -> int:
     """``python -m repro trace [-o trace.json] [-n PACKETS] [-m PATH]``"""
     import argparse
 
+    from repro.obs.bench import positive_int
+
     parser = argparse.ArgumentParser(
         prog="python -m repro trace",
         description="Run the two-tenant co-tenancy demo with the "
@@ -159,7 +161,7 @@ def _trace(argv: list) -> int:
                         help="trace output path (default: snic_trace.json)")
     parser.add_argument("-m", "--metrics", default=None,
                         help="also dump the metrics registry as JSON here")
-    parser.add_argument("-n", "--packets", type=int, default=60,
+    parser.add_argument("-n", "--packets", type=positive_int, default=60,
                         help="packets to inject across the tenants")
     args = parser.parse_args(argv)
 

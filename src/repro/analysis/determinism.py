@@ -32,7 +32,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.obs.tracer import TraceEvent, get_tracer
 
@@ -202,44 +202,40 @@ def check_cotenancy_determinism(n_packets: int = 60) -> DeterminismReport:
 
 
 def check_shard_invariance(
-    worker_counts: Sequence[int] = (1, 2, 4),
-    quick: bool = True,
+    worker_counts: Sequence[int] = (1, 2),
     seed: int = 7,
 ) -> DeterminismReport:
-    """Assert the shard engine's worker-count invariance.
+    """Assert that dealing cells to workers never reaches a report.
 
-    Runs one seeded matrix cell through
-    :func:`repro.shard.engine.run_cell_sharded` once per worker count
-    and requires the merged records to be byte-identical: the partition
-    plan lives in the spec, so ``--shards N`` must only change how the
-    partitions are scheduled onto processes, never what they compute.
+    Runs the quick ``commodityx2t`` matrix sweep in-process, then with
+    ``--shards`` at each worker count, and requires every report to be
+    byte-identical to the in-process one: a worker runs whole cells
+    through the same :func:`~repro.scenario.matrix.run_cell`.
 
-    The digest reuses :class:`RunDigest` with shard-flavoured fields:
-    the kernel tallies summed across shards (events/spans/sim-time) and
-    two hashes — the full merged record and just its ``outputs`` block.
+    The digest reuses :class:`RunDigest` with sweep-flavoured fields:
+    the kernel tallies summed over the cells (events/spans/sim-time)
+    and two hashes — the rendered report and its ``summary`` rows.
     """
-    from repro.scenario.matrix import default_axes, expand
-    from repro.shard.engine import run_cell_sharded
+    from repro.obs.bench import format_json
+    from repro.scenario.matrix import run_matrix
 
-    cell = expand(default_axes(quick=True), base_seed=seed, reps=1)[0]
-    report = DeterminismReport(scenario=f"shard-invariance:{cell.name}")
-    for workers in worker_counts:
-        record = run_cell_sharded(cell, quick=quick, workers=workers)
-        data = record.as_dict()
-        full = hashlib.sha256(
-            json.dumps(data, sort_keys=True).encode()).hexdigest()
-        outputs = hashlib.sha256(
-            json.dumps(data.get("outputs"),
-                       sort_keys=True).encode()).hexdigest()
+    report = DeterminismReport(scenario="shard-invariance:commodityx2t")
+    for workers in (None, *worker_counts):
+        sweep = run_matrix(quick=True, only=["commodityx2t"], seed=seed,
+                           shards=workers)
+        cells = cast(Dict[str, Any], sweep["cells"])
+        records = [entry["record"] for entry in cells.values()]
         report.digests.append(RunDigest(
-            event_count=record.events_executed,
-            span_count=record.trace_events,
-            final_ts_ns=float(record.sim_time_ns),
-            stream_sha256=full,
-            span_tree_sha256=outputs,
+            event_count=sum(r["events_executed"] for r in records),
+            span_count=sum(r["trace_events"] for r in records),
+            final_ts_ns=float(sum(r["sim_time_ns"] for r in records)),
+            stream_sha256=hashlib.sha256(
+                format_json(sweep).encode()).hexdigest(),
+            span_tree_sha256=hashlib.sha256(json.dumps(
+                sweep["summary"], sort_keys=True).encode()).hexdigest(),
         ))
-        report.summaries.append({"workers": workers,
-                                 "status": record.status})
+        report.summaries.append({"workers": workers or 0,
+                                 "n_error": sweep["n_error"]})
     return report
 
 
@@ -247,20 +243,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI body for ``python -m repro sanitize``."""
     import argparse
 
+    from repro.obs.bench import emit_report, positive_int
+
     parser = argparse.ArgumentParser(
         prog="repro sanitize",
         description="run the determinism checker over the co-tenancy demo")
-    parser.add_argument("--packets", type=int, default=60,
+    parser.add_argument("--packets", type=positive_int, default=60,
                         help="packets per run (default 60)")
     parser.add_argument("--shards", action="store_true",
-                        help="also assert shard-count invariance: one "
-                             "seeded matrix cell run at 1/2/4 shard "
-                             "workers must merge byte-identically")
+                        help="also assert worker invariance: the quick "
+                             "commodityx2t matrix sweep dealt to 1 and 2 "
+                             "workers must equal the in-process sweep "
+                             "byte for byte")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
     args = parser.parse_args(argv)
-
-    from repro.obs.bench import emit_report
 
     reports = [check_cotenancy_determinism(n_packets=args.packets)]
     if args.shards:

@@ -1,26 +1,27 @@
 """SNIC011 — live simulation objects crossing a shard boundary.
 
-The shard engine (:mod:`repro.shard`) is only correct because
-*everything* crossing a shard boundary is plain data: immutable
-specs, plain-dict metric snapshots, trace-event dicts.  A live object
-handed to a worker pool breaks both halves of the design:
+The shard engine (:mod:`repro.shard`) deals whole experiment cells to
+worker processes, and it is only correct because *everything*
+crossing the process boundary is plain data: immutable specs and run
+flags going out, bench records and report blocks coming back.  A live
+object handed to a worker pool breaks both halves of the design:
 
 * **isolation** — a pickled ``SNIC``/``Simulator``/``MetricsRegistry``
   drags its whole object graph (other tenants' NFs, the host memory,
-  process-global singletons) into another shard's address space, the
+  process-global singletons) into another worker's address space, the
   exact cross-tenant sharing the process boundary exists to forbid;
 * **determinism** — most of those objects do not survive pickling at
   all (bound methods, heaps of closures), and the ones that do arrive
-  as *copies* whose mutations are silently lost, so merged reports
-  drift with the worker count.
+  as *copies* whose mutations are silently lost, so reports drift with
+  the worker count.
 
 Scope: modules or functions with a ``shard`` name component.  Sinks:
 ``.submit()``/``.map()`` on a pool/executor receiver.  Flagged: a bare
 name or attribute chain with a live-simulation-object component
 (``sim``, ``runtime``, ``snic``, ``registry``, ``tracer``, ...) passed
 straight into a sink — the fix is always the same: serialize first
-(``registry_to_frame``, ``to_dict``, ...), which reads as a *call* and
-is therefore never flagged.
+(``to_dict()``, ``as_dict()``, ``jsonable(...)``), which reads as a
+*call* and is therefore never flagged.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ _POOL_TOKENS = ("pool", "executor")
 _SUBMIT_METHODS = {"submit", "map"}
 
 #: Name components that read as live simulation state.  Serialized
-#: spellings (``registry_to_frame(...)``, ``spec.to_dict()``) are calls
+#: spellings (``registry.snapshot()``, ``spec.to_dict()``) are calls
 #: and never reach this check.
 _LIVE_COMPONENTS = {
     "sim", "simulator", "runtime", "built", "kernel",
@@ -75,7 +76,7 @@ def _live_names(expr: ast.AST) -> Iterator[ast.AST]:
     simulation objects.
 
     Call subtrees are pruned entirely: a call yields a *derived* value
-    — that is exactly what the serializers (``*_to_frame``,
+    — that is exactly what the serializers (``snapshot``,
     ``to_dict``, ``jsonable``) look like, and what the fix-it hint
     tells people to write.
     """
@@ -103,13 +104,12 @@ def _is_pool_submit(node: ast.Call) -> bool:
 class ShardFrameRule(Rule):
     rule_id = "SNIC011"
     title = "live simulation object crossing a shard boundary"
-    rationale = ("shard isolation and worker-count-invariant merges both "
-                 "require pool tasks to carry serialized payloads only; a "
-                 "pickled live hw object drags other tenants' state into "
-                 "a foreign shard and mutates a silent copy")
-    hint = ("serialize before it crosses: registry_to_frame()/"
-            "trace_events_to_frame() or the object's to_dict(); pass "
-            "the plain data to the pool")
+    rationale = ("worker isolation and worker-count-invariant reports "
+                 "both require pool tasks to carry serialized payloads "
+                 "only; a pickled live hw object drags other tenants' "
+                 "state into a foreign worker and mutates a silent copy")
+    hint = ("serialize before it crosses: the object's to_dict()/"
+            "as_dict()/snapshot(); pass the plain data to the pool")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         module_scoped = _name_in_scope(module.modname)

@@ -41,8 +41,8 @@ def instance_label(prefix: str) -> str:
     Serial numbers are shared across prefixes within the default
     registry so two caches created by two different NICs can never
     alias each other's counters.  The counter lives on the registry
-    (not in a module global) so each shard worker's registry numbers
-    its own instances independently — a shard-safety requirement.
+    (not in a module global), so a fresh registry numbers its own
+    instances independently.
     """
     return _REGISTRY.instance_label(prefix)
 
@@ -197,12 +197,12 @@ class Histogram:
     def merge(self, other: "Histogram") -> "Histogram":
         """Fold ``other``'s observations into this histogram, in place.
 
-        This is the composition primitive windowed aggregation and
-        shard-merged metrics are built on: merging per-window (or
-        per-shard) histograms must be indistinguishable from having
-        observed every value into one histogram, so the bucket ladders
-        have to be *identical* — close-but-different bounds would
-        silently skew percentile estimates, hence the hard error.
+        This is the composition primitive windowed aggregation is
+        built on: merging per-window histograms must be
+        indistinguishable from having observed every value into one
+        histogram, so the bucket ladders have to be *identical* —
+        close-but-different bounds would silently skew percentile
+        estimates, hence the hard error.
         """
         if not isinstance(other, Histogram):
             raise TypeError(f"cannot merge {type(other).__name__} into a "
@@ -310,41 +310,6 @@ class MetricsRegistry:
         self, collector: Callable[[], Iterable[Dict[str, object]]]
     ) -> None:
         self._collectors.append(collector)
-
-    def merge_from(self, other: "MetricsRegistry") -> int:
-        """Fold every instrument of ``other`` into this registry.
-
-        Counters and gauges add their values; histograms go through
-        :meth:`Histogram.merge` (identical bucket bounds required).
-        Instruments missing here are created with the same
-        ``(name, labels)`` identity, so merging shard registries — or
-        window snapshots rebuilt as registries — is associative and
-        order-independent for counters/histograms.  A ``(name, labels)``
-        pair registered as different instrument types on the two sides
-        is a hard :class:`TypeError`: silently coercing would corrupt
-        both families.  Returns the number of instruments merged.
-        """
-        merged = 0
-        for key, theirs in other._instruments.items():
-            mine = self._instruments.get(key)
-            if mine is None:
-                if isinstance(theirs, Histogram):
-                    mine = Histogram(theirs.name, key[1],
-                                     bounds=theirs.bounds)
-                else:
-                    mine = type(theirs)(theirs.name, key[1])
-                self._instruments[key] = mine
-            elif type(mine) is not type(theirs):
-                raise TypeError(
-                    f"{theirs.name}{dict(key[1])} is a "
-                    f"{type(theirs).__name__} in the source registry but "
-                    f"a {type(mine).__name__} here")
-            if isinstance(theirs, Histogram):
-                mine.merge(theirs)
-            else:
-                mine.value += theirs.value
-            merged += 1
-        return merged
 
     # ------------------------------------------------------------------
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.bench import emit_report, format_json, positive_int
 from repro.obs.slo import (
@@ -379,30 +379,30 @@ def run_scorecard(n_tenants: int = 128, seed: int = 7,
                   ) -> Dict[str, object]:
     """Sweep the arbiter axis and assemble the scorecard report.
 
-    With ``workers`` set, every arbiter cell is split by its spec's
-    partition plan and run on that many worker processes
-    (:func:`repro.shard.engine.run_spec_sharded`).  The report then
-    carries a ``sharded`` block with the partition count, a property of
-    the spec, but never the worker count.
+    With ``workers`` set, the arbiter cells are dealt to that many
+    worker processes (:func:`repro.shard.engine.run_partitions`); each
+    cell runs whole in one of them, so the report is byte-identical to
+    the run without workers.
     """
     if workers is not None and openmetrics_path is not None:
-        raise ValueError("the OpenMetrics export needs the monolithic "
-                         "in-process registry")
+        raise ValueError("the OpenMetrics export needs the in-process "
+                         "registry")
     families: Optional[List[object]] = \
         [] if openmetrics_path is not None else None
-    results: Dict[str, Dict[str, object]] = {}
-    for arbiter in arbiters:
-        spec = make_scorecard_spec(arbiter, n_tenants, seed, quick=quick)
-        if workers is None:
-            results[arbiter] = run_spec(
-                spec, quick=quick, sanitize=sanitize, window_ns=window_ns,
-                families_sink=families)
-        else:
-            from repro.shard.engine import run_spec_sharded
+    specs = [make_scorecard_spec(arbiter, n_tenants, seed, quick=quick)
+             for arbiter in arbiters]
+    blocks: List[Any]
+    if workers is None:
+        blocks = [run_spec(spec, quick=quick, sanitize=sanitize,
+                           window_ns=window_ns, families_sink=families)
+                  for spec in specs]
+    else:
+        from repro.shard.engine import run_partitions
 
-            results[arbiter] = run_spec_sharded(
-                spec, quick=quick, sanitize=sanitize, window_ns=window_ns,
-                workers=workers)
+        blocks = run_partitions(
+            run_spec, [(spec, quick, sanitize, window_ns) for spec in specs],
+            workers=workers)
+    results = dict(zip(arbiters, blocks))
     if openmetrics_path is not None:
         _write_openmetrics(openmetrics_path, families)
     report: Dict[str, object] = {
@@ -430,10 +430,6 @@ def run_scorecard(n_tenants: int = 128, seed: int = 7,
             for arbiter, result in results.items()
         ],
     }
-    if workers is not None:
-        report["sharded"] = {"partitions": max(
-            (result["partitions"] for result in results.values()),
-            default=0)}
     return report
 
 
@@ -594,10 +590,9 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
                              "sanitizer (also via REPRO_ISOSAN=1)")
     parser.add_argument("--shards", type=positive_int, default=None,
                         metavar="N",
-                        help="split each arbiter cell into its spec's "
-                             "independent partitions and run them on N "
-                             "worker processes (reports are "
-                             "byte-identical for any N)")
+                        help="deal the arbiter cells to N worker "
+                             "processes (the report is byte-identical to "
+                             "the run without --shards)")
     parser.add_argument("--violation-demo", action="store_true",
                         help="run the seeded alert self-test instead "
                              "of the sweep; exit 1 unless exactly the "
@@ -612,8 +607,8 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
     sanitize = args.sanitize or enabled_by_env(default=False)
     if args.shards is not None and (args.violation_demo or args.openmetrics):
         print("error: --shards cannot combine with --violation-demo "
-              "or --openmetrics (both need the monolithic in-process "
-              "registry)", file=sys.stderr)
+              "or --openmetrics (both need the in-process registry)",
+              file=sys.stderr)
         return 2
     if args.violation_demo:
         report = run_violation_demo(

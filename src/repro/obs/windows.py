@@ -19,7 +19,7 @@ Deltas are first-class instruments, not flat numbers:
   answer percentile and threshold-exceedance questions on its own —
   and windows **compose**: merging every window's delta histogram via
   :meth:`Histogram.merge` reproduces the cumulative histogram
-  bucket-for-bucket (the same primitive shard-merged metrics will use).
+  bucket-for-bucket.
 
 Phases of an experiment that advance time *outside* the kernel (the
 contention rig drives the bus/DMA/DRAM models on hand-stepped

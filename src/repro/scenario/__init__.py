@@ -21,7 +21,6 @@ from repro.scenario.spec import (
     NFSpec,
     NIC_MODELS,
     ScenarioSpec,
-    ShardSpec,
     SpecError,
     TenantSpec,
     TopologySpec,
@@ -49,7 +48,6 @@ __all__ = [
     "NIC_MODELS",
     "ScenarioBuildError",
     "ScenarioSpec",
-    "ShardSpec",
     "SpecError",
     "TenantSpec",
     "TopologySpec",

@@ -25,7 +25,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.bench import emit_report, format_json, positive_int
 from repro.scenario.spec import (
@@ -164,8 +164,7 @@ def cell_spec(cell: MatrixCell, quick: bool = False) -> ScenarioSpec:
 def run_cell(cell: MatrixCell, quick: bool = False,
              sanitize: bool = False,
              postmortem_dir: Optional[str] = None,
-             spec: Optional[ScenarioSpec] = None,
-             payload: Optional[Dict[str, object]] = None) -> "object":
+             spec: Optional[ScenarioSpec] = None) -> "object":
     """Run one cell under full state isolation; never raises.
 
     Returns a :class:`repro.obs.bench.BenchRecord` — the matrix reuses
@@ -182,13 +181,8 @@ def run_cell(cell: MatrixCell, quick: bool = False,
     armed for the cell and any error drops a forensics bundle
     (``POSTMORTEM_<cell>.json``) there before the trailing isolation
     reset wipes the evidence.
-
-    With ``payload`` given, the cell's state is serialized into it
-    before that reset, as plain data: the sorted packet latencies, the
-    metrics registry and the tracer's spans.  A shard worker hands this
-    back for the merge.
     """
-    from repro.obs import metrics, postmortem, tracer
+    from repro.obs import postmortem
     from repro.obs.bench import BenchRecord, cell_scope, jsonable
     from repro.scenario.build import build_scenario
 
@@ -198,25 +192,9 @@ def run_cell(cell: MatrixCell, quick: bool = False,
     bundle = None if postmortem_dir is None \
         else postmortem.bundle_path(postmortem_dir, spec.name)
     with cell_scope(record, sanitize=sanitize, bundle=bundle, spec=spec):
-        try:
-            with build_scenario(spec) as built:
-                outputs = built.drive(quick=quick)
-                if payload is not None:
-                    payload["latencies"] = sorted(
-                        t.latency_ns for t in built.runtime.stats.timings)
-            record.outputs = jsonable(outputs)
-        finally:
-            if payload is not None:
-                from repro.shard.frames import (
-                    registry_to_frame,
-                    trace_events_to_frame,
-                )
-
-                payload.setdefault("latencies", [])
-                payload["registry"] = registry_to_frame(
-                    metrics.get_registry())
-                payload["trace_events"] = trace_events_to_frame(
-                    tracer.get_tracer().events)
+        with build_scenario(spec) as built:
+            outputs = built.drive(quick=quick)
+        record.outputs = jsonable(outputs)
     return record
 
 
@@ -283,12 +261,10 @@ def run_matrix(
     error cell drops a ``POSTMORTEM_<cell>.json`` bundle there (the
     report itself stays byte-identical either way).
 
-    ``shards`` splits every cell into its spec's partitions and runs
-    them on that many worker processes.  The partition plan lives in
-    the spec, not here, so the report is byte-identical for any shard
-    count — but each partition is an independent NIC, a *different*
-    model from the monolithic cell, so sharded and unsharded reports
-    are not comparable byte-for-byte.
+    ``shards`` deals the cells to that many worker processes; each
+    cell still runs whole in one of them, so the report is
+    byte-identical to the run without workers, and ``progress`` sees
+    the records once all are done.
     """
     axes = default_axes(quick=quick)
     cells = expand(axes, base_seed=seed, reps=reps)
@@ -372,20 +348,26 @@ def _sweep(runs: List[tuple], seed: int, reps: int, mode: str,
     if shards is not None and postmortem_dir is not None:
         raise ValueError("per-cell postmortem bundles are not available "
                          "under --shards (the flight recorder is "
-                         "per-shard-process)")
-    entries: List[Dict[str, object]] = []
-    for cell, spec in runs:
-        if shards is None:
-            record = run_cell(cell, quick=quick, sanitize=sanitize,
-                              postmortem_dir=postmortem_dir, spec=spec)
-        else:
-            from repro.shard.engine import run_cell_sharded
+                         "per-worker-process)")
+    records: List[Any] = []
+    if shards is None:
+        for cell, spec in runs:
+            records.append(run_cell(cell, quick=quick, sanitize=sanitize,
+                                    postmortem_dir=postmortem_dir,
+                                    spec=spec))
+            if progress is not None:
+                progress(records[-1])
+    else:
+        from repro.shard.engine import run_partitions
 
-            record = run_cell_sharded(cell, quick=quick, sanitize=sanitize,
-                                      workers=shards, spec=spec)
-        entries.append({"cell": cell.as_dict(), "record": record.as_dict()})
+        records = run_partitions(
+            run_cell, [(cell, quick, sanitize, None, spec)
+                       for cell, spec in runs], workers=shards)
         if progress is not None:
-            progress(record)
+            for record in records:
+                progress(record)
+    entries = [{"cell": cell.as_dict(), "record": record.as_dict()}
+               for (cell, _spec), record in zip(runs, records)]
     n_ok = sum(1 for entry in entries if entry["record"]["status"] == "ok")
     return {
         "schema": SCHEMA,
@@ -510,14 +492,13 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
                              "examples/slo_scenario.json)")
     parser.add_argument("--shards", type=positive_int, default=None,
                         metavar="N",
-                        help="split each cell into its spec's independent "
-                             "partitions and run them on N worker "
-                             "processes (reports are byte-identical for "
-                             "any N)")
+                        help="deal whole cells to N worker processes "
+                             "(the report is byte-identical to the run "
+                             "without --shards)")
     parser.add_argument("--seed", type=int, default=7,
                         help="base seed; every cell seed derives from it "
                              "(default 7)")
-    parser.add_argument("--reps", type=int, default=1,
+    parser.add_argument("--reps", type=positive_int, default=1,
                         help="independent seeds per axis point (default 1)")
     parser.add_argument("--format", choices=sorted(_FORMATTERS),
                         default="text", help="report format (default text)")
@@ -535,7 +516,7 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
     sanitize = args.sanitize or enabled_by_env(default=False)
     if args.shards is not None and args.postmortem_dir is not None:
         print("error: --shards and --postmortem-dir are mutually "
-              "exclusive (forensics bundles are per-shard-process)",
+              "exclusive (forensics bundles are per-worker-process)",
               file=sys.stderr)
         return 2
     if args.spec:

@@ -368,37 +368,6 @@ class FaultSpec:
         )
 
 
-@dataclass(frozen=True)
-class ShardSpec:
-    """How a scenario decomposes into independent partitions.
-
-    ``partitions`` is part of the experiment configuration, **not** an
-    execution detail: it changes the simulated model.  Each partition
-    is its own NIC, with its share of the tenants, scaled cores, DRAM
-    and L2 ways, and no contention with any other partition's tenants.
-    The ``--shards N`` worker count only chooses how many OS processes
-    execute those partitions, which is why merged reports are
-    byte-identical for any ``N``.
-    """
-
-    partitions: int = 4
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.partitions, int) \
-                or isinstance(self.partitions, bool) or self.partitions < 1:
-            raise SpecError("shard partitions must be an int >= 1")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"partitions": self.partitions}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ShardSpec":
-        unknown = set(data) - {"partitions"}
-        if unknown:
-            raise SpecError(f"unknown ShardSpec fields: {sorted(unknown)}")
-        return cls(partitions=int(data.get("partitions", 4)))
-
-
 # ----------------------------------------------------------------------
 # The root spec
 # ----------------------------------------------------------------------
@@ -421,7 +390,6 @@ class ScenarioSpec:
     tenants: Tuple[TenantSpec, ...] = ()
     traffic: TrafficSpec = TrafficSpec()
     fault: Optional[FaultSpec] = None
-    shard: Optional[ShardSpec] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -463,7 +431,6 @@ class ScenarioSpec:
             "tenants": [t.to_dict() for t in self.tenants],
             "traffic": self.traffic.to_dict(),
             "fault": self.fault.to_dict() if self.fault else None,
-            "shard": self.shard.to_dict() if self.shard else None,
         }
 
     @classmethod
@@ -475,7 +442,6 @@ class ScenarioSpec:
         if "seed" not in data:
             raise SpecError("a scenario dict must carry an explicit 'seed'")
         fault = data.get("fault")
-        shard = data.get("shard")
         return cls(
             name=data["name"],
             seed=int(data["seed"]),
@@ -486,5 +452,4 @@ class ScenarioSpec:
                           for t in data.get("tenants", ())),
             traffic=TrafficSpec.from_dict(data.get("traffic", {})),
             fault=FaultSpec.from_dict(fault) if fault else None,
-            shard=ShardSpec.from_dict(shard) if shard else None,
         )

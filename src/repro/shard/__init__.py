@@ -1,36 +1,15 @@
-"""``repro.shard`` — run one scenario as independent partitions.
+"""``repro.shard`` — deal whole experiment cells to worker processes.
 
-A scenario's spec may pin a partition plan (``ShardSpec.partitions``):
-its tenants split into that many independent NICs, each with scaled
-cores, DRAM and L2 ways and no contention with the others.  Partitions
-exchange no messages, so each one runs in a worker process through the
-same code path a monolithic run uses, and the parent merges the
-results:
-
-* :mod:`repro.shard.partition` — the partition plan: a pure function of
-  the spec, never of the worker count;
-* :mod:`repro.shard.frames` — the serialized payload a worker hands
-  back (metric snapshots, trace-event dicts — never live simulation
-  objects, lint rule SNIC011);
-* :mod:`repro.shard.engine` — the fork-context process pool and the
-  deterministic merger that recombines per-partition results via
-  ``Histogram.merge``/``Registry.merge_from`` so a merged report is
-  byte-identical for any ``--shards N``.
+One cell is one simulated NIC and runs start to finish in one process;
+``--shards N`` only chooses how many fork workers run the cells of a
+sweep.  A cell never splits, so the report is byte-identical to the
+run without the flag.  :func:`run_partitions` is the pool: it takes a
+task and its argument tuples and hands back the results in call order.
 """
 
-from repro.shard.frames import ShardError
-from repro.shard.partition import effective_partitions, partition_specs
-from repro.shard.engine import (
-    run_cell_sharded,
-    run_partitions,
-    run_spec_sharded,
-)
+from repro.shard.engine import ShardError, run_partitions
 
 __all__ = [
     "ShardError",
-    "effective_partitions",
-    "partition_specs",
-    "run_cell_sharded",
     "run_partitions",
-    "run_spec_sharded",
 ]

@@ -1,11 +1,12 @@
-"""Property-style tests for the metric merge algebra.
+"""Property-style tests for the histogram merge algebra.
 
-The shard merger's correctness rests on ``Histogram.merge`` and
-``MetricsRegistry.merge_from`` forming a commutative monoid over
-snapshots: merging randomly partitioned shard snapshots must equal the
-monolithic observation stream regardless of partition boundaries, merge
-order, or association.  Seeded ``random.Random`` throughout — every
-"random" partition is replayable.
+Windowed aggregation rests on ``Histogram.merge`` forming a commutative
+monoid: merging randomly partitioned observation streams must equal the
+whole stream observed into one histogram, regardless of partition
+boundaries, merge order, or association
+(``WindowedAggregator.merged_histogram`` folds per-window deltas this
+way).  Seeded ``random.Random`` throughout — every "random" partition
+is replayable.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 
 import pytest
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 
 
 def random_values(rng: random.Random, n: int) -> list:
@@ -44,35 +45,6 @@ def state_of(hist: Histogram) -> tuple:
     it only to the last ulp (asserted separately with ``approx``)."""
     return (hist.count, hist.min, hist.max, tuple(hist.counts),
             hist.percentile(50.0), hist.percentile(99.0))
-
-
-def snapshots_agree(a: list, b: list) -> bool:
-    """Snapshot equality with ulp-tolerant float comparison."""
-    if len(a) != len(b):
-        return False
-    for left, right in zip(a, b):
-        if set(left) != set(right):
-            return False
-        for key in left:
-            lv, rv = left[key], right[key]
-            if isinstance(lv, float) and isinstance(rv, float):
-                if rv != pytest.approx(lv, rel=1e-9, abs=1e-9):
-                    return False
-            elif lv != rv:
-                return False
-    return True
-
-
-def registry_of(rng: random.Random, values: list) -> MetricsRegistry:
-    """A registry shaped like one shard's snapshot: shared families plus
-    the shard's share of observations."""
-    registry = MetricsRegistry()
-    for value in values:
-        tenant = f"t{1 + int(value) % 3}"
-        registry.counter("pkts_total", tenant=tenant).inc()
-        registry.histogram("lat_ns", tenant=tenant).observe(value)
-        registry.gauge("inflight", tenant=tenant).set(rng.randrange(8))
-    return registry
 
 
 @pytest.mark.parametrize("seed,k", [(1, 2), (2, 3), (3, 5), (4, 8)])
@@ -133,86 +105,3 @@ class TestHistogramMergeGuards:
     def test_non_histogram_refuses_to_merge(self):
         with pytest.raises(TypeError):
             histogram_of([]).merge(object())
-
-
-@pytest.mark.parametrize("seed,k", [(11, 2), (12, 4), (13, 7)])
-class TestRegistryMergeProperties:
-    def test_partitioned_registries_fold_to_the_monolithic_snapshot(
-            self, seed, k):
-        rng = random.Random(seed)
-        values = random_values(rng, 400)
-        shards = random_partition(rng, values, k)
-        # Gauges merge additively, so give the monolithic reference the
-        # same per-shard contributions rather than one global pass.
-        shard_registries = [registry_of(random.Random(seed * 1000 + i), shard)
-                            for i, shard in enumerate(shards)]
-        merged = MetricsRegistry()
-        for registry in shard_registries:
-            merged.merge_from(registry)
-        reference = MetricsRegistry()
-        for registry in shard_registries:
-            reference.merge_from(registry)
-        assert snapshots_agree(merged.snapshot(), reference.snapshot())
-        # Counters and histogram totals equal the monolithic stream.
-        total = sum(
-            entry["value"] for entry in merged.snapshot()
-            if entry["name"] == "pkts_total")
-        assert total == len(values)
-        observed = sum(
-            entry["count"] for entry in merged.snapshot()
-            if entry["name"] == "lat_ns")
-        assert observed == len(values)
-
-    def test_merge_from_is_order_insensitive(self, seed, k):
-        rng = random.Random(seed)
-        shards = random_partition(rng, random_values(rng, 300), k)
-        registries = [registry_of(random.Random(seed * 1000 + i), shard)
-                      for i, shard in enumerate(shards)]
-        forward = MetricsRegistry()
-        for registry in registries:
-            forward.merge_from(registry)
-        order = list(range(len(registries)))
-        rng.shuffle(order)
-        backward = MetricsRegistry()
-        for i in order:
-            backward.merge_from(registries[i])
-        assert snapshots_agree(forward.snapshot(), backward.snapshot())
-
-    def test_merge_from_is_associative(self, seed, k):
-        rng = random.Random(seed)
-        shards = random_partition(rng, random_values(rng, 200), 3)
-        r = [registry_of(random.Random(seed * 1000 + i), shard)
-             for i, shard in enumerate(shards)]
-
-        left = MetricsRegistry()
-        left_ab = MetricsRegistry()
-        left_ab.merge_from(r[0])
-        left_ab.merge_from(r[1])
-        left.merge_from(left_ab)
-        left.merge_from(r[2])
-
-        right = MetricsRegistry()
-        right_bc = MetricsRegistry()
-        right_bc.merge_from(r[1])
-        right_bc.merge_from(r[2])
-        right.merge_from(r[0])
-        right.merge_from(right_bc)
-
-        assert snapshots_agree(left.snapshot(), right.snapshot())
-
-    def test_shard_frame_round_trip_composes_with_merge(self, seed, k):
-        """The end-to-end shard path: serialize each shard registry to
-        a frame, rebuild, fold — equals folding the originals."""
-        from repro.shard.frames import registry_from_frame, registry_to_frame
-
-        rng = random.Random(seed)
-        shards = random_partition(rng, random_values(rng, 250), k)
-        registries = [registry_of(random.Random(seed * 1000 + i), shard)
-                      for i, shard in enumerate(shards)]
-        direct = MetricsRegistry()
-        via_frames = MetricsRegistry()
-        for registry in registries:
-            direct.merge_from(registry)
-            via_frames.merge_from(
-                registry_from_frame(registry_to_frame(registry)))
-        assert direct.snapshot() == via_frames.snapshot()

@@ -179,27 +179,6 @@ class TestHistogramMerge:
         for q in (0, 25, 50, 75, 90, 99, 100):
             assert merged.percentile(q) == direct.percentile(q)
 
-    def test_registry_merge_from(self):
-        ours = MetricsRegistry()
-        theirs = MetricsRegistry()
-        ours.counter("slo_alerts_total", tenant=1).inc(1)
-        theirs.counter("slo_alerts_total", tenant=1).inc(2)
-        theirs.counter("slo_alerts_total", tenant=2).inc(5)
-        theirs.histogram("slo_latency_ns", tenant=1).observe(700.0)
-        merged = ours.merge_from(theirs)
-        assert merged == 3
-        assert ours.counter("slo_alerts_total", tenant=1).value == 3
-        assert ours.counter("slo_alerts_total", tenant=2).value == 5
-        assert ours.histogram("slo_latency_ns", tenant=1).count == 1
-
-    def test_registry_merge_from_type_conflict(self):
-        ours = MetricsRegistry()
-        theirs = MetricsRegistry()
-        ours.counter("x_total", tenant=1)
-        theirs.gauge("x_total", tenant=1)
-        with pytest.raises(TypeError):
-            ours.merge_from(theirs)
-
 
 class TestRegistry:
     def test_get_or_create_same_labels_same_object(self):

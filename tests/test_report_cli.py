@@ -32,8 +32,16 @@ _BAD_SIZES = [
     ("slo", "--window-ns", "-5"),
     ("slo", "--shards", "0"),
     ("matrix", "--shards", "0"),
+    ("matrix", "--reps", "0"),
+    ("matrix", "--reps", "-1"),
     ("bench", "--shards", "0"),
+    ("sanitize", "--packets", "-2"),
+    ("trace", "-n", "0"),
+    ("trace", "-n", "-1"),
 ]
+
+#: Commands without a ``--quick`` flag.
+_NO_QUICK = {"sanitize", "trace"}
 
 
 class TestBadSizes:
@@ -42,7 +50,9 @@ class TestBadSizes:
                                        capsys):
         from repro.__main__ import main
 
-        argv = ["repro", command, "--quick", flag, value]
+        argv = ["repro", command, flag, value]
+        if command not in _NO_QUICK:
+            argv.insert(2, "--quick")
         if flag == "--window-ns":
             argv += ["--tenants", "2"]
         with pytest.raises(SystemExit) as exc:
@@ -50,8 +60,9 @@ class TestBadSizes:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
+        shown = "-n/--packets" if flag == "-n" else flag
         assert err.splitlines()[-1].endswith(
-            f"error: argument {flag}: must be >= 1, got {value}")
+            f"error: argument {shown}: must be >= 1, got {value}")
 
 
 class TestReport:

@@ -2,8 +2,9 @@
 
 ``tests/fixtures/report_digests.json`` holds the sha256 of seeded
 ``--format json`` reports, a quick scenario-matrix sweep and a quick
-16-tenant SLO run, each also partitioned on two shard workers, and of
-the SLO run's ``--openmetrics`` export.  It also pins the full
+16-tenant SLO run, each also dealt to two shard workers, and of the
+SLO run's ``--openmetrics`` export.  Workers run whole cells, so a
+``--shards`` report carries the same digest as the run without it.  It also pins the full
 192-tenant ``fcfs`` SLO scorecard (~4 s), the run whose judging cost
 grows as tenants squared.  The isolation audit, the full chaos fault
 matrix and the co-tenancy Chrome trace are pinned the same way.
@@ -77,6 +78,14 @@ def test_report_is_byte_identical_to_fixture(name, tmp_path):
     with open(FIXTURE) as handle:
         pinned = json.load(handle)
     assert report_digest(name, str(tmp_path)) == pinned[name]
+
+
+def test_shard_pins_equal_the_unsharded_pins():
+    """``--shards`` deals cells to workers and never changes the model."""
+    with open(FIXTURE) as handle:
+        pinned = json.load(handle)
+    assert pinned["slo_quick_16_tenants_seed7_shards2"] \
+        == pinned["slo_quick_16_tenants_seed7"]
 
 
 if __name__ == "__main__":
