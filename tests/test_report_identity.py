@@ -1,7 +1,8 @@
 """Simulated reports are pinned byte for byte.
 
 ``tests/fixtures/report_digests.json`` holds the sha256 of seeded
-``--format json`` reports, a quick scenario-matrix sweep and a quick
+``--format json`` reports, the full 72-cell scenario-matrix sweep (the
+perf benchmark's ``matrix-sweep`` workload), a quick sweep and a quick
 16-tenant SLO run, each also dealt to two shard workers, and of the
 SLO run's ``--openmetrics`` export.  Workers run whole cells, so a
 ``--shards`` report carries the same digest as the run without it.  It also pins the full
@@ -39,6 +40,7 @@ _SLO_QUICK_16 = ["slo", "--quick", "--tenants", "16", "--seed", "7"]
 REPORTS: Dict[str, Tuple[List[str], str]] = {
     "matrix_quick_seed7": (["matrix", "--quick", "--seed", "7",
                             "--format", "json"], "-o"),
+    "matrix_seed7": (["matrix", "--seed", "7", "--format", "json"], "-o"),
     "slo_quick_16_tenants_seed7": ([*_SLO_QUICK_16, "--format", "json"],
                                    "-o"),
     "slo_quick_16_tenants_seed7_openmetrics": (_SLO_QUICK_16,
