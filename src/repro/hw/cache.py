@@ -126,8 +126,10 @@ class Cache:
         self.mode = SHARED
         self._partitions: Dict[int, int] = {}  # owner -> way count
         self._way_ranges: Dict[int, Tuple[int, int]] = {}  # owner -> [lo, hi)
-        # sets[s] is a list of lines currently resident (<= ways).
-        self._sets: List[List[_Line]] = [[] for _ in range(config.n_sets)]
+        # Sparse sets, like PhysicalMemory._pages: a set's line list
+        # (<= ways) materialises on its first fill, and a flush drops
+        # the sets it empties, so scrubs cost what is resident.
+        self._sets: Dict[int, List[_Line]] = {}
         self._clock = 0
         self._registry = registry or get_registry()
         self._obs_label = instance_label(name)
@@ -209,22 +211,27 @@ class Cache:
         ``write`` currently only influences allocation policy bookkeeping
         (the model is write-allocate, so hits/misses are symmetric).
         """
-        self._clock += 1
         line_addr = addr // self.config.line_bytes
         set_index = line_addr % self.config.n_sets
         tag = line_addr // self.config.n_sets
-        lines = self._sets[set_index]
+        lines = self._sets.get(set_index)
+        hit_line = None if lines is None else self._find_hit(lines, tag, owner)
+        if hit_line is None and self.mode != SHARED:
+            # A miss needs the owner's partition; resolve it before the
+            # miss leaves any trace (clock, counters, blame).
+            self.ways_for(owner)
+        self._clock += 1
         stats = self.stats.get(owner)
         if stats is None:
             stats = self._stats_for(owner)
-
-        hit_line = self._find_hit(lines, tag, owner)
         if hit_line is not None:
             hit_line.stamp = self._clock
             stats._hits.value += 1.0
             return True
 
         stats._misses.value += 1.0
+        if lines is None:
+            lines = self._sets[set_index] = []
         culprit = self._evicted_by.pop((set_index, tag, owner), None)
         if culprit is not None:
             # Conflict miss: this exact line was resident until another
@@ -297,7 +304,8 @@ class Cache:
 
     def occupancy(self, owner: int) -> int:
         """Number of resident lines owned by ``owner``."""
-        return sum(1 for lines in self._sets for line in lines if line.owner == owner)
+        return sum(1 for lines in self._sets.values() for line in lines
+                   if line.owner == owner)
 
     def resident(self, addr: int, owner: Optional[int] = None) -> bool:
         """True when the line holding ``addr`` is resident (for any owner
@@ -305,7 +313,7 @@ class Cache:
         line_addr = addr // self.config.line_bytes
         set_index = line_addr % self.config.n_sets
         tag = line_addr // self.config.n_sets
-        for line in self._sets[set_index]:
+        for line in self._sets.get(set_index, ()):
             if line.tag == tag and (owner is None or line.owner == owner):
                 return True
         return False
@@ -313,10 +321,18 @@ class Cache:
     def flush_owner(self, owner: int) -> int:
         """Evict (scrub) every line belonging to ``owner`` (teardown)."""
         evicted = 0
-        for lines in self._sets:
+        emptied: List[int] = []
+        for set_index, lines in self._sets.items():
             keep = [line for line in lines if line.owner != owner]
+            if len(keep) == len(lines):
+                continue
             evicted += len(lines) - len(keep)
-            lines[:] = keep
+            if keep:
+                lines[:] = keep
+            else:
+                emptied.append(set_index)
+        for set_index in emptied:
+            del self._sets[set_index]
         # A scrub is a legitimate (infrastructure) eviction: pending
         # cross-tenant blame for the departing owner's lines is void.
         self._evicted_by = {key: culprit
@@ -328,8 +344,7 @@ class Cache:
         return evicted
 
     def flush_all(self) -> None:
-        for lines in self._sets:
-            lines.clear()
+        self._sets.clear()
         self._evicted_by.clear()
 
     def reset_stats(self) -> None:

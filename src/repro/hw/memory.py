@@ -17,7 +17,7 @@ denylists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.obs.auditlog import get_emitter
 
@@ -55,7 +55,9 @@ class PhysicalMemory:
     """Sparse byte-addressable physical memory in fixed-size pages.
 
     Pages materialize lazily on first write.  Reads of untouched memory
-    return zeros (like freshly scrubbed DRAM).
+    return zeros (like freshly scrubbed DRAM).  An owner -> pages index
+    mirrors ``PageInfo.owner``, so a teardown costs the departing
+    owner's pages, not every page record the memory has created.
     """
 
     def __init__(self, size_bytes: int, page_size: int = 4096) -> None:
@@ -68,6 +70,13 @@ class PhysicalMemory:
         self.n_pages = size_bytes // page_size
         self._pages: Dict[int, bytearray] = {}
         self._info: Dict[int, PageInfo] = {}
+        #: owner -> indices of the pages it holds.  ``claim_pages`` and
+        #: ``release_pages``, the only writers of ``PageInfo.owner``,
+        #: keep it in step.
+        self._owned: Dict[int, Set[int]] = {}
+        #: What a read of an untouched page returns.  Kept as ``bytes``
+        #: (a memoryview is taken at use) so the memory deep-copies.
+        self._zero_page = bytes(page_size)
 
     # ------------------------------------------------------------------
     # Page bookkeeping (the §4.1 hardware allocation bitmap)
@@ -88,9 +97,7 @@ class PhysicalMemory:
         return self.owner_of(addr // self.page_size)
 
     def pages_owned_by(self, owner: int) -> List[int]:
-        return sorted(
-            idx for idx, info in self._info.items() if info.owner == owner
-        )
+        return sorted(self._owned.get(owner, ()))
 
     def claim_pages(self, owner: int, page_indices: Iterable[int]) -> None:
         """Bind pages to ``owner``; fails if any page is already owned.
@@ -109,6 +116,8 @@ class PhysicalMemory:
                 )
         for idx in indices:
             self._info[idx].owner = owner
+        if indices:
+            self._owned.setdefault(owner, set()).update(indices)
 
     def release_pages(self, owner: int, scrub: bool = True) -> int:
         """Release (and optionally zero) every page owned by ``owner``.
@@ -120,8 +129,8 @@ class PhysicalMemory:
         ``dirty_from=owner`` — a recorded stale-data hazard that
         :meth:`zero_page` clears and IsoSan checks on re-claim.
         """
-        released = 0
-        for idx in self.pages_owned_by(owner):
+        owned = self._owned.pop(owner, ())
+        for idx in owned:
             info = self._info[idx]
             if scrub:
                 self.zero_page(idx)
@@ -129,7 +138,7 @@ class PhysicalMemory:
                 info.dirty_from = owner
             info.owner = FREE
             info.denylisted = False
-            released += 1
+        released = len(owned)
         if _AUDIT.active:
             _AUDIT.emit("memory.scrub", tenant=owner, pages=released,
                         scrubbed=bool(scrub))
@@ -166,20 +175,32 @@ class PhysicalMemory:
     # ------------------------------------------------------------------
 
     def read(self, addr: int, size: int) -> bytes:
-        """Raw physical read; crosses page boundaries transparently."""
+        """Raw physical read; crosses page boundaries transparently.
+
+        The result is assembled with one copy: a single ``join`` over
+        views of the page backings (and of the zero page for untouched
+        pages).  A read inside one page returns its slice directly.
+        """
         self._check_range(addr, size)
-        out = bytearray()
-        while size > 0:
-            page, offset = divmod(addr, self.page_size)
-            chunk = min(size, self.page_size - offset)
-            backing = self._pages.get(page)
+        page_size = self.page_size
+        page, offset = divmod(addr, page_size)
+        pages = self._pages
+        if offset + size <= page_size:
+            backing = pages.get(page)
             if backing is None:
-                out += bytes(chunk)
-            else:
-                out += backing[offset : offset + chunk]
-            addr += chunk
+                return bytes(size)
+            return bytes(backing[offset:offset + size])
+        zero = memoryview(self._zero_page)
+        parts: List[memoryview] = []
+        while size > 0:
+            chunk = min(size, page_size - offset)
+            backing = pages.get(page)
+            view = zero if backing is None else memoryview(backing)
+            parts.append(view[offset:offset + chunk])
             size -= chunk
-        return bytes(out)
+            page += 1
+            offset = 0
+        return b"".join(parts)
 
     def write(self, addr: int, data: bytes) -> None:
         """Raw physical write; crosses page boundaries transparently."""

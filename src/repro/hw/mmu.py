@@ -263,16 +263,16 @@ class GuardedAddressSpace:
         self.memory = memory
 
     def load(self, vaddr: int, size: int) -> bytes:
-        out = bytearray()
+        parts: List[bytes] = []
         while size > 0:
             paddr = self.tlb.translate(vaddr)
             # Read at most to the end of the covering entry.
             entry = next(e for e in self.tlb.entries if e.covers(vaddr))
             chunk = min(size, entry.vbase + entry.size - vaddr)
-            out += self.memory.read(paddr, chunk)
+            parts.append(self.memory.read(paddr, chunk))
             vaddr += chunk
             size -= chunk
-        return bytes(out)
+        return b"".join(parts)
 
     def store(self, vaddr: int, data: bytes) -> None:
         view = memoryview(data)

@@ -409,11 +409,12 @@ class BuiltScenario:
         by_id = {nf_id: name for name, nf_id in self.tenants.items()}
         for timing in stats.timings:
             per_tenant[by_id[timing.nf_id]] += 1
+        p50, p99 = stats.latency_percentiles(50, 99)
         outputs.update({
             "packets_completed": stats.completed,
             "packets_dropped": stats.dropped,
-            "latency_p50_ns": stats.latency_percentile(50),
-            "latency_p99_ns": stats.latency_percentile(99),
+            "latency_p50_ns": p50,
+            "latency_p99_ns": p99,
             "per_tenant_completed": per_tenant,
             "victim_completed": per_tenant.get(by_id.get(victim_id), 0)
             if victim_id is not None else 0,

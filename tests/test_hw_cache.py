@@ -4,6 +4,7 @@ import pytest
 
 from repro.hw.cache import Cache, CacheConfig, CacheHierarchy, HARD, SHARED, SOFT
 from repro.hw.memory import AccessFault
+from repro.obs.metrics import MetricsRegistry
 
 
 def small_cache(size=8 * 1024, line=64, ways=4):
@@ -104,6 +105,35 @@ class TestHardPartition:
         cache.set_partitions({1: 2}, mode=HARD)
         with pytest.raises(AccessFault):
             cache.access(0, owner=99)
+
+    @pytest.mark.parametrize("mode", [HARD, SOFT])
+    def test_faulted_access_leaves_no_trace(self, mode):
+        """An unpartitioned owner's miss faults before it counts a miss,
+        mints its counters, ticks the LRU clock or consumes blame."""
+        registry = MetricsRegistry()
+        cache = Cache(CacheConfig(size_bytes=8 * 1024, line_bytes=64, ways=4),
+                      registry=registry)
+        cache.set_partitions({1: 2, 2: 2}, mode=mode)
+        cache.access(64, owner=1)
+        pending = {(0, 0, 3): 1}
+        cache._evicted_by.update(pending)
+        instruments, clock = len(registry), cache._clock
+        with pytest.raises(AccessFault):
+            cache.access(0, owner=3)
+        assert 3 not in cache.stats
+        assert len(registry) == instruments
+        assert cache._clock == clock
+        assert cache._evicted_by == pending
+        assert cache.occupancy(3) == 0
+
+    def test_soft_unpartitioned_owner_still_hits(self):
+        """Soft mode serves hits from any way, partition or not; only
+        the fill needs one."""
+        cache = small_cache(ways=4)
+        cache.set_partitions({1: 2}, mode=SOFT)
+        cache.access(0x3000, owner=1)
+        assert cache.access(0x3000, owner=3) is True
+        assert cache.stats[3].hits == 1 and cache.stats[3].misses == 0
 
     def test_over_allocation_rejected(self):
         cache = small_cache(ways=4)
