@@ -69,8 +69,8 @@ class TestRuntime:
             timings=[PacketTiming(1, 0, latency) for latency in
                      (100, 200, 300, 400, 500)]
         )
-        assert stats.latency_percentile(0) == 100
-        assert stats.latency_percentile(99) == 500
+        assert stats.latency_percentiles(0, 99) == [100, 500]
+        assert stats.latency_percentiles() == []
 
     def test_throughput_positive(self):
         snic, vnic = make_system()
