@@ -8,7 +8,9 @@ SLO run's ``--openmetrics`` export.  Workers run whole cells, so a
 ``--shards`` report carries the same digest as the run without it.  It also pins the full
 192-tenant ``fcfs`` SLO scorecard (~4 s), the run whose judging cost
 grows as tenants squared.  The isolation audit, the full chaos fault
-matrix and the co-tenancy Chrome trace are pinned the same way.
+matrix, the co-tenancy Chrome trace and
+``examples/nf_dense_scenario.json`` (the perf benchmark's ``nf-dense``
+workload at a tenth of its packets) are pinned the same way.
 Between them they run key provisioning, attested launch and teardown,
 the packet path and every arbiter; the export adds every window's
 per-rotation deltas.  So a host-side change (a cache, a faster
@@ -32,6 +34,8 @@ import pytest
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "report_digests.json")
+EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "examples")
 
 _SLO_QUICK_16 = ["slo", "--quick", "--tenants", "16", "--seed", "7"]
 
@@ -57,6 +61,9 @@ REPORTS: Dict[str, Tuple[List[str], str]] = {
     "chaos_quick_matrix_seed0": (
         ["chaos", "--quick", "--matrix", "--format", "json"], "-o"),
     "trace_cotenancy_20_packets": (["trace", "-n", "20"], "-o"),
+    "matrix_spec_nf_dense_example": (
+        ["matrix", "--spec", os.path.join(EXAMPLES, "nf_dense_scenario.json"),
+         "--format", "json"], "-o"),
 }
 
 
