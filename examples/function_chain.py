@@ -71,7 +71,8 @@ def main() -> None:
           f"(7 in; firewall dropped {firewall.stats.dropped})")
     print(f"  NAT translated {nat.translations}; "
           f"monitor saw {monitor.distinct_flows} flows post-firewall")
-    owner, sample = snic.tx_port.transmitted[0]
+    owner, frame = snic.tx_port.transmitted[0]
+    sample = Packet.from_bytes(frame)
     print(f"  wire packet src (NATted): {ip_to_str(sample.ip.src_ip)}")
 
     # Isolation holds across chain membership: stage 2 cannot touch

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.hw.packet_io import TXPort
-from repro.net.packet import Packet
 
 
 @dataclass
@@ -84,7 +83,7 @@ class DRREgressScheduler:
                     if max_bytes is not None and sent_bytes + head_len > max_bytes:
                         return sent_frames
                     frame = vpp.tx_ring.pop()
-                    tx_port.wire_transmit(nf_id, Packet.from_bytes(frame))
+                    tx_port.wire_transmit(nf_id, frame)
                     self._deficit[nf_id] -= len(frame)
                     stats = self.stats.setdefault(nf_id, EgressStats())
                     stats.frames += 1

@@ -42,7 +42,7 @@ from repro.hw.cores import ProgrammableCore
 from repro.hw.dma import DMAController, DMAWindow
 from repro.hw.memory import PhysicalMemory
 from repro.hw.mmu import DenylistPageTable, TLBEntry
-from repro.hw.packet_io import RXPort, TXPort
+from repro.hw.packet_io import RingFullError, RXPort, TXPort
 from repro.net.packet import Packet
 from repro.obs.auditlog import get_emitter
 from repro.obs.tracer import get_tracer
@@ -587,12 +587,18 @@ class SNIC:
             if nf_id is None:
                 delivered[-1] = delivered.get(-1, 0) + 1  # no rule: dropped
                 continue
-            ring = self._records[nf_id].vpp.rx_ring
+            vpp = self._records[nf_id].vpp
+            ring = vpp.rx_ring
             if ring.occupancy >= ring.capacity:
                 # Backpressure: a full RX ring drops, as on real NICs.
                 delivered[-1] = delivered.get(-1, 0) + 1
                 continue
-            self._records[nf_id].vpp.deliver(packet)
+            try:
+                vpp.deliver(packet)
+            except RingFullError:
+                # No room in the ring's packet buffer: dropped the same way.
+                delivered[-1] = delivered.get(-1, 0) + 1
+                continue
             delivered[nf_id] = delivered.get(nf_id, 0) + 1
         return delivered
 

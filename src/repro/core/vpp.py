@@ -187,13 +187,13 @@ class VirtualPacketPipeline:
         return self.tx_ring.push(frame)
 
     def drain_tx(self, tx_port: TXPort) -> int:
-        """Output module: move TX-ring frames onto the wire."""
+        """Output module: copy TX-ring frames onto the wire as they are."""
         sent = 0
         while True:
             frame = self.tx_ring.pop()
             if frame is None:
                 break
-            tx_port.wire_transmit(self.nf_id, Packet.from_bytes(frame))
+            tx_port.wire_transmit(self.nf_id, frame)
             sent += 1
         return sent
 

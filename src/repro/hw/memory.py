@@ -203,19 +203,32 @@ class PhysicalMemory:
         return b"".join(parts)
 
     def write(self, addr: int, data: bytes) -> None:
-        """Raw physical write; crosses page boundaries transparently."""
-        self._check_range(addr, len(data))
+        """Raw physical write; crosses page boundaries transparently.
+
+        A non-empty write inside one page stores its bytes with a single
+        slice assignment.  An empty write materializes no page.
+        """
+        size = len(data)
+        self._check_range(addr, size)
+        page_size = self.page_size
+        page, offset = divmod(addr, page_size)
+        pages = self._pages
+        if size and offset + size <= page_size:
+            backing = pages.get(page)
+            if backing is None:
+                backing = pages[page] = bytearray(page_size)
+            backing[offset:offset + size] = data
+            return
         view = memoryview(data)
         while view:
-            page, offset = divmod(addr, self.page_size)
-            chunk = min(len(view), self.page_size - offset)
-            backing = self._pages.get(page)
+            chunk = min(len(view), page_size - offset)
+            backing = pages.get(page)
             if backing is None:
-                backing = bytearray(self.page_size)
-                self._pages[page] = backing
-            backing[offset : offset + chunk] = view[:chunk]
-            addr += chunk
+                backing = pages[page] = bytearray(page_size)
+            backing[offset:offset + chunk] = view[:chunk]
             view = view[chunk:]
+            page += 1
+            offset = 0
 
     def read_u64(self, addr: int) -> int:
         return int.from_bytes(self.read(addr, 8), "little")

@@ -24,7 +24,7 @@ ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_VLAN = 0x8100
 
 _ETH_FMT = "!6s6sH"
-_IPV4_FMT = "!BBHHHBBH4s4s"
+_IPV4_FMT = "!BBHHHBBHII"
 _TCP_FMT = "!HHIIBBHHH"
 _UDP_FMT = "!HHHH"
 
@@ -160,14 +160,15 @@ class IPv4Header:
             self.ttl,
             self.proto,
             0,
-            self.src_ip.to_bytes(4, "big"),
-            self.dst_ip.to_bytes(4, "big"),
+            self.src_ip,
+            self.dst_ip,
         )
         checksum = ones_complement_checksum(header) if fill_checksum else self.checksum
         return header[:10] + struct.pack("!H", checksum) + header[12:]
 
     @classmethod
-    def unpack(cls, data: bytes) -> "IPv4Header":
+    def unpack(cls, data: bytes, offset: int = 0) -> "IPv4Header":
+        """Parse the 20-byte header starting at ``data[offset]``."""
         (
             version_ihl,
             dscp,
@@ -179,12 +180,12 @@ class IPv4Header:
             checksum,
             src,
             dst,
-        ) = struct.unpack_from(_IPV4_FMT, data)
+        ) = struct.unpack_from(_IPV4_FMT, data, offset)
         if version_ihl >> 4 != 4:
             raise ValueError("not an IPv4 packet")
         return cls(
-            src_ip=int.from_bytes(src, "big"),
-            dst_ip=int.from_bytes(dst, "big"),
+            src_ip=src,
+            dst_ip=dst,
             proto=proto,
             ttl=ttl,
             total_length=total_length,
@@ -235,7 +236,8 @@ class TCPHeader:
         )
 
     @classmethod
-    def unpack(cls, data: bytes) -> "TCPHeader":
+    def unpack(cls, data: bytes, offset: int = 0) -> "TCPHeader":
+        """Parse the 20-byte header starting at ``data[offset]``."""
         (
             src_port,
             dst_port,
@@ -246,7 +248,7 @@ class TCPHeader:
             window,
             checksum,
             urgent,
-        ) = struct.unpack_from(_TCP_FMT, data)
+        ) = struct.unpack_from(_TCP_FMT, data, offset)
         return cls(
             src_port=src_port,
             dst_port=dst_port,
@@ -274,8 +276,10 @@ class UDPHeader:
         )
 
     @classmethod
-    def unpack(cls, data: bytes) -> "UDPHeader":
-        src_port, dst_port, length, checksum = struct.unpack_from(_UDP_FMT, data)
+    def unpack(cls, data: bytes, offset: int = 0) -> "UDPHeader":
+        """Parse the 8-byte header starting at ``data[offset]``."""
+        src_port, dst_port, length, checksum = struct.unpack_from(
+            _UDP_FMT, data, offset)
         return cls(
             src_port=src_port, dst_port=dst_port, length=length, checksum=checksum
         )
@@ -371,14 +375,14 @@ class Packet:
         if eth.ethertype != ETHERTYPE_IPV4:
             raise ValueError(f"unsupported ethertype 0x{eth.ethertype:04x}")
         offset = ETH_HEADER_LEN
-        ip = IPv4Header.unpack(data[offset:])
+        ip = IPv4Header.unpack(data, offset)
         offset += IPV4_HEADER_LEN
         l4: Optional[object] = None
         if ip.proto == PROTO_TCP:
-            l4 = TCPHeader.unpack(data[offset:])
+            l4 = TCPHeader.unpack(data, offset)
             offset += TCP_HEADER_LEN
         elif ip.proto == PROTO_UDP:
-            l4 = UDPHeader.unpack(data[offset:])
+            l4 = UDPHeader.unpack(data, offset)
             offset += UDP_HEADER_LEN
         payload_len = max(0, ip.total_length - (offset - ETH_HEADER_LEN))
         payload = bytes(data[offset : offset + payload_len])

@@ -103,11 +103,19 @@ class AhoCorasick:
         return matches
 
     def contains_any(self, haystack: bytes) -> bool:
-        """Early-exit membership test (what an IDS fast path does)."""
+        """Early-exit membership test (what an IDS fast path does).
+
+        The per-byte transition is :meth:`step`'s, walked inline.
+        """
+        goto, fail, output = self._goto, self._fail, self._output
         state = 0
         for byte in haystack:
-            state = self.step(state, byte)
-            if self._output[state]:
+            edges = goto[state]
+            while state and byte not in edges:
+                state = fail[state]
+                edges = goto[state]
+            state = edges.get(byte, 0)
+            if output[state]:
                 return True
         return False
 

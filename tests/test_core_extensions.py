@@ -127,7 +127,8 @@ class TestFunctionChain:
         assert nat.translations == 1
         assert fw.stats.received == 1
         assert mon.distinct_flows == 1
-        owner, wire_packet = snic.tx_port.transmitted[0]
+        owner, frame = snic.tx_port.transmitted[0]
+        wire_packet = Packet.from_bytes(frame)
         assert owner == ids[-1]
         assert ip_to_str(wire_packet.ip.src_ip) == "100.0.0.1"
 

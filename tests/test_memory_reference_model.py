@@ -1,10 +1,11 @@
 """Model-checking physical memory and the launch measurement.
 
 ``PhysicalMemory.read`` assembles its result from views of the page
-backings, and ownership queries answer from an owner -> pages index.
-Both are checked against the obviously-correct versions under random
-operation sequences: a flat ``bytearray`` for reads, a scan of every
-page record for ownership.  The launch measurement is checked against
+backings, ``write`` stores a write inside one page with one slice
+assignment, and ownership queries answer from an owner -> pages index.
+All are checked against the obviously-correct versions under random
+operation sequences: a flat ``bytearray`` for reads and writes, a scan
+of every page record for ownership.  The launch measurement is checked against
 SHA-256 over the descriptor, the rules and a byte-by-byte walk of the
 extent.
 """
@@ -81,6 +82,64 @@ class TestReadAgainstFlatReference:
         assert clone.pages_owned_by(1) == [0, 1]
         clone.release_pages(1)
         assert mem.pages_owned_by(1) == [0, 1]
+
+
+#: Writes biased to land inside one page: a page, an offset in it and
+#: a length that fits before its end.
+PAGE_LOCAL_WRITES = st.lists(
+    st.integers(0, N_PAGES - 1).flatmap(
+        lambda page: st.integers(0, PAGE - 1).flatmap(
+            lambda offset: st.tuples(
+                st.just(page * PAGE + offset),
+                st.binary(min_size=0, max_size=PAGE - offset)))),
+    max_size=12)
+
+
+class TestWriteAgainstFlatReference:
+    """``write`` stores exactly what a flat ``bytearray`` would, read
+    back straight from the page backings (not through ``read``)."""
+
+    @staticmethod
+    def _check(writes):
+        mem = PhysicalMemory(SIZE, page_size=PAGE)
+        flat = bytearray(SIZE)
+        touched = set()
+        for addr, data in writes:
+            data = data[:SIZE - addr]
+            mem.write(addr, data)
+            flat[addr:addr + len(data)] = data
+            if data:
+                touched.update(range(addr // PAGE,
+                                     (addr + len(data) - 1) // PAGE + 1))
+        assert set(mem._pages) == touched
+        assert _naive_extent(mem, 0, SIZE) == bytes(flat)
+
+    @settings(max_examples=80, deadline=None)
+    @given(PAGE_LOCAL_WRITES)
+    def test_single_page_writes_match_flat_bytes(self, writes):
+        self._check(writes)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.one_of(PAGE_LOCAL_WRITES, WRITES), max_size=3)
+           .map(lambda groups: [w for group in groups for w in group]))
+    def test_mixed_and_cross_page_writes_match_flat_bytes(self, writes):
+        self._check(writes)
+
+    def test_edge_writes(self):
+        mem = PhysicalMemory(SIZE, page_size=PAGE)
+        mem.write(PAGE - 1, b"a")  # last byte of a page
+        mem.write(PAGE, b"b")  # first byte of the next
+        mem.write(3 * PAGE - 2, b"cdef")  # straddles a boundary
+        mem.write(5 * PAGE, b"")  # empty: materializes nothing
+        mem.write(SIZE, b"")
+        assert sorted(mem._pages) == [0, 1, 2, 3]
+        assert mem.read(PAGE - 1, 2) == b"ab"
+        assert mem.read(3 * PAGE - 2, 4) == b"cdef"
+        mem.write(PAGE, bytearray(b"xy"))
+        mem.write(PAGE + 2, memoryview(b"z"))
+        assert mem.read(PAGE, 3) == b"xyz"
+        with pytest.raises(AccessFault):
+            mem.write(SIZE - 1, b"no")
 
 
 OPS = st.lists(

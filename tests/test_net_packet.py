@@ -164,6 +164,19 @@ class TestHeaders:
         udp = UDPHeader(src_port=53, dst_port=5353, length=100)
         assert UDPHeader.unpack(udp.pack()) == udp
 
+    def test_unpack_at_an_offset_equals_unpack_of_the_slice(self):
+        for proto, l4_cls in ((PROTO_TCP, TCPHeader), (PROTO_UDP, UDPHeader)):
+            frame = Packet.make("10.0.0.1", "10.0.0.2", proto=proto,
+                                src_port=7, dst_port=9,
+                                payload=b"abc").to_bytes()
+            ip_at = ETH_HEADER_LEN
+            l4_at = ip_at + IPV4_HEADER_LEN
+            assert IPv4Header.unpack(frame, ip_at) \
+                == IPv4Header.unpack(frame[ip_at:])
+            assert l4_cls.unpack(frame, l4_at) == l4_cls.unpack(frame[l4_at:])
+            assert l4_cls.unpack(memoryview(frame), l4_at) \
+                == l4_cls.unpack(frame[l4_at:])
+
 
 class TestPacket:
     def test_make_tcp(self):

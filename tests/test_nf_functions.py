@@ -129,6 +129,14 @@ class TestAhoCorasick:
         ac = AhoCorasick([b"evil"])
         assert ac.contains_any(b"this is evil payload")
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.binary(min_size=1, max_size=4).map(
+               lambda p: bytes(b % 4 for b in p)), min_size=1, max_size=6),
+           st.binary(max_size=40).map(lambda h: bytes(b % 4 for b in h)))
+    def test_contains_any_agrees_with_search(self, patterns, haystack):
+        ac = AhoCorasick(patterns)
+        assert ac.contains_any(haystack) == bool(ac.search(haystack))
+
     def test_binary_patterns(self):
         ac = AhoCorasick([b"\x90\x90\x90"])
         assert ac.contains_any(b"\x00\x90\x90\x90\x00")
