@@ -50,9 +50,9 @@ Commands:
   the per-rule suppression table and fails on stale
   ``# snic: ignore[...]`` comments)
 * ``dataflow`` — whole-program dataflow analysis: cross-tenant taint
-  (SNIC009) and shard-safety certification (SNIC010) with a committed
-  baseline (``--format text|json|github``, ``--manifest PATH`` writes
-  the shard-safety manifest for the sharding refactor)
+  (SNIC009) and module-level state a cell writes outside its cell
+  state (SNIC010) with a committed baseline
+  (``--format text|json|github``)
 * ``sanitize`` — determinism checker: run the co-tenancy demo twice
   and fail on event-stream digest divergence (``--shards`` also
   asserts that a quick matrix sweep dealt to 1 and 2 workers equals
@@ -93,8 +93,8 @@ _COMMANDS = {
                   "the hash chain, --diff two bundles",
     "lint": "S-NIC-specific static analysis SNIC001-SNIC008 "
             "(--format text|json|github, --stats)",
-    "dataflow": "whole-program taint + shard-safety analysis "
-                "SNIC009-SNIC010 (--manifest PATH, --write-baseline)",
+    "dataflow": "whole-program taint + cell-state analysis "
+                "SNIC009-SNIC010 (--write-baseline)",
     "sanitize": "determinism checker: same seed must give the same "
                 "event-stream digest (--shards adds the worker "
                 "invariance of a quick sweep)",
@@ -125,7 +125,7 @@ def _info() -> None:
     print("forensics: python -m repro postmortem BUNDLE "
           "[--verify] [--diff OTHER] [--tail N]")
     print("analysis: python -m repro lint [--format github] [--stats]; "
-          "python -m repro dataflow [--manifest PATH]; "
+          "python -m repro dataflow; "
           "python -m repro sanitize")
     print()
     print("run `python -m repro help` for one line per command")

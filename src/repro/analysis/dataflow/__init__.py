@@ -13,11 +13,11 @@ attestation verdicts, scrub).  Three cooperating analyses:
   sources = tenant-owned data (page bytes, ring frames, port drains),
   sanitizers = the PR 7 audit-trail choke points, sinks = cross-tenant
   emission points; unmediated source→sink paths are rule **SNIC009**;
-* :mod:`repro.analysis.dataflow.escape` — module-level shared-mutable-
-  state escape analysis classifying every global and cross-module alias
-  as shard-safe or shard-unsafe (rule **SNIC010**), feeding the
-  shard-safety manifest (:mod:`repro.analysis.dataflow.manifest`) that
-  the ROADMAP item 2 multiprocessing shard refactor consumes.
+* :mod:`repro.analysis.dataflow.escape` — module-level state escape
+  analysis: every global, with its cross-module aliases resolved to
+  the object they name, is cell-safe or cell-unsafe (rule
+  **SNIC010**: a module-level mutable a cell writes that is not part
+  of the cell state :mod:`repro.obs.cell` owns).
 
 Run it as ``python -m repro dataflow`` (text/json/github formats,
 ``# snic: ignore[...]`` suppressions shared with the lint engine, and a
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from repro.analysis.dataflow.escape import EscapeAnalysis, ModuleStateInfo
 from repro.analysis.dataflow.graph import CallSite, FunctionInfo, ProgramGraph
-from repro.analysis.dataflow.manifest import build_manifest, write_manifest
 from repro.analysis.dataflow.taint import TaintAnalysis, TaintFlow
 
 __all__ = [
@@ -40,6 +39,4 @@ __all__ = [
     "ProgramGraph",
     "TaintAnalysis",
     "TaintFlow",
-    "build_manifest",
-    "write_manifest",
 ]

@@ -2,8 +2,7 @@
 
 Runs the SNIC009/SNIC010 program rules over a source tree (default:
 ``src/repro``), applies ``# snic: ignore[...]`` suppressions and the
-committed baseline, prints findings in the shared lint formats, and
-optionally writes the shard-safety manifest.
+committed baseline, and prints findings in the shared lint formats.
 
 Baseline contract: ``DATAFLOW_BASELINE.json`` at the repo root holds
 fingerprinted pre-existing findings (``(rule, key)`` pairs — qualnames,
@@ -129,8 +128,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro dataflow",
         description="Whole-program dataflow analysis: cross-tenant "
-                    "taint (SNIC009) and shard-safety certification "
-                    "(SNIC010) over the simulation stack "
+                    "taint (SNIC009) and module-level state outside the "
+                    "cell state (SNIC010) over the simulation stack "
                     "(DESIGN.md §1.10).")
     parser.add_argument("paths", nargs="*", type=Path,
                         help="files or directories (default: src/repro)")
@@ -151,10 +150,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         metavar="PATH",
                         help="write current unsuppressed findings as a "
                              "fresh baseline and exit 0")
-    parser.add_argument("--manifest", type=Path, default=None,
-                        metavar="PATH",
-                        help="also write the shard-safety manifest "
-                             "(repro.shard-safety v1 JSON)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the program-rule catalog and exit")
     args = parser.parse_args(argv)
@@ -196,30 +191,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     findings, code = run_dataflow(roots, rule_ids=rule_ids,
                                   baseline_path=baseline_path)
-
-    if args.manifest is not None:
-        from repro.analysis.dataflow.manifest import (
-            build_manifest,
-            write_manifest,
-        )
-        from repro.analysis.dataflow.rules import analyze
-
-        modules = load_modules(list(roots) if roots else [source_root()])
-        result = analyze(modules)
-        graph = result["graph"]
-        infos = result["state"]
-        from repro.analysis.dataflow.escape import ModuleStateInfo
-        from repro.analysis.dataflow.graph import ProgramGraph
-
-        assert isinstance(graph, ProgramGraph)
-        assert isinstance(infos, list) and all(
-            isinstance(i, ModuleStateInfo) for i in infos)
-        manifest = build_manifest(graph, infos)
-        write_manifest(manifest, args.manifest)
-        print(f"wrote {args.manifest}: {manifest['n_shard_unsafe']} "
-              f"shard-unsafe of {manifest['n_mutables']} module-level "
-              f"mutables across {manifest['n_modules']} modules",
-              file=sys.stderr)
 
     if args.format == "text":
         print(format_text(findings,

@@ -1,6 +1,6 @@
 """Module/import graph and approximate call graph over parsed ASTs.
 
-Everything downstream (taint, escape analysis, the manifest) consumes
+Everything downstream (taint and escape analysis) consumes
 :class:`ProgramGraph`.  Call resolution is deliberately approximate —
 Python has no static types to lean on — and the approximations are
 ranked by confidence (DESIGN.md §1.10 catalogues the unsoundness):

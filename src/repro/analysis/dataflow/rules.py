@@ -1,5 +1,5 @@
 """The whole-program rules: SNIC009 (cross-tenant taint) and SNIC010
-(shard-unsafe shared state).
+(module-level state outside the cell state).
 
 Both are :class:`repro.analysis.lint.ProgramRule` subclasses so they
 plug into the same registry, formats, and ``# snic: ignore[...]``
@@ -68,23 +68,27 @@ class CrossTenantFlowRule(ProgramRule):
 
 class SharedMutableStateRule(ProgramRule):
     rule_id = "SNIC010"
-    title = "shard-unsafe module-level mutable state"
-    rationale = ("ROADMAP item 2 (SimBricks-style sharding): "
-                 "module-level mutables written after import time "
-                 "diverge across multiprocessing shards and break the "
-                 "byte-identical merged-report contract")
-    hint = ("move the state into an object owned by the scenario/shard, "
-            "reset it via an explicit reset() seam, or record it in the "
-            "shard-safety baseline with a merge plan; suppress with "
-            "# snic: ignore[SNIC010] only for state that is "
-            "per-process by design")
+    title = "module-level mutable a cell writes outside the cell state"
+    rationale = ("§4.6: each network function's state is created at "
+                 "launch and scrubbed at teardown; a cell (one "
+                 "simulated NIC run) starts from fresh state because "
+                 "isolate() replaces the CellState, and a module-level "
+                 "mutable a cell writes outlives it, so a cell run "
+                 "after another (in process or in a --shards worker) "
+                 "no longer gives the records it gives alone")
+    hint = ("keep the state on an object the cell builds, or make it a "
+            "CellState field (repro.obs.cell) and read it as "
+            "CELL.<field> at the call site, never through a module "
+            "alias; suppress with # snic: ignore[SNIC010] only for "
+            "state no report can see (a deterministic per-process "
+            "cache)")
 
     def check_program(
             self, modules: Sequence[ModuleSource]) -> Iterator[Finding]:
         graph = ProgramGraph.build(modules)
         infos = EscapeAnalysis(graph).run()
         for info in infos:
-            if info.shard_safe:
+            if info.cell_safe:
                 continue
             module = _module_for(modules, info.modname)
             evidence = "; ".join(info.reasons[:3])
@@ -98,8 +102,8 @@ class SharedMutableStateRule(ProgramRule):
             yield Finding(
                 rule=self.rule_id,
                 message=(
-                    f"module-level {info.kind} {info.name!r} is "
-                    f"shard-unsafe: {evidence}{alias_note}"),
+                    f"module-level {info.kind} {info.name!r} outlives "
+                    f"the cell: {evidence}{alias_note}"),
                 path=str(module.path),
                 line=info.lineno,
                 col=info.col,

@@ -41,9 +41,7 @@ _Method = Callable[..., Any]
 
 from repro.core.errors import IsolationViolation
 from repro.hw.memory import FREE, PhysicalMemory
-from repro.obs.auditlog import get_emitter
-
-_AUDIT = get_emitter()
+from repro.obs.cell import CELL
 
 
 class _Interposer:
@@ -249,9 +247,9 @@ class IsoSan:
 
     def _violation(self, message: str) -> None:
         self.violations.append(message)
-        if _AUDIT.active:
-            _AUDIT.emit("isosan.violation",
-                        tenant=self.current_tenant(), message=message)
+        if CELL.audit.active:
+            CELL.audit.emit("isosan.violation",
+                            tenant=self.current_tenant(), message=message)
         raise IsolationViolation(f"IsoSan: {message}")
 
     def _check_access(self, mem: PhysicalMemory, addr: int,

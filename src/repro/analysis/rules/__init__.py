@@ -24,7 +24,6 @@ from repro.analysis.rules.nondeterminism import (
 )
 from repro.analysis.rules.races import CallbackGlobalMutationRule
 from repro.analysis.rules.scenario_seed import ScenarioSeedRule
-from repro.analysis.rules.shard_frames import ShardFrameRule
 from repro.analysis.rules.telemetry import UntaggedTelemetryRule
 
 _RULE_CLASSES: List[Type[Rule]] = [
@@ -36,7 +35,6 @@ _RULE_CLASSES: List[Type[Rule]] = [
     ChaosSeedRule,
     ScenarioSeedRule,
     AuditTrailRule,
-    ShardFrameRule,
 ]
 
 

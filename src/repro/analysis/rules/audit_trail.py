@@ -80,7 +80,7 @@ def _attr_tail(node: ast.AST) -> str:
 
 def _emits_audit(func: ast.AST) -> bool:
     """Does the function body contain an audit-facade ``.emit(...)``
-    (receiver has an ``audit`` component, e.g. ``_AUDIT.emit``)?"""
+    (receiver has an ``audit`` component, e.g. ``CELL.audit.emit``)?"""
     for node in ast.walk(func):
         if isinstance(node, ast.Call) and \
                 isinstance(node.func, ast.Attribute) and \
@@ -121,7 +121,7 @@ class AuditTrailRule(Rule):
                  "flight/postmortem code breaks the byte-identical "
                  "bundle contract CI enforces with cmp")
     hint = ("route the action through the audit facade — "
-            "`if _AUDIT.active: _AUDIT.emit(...)` in the primitive "
+            "`if CELL.audit.active: CELL.audit.emit(...)` in the primitive "
             "itself (TLB method, scrub loop, attestation reject "
             "helper) — and keep time.time/perf_counter/datetime.now "
             "out of flight/auditlog/postmortem scope; timestamps come "

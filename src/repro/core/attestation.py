@@ -30,9 +30,7 @@ from repro.crypto.keys import (
     quote_digest,
 )
 from repro.crypto.rsa import RSAPublicKey, rsa_verify
-from repro.obs.auditlog import get_emitter
-
-_AUDIT = get_emitter()
+from repro.obs.cell import CELL
 
 
 def _reject(reason: str) -> None:
@@ -42,8 +40,8 @@ def _reject(reason: str) -> None:
     rejection path is witnessed (lint rule SNIC008 checks for exactly
     this pairing).
     """
-    if _AUDIT.active:
-        _AUDIT.emit("attest.verdict", ok=False, reason=reason)
+    if CELL.audit.active:
+        CELL.audit.emit("attest.verdict", ok=False, reason=reason)
     raise AttestationError(reason)
 
 
@@ -128,9 +126,9 @@ class Verifier:
         ):
             _reject("function state hash does not match the expected image")
         self._outstanding.discard(quote.nonce)  # one-shot: prevents replay
-        if _AUDIT.active:
-            _AUDIT.emit("attest.verdict", ok=True,
-                        state_hash=quote.state_hash.hex())
+        if CELL.audit.active:
+            CELL.audit.emit("attest.verdict", ok=True,
+                            state_hash=quote.state_hash.hex())
 
     def complete_exchange(
         self, quote: AttestationQuote, expected_state_hash: Optional[bytes] = None

@@ -44,11 +44,8 @@ from repro.hw.memory import PhysicalMemory
 from repro.hw.mmu import DenylistPageTable, TLBEntry
 from repro.hw.packet_io import RingFullError, RXPort, TXPort
 from repro.net.packet import Packet
-from repro.obs.auditlog import get_emitter
-from repro.obs.tracer import get_tracer
+from repro.obs.cell import CELL
 
-_TRACER = get_tracer()
-_AUDIT = get_emitter()
 
 _DESC_BYTES = 16
 
@@ -293,19 +290,19 @@ class SNIC:
 
         launch_ms = self.timing.nf_launch_ms(extent_bytes)
         self.instruction_log.append(("nf_launch", nf_id, launch_ms))
-        if _AUDIT.active:
-            _AUDIT.emit("lifecycle.launch", tenant=nf_id, name=config.name,
-                        pages=len(pages), extent_bytes=extent_bytes,
-                        cores=list(config.core_ids),
-                        state_hash=state_hash.hex())
-        if _TRACER.enabled:
+        if CELL.audit.active:
+            CELL.audit.emit("lifecycle.launch", tenant=nf_id, name=config.name,
+                            pages=len(pages), extent_bytes=extent_bytes,
+                            cores=list(config.core_ids),
+                            state_hash=state_hash.hex())
+        if CELL.tracer.enabled:
             # Lifecycle span with the instruction-latency model's
             # duration, so launches appear to scale with extent size.
-            _TRACER.complete("nf_launch", _TRACER.now(), launch_ms * 1e6,
-                             tenant=nf_id, track="snic-lifecycle",
-                             cat="lifecycle", name_arg=config.name,
-                             extent_bytes=extent_bytes,
-                             cores=list(config.core_ids))
+            CELL.tracer.complete("nf_launch", CELL.tracer.now(), launch_ms * 1e6,
+                                 tenant=nf_id, track="snic-lifecycle",
+                                 cat="lifecycle", name_arg=config.name,
+                                 extent_bytes=extent_bytes,
+                                 cores=list(config.core_ids))
         return nf_id
 
     def _validate_cores(self, config: NFConfig) -> None:
@@ -464,13 +461,13 @@ class SNIC:
         )
         attest_ms = self.timing.nf_attest_ms()
         self.instruction_log.append(("nf_attest", nf_id, attest_ms))
-        if _AUDIT.active:
-            _AUDIT.emit("attest.quote", tenant=nf_id,
-                        state_hash=record.state_hash.hex())
-        if _TRACER.enabled:
-            _TRACER.complete("nf_attest", _TRACER.now(), attest_ms * 1e6,
-                             tenant=nf_id, track="snic-lifecycle",
-                             cat="lifecycle")
+        if CELL.audit.active:
+            CELL.audit.emit("attest.quote", tenant=nf_id,
+                            state_hash=record.state_hash.hex())
+        if CELL.tracer.enabled:
+            CELL.tracer.complete("nf_attest", CELL.tracer.now(), attest_ms * 1e6,
+                                 tenant=nf_id, track="snic-lifecycle",
+                                 cat="lifecycle")
         return session
 
     # ------------------------------------------------------------------
@@ -498,15 +495,15 @@ class SNIC:
         self._rebuild_bus()
         destroy_ms = self.timing.nf_destroy_ms(record.extent_bytes)
         self.instruction_log.append(("nf_teardown", nf_id, destroy_ms))
-        if _AUDIT.active:
-            _AUDIT.emit("lifecycle.teardown", tenant=nf_id,
-                        pages=len(record.pages),
-                        extent_bytes=record.extent_bytes)
-        if _TRACER.enabled:
-            _TRACER.complete("nf_teardown", _TRACER.now(), destroy_ms * 1e6,
-                             tenant=nf_id, track="snic-lifecycle",
-                             cat="lifecycle",
-                             extent_bytes=record.extent_bytes)
+        if CELL.audit.active:
+            CELL.audit.emit("lifecycle.teardown", tenant=nf_id,
+                            pages=len(record.pages),
+                            extent_bytes=record.extent_bytes)
+        if CELL.tracer.enabled:
+            CELL.tracer.complete("nf_teardown", CELL.tracer.now(), destroy_ms * 1e6,
+                                 tenant=nf_id, track="snic-lifecycle",
+                                 cat="lifecycle",
+                                 extent_bytes=record.extent_bytes)
 
     # ------------------------------------------------------------------
     # Microarchitectural reservations
@@ -516,11 +513,11 @@ class SNIC:
         self._cache_allocation = self.cache_policy.apply(
             self.l2, self.live_functions
         )
-        if _TRACER.enabled:
-            _TRACER.instant("cache.repartition", tenant=None,
-                            track="snic-lifecycle", cat="lifecycle",
-                            allocation={str(k): v for k, v
-                                        in self._cache_allocation.items()})
+        if CELL.tracer.enabled:
+            CELL.tracer.instant("cache.repartition", tenant=None,
+                                track="snic-lifecycle", cat="lifecycle",
+                                allocation={str(k): v for k, v
+                                            in self._cache_allocation.items()})
 
     def cache_rebalance(self) -> Dict[int, int]:
         """One SecDCP control step (no-op under static partitioning).
@@ -544,12 +541,12 @@ class SNIC:
                 dead_time_ns=self._bus_dead_ns,
             )
         )
-        if _TRACER.enabled:
-            _TRACER.instant("bus.rebuild_epochs", tenant=None,
-                            track="snic-lifecycle",
-                            cat="lifecycle", domains=list(domains),
-                            epoch_ns=self._bus_epoch_ns,
-                            dead_time_ns=self._bus_dead_ns)
+        if CELL.tracer.enabled:
+            CELL.tracer.instant("bus.rebuild_epochs", tenant=None,
+                                track="snic-lifecycle",
+                                cat="lifecycle", domains=list(domains),
+                                epoch_ns=self._bus_epoch_ns,
+                                dead_time_ns=self._bus_dead_ns)
 
     # ------------------------------------------------------------------
     # Packet plumbing

@@ -23,11 +23,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import FatalFunctionError, FaultInjected
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.obs.auditlog import get_emitter
+from repro.obs.cell import CELL
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 
-_AUDIT = get_emitter()
 
 _Method = Callable[..., Any]
 
@@ -170,12 +169,12 @@ class FaultInjector:
         self.records.append(record)
         get_registry().counter(
             "faults_injected_total", kind=kind.value, tenant=tenant).inc()
-        if _AUDIT.active:
-            _AUDIT.emit("fault.injected", tenant=tenant, ts_ns=at_ns,
-                        fault_kind=kind.value,
-                        **{k: v for k, v in detail.items()
-                           if isinstance(v, (int, float, str, bool))
-                           and k != "fault_kind"})
+        if CELL.audit.active:
+            CELL.audit.emit("fault.injected", tenant=tenant, ts_ns=at_ns,
+                            fault_kind=kind.value,
+                            **{k: v for k, v in detail.items()
+                               if isinstance(v, (int, float, str, bool))
+                               and k != "fault_kind"})
         tracer = get_tracer()
         if tracer.enabled:
             tracer.instant(f"fault.{kind.value}", ts_ns=at_ns,

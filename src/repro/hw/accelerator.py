@@ -28,10 +28,8 @@ from typing import Callable, Dict, List, Optional
 
 from repro.hw.memory import AccessFault
 from repro.hw.mmu import TLB
+from repro.obs.cell import CELL
 from repro.obs.metrics import get_registry, instance_label
-from repro.obs.tracer import get_tracer
-
-_TRACER = get_tracer()
 
 
 class AcceleratorKind(enum.Enum):
@@ -202,7 +200,7 @@ class AcceleratorCluster:
         requests_counter, latency_hist = instruments
         requests_counter.value += 1.0
         latency_hist.observe(request.latency_ns)
-        tracer = _TRACER
+        tracer = CELL.tracer
         if tracer.enabled:
             occupancy = self.threads.busy_at(dispatch_ns)
             self._occupancy_gauge.set(occupancy)
@@ -287,7 +285,7 @@ class AcceleratorEngine:
         request.complete_ns = self._shared_pool.serve(request.issue_ns, service_ns)
         if request.work is not None:
             request.result = request.work()
-        tracer = _TRACER
+        tracer = CELL.tracer
         if tracer.enabled:
             # Commodity path: every tenant lands on the same shared
             # track, which is precisely the contention picture §3.2

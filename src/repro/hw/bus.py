@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.obs.cell import CELL
 from repro.obs.interference import (
     RESOURCE_BUS,
     FCFSWaitAttributor,
@@ -34,9 +35,6 @@ from repro.obs.interference import (
 )
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, get_registry, \
     instance_label
-from repro.obs.tracer import get_tracer
-
-_TRACER = get_tracer()
 
 
 class BusCrashed(Exception):
@@ -341,7 +339,7 @@ class IOBus:
         bandwidth = getattr(self.arbiter, "bandwidth", None)
         if bandwidth:
             wait_hist.observe(max(0.0, latency - n_bytes / bandwidth))
-        tracer = _TRACER
+        tracer = CELL.tracer
         if tracer.enabled:
             tracer.complete("bus.transfer", now_ns, latency, tenant=client,
                             track="bus", cat="bus", bytes=n_bytes)

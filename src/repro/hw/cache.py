@@ -26,16 +26,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.hw.memory import AccessFault
+from repro.obs.cell import CELL
 from repro.obs.interference import RESOURCE_CACHE, get_accountant
 from repro.obs.metrics import Counter, MetricsRegistry, get_registry, instance_label
-from repro.obs.tracer import get_tracer
 
 SHARED = "shared"
 HARD = "hard"
 SOFT = "soft"
 _MODES = (SHARED, HARD, SOFT)
 
-_TRACER = get_tracer()
 
 #: Nominal fill latency used to give traced misses a visible duration.
 #: Doubles as the per-conflict-miss cost blamed on a cross-tenant
@@ -245,7 +244,7 @@ class Cache:
                 if len(self._evicted_by) >= _EVICTION_MEMORY_CAP:
                     self._evicted_by.pop(next(iter(self._evicted_by)))
                 self._evicted_by[(set_index, victim_tag, victim_owner)] = owner
-        tracer = _TRACER
+        tracer = CELL.tracer
         if tracer.enabled:
             tracer.complete(
                 "cache.miss", tracer.now(), _MISS_FILL_NS,
@@ -338,9 +337,9 @@ class Cache:
         self._evicted_by = {key: culprit
                             for key, culprit in self._evicted_by.items()
                             if key[2] != owner}
-        if _TRACER.enabled:
-            _TRACER.instant("cache.scrub", tenant=owner, track=self.name,
-                            cat="cache", lines=evicted)
+        if CELL.tracer.enabled:
+            CELL.tracer.instant("cache.scrub", tenant=owner, track=self.name,
+                                cat="cache", lines=evicted)
         return evicted
 
     def flush_all(self) -> None:

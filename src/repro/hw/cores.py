@@ -17,11 +17,9 @@ from typing import Optional
 
 from repro.hw.memory import AccessFault, PhysicalMemory
 from repro.hw.mmu import GuardedAddressSpace, TLB
-from repro.obs.interference import RESOURCE_CORES, get_accountant
+from repro.obs.cell import CELL
+from repro.obs.interference import RESOURCE_CORES
 from repro.obs.metrics import get_registry, instance_label
-from repro.obs.tracer import get_tracer
-
-_TRACER = get_tracer()
 
 
 @dataclass(frozen=True)
@@ -124,10 +122,10 @@ class ProgrammableCore:
         """
         self._stalls.value += n_cycles
         if culprit is not None and self.owner is not None:
-            get_accountant().blame(
+            CELL.accountant.blame(
                 RESOURCE_CORES, victim=self.owner, culprit=culprit,
                 wait_ns=n_cycles * self.timing.cycle_ns)
-        if _TRACER.enabled:
-            _TRACER.instant("core.stall", tenant=self.owner,
-                            track=f"core{self.core_id}", cat="core",
-                            cycles=n_cycles)
+        if CELL.tracer.enabled:
+            CELL.tracer.instant("core.stall", tenant=self.owner,
+                                track=f"core{self.core_id}", cat="core",
+                                cycles=n_cycles)

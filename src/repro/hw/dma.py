@@ -19,10 +19,9 @@ from typing import List, Optional
 
 from repro.hw.bus import FCFSArbiter
 from repro.hw.memory import AccessFault, HostMemory, PhysicalMemory
+from repro.obs.cell import CELL
 from repro.obs.metrics import Counter, get_registry, instance_label
-from repro.obs.tracer import get_tracer
 
-_TRACER = get_tracer()
 
 #: Nominal DMA engine bandwidth (PCIe-ish, bytes/ns).
 DMA_ENGINE_BANDWIDTH = 8.0
@@ -139,12 +138,12 @@ class DMABank:
     def _count_reject(self) -> None:
         if self._rejects is not None:
             self._rejects.inc()
-        if _TRACER.enabled:
-            _TRACER.instant("dma.window_reject", tenant=self.owner,
-                            track=f"dma-bank{self.bank_id}", cat="dma")
+        if CELL.tracer.enabled:
+            CELL.tracer.instant("dma.window_reject", tenant=self.owner,
+                                track=f"dma-bank{self.bank_id}", cat="dma")
 
     def _trace_transfer(self, direction: str, n_bytes: int) -> None:
-        tracer = _TRACER
+        tracer = CELL.tracer
         if tracer.enabled:
             # The window-checked copy is instantaneous in this model; a
             # nominal per-byte time gives the span visible width.

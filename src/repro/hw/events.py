@@ -11,12 +11,12 @@ arbitration) lives in the component models.
 Telemetry
 ---------
 
-Every :class:`Simulator` feeds two process-wide counters — events
-executed and simulated nanoseconds advanced — exposed through
-:func:`kernel_stats`.  The benchmark harness (:mod:`repro.obs.bench`)
-snapshots them around each scenario so every ``BENCH_*.json`` records
-how much simulated work a benchmark actually did; the cost on the event
-hot path is two integer adds.
+Every :class:`Simulator` feeds two tallies of the current cell
+(:class:`repro.obs.cell.KernelStats`) — events executed and simulated
+nanoseconds advanced — exposed through :func:`kernel_stats`.  Each
+cell starts them at zero, so every ``BENCH_*.json`` record and matrix
+cell records how much simulated work it actually did; the cost on the
+event hot path is an attribute load and two integer adds.
 
 A :class:`Simulator` can also carry a *profiler* (see
 :mod:`repro.obs.profile`): when attached via :meth:`Simulator.set_profiler`
@@ -33,35 +33,19 @@ import itertools
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
+from repro.obs.cell import CELL
+
 if TYPE_CHECKING:
     from repro.obs.profile import Profiler
 
 
-class _KernelStats:
-    """Process-wide tallies of discrete-event work (cheap by design)."""
-
-    __slots__ = ("events_executed", "sim_ns_advanced")
-
-    def __init__(self) -> None:
-        self.events_executed = 0
-        self.sim_ns_advanced = 0
-
-
-_KERNEL = _KernelStats()
-
-
 def kernel_stats() -> Dict[str, int]:
-    """Cumulative counters across every :class:`Simulator` instance."""
+    """The current cell's tallies across every :class:`Simulator`."""
+    kernel = CELL.kernel
     return {
-        "events_executed": _KERNEL.events_executed,
-        "sim_ns_advanced": _KERNEL.sim_ns_advanced,
+        "events_executed": kernel.events_executed,
+        "sim_ns_advanced": kernel.sim_ns_advanced,
     }
-
-
-def reset_kernel_stats() -> None:
-    """Zero the process-wide kernel counters (harness/test isolation)."""
-    _KERNEL.events_executed = 0
-    _KERNEL.sim_ns_advanced = 0
 
 
 class EventHandle:
@@ -143,8 +127,9 @@ class Simulator:
                 callback, perf_counter_ns() - host_start, advanced)
         else:
             callback()
-        _KERNEL.events_executed += 1
-        _KERNEL.sim_ns_advanced += advanced
+        kernel = CELL.kernel
+        kernel.events_executed += 1
+        kernel.sim_ns_advanced += advanced
 
     def run(self, until_ns: Optional[int] = None, max_events: int = 10_000_000) -> int:
         """Drain events, optionally stopping at ``until_ns``.

@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.obs.auditlog import get_emitter
+from repro.obs.cell import CELL
+
 
 #: Owner tag for pages not allocated to any network function.
 FREE = None
-
-_AUDIT = get_emitter()
 
 
 class AccessFault(Exception):
@@ -139,9 +138,9 @@ class PhysicalMemory:
             info.owner = FREE
             info.denylisted = False
         released = len(owned)
-        if _AUDIT.active:
-            _AUDIT.emit("memory.scrub", tenant=owner, pages=released,
-                        scrubbed=bool(scrub))
+        if CELL.audit.active:
+            CELL.audit.emit("memory.scrub", tenant=owner, pages=released,
+                            scrubbed=bool(scrub))
         return released
 
     def zero_page(self, page_index: int) -> None:

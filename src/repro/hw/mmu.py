@@ -23,9 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.hw.memory import AccessFault, PhysicalMemory
-from repro.obs.auditlog import get_emitter
-
-_AUDIT = get_emitter()
+from repro.obs.cell import CELL
 
 
 class TLBMiss(Exception):
@@ -112,17 +110,17 @@ class TLB:
                     f"{self.name}: entry overlaps existing virtual range"
                 )
         self._entries.append(entry)
-        if _AUDIT.active:
-            _AUDIT.emit("tlb.install", bank=self.name, vbase=entry.vbase,
-                        pbase=entry.pbase, size=entry.size,
-                        writable=entry.writable)
+        if CELL.audit.active:
+            CELL.audit.emit("tlb.install", bank=self.name, vbase=entry.vbase,
+                            pbase=entry.pbase, size=entry.size,
+                            writable=entry.writable)
 
     def lock(self) -> None:
         """Make the bank read-only (the end of ``nf_launch``)."""
         self._locked = True
-        if _AUDIT.active:
-            _AUDIT.emit("tlb.lock", bank=self.name,
-                        entries=len(self._entries))
+        if CELL.audit.active:
+            CELL.audit.emit("tlb.lock", bank=self.name,
+                            entries=len(self._entries))
 
     def clear(self, force: bool = False) -> None:
         """Drop all entries.  Only trusted teardown may clear a locked bank."""
@@ -131,9 +129,9 @@ class TLB:
         dropped = len(self._entries)
         self._entries.clear()
         self._locked = False
-        if _AUDIT.active:
-            _AUDIT.emit("tlb.clear", bank=self.name, forced=bool(force),
-                        dropped=dropped)
+        if CELL.audit.active:
+            CELL.audit.emit("tlb.clear", bank=self.name, forced=bool(force),
+                            dropped=dropped)
 
     def translate(self, vaddr: int, write: bool = False) -> int:
         """Translate ``vaddr``; raises :class:`TLBMiss` / :class:`AccessFault`."""

@@ -24,9 +24,11 @@ hot layer:
   scenario under a fresh registry and writes a schema-versioned
   ``BENCH_<timestamp>.json`` with wall-time, sim-time, and event-count
   telemetry, plus artifact diffing with regression flags.  It is also
-  the one experiment harness: ``isolate()`` (the only state reset),
-  ``cell_scope()`` (isolation, IsoSan, forensics around one cell) and
-  ``emit_report()`` (the report tail every front end ends in).
+  the one experiment harness: ``isolate()`` (installs a fresh
+  :class:`~repro.obs.cell.CellState`, the one owner of a cell's
+  process state), ``cell_scope()`` (isolation, IsoSan, forensics
+  around one cell), ``run_cells()`` (whole cells on worker processes)
+  and ``emit_report()`` (the report tail every front end ends in).
 * :mod:`repro.obs.interference` — per-tenant contention attribution:
   every shared hardware resource blames each nanosecond a victim
   waited on the co-tenant that caused it
@@ -57,7 +59,8 @@ hot layer:
   ``SLOSpec``/``TenantSLO`` objectives attached to scenario tenants,
   sim-time windowed delta aggregation, SRE multi-window burn-rate
   alerting (page/ticket tiers, audit-logged), an OpenMetrics text
-  exporter + strict checker, and the arbiter-sweep scorecard CLI.
+  exporter + strict checker (``python -m repro.obs.openmetrics FILE``;
+  import it as a submodule), and the arbiter-sweep scorecard CLI.
 
 Quickstart::
 
@@ -114,7 +117,6 @@ from repro.obs.metrics import (
     get_registry,
     instance_label,
 )
-from repro.obs.metrics import reset as reset_metrics
 from repro.obs.postmortem import (
     build_bundle,
     diff_bundles,
@@ -122,9 +124,6 @@ from repro.obs.postmortem import (
     verify_bundle,
     write_bundle,
 )
-from repro.obs.openmetrics import render as render_openmetrics
-from repro.obs.openmetrics import validate_text as validate_openmetrics
-from repro.obs.openmetrics import write as write_openmetrics
 from repro.obs.profile import Profiler, profile_cotenancy_scenario
 from repro.obs.slo import (
     BurnRateAlert,
@@ -198,16 +197,12 @@ __all__ = [
     "metrics_rows",
     "metrics_to_csv",
     "profile_cotenancy_scenario",
-    "render_openmetrics",
-    "reset_metrics",
     "sample_function",
     "to_chrome_trace",
-    "validate_openmetrics",
     "verify_bundle",
     "verify_records",
     "write_bundle",
     "write_chrome_trace",
     "write_metrics_csv",
     "write_metrics_json",
-    "write_openmetrics",
 ]

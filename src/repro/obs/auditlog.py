@@ -24,13 +24,12 @@ as compact sorted-key JSON, and record 0 chains from a fixed
 same primitive the attestation model uses), whose digests come from
 ``hashlib`` and are checked against its from-scratch reference.
 
-Emission sites go through the :class:`AuditEmitter` facade so each
-instrumented module pays the usual zero-cost-when-off toll::
+Emission sites go through the cell's :class:`AuditEmitter` facade
+(:data:`repro.obs.cell.CELL`) so each instrumented module pays the
+usual zero-cost-when-off toll::
 
-    _AUDIT = get_emitter()
-    ...
-    if _AUDIT.active:
-        _AUDIT.emit("tlb.install", tenant=owner, vbase=..., size=...)
+    if CELL.audit.active:
+        CELL.audit.emit("tlb.install", tenant=owner, vbase=..., size=...)
 
 ``active`` is a plain attribute (no property, no call) refreshed
 whenever the audit log or flight recorder is enabled/disabled, so the
@@ -49,7 +48,7 @@ import json
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.crypto.sha256 import sha256_hex
-from repro.obs import flight as flight_mod
+from repro.obs.flight import FlightRecorder
 
 #: Chain anchor for the first record: a fixed, content-free digest so an
 #: empty log still has a well-defined head.
@@ -139,12 +138,6 @@ class AuditLog:
         """(Re)bind the time source; ``None`` reverts to internal ticks."""
         self._clock = clock
 
-    def clear(self) -> None:
-        """Drop all records and restart the chain from genesis."""
-        self.records = []
-        self._tick = 0
-        self._head = GENESIS
-
     def now(self) -> float:
         if self._clock is not None:
             return float(self._clock())
@@ -205,7 +198,7 @@ class AuditLog:
 class AuditEmitter:
     """The shared guard object instrumented modules route through.
 
-    Holds the process-wide audit log and flight recorder; ``active`` is
+    Holds its cell's audit log and flight recorder; ``active`` is
     kept in sync by the module-level enable/disable helpers so call
     sites pay one attribute load when everything is off.
     """
@@ -213,7 +206,7 @@ class AuditEmitter:
     __slots__ = ("active", "_log", "_flight")
 
     def __init__(self, log: AuditLog,
-                 flight: "flight_mod.FlightRecorder") -> None:
+                 flight: FlightRecorder) -> None:
         self._log = log
         self._flight = flight
         self.active = False
@@ -237,44 +230,28 @@ class AuditEmitter:
                           track="audit", args=detail)
 
 
-#: Process-wide singletons: one log, one emitter facade over it and the
-#: default flight recorder.  The emitter holds object *references*, so
-#: state resets clear these instances in place rather than rebinding.
-_AUDIT_LOG = AuditLog()
-_EMITTER = AuditEmitter(_AUDIT_LOG, flight_mod.get_flight_recorder())
-
-
 def get_audit_log() -> AuditLog:
-    return _AUDIT_LOG
+    """The current cell's audit log."""
+    from repro.obs.cell import CELL
+
+    return CELL.audit_log
 
 
 def get_emitter() -> AuditEmitter:
-    return _EMITTER
+    """The current cell's emitter, the facade every hook routes through."""
+    from repro.obs.cell import CELL
+
+    return CELL.audit
 
 
 def enable_audit_log(
         clock: Optional[Callable[[], float]] = None) -> AuditLog:
-    _AUDIT_LOG.enable(clock)
-    _EMITTER.refresh()
-    return _AUDIT_LOG
+    log = get_audit_log()
+    log.enable(clock)
+    get_emitter().refresh()
+    return log
 
 
 def disable_audit_log() -> None:
-    _AUDIT_LOG.disable()
-    _EMITTER.refresh()
-
-
-def refresh_emitter() -> None:
-    """Recompute the emitter's ``active`` flag — call after toggling the
-    flight recorder directly."""
-    _EMITTER.refresh()
-
-
-def reset() -> None:
-    """Return the audit log to its import-time state (the
-    ``repro.obs.bench.isolate`` reset and the test fixtures call this
-    between cells)."""
-    _AUDIT_LOG.disable()
-    _AUDIT_LOG.use_clock(None)
-    _AUDIT_LOG.clear()
-    _EMITTER.refresh()
+    get_audit_log().disable()
+    get_emitter().refresh()

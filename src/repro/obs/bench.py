@@ -9,10 +9,11 @@ unit:
 
 * **discovery** — every ``benchmarks/bench_*.py`` that exposes a
   ``run(quick: bool) -> dict`` entry point is a *scenario*;
-* **isolation** — each scenario runs under a freshly reset metrics
-  registry (serial labels restart at ``#1``), a cleared/disabled
-  tracer, and zeroed event-kernel counters, so scenarios can neither
-  alias nor observe each other;
+* **isolation** — each scenario runs in a fresh
+  :class:`~repro.obs.cell.CellState`: a new metrics registry (serial
+  labels restart at ``#1``), a new disabled tracer and zeroed
+  event-kernel tallies, so scenarios can neither alias nor observe
+  each other;
 * **telemetry** — per scenario the harness records host wall-time,
   simulated nanoseconds advanced, discrete events executed, trace
   events recorded, registry size, and the scenario's own key model
@@ -26,10 +27,11 @@ unit:
 
 The same isolation serves every experiment front end (``matrix``,
 ``slo``, ``bench``, ``audit``, ``chaos`` and ``sanitize``):
-:func:`isolate` is the one process-wide state reset, :func:`cell_scope`
-the one way to run a cell (isolate, optionally sanitize and arm
-forensics, isolate again), and :func:`format_json` plus
-:func:`emit_report` the one report tail.
+:func:`isolate` installs the one fresh cell state, :func:`cell_scope`
+is the one way to run a cell (isolate, optionally sanitize and arm
+forensics, isolate again), :func:`run_cells` deals whole cells to
+worker processes, and :func:`format_json` plus :func:`emit_report`
+are the one report tail.
 
 CLI: ``python -m repro bench [--quick] [--profile] [--compare A B]``.
 """
@@ -38,14 +40,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import enum
+import gc
 import io
 import json
 import sys
 import time
 import traceback
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO
+
+from repro.obs.cell import CELL, CellState
 
 SCHEMA = "repro.bench"
 SCHEMA_VERSION = 1
@@ -136,49 +143,29 @@ class BenchRecord:
 # ----------------------------------------------------------------------
 
 def isolate() -> None:
-    """Reset every piece of process-global observability state: the
-    metrics registry, the event-kernel counters, the tracer (disabled,
-    cleared, unclocked, unmirrored), the flight recorder and the audit
-    log."""
-    from repro.hw import events as hw_events
-    from repro.obs import auditlog, flight, metrics, tracer
-
-    metrics.reset()
-    hw_events.reset_kernel_stats()
-    t = tracer.get_tracer()
-    t.disable()
-    t.use_clock(None)
-    t.clear()
-    t.mirror = None
-    flight.reset()
-    auditlog.reset()
+    """Install a fresh :class:`~repro.obs.cell.CellState`: a new
+    metrics registry, tracer, flight recorder, audit log and emitter,
+    interference accountant and event-kernel tallies, all off and
+    empty.  The previous cell's objects are dropped, not cleared."""
+    CELL.install(CellState())
 
 
 def bind_clock(clock: Optional[Callable[[], float]]) -> None:
     """Put every enabled sink (tracer, flight recorder, audit log) on
     ``clock``, a cell's simulated time; ``None`` releases all three, so
     nothing keeps reading a dead cell's simulator."""
-    from repro.obs.auditlog import get_audit_log
-    from repro.obs.flight import get_flight_recorder
-    from repro.obs.tracer import get_tracer
-
-    for sink in (get_tracer(), get_flight_recorder(), get_audit_log()):
+    for sink in (CELL.tracer, CELL.flight, CELL.audit_log):
         if clock is None or sink.enabled:
             sink.use_clock(clock)
 
 
 def _fill_record(record: BenchRecord) -> None:
     """Copy the kernel, tracer and registry tallies into ``record``."""
-    from repro.hw import events as hw_events
-    from repro.obs import metrics, tracer
-
-    stats = hw_events.kernel_stats()
-    record.sim_time_ns = stats["sim_ns_advanced"]
-    record.events_executed = stats["events_executed"]
-    record.trace_events = len(tracer.get_tracer().events)
-    registry = metrics.get_registry()
-    record.metrics_instruments = len(registry)
-    record.histograms = _histogram_percentiles(registry)
+    record.sim_time_ns = CELL.kernel.sim_ns_advanced
+    record.events_executed = CELL.kernel.events_executed
+    record.trace_events = len(CELL.tracer.events)
+    record.metrics_instruments = len(CELL.registry)
+    record.histograms = _histogram_percentiles(CELL.registry)
 
 
 @contextlib.contextmanager
@@ -227,6 +214,98 @@ def cell_scope(record: Optional[BenchRecord] = None, *,
         if record is not None:
             _fill_record(record)
         isolate()
+
+
+# ----------------------------------------------------------------------
+# Dealing whole cells to worker processes (``--shards N``)
+# ----------------------------------------------------------------------
+
+class ShardError(RuntimeError):
+    """A cell failed in its worker, or its worker died."""
+
+
+_PLAIN_ATOMS = (type(None), bool, int, float, str, bytes, PurePath,
+                enum.Enum)
+
+
+def _is_plain(value: object) -> bool:
+    """Whether ``value`` is plain data: atoms, and tuples, lists,
+    sets, dicts and frozen dataclasses of plain data."""
+    if isinstance(value, _PLAIN_ATOMS):
+        return True
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return all(_is_plain(item) for item in value)
+    if isinstance(value, dict):
+        return all(_is_plain(key) and _is_plain(item)
+                   for key, item in value.items())
+    params = getattr(type(value), "__dataclass_params__", None)
+    return params is not None and params.frozen and all(
+        _is_plain(getattr(value, field.name))
+        for field in dataclasses.fields(value))  # type: ignore[arg-type]
+
+
+def run_cells(task: Callable[..., object], calls: Sequence[tuple],
+              workers: int = 1) -> List[object]:
+    """``task(*call)`` for every call, each call one whole cell, on a
+    pool of ``workers`` processes; the results in call order.
+
+    A cell runs through exactly the code a run without workers uses
+    (:func:`~repro.scenario.matrix.run_cell`,
+    :func:`~repro.obs.scorecard.run_spec` or a bench script), so the
+    worker count never reaches a report.  A worker gets plain data and
+    hands back plain data: an argument that is anything else (a live
+    ``Simulator``, a ``BuiltScenario``, a registry) raises
+    :class:`TypeError` here, before any cell runs, instead of running
+    on a copy whose changes the caller never sees.  Raises
+    :class:`ShardError` naming the cell whose task raised, or the first
+    one left without a result when a worker died.  The pool uses the
+    fork context, so the children inherit the parent's imports and any
+    open ``sanitized()`` scope, and share its heap copy-on-write.
+    """
+    # Imported here: a run without workers never loads multiprocessing.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    for index, call in enumerate(calls):
+        for arg in call:
+            if not _is_plain(arg):
+                raise TypeError(
+                    f"cell {index} argument {type(arg).__name__} is not "
+                    f"plain data; pass a spec, not a live simulation "
+                    f"object")
+    if not calls:
+        return []
+    n_workers = max(1, min(int(workers), len(calls)))
+    # Forked workers inherit the parent heap copy-on-write.  Any garbage
+    # the parent accumulated (say, an earlier in-process sweep)
+    # would be traversed by every worker's collector, faulting those
+    # shared pages into private copies and erasing the scale-out win --
+    # so drop the garbage now and pin the survivors in the permanent
+    # generation for the fork.
+    gc.collect()
+    gc.freeze()
+    try:
+        with ProcessPoolExecutor(
+                max_workers=n_workers,
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(task, *call) for call in calls]
+            results = []
+            for index, future in enumerate(futures):
+                try:
+                    results.append(future.result())
+                except Exception as exc:
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    if isinstance(exc, BrokenProcessPool):
+                        raise ShardError(
+                            f"a worker died before cell {index} "
+                            f"returned") from exc
+                    raise ShardError(
+                        f"cell {index} failed in its worker: "
+                        f"{exc!r}") from exc
+    finally:
+        gc.unfreeze()
+    return results
 
 
 def positive_int(text: str) -> int:
@@ -332,7 +411,7 @@ def run_benchmarks(
     (the CLI uses it to print one line per scenario as it lands).
 
     ``workers`` deals the scripts to that many worker processes
-    (:func:`repro.shard.engine.run_partitions`); the artifact keeps
+    (:func:`run_cells`); the artifact keeps
     discovery order, and ``progress`` sees the records once all are
     done.  Sim-side fields do not depend on the worker count; wall
     times are measurements and never part of a byte-identity contract.
@@ -354,9 +433,7 @@ def run_benchmarks(
             if progress is not None:
                 progress(record)
     else:
-        from repro.shard.engine import run_partitions
-
-        records = run_partitions(
+        records = run_cells(
             run_scenario, [(path, quick, capture) for path in paths],
             workers=workers)
         if progress is not None:

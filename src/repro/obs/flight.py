@@ -22,11 +22,13 @@ Overhead discipline
 Same contract as the tracer (DESIGN.md §1.4): recording defaults to
 **off** and every hook is written as::
 
-    flight = _FLIGHT
+    flight = CELL.flight
     if flight.enabled:
         flight.record(...)
 
-one attribute load and a falsy branch — no allocation, no clock read.
+two attribute loads (the recorder off the :data:`repro.obs.cell.CELL`
+holder, then its flag) and a falsy branch — no allocation, no clock
+read.
 ``tests/test_tracer_overhead.py`` pins the disabled path within 5% of a
 recorder-free stub.
 
@@ -111,10 +113,6 @@ class FlightRecorder:
         """(Re)bind the time source; ``None`` reverts to internal ticks."""
         self._clock = clock
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self._tick = 0
-
     def now(self) -> float:
         if self._clock is not None:
             return float(self._clock())
@@ -187,57 +185,37 @@ class FlightRecorder:
         return [entry.as_dict() for entry in entries]
 
 
-#: The default process-wide recorder every instrumentation hook targets.
-_FLIGHT = FlightRecorder()
-
-
 def get_flight_recorder() -> FlightRecorder:
-    return _FLIGHT
+    """The current cell's flight recorder."""
+    from repro.obs.cell import CELL
+
+    return CELL.flight
 
 
 def enable_flight_recording(
         clock: Optional[Callable[[], float]] = None,
         capacity: Optional[int] = None,
         window_ns: Optional[float] = None) -> FlightRecorder:
-    """Arm the default recorder and mirror tracer events into it."""
-    from repro.obs.tracer import get_tracer
+    """Arm the cell's recorder and mirror tracer events into it."""
+    from repro.obs.cell import CELL
 
-    if capacity is not None and capacity != _FLIGHT.capacity:
-        _FLIGHT.capacity = capacity
-        _FLIGHT._entries = deque(_FLIGHT._entries, maxlen=capacity)
+    flight = CELL.flight
+    if capacity is not None and capacity != flight.capacity:
+        flight.capacity = capacity
+        flight._entries = deque(flight._entries, maxlen=capacity)
     if window_ns is not None:
-        _FLIGHT.window_ns = window_ns
-    _FLIGHT.enable(clock)
-    get_tracer().mirror = _FLIGHT
-    _refresh_emitter()
-    return _FLIGHT
+        flight.window_ns = window_ns
+    flight.enable(clock)
+    CELL.tracer.mirror = flight
+    CELL.audit.refresh()
+    return flight
 
 
 def disable_flight_recording() -> None:
-    """Disarm the default recorder and detach the tracer mirror."""
-    from repro.obs.tracer import get_tracer
+    """Disarm the cell's recorder and detach the tracer mirror."""
+    from repro.obs.cell import CELL
 
-    _FLIGHT.disable()
-    if get_tracer().mirror is _FLIGHT:
-        get_tracer().mirror = None
-    _refresh_emitter()
-
-
-def _refresh_emitter() -> None:
-    """Keep the audit emitter's ``active`` flag in sync (lazy import —
-    auditlog imports this module at load time)."""
-    from repro.obs import auditlog
-
-    auditlog.refresh_emitter()
-
-
-def reset() -> None:
-    """Return the default recorder to its import-time state (used by
-    the ``repro.obs.bench.isolate`` reset and the test fixtures)."""
-    disable_flight_recording()
-    _FLIGHT.use_clock(None)
-    _FLIGHT.clear()
-    _FLIGHT.window_ns = None
-    if _FLIGHT.capacity != DEFAULT_CAPACITY:
-        _FLIGHT.capacity = DEFAULT_CAPACITY
-        _FLIGHT._entries = deque(maxlen=DEFAULT_CAPACITY)
+    CELL.flight.disable()
+    if CELL.tracer.mirror is CELL.flight:
+        CELL.tracer.mirror = None
+    CELL.audit.refresh()

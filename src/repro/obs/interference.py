@@ -117,35 +117,24 @@ class InterferenceAccountant:
     from one :func:`pair_labels` key through
     :meth:`MetricsRegistry._get_or_create`, in the same order as
     ``registry.counter`` calls would, and to the same instruments.  The
-    memo is keyed on ``(registry, registry.generation)``:
-    :func:`repro.obs.metrics.reset` bumps the generation and the next
-    blame starts a fresh memo, so components may hold the accountant
-    across resets, never the counters.  Memo keys are the raw label
-    values; tenant ids are ints (or ``None``), which never collide under
-    ``==`` while stringifying differently.
+    accountant blames into one registry for life (the current cell's
+    when none is given), and a registry never drops an instrument, so
+    the memo never goes stale; each cell gets a new accountant with its
+    registry (:class:`repro.obs.cell.CellState`).  Memo keys are the raw
+    label values; tenant ids are ints (or ``None``), which never collide
+    under ``==`` while stringifying differently.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self._registry = registry
+        self._registry = registry if registry is not None else get_registry()
         self._memo: Dict[Tuple[str, Optional[int]], Row] = {}
-        self._memo_owner: Tuple[Optional[MetricsRegistry], int] = (None, -1)
 
-    def _resolve(self) -> MetricsRegistry:
-        return self._registry if self._registry is not None else get_registry()
-
-    def _row(self, resource: str,
-             victim: Optional[int]) -> Tuple[MetricsRegistry, Row]:
-        """The registry blames land in and the victim's memo row for
-        ``resource``, valid for that registry."""
-        registry = self._resolve()
-        owner = self._memo_owner
-        if owner[0] is not registry or owner[1] != registry.generation:
-            self._memo = {}
-            self._memo_owner = (registry, registry.generation)
+    def _row(self, resource: str, victim: Optional[int]) -> Row:
+        """The victim's memo row for ``resource``."""
         row = self._memo.get((resource, victim))
         if row is None:
             row = self._memo[(resource, victim)] = ({}, {})
-        return registry, row
+        return row
 
     def blame(
         self,
@@ -158,10 +147,10 @@ class InterferenceAccountant:
         """Attribute ``wait_ns`` of the victim's delay to ``culprit``."""
         if wait_ns <= 0.0 and events <= 0:
             return
-        registry, row = self._row(resource, victim)
+        row = self._row(resource, victim)
         wait = row[0].get(culprit)
         if wait is None:
-            wait = _mint_pair(registry, row, resource, victim, culprit)
+            wait = _mint_pair(self._registry, row, resource, victim, culprit)
         wait.value += wait_ns
         row[1][culprit].value += events
 
@@ -171,9 +160,10 @@ class InterferenceAccountant:
 
         Equivalent to calling :meth:`blame` once per entry with the
         default ``events=1`` -- the same counter values and the same
-        mint order -- but resolves the registry and memo row only once.
+        mint order -- but looks the memo row up only once.
         """
-        registry, row = self._row(resource, victim)
+        registry = self._registry
+        row = self._row(resource, victim)
         wait_counters, event_counters = row
         for culprit, wait_ns in waits:
             wait = wait_counters.get(culprit)
@@ -187,7 +177,7 @@ class InterferenceAccountant:
     # ------------------------------------------------------------------
 
     def matrix(self, resource: Optional[str] = None) -> "BlameMatrix":
-        return blame_matrix(self._resolve(), resource=resource)
+        return blame_matrix(self._registry, resource=resource)
 
 
 #: One (victim, culprit) cell: attributed wait and blamed-event count.
@@ -417,9 +407,9 @@ class FCFSWaitAttributor:
         self._clients.clear()
 
 
-#: The process-wide accountant every hardware model blames into.
-_ACCOUNTANT = InterferenceAccountant()
-
-
 def get_accountant() -> InterferenceAccountant:
-    return _ACCOUNTANT
+    """The current cell's accountant, the one every hardware model
+    blames into."""
+    from repro.obs.cell import CELL
+
+    return CELL.accountant

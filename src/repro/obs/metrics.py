@@ -39,13 +39,13 @@ LabelKey = Tuple[Tuple[str, str], ...]
 def instance_label(prefix: str) -> str:
     """A unique label for one component instance, e.g. ``l2#7``.
 
-    Serial numbers are shared across prefixes within the default
-    registry so two caches created by two different NICs can never
-    alias each other's counters.  The counter lives on the registry
-    (not in a module global), so a fresh registry numbers its own
-    instances independently.
+    Serial numbers are shared across prefixes within the current
+    cell's registry so two caches created by two different NICs can
+    never alias each other's counters.  The counter lives on the
+    registry (not in a module global), so each cell's fresh registry
+    numbers its instances from ``#1``.
     """
-    return _REGISTRY.instance_label(prefix)
+    return get_registry().instance_label(prefix)
 
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:
@@ -255,18 +255,16 @@ class MetricsRegistry:
     callable invoked only at :meth:`snapshot` time, for components whose
     hot loops are too hot even for a counter increment.
 
-    Between two :meth:`clear` calls instruments are only ever added, in
-    mint order, and never replaced.  ``generation`` counts the clears,
-    so a reader that cached instrument objects (or how far it has
-    scanned :meth:`items`) keys the cache on ``(registry, generation)``
-    and knows it is still valid.
+    Instruments are only ever added, in mint order, and never replaced
+    or dropped, so a reader may cache instrument objects (or how far it
+    has scanned :meth:`items`) for the registry's lifetime.  A new cell
+    gets a new registry (:func:`repro.obs.bench.isolate`).
     """
 
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, LabelKey], object] = {}
         self._collectors: List[Callable[[], Iterable[Dict[str, object]]]] = []
         self._serial = itertools.count(1)
-        self.generation = 0
 
     def instance_label(self, prefix: str) -> str:
         """A unique per-instance label minted from this registry's
@@ -347,42 +345,15 @@ class MetricsRegistry:
         for instrument in self._instruments.values():
             instrument.reset()
 
-    def clear(self) -> None:
-        """Drop every instrument and collector entirely and restart the
-        per-instance serial stream.  Bumps :attr:`generation`."""
-        self._instruments.clear()
-        self._collectors.clear()
-        self._serial = itertools.count(1)
-        self.generation += 1
-
-
-#: The default process-wide registry every component instruments into.
-_REGISTRY = MetricsRegistry()
-
 
 def get_registry() -> MetricsRegistry:
-    return _REGISTRY
+    """The current cell's registry."""
+    from repro.obs.cell import CELL
+
+    return CELL.registry
 
 
 def snapshot() -> List[Dict[str, object]]:
-    """Convenience: :meth:`MetricsRegistry.snapshot` of the default
-    registry."""
-    return _REGISTRY.snapshot()
-
-
-def reset() -> None:
-    """Return the default registry to its import-time state.
-
-    Drops every instrument and collector *and* restarts the per-instance
-    serial counter, so two scenarios run back to back mint identical
-    labels (``l2#1``, ``bus#2`` …) instead of the second run's instances
-    continuing the first run's numbering.  This is what keeps
-    consecutive benchmarks — and consecutive tests — from aliasing each
-    other's per-instance metric families.
-
-    Components constructed *before* a reset keep counting into their
-    (now unregistered) instrument objects; construct fresh components
-    after resetting, which is what the benchmark harness and the test
-    fixture both do.
-    """
-    _REGISTRY.clear()
+    """Convenience: :meth:`MetricsRegistry.snapshot` of the current
+    cell's registry."""
+    return get_registry().snapshot()

@@ -380,7 +380,7 @@ def run_scorecard(n_tenants: int = 128, seed: int = 7,
     """Sweep the arbiter axis and assemble the scorecard report.
 
     With ``workers`` set, the arbiter cells are dealt to that many
-    worker processes (:func:`repro.shard.engine.run_partitions`); each
+    worker processes (:func:`repro.obs.bench.run_cells`); each
     cell runs whole in one of them, so the report is byte-identical to
     the run without workers.
     """
@@ -397,9 +397,9 @@ def run_scorecard(n_tenants: int = 128, seed: int = 7,
                            window_ns=window_ns, families_sink=families)
                   for spec in specs]
     else:
-        from repro.shard.engine import run_partitions
+        from repro.obs.bench import run_cells
 
-        blocks = run_partitions(
+        blocks = run_cells(
             run_spec, [(spec, quick, sanitize, window_ns) for spec in specs],
             workers=workers)
     results = dict(zip(arbiters, blocks))

@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.hw.events import Simulator
+if TYPE_CHECKING:
+    from repro.hw.events import Simulator
 
 Probe = Callable[[], float]
 

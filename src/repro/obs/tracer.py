@@ -23,12 +23,13 @@ Overhead discipline
 Tracing defaults to **off**, and every hook in the hot layers is
 written as::
 
-    tracer = _TRACER
+    tracer = CELL.tracer
     if tracer.enabled:
         tracer.complete(...)
 
-so the disabled cost is one attribute load and a falsy branch — no
-allocation, no clock read, no string formatting.  :meth:`Tracer.span`
+reading the current cell's tracer off the :data:`repro.obs.cell.CELL`
+holder, so the disabled cost is two attribute loads and a falsy
+branch — no allocation, no clock read, no string formatting.  :meth:`Tracer.span`
 returns a shared no-op context-manager singleton when disabled for the
 same reason.
 
@@ -244,18 +245,18 @@ class Tracer:
                       key=lambda t: (t is None, t))
 
 
-#: The default process-wide tracer every instrumentation hook targets.
-_TRACER = Tracer(enabled=False)
-
-
 def get_tracer() -> Tracer:
-    return _TRACER
+    """The current cell's tracer, the one every hook targets."""
+    from repro.obs.cell import CELL
+
+    return CELL.tracer
 
 
 def enable_tracing(clock: Optional[Callable[[], float]] = None) -> Tracer:
-    _TRACER.enable(clock)
-    return _TRACER
+    tracer = get_tracer()
+    tracer.enable(clock)
+    return tracer
 
 
 def disable_tracing() -> None:
-    _TRACER.disable()
+    get_tracer().disable()

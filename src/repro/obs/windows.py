@@ -38,12 +38,10 @@ Only instruments whose name starts with one of the configured
 families).  Between rotations the aggregator keeps its tracked
 counters and gauges as parallel sequences: a sorted tuple of their
 ``(name, labels)`` keys, the instruments in that order, and each one's
-value at the previous rotation.  The registry only grows between
-clears, so a rotation scans just the instruments minted since the
-previous one and merges them into the kept run; the key tuple is
-replaced only then, and every snapshot taken in between shares it.  A
-registry ``clear()`` (a new ``generation``) rebuilds the index from
-scratch.
+value at the previous rotation.  The registry only grows, so a
+rotation scans just the instruments minted since the previous one and
+merges them into the kept run; the key tuple is replaced only then,
+and every snapshot taken in between shares it.
 
 While every tracked key is an interference pair key (the fixed
 ``culprit``/``resource``/``tenant`` schema the accountant mints), the
@@ -74,9 +72,8 @@ from array import array
 from functools import reduce
 from itertools import islice
 from operator import add, itemgetter, sub
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.hw.events import Simulator
 from repro.obs.interference import WAIT_METRIC, on_pair_schema
 from repro.obs.metrics import (
     Counter,
@@ -86,6 +83,9 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
 )
+
+if TYPE_CHECKING:
+    from repro.hw.events import Simulator
 
 #: Default tracked-name prefixes: the SLO layer's own instruments and
 #: the interference attribution families it reads through.
@@ -307,7 +307,8 @@ class WindowedAggregator:
         #: Invoked with each finished :class:`WindowSnapshot` — the
         #: burn-rate alerter's attachment point.
         self.on_rotate = on_rotate
-        self._registry = registry
+        self._registry = registry if registry is not None \
+            else get_registry()
         self.snapshots: List[WindowSnapshot] = []
         self.windows_dropped = 0
         self._window_start_ns = 0.0
@@ -329,32 +330,18 @@ class WindowedAggregator:
         #: Tracked histograms as ``[key, instrument, (counts, count,
         #: sum)]`` entries in key order.
         self._histograms: List[list] = []
-        #: The index is valid for ``_index_owner``'s ``(registry,
-        #: generation)`` after scanning its first ``_index_seen``
-        #: instruments.
-        self._index_owner: Tuple[Optional[MetricsRegistry], int] = (None, -1)
+        #: How many of the registry's instruments the index has
+        #: scanned.
         self._index_seen = 0
-
-    def _resolve(self) -> MetricsRegistry:
-        return self._registry if self._registry is not None \
-            else get_registry()
 
     def _refresh_index(self) -> None:
         """Bring the tracked sequences up to date with the registry.
 
         Scans only the instruments minted since the previous call,
         sorts them and merges them into the kept run (see the module
-        docstring).  A new registry generation starts from empty
-        sequences, so every base restarts at zero.
+        docstring).
         """
-        registry = self._resolve()
-        if self._index_owner != (registry, registry.generation):
-            self._keys, self._wait_index = (), ()
-            self._instruments, self._bases, self._victims = [], [], []
-            self._columns = ([], [], [], [])
-            self._histograms = []
-            self._index_owner = (registry, registry.generation)
-            self._index_seen = 0
+        registry = self._registry
         if len(registry) == self._index_seen:
             return
         new_keys: List[InstrumentKey] = []

@@ -358,9 +358,9 @@ def _sweep(runs: List[tuple], seed: int, reps: int, mode: str,
             if progress is not None:
                 progress(records[-1])
     else:
-        from repro.shard.engine import run_partitions
+        from repro.obs.bench import run_cells
 
-        records = run_partitions(
+        records = run_cells(
             run_cell, [(cell, quick, sanitize, None, spec)
                        for cell, spec in runs], workers=shards)
         if progress is not None:

@@ -9,7 +9,7 @@ from repro.core import NFConfig, NICOS, SNIC
 from repro.core.vpp import VPPConfig
 from repro.net.packet import Packet
 from repro.net.rules import MatchRule, Prefix
-from repro.obs import auditlog, flight, metrics
+from repro.obs.bench import isolate
 
 MB = 1024 * 1024
 
@@ -42,32 +42,18 @@ def isosan_enabled(request):
 
 
 @pytest.fixture(autouse=True)
-def fresh_metrics_registry():
-    """Reset the process-global metrics registry around every test.
+def fresh_cell_state():
+    """Run every test in a fresh cell state, as every experiment cell
+    runs (:func:`repro.obs.bench.isolate`).
 
-    Components mint per-instance serial labels (``l2#7``) from a
-    process-global counter; without this, each test's instruments
-    depend on how many components every *earlier* test constructed, so
-    registry state (and label names) leak across tests.  The reset also
-    restarts the serial counter, making labels deterministic per test.
+    Components mint per-instance serial labels (``l2#7``) from the
+    cell's registry, and the tracer, flight recorder and audit log are
+    the cell's too; without this, each test's instruments, records and
+    hash-chain heads would depend on what every *earlier* test did.
     """
-    metrics.reset()
+    isolate()
     yield
-    metrics.reset()
-
-
-@pytest.fixture(autouse=True)
-def fresh_forensics():
-    """Disable and clear the flight recorder and audit log around every
-    test.  Both are process-global singletons (the audit emitter holds
-    object references, so the reset clears in place); without this a
-    test that arms them would leak records — and hash-chain heads — into
-    every later test."""
-    flight.reset()
-    auditlog.reset()
-    yield
-    flight.reset()
-    auditlog.reset()
+    isolate()
 
 
 @pytest.fixture

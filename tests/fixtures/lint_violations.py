@@ -129,11 +129,3 @@ def flight_snapshot_stamp(entries):
     # SNIC008: wall-clock read in forensics-scoped code — post-mortem
     # bundles must be byte-identical across same-seed runs.
     return {"captured": time.time(), "n": len(entries)}
-
-
-def shard_task_push(pool, task, built):
-    # SNIC011: live simulation objects crossing a shard boundary — the
-    # registry as a pool task argument, the runtime through a pool map.
-    # Pool tasks carry serialized payloads only.
-    pool.submit(task, {"metrics": registry})
-    pool.map(task, [built.runtime])

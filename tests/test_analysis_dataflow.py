@@ -1,8 +1,8 @@
 """Whole-program dataflow analysis: graph, taint (SNIC009), escape
-analysis (SNIC010), the shard-safety manifest, and the baseline.
+analysis (SNIC010) and the baseline.
 
 Two fixture sets drive these tests: the seeded violation tree under
-``tests/fixtures/dataflow/`` (known flows, known shard-unsafe state)
+``tests/fixtures/dataflow/`` (known flows, known cell-unsafe state)
 and the real ``src/repro`` tree, which must run clean against the
 committed ``DATAFLOW_BASELINE.json`` — with every baseline entry still
 matching a live finding (no stale entries) and carrying a real
@@ -30,18 +30,10 @@ from repro.analysis.dataflow.graph import (
     CallSite,
     ProgramGraph,
 )
-from repro.analysis.dataflow.manifest import (
-    SCHEMA,
-    build_manifest,
-    format_manifest,
-    load_manifest,
-    write_manifest,
-)
 from repro.analysis.dataflow.rules import analyze
 from repro.analysis.dataflow.taint import SOURCE_SPECS, TaintAnalysis
 from repro.analysis.lint import load_modules, source_root
 
-REPO_ROOT = Path(__file__).parent.parent
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "dataflow"
 
 
@@ -166,7 +158,7 @@ class TestEscape:
 
     def test_cross_module_subscript_store_is_unsafe(self, infos):
         info = infos["state.FLOW_TABLE"]
-        assert not info.shard_safe
+        assert not info.cell_safe
         assert info.aliases == ["pipeline"]
         assert any("pipeline:" in r and "subscript store" in r
                    for r in info.reasons)
@@ -174,17 +166,17 @@ class TestEscape:
 
     def test_function_scope_mutator_is_unsafe(self, infos):
         info = infos["state.SEEN"]
-        assert not info.shard_safe
+        assert not info.cell_safe
         assert any("mutator .add() call" in r for r in info.reasons)
 
     def test_import_time_only_mutation_is_safe(self, infos):
         info = infos["state.DEFAULTS"]
-        assert info.mutable and info.shard_safe
+        assert info.mutable and info.cell_safe
         assert info.reasons == ["mutable, but only written at import time"]
 
     def test_immutable_binding_is_safe(self, infos):
         info = infos["state.RULE_IDS"]
-        assert not info.mutable and info.shard_safe
+        assert not info.mutable and info.cell_safe
 
     def test_reasons_name_the_writing_function_not_its_line(self, infos):
         assert infos["state.SEEN"].reasons == [
@@ -212,75 +204,59 @@ class TestEscape:
             "_TRACER = get_tracer()\n")
         graph = ProgramGraph.build(load_modules([tmp_path]))
         (info,) = EscapeAnalysis(graph).run()
-        assert not info.shard_safe
-        assert "singleton factory" in info.reasons[0]
+        assert not info.cell_safe
+        assert "cell-state field at import time (get_tracer())" in \
+            info.reasons[0]
 
+    def test_cell_state_holder_is_safe_and_its_fields_are_not(
+            self, tmp_path):
+        (tmp_path / "cell.py").write_text(
+            "CELL = CellState()\n"
+            "\n"
+            "def swap():\n"
+            "    CELL.tracer = None\n"
+            "    CELL.audit.emit('x')\n")
+        (tmp_path / "hw.py").write_text(
+            "from cell import CELL\n"
+            "HOLDER = CELL\n"
+            "_TRACER = HOLDER.tracer\n"
+            "\n"
+            "def hot():\n"
+            "    CELL.audit.emit('y')\n")
+        graph = ProgramGraph.build(load_modules([tmp_path]))
+        infos = {i.qualname: i for i in EscapeAnalysis(graph).run()}
+        assert set(infos) == {"cell.CELL", "hw._TRACER"}
+        assert infos["cell.CELL"].cell_safe
+        assert infos["cell.CELL"].aliases == ["hw"]
+        assert not infos["hw._TRACER"].cell_safe
+        assert "(HOLDER.tracer)" in infos["hw._TRACER"].reasons[0]
 
-# ----------------------------------------------------------------------
-# Shard-safety manifest
-# ----------------------------------------------------------------------
+    def test_aliases_resolve_to_the_object_they_name(self, tmp_path):
+        (tmp_path / "owner.py").write_text("TABLE = {}\n")
+        (tmp_path / "user.py").write_text(
+            "import owner\n"
+            "MINE = owner.TABLE\n"
+            "\n"
+            "def put(k):\n"
+            "    MINE[k] = 1\n")
+        graph = ProgramGraph.build(load_modules([tmp_path]))
+        (info,) = EscapeAnalysis(graph).run()
+        assert info.qualname == "owner.TABLE"
+        assert not info.cell_safe
+        assert info.aliases == ["user"]
+        assert info.reasons == ["user:put subscript store"]
 
-class TestManifest:
-    def test_fixture_manifest_shape(self, fixture_graph):
-        infos = EscapeAnalysis(fixture_graph).run()
-        manifest = build_manifest(fixture_graph, infos)
-        assert manifest["schema"] == SCHEMA
-        assert set(manifest["shard_unsafe"]) == {"state.FLOW_TABLE",
-                                                 "state.SEEN"}
-        state = manifest["modules"]["state"]
-        names = {m["name"]: m for m in state["mutables"]}
-        # Immutables are dropped from the inventory; mutables keep
-        # their classification either way.
-        assert "RULE_IDS" not in names
-        assert names["DEFAULTS"]["classification"] == "shard-safe"
-        assert names["FLOW_TABLE"]["classification"] == "shard-unsafe"
-        assert state["imported_by"] == ["pipeline"]
-
-    def test_manifest_is_deterministic(self, fixture_graph):
-        infos = EscapeAnalysis(fixture_graph).run()
-        first = format_manifest(build_manifest(fixture_graph, infos))
-        second = format_manifest(build_manifest(
-            fixture_graph, EscapeAnalysis(fixture_graph).run()))
-        assert first == second
-
-    def test_write_and_load_round_trip(self, fixture_graph, tmp_path):
-        infos = EscapeAnalysis(fixture_graph).run()
-        path = write_manifest(build_manifest(fixture_graph, infos),
-                              tmp_path / "manifest.json")
-        loaded = load_manifest(path)
-        assert loaded["n_shard_unsafe"] == 2
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"schema": "other", "version": 1}))
-        with pytest.raises(ValueError):
-            load_manifest(bogus)
-
-    def test_committed_manifest_is_current(self, repo_analysis):
-        fresh = format_manifest(build_manifest(repo_analysis["graph"],
-                                               repo_analysis["state"]))
-        committed = (REPO_ROOT / "SHARD_SAFETY.json").read_text()
-        assert fresh == committed, (
-            "SHARD_SAFETY.json is stale — regenerate with "
-            "`python -m repro dataflow --manifest SHARD_SAFETY.json`")
-
-    def test_repo_manifest_covers_hw_and_core_singletons(
-            self, repo_analysis):
-        manifest = build_manifest(repo_analysis["graph"],
-                                  repo_analysis["state"])
-        unsafe = set(manifest["shard_unsafe"])
-        # Every known process-global handle in the hardware and S-NIC
-        # layers must be certified shard-unsafe (acceptance criterion).
-        # repro.core.runtime._TRACER and repro.obs.metrics'
-        # _instance_serial used to sit here too; both moved to
-        # instance/registry state for the shard engine and are no
-        # longer process-global.
-        assert {"repro.hw.memory._AUDIT", "repro.hw.mmu._AUDIT",
-                "repro.hw.events._KERNEL", "repro.hw.cores._TRACER",
-                "repro.hw.dma._TRACER", "repro.hw.cache._TRACER",
-                "repro.hw.bus._TRACER", "repro.hw.accelerator._TRACER",
-                "repro.core.snic._AUDIT", "repro.core.snic._TRACER",
-                "repro.core.nic_os._AUDIT"} <= unsafe
+    def test_global_rebind_of_an_immutable_is_unsafe(self, tmp_path):
+        (tmp_path / "count.py").write_text(
+            "SEEN = 0\n"
+            "\n"
+            "def bump():\n"
+            "    global SEEN\n"
+            "    SEEN += 1\n")
+        graph = ProgramGraph.build(load_modules([tmp_path]))
+        (info,) = EscapeAnalysis(graph).run()
+        assert not info.cell_safe
+        assert info.reasons == ["count:bump global rebind of SEEN"]
 
 
 # ----------------------------------------------------------------------

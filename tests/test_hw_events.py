@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.hw.events import Simulator, kernel_stats, reset_kernel_stats
+from repro.hw.events import Simulator, kernel_stats
+from repro.obs.bench import isolate
 
 
 class TestSimulator:
@@ -200,7 +201,7 @@ class TestHeapEntries:
         assert profiler.calls == [(first, 3), (second, 5)]
 
     def test_kernel_stats_count_only_live_events(self):
-        reset_kernel_stats()
+        isolate()
         sim = Simulator()
         sim.schedule(2, lambda: None)
         sim.schedule(5, lambda: None).cancel()

@@ -7,7 +7,8 @@ import json
 
 import pytest
 
-from repro.obs import auditlog, flight
+from repro.obs import auditlog, cell, flight
+from repro.obs.bench import isolate
 from repro.obs.auditlog import (
     GENESIS,
     AuditLog,
@@ -190,8 +191,7 @@ class TestEmitterRouting:
     def test_reset_returns_emitter_to_inactive(self):
         auditlog.enable_audit_log()
         flight.enable_flight_recording()
-        auditlog.reset()
-        flight.reset()
+        isolate()
         assert auditlog.get_emitter().active is False
 
 
@@ -236,11 +236,15 @@ class TestDisabledLogIsInert:
         assert len(log) == 0
 
     def test_module_singleton_identity_is_stable(self):
-        # Resets must clear in place — the emitter holds references.
-        log_before = auditlog.get_audit_log()
+        # The CELL holder stays put while isolate() swaps its fields;
+        # the emitter always routes to the current cell's sinks.
+        holder = cell.CELL
         auditlog.enable_audit_log()
-        auditlog.reset()
-        assert auditlog.get_audit_log() is log_before
+        isolate()
+        assert cell.CELL is holder
+        assert auditlog.get_emitter()._log is auditlog.get_audit_log()
+        assert auditlog.get_emitter()._flight is \
+            flight.get_flight_recorder()
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 33])

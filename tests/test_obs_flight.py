@@ -4,6 +4,7 @@ mirroring, metric deltas, and the strict disabled no-op."""
 from __future__ import annotations
 
 from repro.obs import auditlog, flight
+from repro.obs.bench import isolate
 from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
 from repro.obs.tracer import get_tracer
 
@@ -100,8 +101,7 @@ class TestTracerMirror:
             assert len(flight.get_flight_recorder()) == 4
         finally:
             disable_tracing()
-            get_tracer().clear()
-            flight.reset()  # also restores the default ring capacity
+            isolate()  # a fresh recorder has the default ring capacity
 
 
 class TestEnableDisableLifecycle:
@@ -125,7 +125,7 @@ class TestEnableDisableLifecycle:
         flight.enable_flight_recording(capacity=16, window_ns=50.0,
                                        clock=lambda: 9.0)
         flight.get_flight_recorder().record("event", "x")
-        flight.reset()
+        isolate()
         recorder = flight.get_flight_recorder()
         assert recorder.enabled is False
         assert len(recorder) == 0

@@ -12,6 +12,7 @@ from repro.obs.export import (
     write_metrics_json,
 )
 from repro.obs import metrics
+from repro.obs.bench import isolate
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -349,31 +350,37 @@ class TestBusMigration:
 
 
 class TestModuleReset:
-    """The module-level reset()/snapshot() API used by the bench
-    harness and the autouse conftest fixture."""
+    """The current cell's registry across :func:`isolate`, the reset
+    the bench harness and the autouse conftest fixture use."""
 
     def test_reset_clears_global_registry(self):
         get_registry().counter("stale_counter", tenant=1).inc(5)
         assert len(get_registry()) > 0
-        metrics.reset()
+        isolate()
         assert len(get_registry()) == 0
         assert metrics.snapshot() == []
 
     def test_reset_restarts_instance_serials(self):
         first = instance_label("l2")
-        metrics.reset()
+        isolate()
         assert instance_label("l2") == first
 
     def test_serials_unique_between_resets(self):
-        metrics.reset()
+        isolate()
         assert instance_label("bus") == "bus#1"
         assert instance_label("bus") == "bus#2"
         assert instance_label("dma") == "dma#3"
 
     def test_registry_object_survives_reset(self):
+        # isolate() replaces the cell's registry rather than clearing
+        # it: a holder of the previous one keeps it whole.
         registry = get_registry()
-        metrics.reset()
-        assert get_registry() is registry
+        counter = registry.counter("kept_total", tenant=1)
+        counter.inc(2)
+        isolate()
+        assert get_registry() is not registry
+        assert registry.counter("kept_total", tenant=1) is counter
+        assert counter.value == 2.0
 
     def test_module_snapshot_sees_global_registry(self):
         get_registry().gauge("fresh_gauge", tenant=2).set(7.0)

@@ -1,5 +1,10 @@
 """Tests for repro.obs.openmetrics: exporter, merging, and checker."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.hw.events import Simulator
@@ -174,3 +179,20 @@ class TestValidator:
                 "h_sum 12\n"
                 "# EOF\n")
         assert validate_text(text)
+
+
+class TestCheckerCommand:
+    def test_valid_file_passes_with_empty_stderr(self, registry, tmp_path):
+        """``python -m repro.obs.openmetrics FILE``, as CI runs it: exit
+        0, the sample count on stdout, nothing on stderr (no runpy
+        warning about the module being imported before it runs)."""
+        path = tmp_path / "export.om"
+        write(str(path), registry=registry)
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.obs.openmetrics", str(path)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert result.returncode == 0
+        assert result.stdout.startswith("openmetrics: OK (")
+        assert result.stderr == ""

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from repro.obs import auditlog, flight, metrics, postmortem
+from repro.obs.bench import isolate
 from repro.obs.postmortem import (
     build_bundle,
     bundle_path,
@@ -92,9 +93,7 @@ class TestDeterminism:
         """The acceptance gate: two same-seed runs → identical bytes."""
         blobs = []
         for _ in range(2):
-            flight.reset()
-            auditlog.reset()
-            metrics.reset()
+            isolate()
             drive_forensics(seed=5)
             bundle = build_bundle(reason={"kind": "IsolationViolation",
                                           "message": "x"}, spec=_Spec())
@@ -104,9 +103,7 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         blobs = []
         for seed in (5, 6):
-            flight.reset()
-            auditlog.reset()
-            metrics.reset()
+            isolate()
             drive_forensics(seed=seed)
             bundle = build_bundle(reason="r")
             blobs.append(json.dumps(bundle, sort_keys=True))
@@ -244,7 +241,7 @@ class TestCLI:
 
     def test_diff_identical_and_divergent(self, tmp_path):
         p1 = self._write(tmp_path, "POSTMORTEM_a.json")
-        flight.reset(); auditlog.reset(); metrics.reset()  # noqa: E702
+        isolate()
         p2 = self._write(tmp_path, "POSTMORTEM_b.json")
         out = io.StringIO()
         assert postmortem.main([p1, "--diff", p2], stream=out) == 0
@@ -252,7 +249,7 @@ class TestCLI:
 
         def mutate(bundle):
             bundle["seed"] = 1337
-        flight.reset(); auditlog.reset(); metrics.reset()  # noqa: E702
+        isolate()
         p3 = self._write(tmp_path, "POSTMORTEM_c.json", mutate=mutate)
         out = io.StringIO()
         assert postmortem.main([p1, "--diff", p3], stream=out) == 1

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hw.events import Simulator, kernel_stats, reset_kernel_stats
+from repro.hw.events import Simulator, kernel_stats
+from repro.obs.bench import isolate
 from repro.obs.profile import (
     FrameStat,
     Profiler,
@@ -161,7 +162,7 @@ class TestCollapsedExport:
 
 class TestKernelHook:
     def test_attach_detach_and_wall_attribution(self):
-        reset_kernel_stats()
+        isolate()
         sim = Simulator()
         prof = Profiler()
         prof.attach_kernel(sim)

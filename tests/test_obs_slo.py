@@ -6,6 +6,7 @@ import pytest
 
 from repro.hw.events import Simulator
 from repro.obs import auditlog
+from repro.obs.bench import isolate
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.slo import (
     BURN_CAP,
@@ -273,7 +274,6 @@ class TestBurnRateAlerter:
         assert alerter.alerts[0].fast_burn == BURN_CAP
 
     def test_alerts_witnessed_in_audit_log(self):
-        auditlog.reset()
         auditlog.enable_audit_log()
         try:
             agg, alerter, hist = self._setup(MetricsRegistry())
@@ -284,7 +284,7 @@ class TestBurnRateAlerter:
             assert "slo.alert" in kinds
             assert log.verify_chain() is None
         finally:
-            auditlog.reset()
+            isolate()
 
     def test_alert_dicts_jsonable(self):
         agg, alerter, hist = self._setup(MetricsRegistry())

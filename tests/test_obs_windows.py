@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hw.events import Simulator
 from repro.obs import metrics
+from repro.obs.bench import isolate
 from repro.obs.interference import InterferenceAccountant
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.windows import (
@@ -155,7 +156,7 @@ class TestIncrementalIndex:
         mine.inc(2)
         metrics.get_registry().counter("slo_events_total", tenant=9).inc(5)
         first = agg.rotate(now_ns=100)
-        metrics.reset()
+        isolate()
         mine.inc(3)
         metrics.get_registry().counter("slo_events_total", tenant=9).inc(5)
         second = agg.rotate(now_ns=200)
@@ -163,16 +164,16 @@ class TestIncrementalIndex:
         assert first.counters == {key: 2.0}
         assert second.counters == {key: 3.0}
 
-    def test_registry_clear_rebuilds_the_index(self, registry):
+    def test_default_registry_is_the_cell_at_construction(self):
         sim = Simulator()
-        registry.counter("slo_events_total", tenant=1).inc(4)
-        agg = WindowedAggregator(sim, window_ns=100, registry=registry)
+        agg = WindowedAggregator(sim, window_ns=100)
         agg.start()
-        registry.clear()
-        registry.counter("slo_events_total", tenant=2).inc(6)
+        metrics.get_registry().counter("slo_events_total", tenant=1).inc(4)
+        isolate()
+        metrics.get_registry().counter("slo_events_total", tenant=2).inc(6)
         snap = agg.rotate(now_ns=100)
-        assert snap.counters == {("slo_events_total", (("tenant", "2"),)):
-                                 6.0}
+        assert snap.counters == {("slo_events_total", (("tenant", "1"),)):
+                                 4.0}
 
 
 class EagerWindows:
@@ -184,13 +185,9 @@ class EagerWindows:
         self.registry = registry
         self.prefixes = prefixes
         self.entries = []
-        self.generation = None
         self.seen = 0
 
     def _tracked(self):
-        if self.generation != self.registry.generation:
-            self.entries, self.seen = [], 0
-            self.generation = self.registry.generation
         minted = self.registry.instruments()[self.seen:]
         self.seen += len(minted)
         self.entries.extend(
@@ -285,14 +282,9 @@ class TestArrayBackedDifferential:
         reference = EagerWindows(registry)
         agg.start()
         reference.prime()
-        cleared = rng.randrange(3, 12)
         for window in range(1, 16):
             for _ in range(rng.randrange(0, 80)):
                 self._step(rng, registry)
-            if window == cleared:
-                registry.clear()
-                for _ in range(rng.randrange(0, 20)):
-                    self._step(rng, registry)
             snap = agg.rotate(now_ns=100 * window)
             expected = reference.rotate()
             assert _bits(snap.counters) == _bits(expected)

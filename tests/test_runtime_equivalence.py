@@ -13,8 +13,8 @@ in wake order; each function's own completion order, and every report
 built from the timings, is unchanged.
 
 A sharded run is checked against an oracle rather than a fixture: the
-cells the shard engine deals to its workers must give what the same
-cells give run one by one in this process.
+cells ``run_cells`` deals to its workers must give what the same cells
+give run one by one in this process.
 
 Regenerate the fixture (only when the timing model itself changes) with::
 
@@ -31,6 +31,7 @@ from typing import Dict, List
 import pytest
 
 from repro.hw import events as hw_events
+from repro.obs.bench import isolate
 from repro.scenario.build import BuiltScenario, build_scenario
 from repro.scenario.spec import (
     NFSpec,
@@ -196,14 +197,14 @@ SHARDED = {
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", sorted(SHARDED))
 def test_sharded_run_equals_its_partitions_run_in_process(kind, workers):
-    """The engine adds only processes: every cell dealt to a worker
+    """The pool adds only processes: every cell dealt to a worker
     gives what the same cell gives run here, in call order."""
-    from repro.shard.engine import run_partitions
+    from repro.obs.bench import run_cells
 
     task, make_specs = SHARDED[kind]
     specs = make_specs()
-    sharded = run_partitions(task, [(spec,) for spec in specs],
-                             workers=workers)
+    sharded = run_cells(task, [(spec,) for spec in specs],
+                        workers=workers)
     assert sharded == [task(spec) for spec in specs]
 
 
@@ -222,7 +223,7 @@ def test_idle_tenants_cost_no_kernel_events():
     """Kernel work follows packets: at most an arrival, a poll and a
     completion per offered packet, plus one event per tenant."""
     spec = sparse_spec()
-    hw_events.reset_kernel_stats()
+    isolate()
     timings = run_monolithic(spec)
     executed = hw_events.kernel_stats()["events_executed"]
     offered = spec.traffic.n_packets

@@ -1,5 +1,5 @@
-"""The repro.shard pool: whole experiment cells dealt to worker
-processes.
+"""The cell pool (``run_cells``): whole experiment cells dealt to
+worker processes.
 
 The headline contract under test: ``--shards N`` never reaches a
 report.  A worker runs whole cells through the same code an in-process
@@ -16,17 +16,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.hw.events import Simulator
+from repro.obs.bench import ShardError, run_cells
 from repro.obs.scorecard import run_scorecard
-from repro.scenario.matrix import load_spec, run_matrix
+from repro.scenario.build import build_scenario
+from repro.scenario.matrix import load_spec, run_cell, run_matrix
 from repro.scenario.spec import ScenarioSpec, SpecError
-from repro.shard.engine import ShardError, run_partitions
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
 
 def _fail_on_one(index: int) -> int:
     if index == 1:
-        raise ValueError("partition one fails")
+        raise ValueError("cell one fails")
     return index
 
 
@@ -35,7 +37,7 @@ def _render(report: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# The engine: results in call order, worker-count invariance
+# The pool: results in call order, worker-count invariance
 # ----------------------------------------------------------------------
 
 class TestEngineInvariance:
@@ -63,19 +65,33 @@ class TestEngineInvariance:
         assert block["audit"]["chain_ok"] is True
 
     def test_results_come_back_in_call_order(self):
-        assert run_partitions(pow, [(2, 3), (3, 2), (5, 1)],
-                              workers=2) == [8, 9, 5]
+        assert run_cells(pow, [(2, 3), (3, 2), (5, 1)],
+                         workers=2) == [8, 9, 5]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_partition_raising_in_its_worker_is_a_shard_error(
             self, workers):
-        with pytest.raises(ShardError, match="partition 1 failed"):
-            run_partitions(_fail_on_one, [(0,), (1,), (2,)],
-                           workers=workers)
+        with pytest.raises(ShardError, match="cell 1 failed"):
+            run_cells(_fail_on_one, [(0,), (1,), (2,)], workers=workers)
 
     def test_dead_worker_is_a_shard_error(self):
-        with pytest.raises(ShardError, match="worker died"):
-            run_partitions(os._exit, [(3,)], workers=1)
+        with pytest.raises(ShardError,
+                           match="worker died before cell 0 returned"):
+            run_cells(os._exit, [(3,)], workers=1)
+
+    def test_live_simulation_objects_are_refused(self):
+        spec = load_spec(str(EXAMPLES / "slo_scenario.json"))
+        live = [Simulator(), build_scenario(spec)]
+        for obj in live:
+            with pytest.raises(TypeError,
+                               match=rf"cell 1 argument {type(obj).__name__}"
+                                     r" is not plain data"):
+                run_cells(run_cell, [(None, True, False, None, spec),
+                                     (None, True, False, None, obj)],
+                          workers=1)
+        # Nested inside a container, too.
+        with pytest.raises(TypeError, match="cell 0 argument tuple"):
+            run_cells(run_cell, [((spec, live[0]),)], workers=1)
 
     def test_checker_asserts_shard_invariance(self):
         from repro.analysis.determinism import check_shard_invariance
