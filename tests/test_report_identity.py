@@ -12,7 +12,9 @@ grows as tenants squared, and the ``--openmetrics`` export of a full
 rounds.  The isolation audit, the full chaos fault
 matrix, the co-tenancy Chrome trace and
 ``examples/nf_dense_scenario.json`` (the perf benchmark's ``nf-dense``
-workload at a tenth of its packets) are pinned the same way.
+workload at a tenth of its packets) are pinned the same way, and so is
+the co-tenancy demo's per-poll time-series CSV at 20 and 60 packets,
+which no CLI flag writes: a ``python -c`` program asks for it.
 Between them they run key provisioning, attested launch and teardown,
 the packet path and every arbiter; the export adds every window's
 per-rotation deltas.  So a host-side change (a cache, a faster
@@ -71,6 +73,21 @@ REPORTS: Dict[str, Tuple[List[str], str]] = {
          "--format", "json"], "-o"),
 }
 
+_COTENANCY_SERIES = (
+    "import sys\n"
+    "from repro.obs.scenario import run_cotenancy_scenario\n"
+    "run_cotenancy_scenario(out_path=sys.argv[1] + '.trace.json', "
+    "n_packets={}, timeseries_path=sys.argv[1])\n")
+
+#: Report name -> a ``python -c`` program that writes the file to
+#: digest at the path given as its one argument.
+SCRIPTS: Dict[str, str] = {
+    "cotenancy_timeseries_20_packets": _COTENANCY_SERIES.format(20),
+    "cotenancy_timeseries_60_packets": _COTENANCY_SERIES.format(60),
+}
+
+PINNED = sorted([*REPORTS, *SCRIPTS])
+
 
 def report_digest(name: str, out_dir: str) -> str:
     """Run one report in a fresh interpreter; sha256 of the written file.
@@ -79,15 +96,19 @@ def report_digest(name: str, out_dir: str) -> str:
     mark the report ``isosan_active``.
     """
     path = os.path.join(out_dir, name + ".out")
-    argv, path_option = REPORTS[name]
+    if name in SCRIPTS:
+        command = ["-c", SCRIPTS[name], path]
+    else:
+        argv, path_option = REPORTS[name]
+        command = ["-m", "repro", *argv, path_option, path]
     env = dict(os.environ, REPRO_ISOSAN="0")
-    subprocess.run([sys.executable, "-m", "repro", *argv, path_option, path],
+    subprocess.run([sys.executable, *command],
                    check=True, env=env, stdout=subprocess.DEVNULL)
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(REPORTS))
+@pytest.mark.parametrize("name", PINNED)
 def test_report_is_byte_identical_to_fixture(name, tmp_path):
     with open(FIXTURE) as handle:
         pinned = json.load(handle)
@@ -108,7 +129,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as scratch:
-        data = {name: report_digest(name, scratch) for name in sorted(REPORTS)}
+        data = {name: report_digest(name, scratch) for name in PINNED}
     with open(FIXTURE, "w") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
