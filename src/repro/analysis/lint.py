@@ -52,6 +52,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeGuard,
 )
 
 _SUPPRESS_RE = re.compile(
@@ -262,6 +263,19 @@ def receiver_token(node: ast.Call) -> str:
     if isinstance(value, ast.Call):
         return call_name(value).lower()
     return ""
+
+
+#: Kernel calls taking a sim-time first and a callback second
+#: (``Simulator.schedule``/``schedule_at``/``every``): the calls whose
+#: arguments SNIC002, SNIC003 and SNIC005 inspect.
+SCHEDULE_METHODS = frozenset({"schedule", "schedule_at", "every"})
+
+
+def is_schedule_call(node: ast.AST) -> TypeGuard[ast.Call]:
+    """Whether ``node`` is a ``<receiver>.<SCHEDULE_METHODS>(...)`` call."""
+    return isinstance(node, ast.Call) \
+        and isinstance(node.func, ast.Attribute) \
+        and node.func.attr in SCHEDULE_METHODS
 
 
 def dotted_name(node: ast.AST) -> str:

@@ -14,6 +14,7 @@ that promise:
   simulated time.
 * **SNIC005** — float arithmetic on sim-time nanoseconds.  The kernel
   clock is integral by design; a float delay in ``schedule()`` (or
+  a float interval in ``every()``, or
   float arithmetic on ``*_ns`` state inside the kernel/runtime) makes
   event ordering depend on rounding.  Analog latency *models* (bus,
   accelerators) use float ns as their modelling currency and are out of
@@ -30,6 +31,7 @@ from repro.analysis.lint import (
     ModuleSource,
     Rule,
     dotted_name,
+    is_schedule_call,
 )
 
 _WALL_CLOCK = {
@@ -49,16 +51,9 @@ _RANDOM_DRAWS = {
 }
 _RANDOM_MODULES = {"random", "np.random", "numpy.random"}
 
-_SCHEDULE_METHODS = {"schedule", "schedule_at"}
-
 #: Modules whose ``*_ns`` state is kernel sim-time (integral by
 #: contract); everywhere else float ns is legitimate model currency.
 _KERNEL_MODULES = ("repro.hw.events", "repro.core.runtime")
-
-
-def _is_schedule_call(node: ast.Call) -> bool:
-    func = node.func
-    return isinstance(func, ast.Attribute) and func.attr in _SCHEDULE_METHODS
 
 
 def _is_set_expr(node: ast.AST) -> bool:
@@ -102,7 +97,7 @@ class NondeterminismRule(Rule):
             elif isinstance(node, ast.For) and _is_set_expr(node.iter):
                 schedule = next(
                     (n for child in node.body for n in ast.walk(child)
-                     if isinstance(n, ast.Call) and _is_schedule_call(n)),
+                     if is_schedule_call(n)),
                     None)
                 if schedule is not None:
                     yield self.finding(
@@ -145,14 +140,13 @@ class FloatSimTimeRule(Rule):
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         in_kernel = module.modname.startswith(_KERNEL_MODULES)
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call) and _is_schedule_call(node) \
-                    and node.args:
+            if is_schedule_call(node) and node.args:
                 source = _float_source(node.args[0])
                 if source is not None:
                     yield self.finding(
                         module, node,
-                        "provably float-valued delay/time passed to "
-                        "schedule(); sim-time must stay integral")
+                        f"provably float-valued delay/time passed to "
+                        f"{node.func.attr}(); sim-time must stay integral")
             elif in_kernel and isinstance(node, ast.BinOp):
                 has_float = isinstance(
                     node.left, ast.Constant) and isinstance(

@@ -11,7 +11,8 @@ or the component the event belongs to — or one of the sanctioned
 process-wide observability singletons with an explicit reset.
 
 Approximation (documented, deliberately shallow): the rule resolves the
-callback argument of every ``schedule()``/``schedule_at()`` call — a
+callback argument of every ``schedule()``/``schedule_at()``/``every()``
+call (:data:`~repro.analysis.lint.SCHEDULE_METHODS`) — a
 lambda (inspecting calls of ``self.<method>``/bare functions one hop
 deep) or a direct function reference — and flags ``global X`` writes in
 the resolved function bodies.  Deep transitive mutation needs the
@@ -23,9 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Set
 
-from repro.analysis.lint import Finding, ModuleSource, Rule
-
-_SCHEDULE_METHODS = {"schedule", "schedule_at"}
+from repro.analysis.lint import Finding, ModuleSource, Rule, is_schedule_call
 
 
 def _global_writes(fn: ast.AST) -> List[ast.Global]:
@@ -69,10 +68,7 @@ class CallbackGlobalMutationRule(Rule):
 
         reported: Set[int] = set()
         for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _SCHEDULE_METHODS
-                    and len(node.args) >= 2):
+            if not (is_schedule_call(node) and len(node.args) >= 2):
                 continue
             for target in self._resolve_callbacks(
                     node.args[1], functions, methods):

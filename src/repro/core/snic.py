@@ -34,7 +34,6 @@ from repro.core.vpp import VPPConfig, VirtualPacketPipeline
 from repro.cost.pages import FLEX_HIGH_MENU, PageMenu, pack_region
 from repro.crypto.dh import DEFAULT_DH_PARAMS, DHParams
 from repro.crypto.keys import AttestationKey, EndorsementKey, VendorCA
-from repro.crypto.sha256 import sha256
 from repro.hw.accelerator import AcceleratorCluster, AcceleratorEngine, AcceleratorKind
 from repro.hw.bus import IOBus, TemporalPartitioningArbiter
 from repro.hw.cache import Cache, CacheConfig

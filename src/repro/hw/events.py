@@ -8,6 +8,16 @@ The kernel is intentionally minimal — a monotonic clock plus a stable
 priority queue of callbacks — because the heavy lifting (cache behaviour,
 arbitration) lives in the component models.
 
+Observers
+---------
+
+Samplers that watch a run rather than drive it (the SLO windows, the
+co-tenancy demo's series) tick through :meth:`Simulator.every`.  The
+kernel owns their termination: a tick re-arms only while some *work*
+event — any event that is not an observer tick — is live, so a drain
+loop like ``while sim.pending: sim.step()`` ends one tick after the
+last work event, and two observers never keep each other alive.
+
 Telemetry
 ---------
 
@@ -51,18 +61,61 @@ def kernel_stats() -> Dict[str, int]:
 class EventHandle:
     """Returned by :meth:`Simulator.schedule`; allows cancellation."""
 
-    __slots__ = ("_entry",)
+    __slots__ = ("_sim", "_entry")
 
-    def __init__(self, entry: list) -> None:
+    def __init__(self, sim: Simulator, entry: list) -> None:
+        self._sim = sim
         self._entry = entry
 
     def cancel(self) -> None:
-        # The kernel skips entries whose callback slot is empty.
-        self._entry[2] = None
+        """Drop the event; a no-op once it fired or was cancelled."""
+        self._sim._cancel(self._entry)
 
     @property
     def time_ns(self) -> int:
         return self._entry[0]
+
+
+class PeriodicHandle:
+    """Returned by :meth:`Simulator.every`; ``cancel()`` stops the ticks."""
+
+    __slots__ = ("_sim", "_interval_ns", "_callback", "_next", "_cancelled")
+
+    def __init__(self, sim: Simulator, interval_ns: int,
+                 callback: Callable[[], object]) -> None:
+        self._sim = sim
+        self._interval_ns = interval_ns
+        self._callback = callback
+        self._next: Optional[EventHandle] = None
+        self._cancelled = False
+        self._arm()
+
+    def _arm(self) -> None:
+        self._next = self._sim.schedule(self._interval_ns, self._tick)
+        self._sim._observers += 1
+
+    def _tick(self) -> None:
+        sim = self._sim
+        sim._observers -= 1
+        self._next = None
+        self._callback()
+        # ``pending`` no longer counts this tick, so it exceeds the live
+        # observer ticks exactly while some work is live.
+        if not self._cancelled and sim.pending > sim._observers:
+            self._arm()
+
+    @property
+    def active(self) -> bool:
+        """Whether a tick is armed."""
+        return self._next is not None
+
+    def cancel(self) -> None:
+        """Fire no further tick, even from inside the callback."""
+        self._cancelled = True
+        if self._next is not None:
+            self._next.cancel()
+            self._next = None
+            self._sim._observers -= 1
 
 
 class Simulator:
@@ -72,7 +125,10 @@ class Simulator:
     (stable), which keeps component interactions deterministic.  Heap
     entries are ``[time_ns, sequence, callback]`` lists: list comparison
     orders them by time, then by the unique sequence number, and never
-    reaches the callback.  Cancelling empties the callback slot.
+    reaches the callback.  Cancelling an entry and dispatching it both
+    empty its callback slot, so a handle cancels at most once.  The
+    cancelled entries still in the heap are counted (``_dead``), which
+    makes :attr:`pending` the heap's length minus that count.
     """
 
     def __init__(self) -> None:
@@ -80,6 +136,10 @@ class Simulator:
         self._sequence = itertools.count()
         self._now_ns = 0
         self._profiler: Optional[Profiler] = None
+        #: Cancelled entries not yet popped off the heap.
+        self._dead = 0
+        #: Live observer ticks (see :meth:`every`).
+        self._observers = 0
 
     def set_profiler(self, profiler: Optional[Profiler]) -> None:
         """Attach (or with ``None`` detach) a per-event profiler.
@@ -99,24 +159,49 @@ class Simulator:
             raise ValueError("cannot schedule events in the past")
         entry = [self._now_ns + int(delay_ns), next(self._sequence), callback]
         heapq.heappush(self._queue, entry)
-        return EventHandle(entry)
+        return EventHandle(self, entry)
 
     def schedule_at(self, time_ns: int, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` at absolute simulated time ``time_ns``."""
         return self.schedule(time_ns - self._now_ns, callback)
 
+    def every(self, interval_ns: int,
+              callback: Callable[[], object]) -> PeriodicHandle:
+        """Run ``callback`` every ``interval_ns`` as an observer.
+
+        The first tick fires at ``now + interval_ns``.  After each tick
+        the next one is armed only while a work event is live, so the
+        last tick lands on the first grid point at or after the last
+        work event.
+        """
+        if interval_ns <= 0:
+            raise ValueError("interval_ns must be positive")
+        return PeriodicHandle(self, int(interval_ns), callback)
+
+    def _cancel(self, entry: list) -> None:
+        if entry[2] is not None:
+            entry[2] = None
+            self._dead += 1
+
+    def _pop_dead(self) -> None:
+        """Drop the cancelled entry at the head of the heap."""
+        heapq.heappop(self._queue)
+        self._dead -= 1
+
     def step(self) -> bool:
         """Run the next pending event; returns False when queue is empty."""
         queue = self._queue
         while queue:
-            entry = heapq.heappop(queue)
-            if entry[2] is not None:
-                self._dispatch(entry)
-                return True
+            if queue[0][2] is None:
+                self._pop_dead()
+                continue
+            self._dispatch(heapq.heappop(queue))
+            return True
         return False
 
     def _dispatch(self, entry: list) -> None:
         time_ns, _, callback = entry
+        entry[2] = None  # fired: a later cancel() is a no-op
         advanced = time_ns - self._now_ns
         self._now_ns = time_ns
         profiler = self._profiler
@@ -142,7 +227,7 @@ class Simulator:
         while queue and executed < max_events:
             head = queue[0]
             if head[2] is None:
-                heapq.heappop(queue)
+                self._pop_dead()
                 continue
             if until_ns is not None and head[0] > until_ns:
                 break
@@ -161,9 +246,10 @@ class Simulator:
         """Timestamp of the earliest live event, or ``None`` if idle."""
         queue = self._queue
         while queue and queue[0][2] is None:
-            heapq.heappop(queue)
+            self._pop_dead()
         return queue[0][0] if queue else None
 
     @property
     def pending(self) -> int:
-        return sum(1 for entry in self._queue if entry[2] is not None)
+        """Live events: scheduled, not yet fired and not cancelled."""
+        return len(self._queue) - self._dead

@@ -34,9 +34,10 @@ hot layer:
   waited on the co-tenant that caused it
   (``interference_wait_ns_total{resource, tenant, culprit}``), and
   :func:`blame_matrix` reconstructs who-made-whom-wait matrices.
-* :mod:`repro.obs.timeseries` — a kernel-driven periodic sampler:
-  ring-buffered, deterministic metric-over-sim-time series with
-  CSV/JSON export, replacing ad-hoc per-benchmark sampling loops.
+* :mod:`repro.obs.timeseries` — ring-buffered named series with one
+  CSV export, filled by kernel observers
+  (:meth:`repro.hw.events.Simulator.every`) or over a fixed grid
+  (:func:`~repro.obs.timeseries.sample_function`).
 * :mod:`repro.obs.audit` — ``python -m repro audit``: the
   solo-vs-co-tenant isolation scorecard (interference matrices,
   slowdown deltas, side-channel capacities, noninterference verdict).
@@ -135,7 +136,7 @@ from repro.obs.slo import (
     TenantSLO,
     evaluate_tenant,
 )
-from repro.obs.timeseries import Series, TimeSeriesSampler, sample_function
+from repro.obs.timeseries import Series, sample_function
 from repro.obs.windows import WindowedAggregator, WindowSnapshot
 from repro.obs.tracer import (
     NOOP_SPAN,
@@ -167,7 +168,6 @@ __all__ = [
     "SLOSpec",
     "Series",
     "TenantSLO",
-    "TimeSeriesSampler",
     "TraceEvent",
     "Tracer",
     "WindowSnapshot",

@@ -339,12 +339,6 @@ class MetricsRegistry:
         samples.sort(key=lambda s: (s["name"], sorted(s["labels"].items())))
         return samples
 
-    def reset(self) -> None:
-        """Zero every instrument's value (instrument objects survive, so
-        components holding references keep counting from zero)."""
-        for instrument in self._instruments.values():
-            instrument.reset()
-
 
 def get_registry() -> MetricsRegistry:
     """The current cell's registry."""

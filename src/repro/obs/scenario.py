@@ -17,10 +17,10 @@ rings) evolve independently.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.obs import chrome_trace, export, metrics, tracer as tracer_mod
-from repro.obs.timeseries import TimeSeriesSampler
+from repro.obs.timeseries import Series, merge_series_csv
 
 MB = 1024 * 1024
 
@@ -126,11 +126,11 @@ def run_cotenancy_scenario(
     event-driven phase's kernel, so host wall-time per executed event is
     attributed alongside the simulated-time span profile.
 
-    The event-driven phase also carries a
-    :class:`repro.obs.timeseries.TimeSeriesSampler` on the runtime's
-    kernel: per-tenant RX-ring occupancy and completed-packet counts are
-    sampled every poll interval (``timeseries_path`` exports the series
-    as CSV; the sampler itself is returned under ``"timeseries"``).
+    The event-driven phase also samples per-tenant RX-ring occupancy
+    and the completed-packet count into one
+    :class:`~repro.obs.timeseries.Series` each: at the start, on a
+    kernel observer every poll interval, and once after the drain
+    (``timeseries_path`` exports them as CSV).
     """
     # Imports here keep ``import repro.obs`` itself dependency-light.
     from repro.hw.accelerator import AcceleratorRequest
@@ -158,24 +158,29 @@ def run_cotenancy_scenario(
         if profiler is not None:
             profiler.attach_kernel(runtime.sim)
         runtime.inject(built.make_packets())
-        # Kernel-driven sampling: one aligned row per poll interval,
-        # ending by itself when the runtime drains (stop-when-idle).
-        sampler = TimeSeriesSampler(runtime.sim,
-                                    interval_ns=runtime.poll_interval_ns)
-        for tenant in tenants:
-            record = snic.record(tenant)
-            sampler.watch(f"rx_ring_occupancy[{tenant}]",
-                          lambda r=record: float(r.vpp.rx_ring.occupancy))
-        sampler.watch("packets_completed",
-                      lambda: float(runtime.stats.completed))
-        sampler.start()
+        # One aligned row per poll interval, in series-name order; the
+        # kernel ends the ticks when the runtime drains.
+        probes: Dict[str, Callable[[], float]] = {
+            f"rx_ring_occupancy[{tenant}]":
+                lambda r=snic.record(tenant): float(r.vpp.rx_ring.occupancy)
+            for tenant in tenants}
+        probes["packets_completed"] = lambda: float(runtime.stats.completed)
+        series = [Series(name) for name in sorted(probes)]
+
+        def sample() -> None:
+            now = float(runtime.sim.now_ns)
+            for line in series:
+                line.append(now, probes[line.name]())
+
+        sample()
+        runtime.sim.every(runtime.poll_interval_ns, sample)
         stats = runtime.run()
-        sampler.stop()
-        sampler.sample_now()  # the post-drain steady state
+        sample()  # the post-drain steady state
         if profiler is not None:
             profiler.detach_kernel(runtime.sim)
         if timeseries_path:
-            sampler.write_csv(timeseries_path)
+            with open(timeseries_path, "w", encoding="utf-8") as handle:
+                handle.write(merge_series_csv(series, time_label="time_ns"))
 
         # --------------------------------------------------------------
         # Phase 2: direct contention on the shared microarchitecture
@@ -255,9 +260,8 @@ def run_cotenancy_scenario(
             "tracks": tracer.tracks(),
             "packets_completed": stats.completed,
             "packets_dropped": stats.dropped,
-            "timeseries": sampler,
             "timeseries_path": timeseries_path,
-            "timeseries_samples": sampler.samples_taken,
+            "timeseries_samples": len(series[0]),
         }
     tracer.disable()
     return summary

@@ -6,10 +6,10 @@ right shape for end-of-run scorecards but useless for *rate* questions
 — an SLO burn rate is "how fast is the error budget being consumed
 **right now**", which needs per-window deltas.
 
-:class:`WindowedAggregator` rides the event kernel exactly like
-:class:`~repro.obs.timeseries.TimeSeriesSampler` (same cooperative
-termination, same no-wall-clock discipline): every ``window_ns`` of
-simulated time it *rotates*, snapshotting the delta of every tracked
+:class:`WindowedAggregator` is an observer on the event kernel
+(:meth:`~repro.hw.events.Simulator.every`, which ends the ticks with the
+work; no wall clock anywhere): every ``window_ns`` of simulated time it
+*rotates*, snapshotting the delta of every tracked
 instrument since the previous rotation into a :class:`WindowSnapshot`.
 Deltas are first-class instruments, not flat numbers:
 
@@ -85,7 +85,7 @@ from repro.obs.metrics import (
 )
 
 if TYPE_CHECKING:
-    from repro.hw.events import Simulator
+    from repro.hw.events import PeriodicHandle, Simulator
 
 #: Default tracked-name prefixes: the SLO layer's own instruments and
 #: the interference attribution families it reads through.
@@ -312,7 +312,7 @@ class WindowedAggregator:
         self.snapshots: List[WindowSnapshot] = []
         self.windows_dropped = 0
         self._window_start_ns = 0.0
-        self._handle = None
+        self._ticks: Optional[PeriodicHandle] = None
         self._closed = False
         #: Tracked counters/gauges as parallel sequences in key order:
         #: the keys (a tuple snapshots share), the instruments, their
@@ -404,7 +404,7 @@ class WindowedAggregator:
     def rotate(self, now_ns: Optional[float] = None) -> WindowSnapshot:
         """Close the current window at ``now_ns`` and start the next.
 
-        Kernel-driven rotation calls this from the scheduled tick;
+        Kernel-driven rotation calls this from the periodic tick;
         phases advancing time outside the kernel (the contention rig)
         call it directly with their own timestamps.
         """
@@ -445,25 +445,25 @@ class WindowedAggregator:
             self.on_rotate(snapshot)
 
     # ------------------------------------------------------------------
-    # Kernel scheduling (the TimeSeriesSampler discipline)
+    # Kernel scheduling
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Schedule rotations every ``window_ns`` of simulated time."""
-        if self._handle is not None:
+        """Rotate every ``window_ns`` of simulated time, as a kernel
+        observer (:meth:`~repro.hw.events.Simulator.every`)."""
+        if self.running:
             raise RuntimeError("aggregator already started")
         self._window_start_ns = float(self.sim.now_ns)
         self._prime_bases()
-        self._handle = self.sim.schedule(self.window_ns, self._tick)
+        self._ticks = self.sim.every(self.window_ns, self.rotate)
 
     def stop(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
+        if self._ticks is not None:
+            self._ticks.cancel()
 
     @property
     def running(self) -> bool:
-        return self._handle is not None
+        return self._ticks is not None and self._ticks.active
 
     def _prime_bases(self) -> None:
         """Capture the pre-run state so window 0 holds only new work."""
@@ -471,15 +471,6 @@ class WindowedAggregator:
         self._bases = [instrument.value for instrument in self._instruments]
         for entry in self._histograms:
             entry[2] = _histogram_state(entry[1])
-
-    def _tick(self) -> None:
-        self._handle = None
-        self.rotate()
-        if self.sim.pending > 0:
-            # Cooperative shutdown: our own event already popped, so
-            # ``pending`` counts only other work — don't keep a
-            # drain-until-empty loop alive with our own rotations.
-            self._handle = self.sim.schedule(self.window_ns, self._tick)
 
     def close(self, now_ns: Optional[float] = None) -> None:
         """Stop and capture any final partial window.

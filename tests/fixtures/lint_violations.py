@@ -80,6 +80,21 @@ def float_delay(latency_ns):
     sim.schedule(1.5, on_packet)
 
 
+TICKS_SEEN = 0
+
+
+def on_tick():
+    # SNIC003: observer tick mutating a module global.
+    global TICKS_SEEN
+    TICKS_SEEN += 1
+
+
+def arm_sampler(window_ns):
+    # SNIC005: every() takes a sim-time interval like schedule()'s
+    # delay, and a callback (on_tick, SNIC003 above).
+    sim.every(window_ns / 4, on_tick)
+
+
 def chaos_fault_jitter(plan):
     # SNIC006: fault/chaos code must draw from the plan's seeded RNG —
     # an unseeded Random() and the process-global random module both

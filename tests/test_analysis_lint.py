@@ -202,6 +202,22 @@ class TestRuleBehaviour:
         assert [f for f in lint_source(dirty) if f.rule == "SNIC005"]
         assert not [f for f in lint_source(clean) if f.rule == "SNIC005"]
 
+    def test_every_is_checked_like_schedule(self):
+        text = textwrap.dedent("""
+            COUNT = 0
+            def tick():
+                global COUNT
+                COUNT += 1
+            def arm(sim, flows, window_ns):
+                sim.every(window_ns / 2, tick)
+                for flow in set(flows):
+                    sim.every(10, flow.poll)
+        """)
+        fired = {f.rule for f in lint_source(text)}
+        assert {"SNIC002", "SNIC003", "SNIC005"} <= fired
+        clean = "def f(sim, ns, tick):\n    sim.every(ns // 2, tick)\n"
+        assert not lint_source(clean)
+
     def test_snic006_unseeded_random_in_fault_module(self):
         dirty = "import random\nrng = random.Random()\n"
         findings = lint_source(dirty, modname="repro.faults.plan")

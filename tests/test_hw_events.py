@@ -1,9 +1,13 @@
 """Tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.hw.events import Simulator, kernel_stats
+from repro.hw.events import PeriodicHandle, Simulator, kernel_stats
 from repro.obs.bench import isolate
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.timeseries import Series
+from repro.obs.windows import WindowedAggregator
 
 
 class TestSimulator:
@@ -208,3 +212,128 @@ class TestHeapEntries:
         sim.schedule(7, lambda: None)
         sim.run()
         assert kernel_stats() == {"events_executed": 2, "sim_ns_advanced": 7}
+
+
+def _sampler(sim, interval_ns, probe):
+    """A series sampled now and on every observer tick."""
+    series = Series("probe")
+
+    def sample():
+        series.append(float(sim.now_ns), float(probe()))
+
+    sample()
+    sim.every(interval_ns, sample)
+    return series
+
+
+def _observed_run(with_sampler, with_windows):
+    """One work event at 1,000 ns under 100 ns observers."""
+    sim = Simulator()
+    registry = MetricsRegistry()
+    work = registry.counter("slo_work_total")
+    sim.schedule(1_000, work.inc)
+    series = _sampler(sim, 100, lambda: work.value) if with_sampler else None
+    windows = None
+    if with_windows:
+        windows = WindowedAggregator(sim, window_ns=100, registry=registry)
+        windows.start()
+    executed = sim.run(max_events=1_000)  # bounds a failing run
+    rows = {}
+    if series is not None:
+        rows["samples"] = series.points()
+    if windows is not None:
+        rows["windows"] = [(w.start_ns, w.end_ns,
+                            w.counter("slo_work_total"))
+                           for w in windows.snapshots]
+    return executed, sim.now_ns, sim.pending, rows
+
+
+class TestObservers:
+    def test_each_observer_alone_stops_with_the_work(self):
+        assert _observed_run(True, False)[:3] == (11, 1_000, 0)
+        assert _observed_run(False, True)[:3] == (11, 1_000, 0)
+
+    def test_two_observers_do_not_keep_each_other_alive(self):
+        executed, now_ns, pending, rows = _observed_run(True, True)
+        assert (executed, now_ns, pending) == (21, 1_000, 0)
+        assert len(rows["windows"]) == 10 and len(rows["samples"]) == 11
+        assert rows["samples"] == _observed_run(True, False)[3]["samples"]
+        assert rows["windows"] == _observed_run(False, True)[3]["windows"]
+
+    def test_last_tick_is_the_first_grid_point_after_the_work(self):
+        sim = Simulator()
+        ticks = []
+        sim.schedule(250, lambda: None)
+        sim.every(100, lambda: ticks.append(sim.now_ns))
+        sim.run()
+        assert ticks == [100, 200, 300] and sim.now_ns == 300
+
+    def test_observer_ticks_count_as_pending(self):
+        sim = Simulator()
+        sim.schedule(500, lambda: None)
+        handle = sim.every(100, lambda: None)
+        assert isinstance(handle, PeriodicHandle) and handle.active
+        assert sim.pending == 2
+        sim.run(until_ns=500)
+        assert sim.pending == 0 and not handle.active
+
+    def test_cancelled_every_never_fires_again(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1_000, lambda: None)
+        handle = sim.every(100, lambda: fired.append(sim.now_ns))
+        sim.run(until_ns=250)
+        handle.cancel()
+        handle.cancel()
+        assert not handle.active and sim.pending == 1
+        sim.run()
+        assert fired == [100, 200] and sim.now_ns == 1_000
+
+    def test_cancel_from_inside_the_tick(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1_000, lambda: None)
+
+        def tick():
+            fired.append(sim.now_ns)
+            if len(fired) == 3:
+                handle.cancel()
+
+        handle = sim.every(100, tick)
+        sim.run()
+        assert fired == [100, 200, 300] and sim.now_ns == 1_000
+
+    def test_interval_must_be_positive(self):
+        with pytest.raises(ValueError):
+            Simulator().every(0, lambda: None)
+
+
+#: One kernel operation: (kind, argument).
+_OPS = st.lists(st.tuples(
+    st.sampled_from(["schedule", "every", "cancel", "step", "run_until"]),
+    st.integers(min_value=0, max_value=60)), max_size=40)
+
+
+class TestPendingCount:
+    @settings(max_examples=200, deadline=None)
+    @given(_OPS)
+    def test_pending_matches_a_heap_scan(self, ops):
+        sim = Simulator()
+        handles = []
+        for kind, arg in ops:
+            if kind == "schedule":
+                handles.append(sim.schedule(arg, lambda: None))
+            elif kind == "every":
+                handles.append(sim.every(arg + 1, lambda: None))
+            elif kind == "cancel" and handles:
+                # Any handle: live, fired or already cancelled.
+                handles[arg % len(handles)].cancel()
+            elif kind == "step":
+                sim.step()
+            elif kind == "run_until":
+                sim.run(until_ns=sim.now_ns + arg)
+            live = [entry for entry in sim._queue if entry[2] is not None]
+            assert sim.pending == len(live)
+            assert sim._observers == sum(
+                isinstance(getattr(entry[2], "__self__", None),
+                           PeriodicHandle) for entry in live)

@@ -1,19 +1,12 @@
-"""Kernel-driven time-series sampling: deterministic cadence,
-cooperative shutdown, aligned export."""
+"""Time series: ring buffers, kernel-driven sampling on an observer
+tick (deterministic cadence, stops with the work), aligned export."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.hw.events import Simulator
-from repro.obs.timeseries import (
-    Series,
-    TimeSeriesSampler,
-    merge_series_csv,
-    sample_function,
-)
+from repro.obs.timeseries import Series, merge_series_csv, sample_function
 
 
 class TestSeries:
@@ -49,92 +42,63 @@ def workload(sim: Simulator, counter: dict, at_ns) -> None:
             "n", counter["n"] + 1))
 
 
+def watch(sim: Simulator, interval_ns: int, **probes):
+    """Sample every probe into its series now and on each observer tick
+    (the co-tenancy demo's pattern); series come in name order."""
+    series = [Series(name) for name in sorted(probes)]
+
+    def sample() -> None:
+        for line in series:
+            line.append(float(sim.now_ns), float(probes[line.name]()))
+
+    sample()
+    return series, sim.every(interval_ns, sample)
+
+
 class TestSampler:
     def test_samples_on_the_grid_and_stops_when_idle(self):
         sim = Simulator()
         counter = {"n": 0}
         workload(sim, counter, [300, 1300, 2300, 3300, 4300])
-        sampler = TimeSeriesSampler(sim, interval_ns=1000)
-        series = sampler.watch("events_seen", lambda: float(counter["n"]))
-        sampler.start()
-        drain(sim)  # terminates: the sampler stops rescheduling itself
-        assert not sampler.running
+        (series,), ticks = watch(sim, 1000,
+                                 events_seen=lambda: counter["n"])
+        drain(sim)  # terminates: the kernel stops re-arming the tick
+        assert not ticks.active
         assert series.times == [0.0, 1000.0, 2000.0, 3000.0, 4000.0, 5000.0]
         assert series.values == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-
-    def test_until_horizon_keeps_sampling_without_other_work(self):
-        sim = Simulator()
-        sampler = TimeSeriesSampler(sim, interval_ns=500)
-        series = sampler.watch("const", lambda: 7.0)
-        sampler.start(until_ns=2000)
-        drain(sim)
-        assert series.times == [0.0, 500.0, 1000.0, 1500.0, 2000.0]
-        assert all(v == 7.0 for v in series.values)
 
     def test_two_runs_are_byte_identical(self):
         def one_run() -> str:
             sim = Simulator()
             counter = {"n": 0}
             workload(sim, counter, [300, 1300, 2300])
-            sampler = TimeSeriesSampler(sim, interval_ns=1000)
-            sampler.watch("events_seen", lambda: float(counter["n"]))
-            sampler.start()
+            series, _ = watch(sim, 1000, events_seen=lambda: counter["n"])
             drain(sim)
-            sampler.sample_now()
-            return sampler.to_csv()
+            series[0].append(float(sim.now_ns), float(counter["n"]))
+            return merge_series_csv(series, time_label="time_ns")
 
         assert one_run() == one_run()
 
-    def test_duplicate_name_rejected(self):
-        sampler = TimeSeriesSampler(Simulator(), interval_ns=100)
-        sampler.watch("x", lambda: 0.0)
-        with pytest.raises(ValueError):
-            sampler.watch("x", lambda: 1.0)
-
-    def test_double_start_rejected(self):
-        sampler = TimeSeriesSampler(Simulator(), interval_ns=100)
-        sampler.start(until_ns=1000)
-        with pytest.raises(RuntimeError):
-            sampler.start()
-
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError):
-            TimeSeriesSampler(Simulator(), interval_ns=0)
+            Simulator().every(0, lambda: None)
 
     def test_csv_rows_are_aligned_and_sorted(self):
         sim = Simulator()
-        sampler = TimeSeriesSampler(sim, interval_ns=100)
-        sampler.watch("b_metric", lambda: 2.0)
-        sampler.watch("a_metric", lambda: 1.0)
-        sampler.start(until_ns=200)
+        sim.schedule(200, lambda: None)
+        series, _ = watch(sim, 100, b_metric=lambda: 2.0,
+                          a_metric=lambda: 1.0)
         drain(sim)
-        header, rows = sampler.rows()
-        assert header == ["time_ns", "a_metric", "b_metric"]
-        assert rows == [[0.0, 1.0, 2.0], [100.0, 1.0, 2.0],
-                        [200.0, 1.0, 2.0]]
-        csv = sampler.to_csv()
-        assert csv.splitlines()[0] == "time_ns,a_metric,b_metric"
-        assert csv.splitlines()[1] == "0,1,2"
-
-    def test_json_export_round_trips(self, tmp_path):
-        sim = Simulator()
-        sampler = TimeSeriesSampler(sim, interval_ns=100)
-        sampler.watch("x", lambda: 3.5)
-        sampler.start(until_ns=100)
-        drain(sim)
-        path = tmp_path / "series.json"
-        sampler.write_json(str(path))
-        payload = json.loads(path.read_text())
-        assert payload["interval_ns"] == 100
-        assert payload["series"]["x"]["values"] == [3.5, 3.5]
+        csv = merge_series_csv(series, time_label="time_ns")
+        assert csv.splitlines() == ["time_ns,a_metric,b_metric", "0,1,2",
+                                    "100,1,2", "200,1,2"]
 
     def test_stop_cancels_the_pending_tick(self):
         sim = Simulator()
-        sampler = TimeSeriesSampler(sim, interval_ns=100)
-        series = sampler.watch("x", lambda: 1.0)
-        sampler.start(until_ns=10_000)
-        sampler.stop()
-        assert not sampler.running
+        sim.schedule(10_000, lambda: None)
+        (series,), ticks = watch(sim, 100, x=lambda: 1.0)
+        ticks.cancel()
+        assert not ticks.active
         drain(sim)  # the cancelled tick must not fire
         assert series.times == [0.0]
 
