@@ -30,6 +30,7 @@ from repro.analysis.lint import (
     Finding,
     ModuleSource,
     Rule,
+    call_name,
     dotted_name,
     is_schedule_call,
 )
@@ -146,7 +147,7 @@ class FloatSimTimeRule(Rule):
                     yield self.finding(
                         module, node,
                         f"provably float-valued delay/time passed to "
-                        f"{node.func.attr}(); sim-time must stay integral")
+                        f"{call_name(node)}(); sim-time must stay integral")
             elif in_kernel and isinstance(node, ast.BinOp):
                 has_float = isinstance(
                     node.left, ast.Constant) and isinstance(
