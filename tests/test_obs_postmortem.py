@@ -88,6 +88,36 @@ class TestBundleAssembly:
         assert verify_bundle(bundle) == []
 
 
+def _as_flight_entry(record):
+    """An audit record as the bundle's flight section shows it."""
+    return {"kind": "audit", "name": record["kind"],
+            "ts_ns": record["ts_ns"], "tenant": record["tenant"],
+            "track": "audit", "args": record["detail"]}
+
+
+def test_long_chain_flight_section_keeps_a_512_entry_count(tmp_path):
+    """600 records: the flight section counts at most 512 entries and
+    shows the same 64-record tail as the audit section, mapped."""
+    from repro.hw.mmu import TLB
+    from repro.obs.bench import cell_scope
+
+    path = str(tmp_path / "long.json")
+    with cell_scope(bundle=path, note="600 records"):
+        bank = TLB(capacity=4, name="core0")
+        for _ in range(600):
+            bank.clear()
+    bundle = load_bundle(path)
+    records = bundle["audit"]["records"]
+    assert bundle["audit"]["n_records"] == 600
+    assert len(records) == postmortem.DEFAULT_TAIL
+    assert records[-1]["seq"] == 599
+    assert bundle["flight"]["capacity"] == 512
+    assert bundle["flight"]["window_ns"] is None
+    assert bundle["flight"]["n_entries"] == 512
+    assert bundle["flight"]["entries"] == [
+        _as_flight_entry(record) for record in records]
+
+
 class TestDeterminism:
     def test_same_seed_bundles_are_byte_identical(self):
         """The acceptance gate: two same-seed runs → identical bytes."""

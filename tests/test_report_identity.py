@@ -14,7 +14,10 @@ matrix, the co-tenancy Chrome trace and
 ``examples/nf_dense_scenario.json`` (the perf benchmark's ``nf-dense``
 workload at a tenth of its packets) are pinned the same way, and so is
 the co-tenancy demo's per-poll time-series CSV at 20 and 60 packets,
-which no CLI flag writes: a ``python -c`` program asks for it.
+which no CLI flag writes: a ``python -c`` program asks for it.  Each
+of the twelve post-mortem bundles that ``chaos --quick --matrix
+--postmortem-dir`` writes (one per faulted S-NIC leg) is pinned too,
+from one run of that command.
 Between them they run key provisioning, attested launch and teardown,
 the packet path and every arbiter; the export adds every window's
 per-rotation deltas.  So a host-side change (a cache, a faster
@@ -86,33 +89,62 @@ SCRIPTS: Dict[str, str] = {
     "cotenancy_timeseries_60_packets": _COTENANCY_SERIES.format(60),
 }
 
-PINNED = sorted([*REPORTS, *SCRIPTS])
+_CHAOS_KINDS = ("accel_timeout", "bus_babble", "core_hang", "dma_error",
+                "dma_partial", "dram_bit_flip", "nf_crash", "nic_os_stall",
+                "wire_corrupt", "wire_drop", "wire_duplicate",
+                "wire_reorder")
+
+#: Bundle name -> the file ``chaos --quick --matrix --postmortem-dir``
+#: writes for it; one run writes all of them.
+BUNDLES: Dict[str, str] = {
+    f"postmortem_chaos_{kind}": f"POSTMORTEM_chaos-{kind}-snic-s0.json"
+    for kind in _CHAOS_KINDS}
+
+PINNED = sorted([*REPORTS, *SCRIPTS, *BUNDLES])
+
+
+def _run(command: List[str]) -> None:
+    """``python <command>`` in a fresh interpreter, IsoSan pinned off:
+    ``REPRO_ISOSAN=1`` would sanitize the run and mark the report
+    ``isosan_active``."""
+    env = dict(os.environ, REPRO_ISOSAN="0")
+    subprocess.run([sys.executable, *command],
+                   check=True, env=env, stdout=subprocess.DEVNULL)
 
 
 def report_digest(name: str, out_dir: str) -> str:
     """Run one report in a fresh interpreter; sha256 of the written file.
 
-    IsoSan is pinned off: ``REPRO_ISOSAN=1`` would sanitize the run and
-    mark the report ``isosan_active``.
+    The chaos bundles come from one run per ``out_dir``, made by the
+    first bundle asked for.
     """
     path = os.path.join(out_dir, name + ".out")
-    if name in SCRIPTS:
-        command = ["-c", SCRIPTS[name], path]
+    if name in BUNDLES:
+        bundle_dir = os.path.join(out_dir, "postmortem")
+        if not os.path.isdir(bundle_dir):
+            _run(["-m", "repro", "chaos", "--quick", "--matrix",
+                  "--postmortem-dir", bundle_dir])
+        path = os.path.join(bundle_dir, BUNDLES[name])
+    elif name in SCRIPTS:
+        _run(["-c", SCRIPTS[name], path])
     else:
         argv, path_option = REPORTS[name]
-        command = ["-m", "repro", *argv, path_option, path]
-    env = dict(os.environ, REPRO_ISOSAN="0")
-    subprocess.run([sys.executable, *command],
-                   check=True, env=env, stdout=subprocess.DEVNULL)
+        _run(["-m", "repro", *argv, path_option, path])
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    """One directory for every report, so the bundles share a run."""
+    return str(tmp_path_factory.mktemp("reports"))
+
+
 @pytest.mark.parametrize("name", PINNED)
-def test_report_is_byte_identical_to_fixture(name, tmp_path):
+def test_report_is_byte_identical_to_fixture(name, out_dir):
     with open(FIXTURE) as handle:
         pinned = json.load(handle)
-    assert report_digest(name, str(tmp_path)) == pinned[name]
+    assert report_digest(name, out_dir) == pinned[name]
 
 
 def test_shard_pins_equal_the_unsharded_pins():
