@@ -42,8 +42,8 @@ Commands:
   to deal the arbiter cells to N worker processes, with the report
   byte-identical to the run without the flag)
 * ``postmortem`` — inspect a forensics bundle dropped by ``chaos`` or
-  ``matrix`` (``--postmortem-dir``): pretty-print the flight-recorder
-  tail and audit excerpt, ``--verify`` the sha256 hash chain, or
+  ``matrix`` (``--postmortem-dir``): pretty-print the audit
+  excerpt and its flight tail, ``--verify`` the sha256 hash chain, or
   ``--diff`` two bundles field by field
 * ``lint``    — S-NIC-specific static analysis (SNIC001–SNIC008) over
   the source tree (``--format text|json|github``; ``--stats`` prints

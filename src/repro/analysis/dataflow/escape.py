@@ -51,8 +51,7 @@ _IMMUTABLE_CALLS = frozenset({
 #: returning one of its fields (:mod:`repro.obs.cell`).
 _CELL_STATE = "CellState"
 _CELL_ACCESSORS = frozenset({
-    "get_accountant", "get_audit_log", "get_emitter",
-    "get_flight_recorder", "get_registry", "get_tracer",
+    "get_accountant", "get_audit_log", "get_registry", "get_tracer",
 })
 
 #: Method names that mutate their receiver.

@@ -247,9 +247,9 @@ class IsoSan:
 
     def _violation(self, message: str) -> None:
         self.violations.append(message)
-        if CELL.audit.active:
-            CELL.audit.emit("isosan.violation",
-                            tenant=self.current_tenant(), message=message)
+        if CELL.audit.enabled:
+            CELL.audit.append("isosan.violation",
+                              tenant=self.current_tenant(), message=message)
         raise IsolationViolation(f"IsoSan: {message}")
 
     def _check_access(self, mem: PhysicalMemory, addr: int,

@@ -5,18 +5,18 @@ The audit log (:mod:`repro.obs.auditlog`) is only tamper-evident for
 events that actually reach it.  Two code shapes silently erode the
 §4.6 witness trail this repo's post-mortem bundles are built on:
 
-* a **security primitive without an audit emit** — a function that
+* a **security primitive without an audit record** — a function that
   scrubs pages (calls ``release_pages``/``zero_page``), a
   ``install``/``clear``/``lock`` method defined on a ``*TLB*`` class,
   or a function that raises :class:`AttestationError` directly, whose
-  body never routes an ``.emit(...)`` through the audit facade.  The
+  body never calls ``.append(...)`` on the cell's audit log.  The
   repo's convention is emission at the *choke point* (the TLB methods
   themselves, the scrub loop, the attestation ``_reject`` helper), so
   callers stay clean while every security action is witnessed exactly
   once;
 * a **wall-clock read in forensics scope** — ``time.time``,
   ``perf_counter``, ``datetime.now``, ... anywhere in
-  flight-recorder / audit-log / post-mortem code.  Bundles must be
+  audit-log / post-mortem (flight tail) code.  Bundles must be
   byte-identical across same-seed runs (CI ``cmp``s two chaos runs);
   one host timestamp breaks that gate forever.
 
@@ -79,12 +79,12 @@ def _attr_tail(node: ast.AST) -> str:
 
 
 def _emits_audit(func: ast.AST) -> bool:
-    """Does the function body contain an audit-facade ``.emit(...)``
-    (receiver has an ``audit`` component, e.g. ``CELL.audit.emit``)?"""
+    """Does the function body contain an audit-log ``.append(...)``
+    (receiver has an ``audit`` component, e.g. ``CELL.audit.append``)?"""
     for node in ast.walk(func):
         if isinstance(node, ast.Call) and \
                 isinstance(node.func, ast.Attribute) and \
-                node.func.attr == "emit":
+                node.func.attr == "append":
             receiver = dotted_name(node.func.value).lower()
             if any("audit" in part
                    for part in re.split(r"[._]+", receiver) if part):
@@ -120,10 +120,10 @@ class AuditTrailRule(Rule):
                  "in the §4.6 witness trail; and one wall-clock value in "
                  "flight/postmortem code breaks the byte-identical "
                  "bundle contract CI enforces with cmp")
-    hint = ("route the action through the audit facade — "
-            "`if CELL.audit.active: CELL.audit.emit(...)` in the primitive "
-            "itself (TLB method, scrub loop, attestation reject "
-            "helper) — and keep time.time/perf_counter/datetime.now "
+    hint = ("append the action to the audit log — "
+            "`if CELL.audit.enabled: CELL.audit.append(...)` in the "
+            "primitive itself (TLB method, scrub loop, attestation "
+            "reject helper) — and keep time.time/perf_counter/datetime.now "
             "out of flight/auditlog/postmortem scope; timestamps come "
             "from the bound sim clock or deterministic ticks")
 

@@ -40,8 +40,8 @@ def _reject(reason: str) -> None:
     rejection path is witnessed (lint rule SNIC008 checks for exactly
     this pairing).
     """
-    if CELL.audit.active:
-        CELL.audit.emit("attest.verdict", ok=False, reason=reason)
+    if CELL.audit.enabled:
+        CELL.audit.append("attest.verdict", ok=False, reason=reason)
     raise AttestationError(reason)
 
 
@@ -126,9 +126,9 @@ class Verifier:
         ):
             _reject("function state hash does not match the expected image")
         self._outstanding.discard(quote.nonce)  # one-shot: prevents replay
-        if CELL.audit.active:
-            CELL.audit.emit("attest.verdict", ok=True,
-                            state_hash=quote.state_hash.hex())
+        if CELL.audit.enabled:
+            CELL.audit.append("attest.verdict", ok=True,
+                              state_hash=quote.state_hash.hex())
 
     def complete_exchange(
         self, quote: AttestationQuote, expected_state_hash: Optional[bytes] = None

@@ -188,15 +188,15 @@ class Constellation:
             a=a, b=b, key_at_a=channel_key_at_a, key_at_b=channel_key_at_b
         )
         if not channel.established:
-            if CELL.audit.active:
-                CELL.audit.emit("attest.verdict", ok=False,
-                                reason="key agreement failed", peer_a=a,
-                                peer_b=b)
+            if CELL.audit.enabled:
+                CELL.audit.append("attest.verdict", ok=False,
+                                  reason="key agreement failed", peer_a=a,
+                                  peer_b=b)
             raise AttestationError("key agreement failed")
         self.channels[(a, b)] = channel
         self.channels[(b, a)] = channel
-        if CELL.audit.active:
-            CELL.audit.emit("attest.channel", peer_a=a, peer_b=b)
+        if CELL.audit.enabled:
+            CELL.audit.append("attest.channel", peer_a=a, peer_b=b)
         return channel
 
     def send(self, src: str, dst: str, plaintext: bytes) -> bytes:
@@ -207,10 +207,10 @@ class Constellation:
         """
         channel = self.channels.get((src, dst))
         if channel is None:
-            if CELL.audit.active:
-                CELL.audit.emit("attest.verdict", ok=False,
-                                reason="no attested channel", peer_a=src,
-                                peer_b=dst)
+            if CELL.audit.enabled:
+                CELL.audit.append("attest.verdict", ok=False,
+                                  reason="no attested channel", peer_a=src,
+                                  peer_b=dst)
             raise AttestationError(
                 f"no attested channel between {src!r} and {dst!r}"
             )

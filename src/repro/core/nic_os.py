@@ -98,10 +98,10 @@ class NICOS:
         last = (paddr + max(size, 1) - 1) // page_size
         for page in range(first, last + 1):
             if not self.snic.denylist.check_page(page):
-                if CELL.audit.active:
-                    CELL.audit.emit("denylist.blocked", op="os_access",
-                                    page=page,
-                                    owner=self.snic.memory.owner_of(page))
+                if CELL.audit.enabled:
+                    CELL.audit.append("denylist.blocked", op="os_access",
+                                      page=page,
+                                      owner=self.snic.memory.owner_of(page))
                 raise IsolationViolation(
                     f"management core blocked: physical page {page} belongs "
                     "to a live network function (denylisted)"
@@ -115,10 +115,10 @@ class NICOS:
         new mapping to walk the denylist page table" (§4.2).
         """
         if not self.snic.denylist.check_page(ppage):
-            if CELL.audit.active:
-                CELL.audit.emit("denylist.blocked", op="tlb_update",
-                                page=ppage,
-                                owner=self.snic.memory.owner_of(ppage))
+            if CELL.audit.enabled:
+                CELL.audit.append("denylist.blocked", op="tlb_update",
+                                  page=ppage,
+                                  owner=self.snic.memory.owner_of(ppage))
             raise IsolationViolation(
                 f"trusted hardware rejected TLB update: physical page "
                 f"{ppage} is denylisted"

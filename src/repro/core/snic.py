@@ -289,11 +289,12 @@ class SNIC:
 
         launch_ms = self.timing.nf_launch_ms(extent_bytes)
         self.instruction_log.append(("nf_launch", nf_id, launch_ms))
-        if CELL.audit.active:
-            CELL.audit.emit("lifecycle.launch", tenant=nf_id, name=config.name,
-                            pages=len(pages), extent_bytes=extent_bytes,
-                            cores=list(config.core_ids),
-                            state_hash=state_hash.hex())
+        if CELL.audit.enabled:
+            CELL.audit.append("lifecycle.launch", tenant=nf_id,
+                              name=config.name, pages=len(pages),
+                              extent_bytes=extent_bytes,
+                              cores=list(config.core_ids),
+                              state_hash=state_hash.hex())
         if CELL.tracer.enabled:
             # Lifecycle span with the instruction-latency model's
             # duration, so launches appear to scale with extent size.
@@ -460,9 +461,9 @@ class SNIC:
         )
         attest_ms = self.timing.nf_attest_ms()
         self.instruction_log.append(("nf_attest", nf_id, attest_ms))
-        if CELL.audit.active:
-            CELL.audit.emit("attest.quote", tenant=nf_id,
-                            state_hash=record.state_hash.hex())
+        if CELL.audit.enabled:
+            CELL.audit.append("attest.quote", tenant=nf_id,
+                              state_hash=record.state_hash.hex())
         if CELL.tracer.enabled:
             CELL.tracer.complete("nf_attest", CELL.tracer.now(), attest_ms * 1e6,
                                  tenant=nf_id, track="snic-lifecycle",
@@ -494,10 +495,10 @@ class SNIC:
         self._rebuild_bus()
         destroy_ms = self.timing.nf_destroy_ms(record.extent_bytes)
         self.instruction_log.append(("nf_teardown", nf_id, destroy_ms))
-        if CELL.audit.active:
-            CELL.audit.emit("lifecycle.teardown", tenant=nf_id,
-                            pages=len(record.pages),
-                            extent_bytes=record.extent_bytes)
+        if CELL.audit.enabled:
+            CELL.audit.append("lifecycle.teardown", tenant=nf_id,
+                              pages=len(record.pages),
+                              extent_bytes=record.extent_bytes)
         if CELL.tracer.enabled:
             CELL.tracer.complete("nf_teardown", CELL.tracer.now(), destroy_ms * 1e6,
                                  tenant=nf_id, track="snic-lifecycle",

@@ -169,12 +169,12 @@ class FaultInjector:
         self.records.append(record)
         get_registry().counter(
             "faults_injected_total", kind=kind.value, tenant=tenant).inc()
-        if CELL.audit.active:
-            CELL.audit.emit("fault.injected", tenant=tenant, ts_ns=at_ns,
-                            fault_kind=kind.value,
-                            **{k: v for k, v in detail.items()
-                               if isinstance(v, (int, float, str, bool))
-                               and k != "fault_kind"})
+        if CELL.audit.enabled:
+            CELL.audit.append("fault.injected", tenant=tenant, ts_ns=at_ns,
+                              fault_kind=kind.value,
+                              **{k: v for k, v in detail.items()
+                                 if isinstance(v, (int, float, str, bool))
+                                 and k != "fault_kind"})
         tracer = get_tracer()
         if tracer.enabled:
             tracer.instant(f"fault.{kind.value}", ts_ns=at_ns,

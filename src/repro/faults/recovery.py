@@ -82,9 +82,10 @@ class Watchdog:
         get_registry().counter(
             "fault_watchdog_timeouts_total", watchdog=name,
             tenant=tenant).inc()
-        if CELL.audit.active:
-            CELL.audit.emit("watchdog.timeout", tenant=tenant, ts_ns=fired_at,
-                            watchdog=name, timeout_ns=timeout_ns)
+        if CELL.audit.enabled:
+            CELL.audit.append("watchdog.timeout", tenant=tenant,
+                              ts_ns=fired_at, watchdog=name,
+                              timeout_ns=timeout_ns)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.instant("fault.watchdog_timeout", ts_ns=fired_at,
@@ -138,10 +139,10 @@ def retry_dma(op: Callable[[int, float], Optional[float]],
             resume = exc.completion_ns if exc.completion_ns is not None \
                 else cursor
             if attempt >= policy.attempts:
-                if CELL.audit.active:
-                    CELL.audit.emit("recovery.exhausted", tenant=tenant,
-                                    op="dma", attempts=policy.attempts,
-                                    bytes_done=done)
+                if CELL.audit.enabled:
+                    CELL.audit.append("recovery.exhausted", tenant=tenant,
+                                      op="dma", attempts=policy.attempts,
+                                      bytes_done=done)
                 raise RecoveryExhausted(
                     f"DMA retry budget ({policy.attempts}) exhausted "
                     f"after {done} bytes") from exc
@@ -207,10 +208,10 @@ class NFSupervisor:
         pages = list(record.pages)
         used = self._restarts_by_name.get(config.name, 0)
         if used >= self.max_restarts:
-            if CELL.audit.active:
-                CELL.audit.emit("recovery.exhausted", tenant=nf_id,
-                                op="nf_restart", name=config.name,
-                                attempts=self.max_restarts)
+            if CELL.audit.enabled:
+                CELL.audit.append("recovery.exhausted", tenant=nf_id,
+                                  op="nf_restart", name=config.name,
+                                  attempts=self.max_restarts)
             raise RecoveryExhausted(
                 f"NF {config.name!r} exceeded its restart budget "
                 f"({self.max_restarts})")
@@ -233,10 +234,10 @@ class NFSupervisor:
         get_registry().counter(
             "fault_restarts_total", nf=config.name,
             tenant=vnic.nf_id).inc()
-        if CELL.audit.active:
-            CELL.audit.emit("recovery.restart", tenant=vnic.nf_id,
-                            name=config.name, old_nf_id=nf_id,
-                            new_nf_id=vnic.nf_id, scrub_verified=True)
+        if CELL.audit.enabled:
+            CELL.audit.append("recovery.restart", tenant=vnic.nf_id,
+                              name=config.name, old_nf_id=nf_id,
+                              new_nf_id=vnic.nf_id, scrub_verified=True)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.instant("fault.nf_restart", tenant=vnic.nf_id,
@@ -266,9 +267,9 @@ class CommodityRecovery:
         self.cycles.append((float(now_ns), ready))
         get_registry().counter(
             "fault_power_cycles_total", tenant=None).inc()
-        if CELL.audit.active:
-            CELL.audit.emit("recovery.power_cycle", ts_ns=now_ns,
-                            reboot_ns=self.reboot_ns)
+        if CELL.audit.enabled:
+            CELL.audit.append("recovery.power_cycle", ts_ns=now_ns,
+                              reboot_ns=self.reboot_ns)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.instant("fault.power_cycle", ts_ns=now_ns, tenant=None,

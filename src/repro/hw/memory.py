@@ -138,9 +138,9 @@ class PhysicalMemory:
             info.owner = FREE
             info.denylisted = False
         released = len(owned)
-        if CELL.audit.active:
-            CELL.audit.emit("memory.scrub", tenant=owner, pages=released,
-                            scrubbed=bool(scrub))
+        if CELL.audit.enabled:
+            CELL.audit.append("memory.scrub", tenant=owner, pages=released,
+                              scrubbed=bool(scrub))
         return released
 
     def zero_page(self, page_index: int) -> None:

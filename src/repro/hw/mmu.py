@@ -110,17 +110,17 @@ class TLB:
                     f"{self.name}: entry overlaps existing virtual range"
                 )
         self._entries.append(entry)
-        if CELL.audit.active:
-            CELL.audit.emit("tlb.install", bank=self.name, vbase=entry.vbase,
-                            pbase=entry.pbase, size=entry.size,
-                            writable=entry.writable)
+        if CELL.audit.enabled:
+            CELL.audit.append("tlb.install", bank=self.name,
+                              vbase=entry.vbase, pbase=entry.pbase,
+                              size=entry.size, writable=entry.writable)
 
     def lock(self) -> None:
         """Make the bank read-only (the end of ``nf_launch``)."""
         self._locked = True
-        if CELL.audit.active:
-            CELL.audit.emit("tlb.lock", bank=self.name,
-                            entries=len(self._entries))
+        if CELL.audit.enabled:
+            CELL.audit.append("tlb.lock", bank=self.name,
+                              entries=len(self._entries))
 
     def clear(self, force: bool = False) -> None:
         """Drop all entries.  Only trusted teardown may clear a locked bank."""
@@ -129,9 +129,9 @@ class TLB:
         dropped = len(self._entries)
         self._entries.clear()
         self._locked = False
-        if CELL.audit.active:
-            CELL.audit.emit("tlb.clear", bank=self.name, forced=bool(force),
-                            dropped=dropped)
+        if CELL.audit.enabled:
+            CELL.audit.append("tlb.clear", bank=self.name,
+                              forced=bool(force), dropped=dropped)
 
     def translate(self, vaddr: int, write: bool = False) -> int:
         """Translate ``vaddr``; raises :class:`TLBMiss` / :class:`AccessFault`."""

@@ -41,18 +41,15 @@ hot layer:
 * :mod:`repro.obs.audit` — ``python -m repro audit``: the
   solo-vs-co-tenant isolation scorecard (interference matrices,
   slowdown deltas, side-channel capacities, noninterference verdict).
-* :mod:`repro.obs.flight` — the flight recorder: a bounded,
-  sim-time-windowed ring of recent audit events and mirrored trace
-  events; strictly no-op when disabled.
 * :mod:`repro.obs.auditlog` — an append-only, sha256 hash-chained
   audit log of security-relevant events (attestation verdicts, page
   scrubs, TLB installs, cross-tenant denials, faults, recovery
-  actions); flipping any serialized byte breaks the chain at a
-  reported index.
+  actions), the one sink for security records; flipping any
+  serialized byte breaks the chain at a reported index.
 * :mod:`repro.obs.postmortem` — forensics bundles assembled on
   isolation violations / watchdog timeouts / recovery exhaustion
-  (flight tail, audit excerpt + chain head, metrics snapshot,
-  interference attribution, active ScenarioSpec), plus the
+  (audit excerpt + chain head and its flight-tail rendering, metrics
+  snapshot, interference attribution, active ScenarioSpec), plus the
   ``python -m repro postmortem`` pretty-print/verify/diff CLI.
 * :mod:`repro.obs.slo` / :mod:`repro.obs.windows` /
   :mod:`repro.obs.openmetrics` / :mod:`repro.obs.scorecard` — the
@@ -79,22 +76,13 @@ or run the packaged co-tenancy demo end to end::
 
 from repro.obs.auditlog import (
     GENESIS,
-    AuditEmitter,
     AuditLog,
     disable_audit_log,
     enable_audit_log,
     get_audit_log,
-    get_emitter,
     verify_records,
 )
 from repro.obs.chrome_trace import to_chrome_trace, write_chrome_trace
-from repro.obs.flight import (
-    FlightEntry,
-    FlightRecorder,
-    disable_flight_recording,
-    enable_flight_recording,
-    get_flight_recorder,
-)
 from repro.obs.interference import (
     InterferenceAccountant,
     blame_matrix,
@@ -148,14 +136,11 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "AuditEmitter",
     "AuditLog",
     "BurnRateAlert",
     "BurnRateAlerter",
     "BurnRateTier",
     "Counter",
-    "FlightEntry",
-    "FlightRecorder",
     "GENESIS",
     "Gauge",
     "Histogram",
@@ -178,18 +163,14 @@ __all__ = [
     "cross_tenant_wait_ns",
     "diff_bundles",
     "disable_audit_log",
-    "disable_flight_recording",
     "disable_tracing",
     "enable_audit_log",
-    "enable_flight_recording",
     "enable_tracing",
     "evaluate_tenant",
     "format_matrix",
     "format_metrics_table",
     "get_accountant",
     "get_audit_log",
-    "get_emitter",
-    "get_flight_recorder",
     "get_registry",
     "get_tracer",
     "instance_label",

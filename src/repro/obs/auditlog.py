@@ -24,17 +24,18 @@ as compact sorted-key JSON, and record 0 chains from a fixed
 same primitive the attestation model uses), whose digests come from
 ``hashlib`` and are checked against its from-scratch reference.
 
-Emission sites go through the cell's :class:`AuditEmitter` facade
-(:data:`repro.obs.cell.CELL`) so each instrumented module pays the
-usual zero-cost-when-off toll::
+The log is the one sink for security records: each emission site
+appends to the cell's log (:data:`repro.obs.cell.CELL`) directly and
+pays the usual zero-cost-when-off toll::
 
-    if CELL.audit.active:
-        CELL.audit.emit("tlb.install", tenant=owner, vbase=..., size=...)
+    if CELL.audit.enabled:
+        CELL.audit.append("tlb.install", tenant=owner, vbase=..., size=...)
 
-``active`` is a plain attribute (no property, no call) refreshed
-whenever the audit log or flight recorder is enabled/disabled, so the
+``enabled`` is a plain attribute (no property, no call), so the
 disabled path is one attribute load and a falsy branch — the same
 discipline the tracer's <5% overhead test pins down.
+:meth:`AuditLog.append` itself does not check the flag: every call
+site already has.
 
 Timestamps come from a bound simulation clock or a deterministic
 internal tick — never the wall clock — so same-seed runs produce
@@ -48,7 +49,6 @@ import json
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.crypto.sha256 import sha256_hex
-from repro.obs.flight import FlightRecorder
 
 #: Chain anchor for the first record: a fixed, content-free digest so an
 #: empty log still has a well-defined head.
@@ -191,54 +191,9 @@ class AuditLog:
         records = self.records if n is None else self.records[-n:]
         return copy.deepcopy(records)
 
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        return self.tail(None)
-
-
-class AuditEmitter:
-    """The shared guard object instrumented modules route through.
-
-    Holds its cell's audit log and flight recorder; ``active`` is
-    kept in sync by the module-level enable/disable helpers so call
-    sites pay one attribute load when everything is off.
-    """
-
-    __slots__ = ("active", "_log", "_flight")
-
-    def __init__(self, log: AuditLog,
-                 flight: FlightRecorder) -> None:
-        self._log = log
-        self._flight = flight
-        self.active = False
-
-    def refresh(self) -> None:
-        self.active = self._log.enabled or self._flight.enabled
-
-    def emit(self, kind: str, *, tenant: Optional[int] = None,
-             ts_ns: Optional[float] = None, **detail: Any) -> None:
-        """Route one security event to every armed sink."""
-        log = self._log
-        if log.enabled:
-            record = log.append(kind, tenant=tenant, ts_ns=ts_ns,
-                                **detail)
-            if ts_ns is None:
-                # Reuse the log's timestamp so both sinks agree.
-                ts_ns = record["ts_ns"]
-        flight = self._flight
-        if flight.enabled:
-            flight.record("audit", kind, ts_ns=ts_ns, tenant=tenant,
-                          track="audit", args=detail)
-
 
 def get_audit_log() -> AuditLog:
     """The current cell's audit log."""
-    from repro.obs.cell import CELL
-
-    return CELL.audit_log
-
-
-def get_emitter() -> AuditEmitter:
-    """The current cell's emitter, the facade every hook routes through."""
     from repro.obs.cell import CELL
 
     return CELL.audit
@@ -248,10 +203,8 @@ def enable_audit_log(
         clock: Optional[Callable[[], float]] = None) -> AuditLog:
     log = get_audit_log()
     log.enable(clock)
-    get_emitter().refresh()
     return log
 
 
 def disable_audit_log() -> None:
     get_audit_log().disable()
-    get_emitter().refresh()

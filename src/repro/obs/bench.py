@@ -144,17 +144,17 @@ class BenchRecord:
 
 def isolate() -> None:
     """Install a fresh :class:`~repro.obs.cell.CellState`: a new
-    metrics registry, tracer, flight recorder, audit log and emitter,
-    interference accountant and event-kernel tallies, all off and
-    empty.  The previous cell's objects are dropped, not cleared."""
+    metrics registry, tracer, audit log, interference accountant and
+    event-kernel tallies, all off and empty.  The previous cell's
+    objects are dropped, not cleared."""
     CELL.install(CellState())
 
 
 def bind_clock(clock: Optional[Callable[[], float]]) -> None:
-    """Put every enabled sink (tracer, flight recorder, audit log) on
-    ``clock``, a cell's simulated time; ``None`` releases all three, so
-    nothing keeps reading a dead cell's simulator."""
-    for sink in (CELL.tracer, CELL.flight, CELL.audit_log):
+    """Put every enabled sink (tracer, audit log) on ``clock``, a cell's
+    simulated time; ``None`` releases both, so nothing keeps reading a
+    dead cell's simulator."""
+    for sink in (CELL.tracer, CELL.audit):
         if clock is None or sink.enabled:
             sink.use_clock(clock)
 
@@ -176,23 +176,21 @@ def cell_scope(record: Optional[BenchRecord] = None, *,
     """Run one experiment cell between two :func:`isolate` resets.
 
     Inside, in order: IsoSan when ``sanitize``; the audit log when
-    ``audit``; the audit log *and* flight recorder when ``bundle`` (a
-    postmortem path) is set.  A forensic scope writes its bundle from
-    the live state before the trailing reset: with the exception as the
-    reason when the body raises, or with ``note`` as the reason when
-    one is given and the body returns.  With a ``record``, its kernel,
-    tracer and registry tallies are filled before that reset too, and
-    an exception marks the record an error instead of propagating;
-    without one, exceptions propagate.
+    ``audit`` or when ``bundle`` (a postmortem path) is set.  A forensic
+    scope writes its bundle from the live state before the trailing
+    reset: with the exception as the reason when the body raises, or
+    with ``note`` as the reason when one is given and the body
+    returns.  With a ``record``, its kernel, tracer and registry
+    tallies are filled before that reset too, and an exception marks
+    the record an error instead of propagating; without one,
+    exceptions propagate.
     """
     from repro.analysis.isosan import sanitized
-    from repro.obs import auditlog, flight, postmortem
+    from repro.obs import postmortem
 
     isolate()
     if audit or bundle is not None:
-        auditlog.enable_audit_log()
-    if bundle is not None:
-        flight.enable_flight_recording()
+        CELL.audit.enable()
     try:
         with sanitized() if sanitize else contextlib.nullcontext():
             yield

@@ -4,12 +4,12 @@ S-NIC gives each network function its own state, created at launch and
 scrubbed at teardown (§4.6); the simulator's unit of isolation is the
 *cell*, one simulated NIC run start to finish.  Everything a cell
 writes outside the objects it builds lives in one :class:`CellState`:
-the metrics registry, the tracer, the flight recorder, the audit log
-and its emitter, the interference accountant and the event-kernel
-tallies.
+the metrics registry, the tracer, the hash-chained audit log, the
+interference accountant and the event-kernel tallies.  The tracer and
+the audit log are the cell's only event sinks, each fed by one call.
 
 :data:`CELL` is the module-level holder every instrumented module
-reads (``if CELL.audit.active:``, ``tracer = CELL.tracer``).  It stays
+reads (``if CELL.audit.enabled:``, ``tracer = CELL.tracer``).  It stays
 the same object for the life of the process; between cells
 :func:`repro.obs.bench.isolate` swaps in the fields of a freshly built
 :class:`CellState`, so nothing one cell left behind reaches the next
@@ -21,8 +21,7 @@ module-level mutable a cell writes that is not part of this state.
 
 from __future__ import annotations
 
-from repro.obs.auditlog import AuditEmitter, AuditLog
-from repro.obs.flight import FlightRecorder
+from repro.obs.auditlog import AuditLog
 from repro.obs.interference import InterferenceAccountant
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
@@ -42,15 +41,12 @@ class KernelStats:
 class CellState:
     """One cell's process state, every field a new object."""
 
-    __slots__ = ("registry", "tracer", "flight", "audit_log", "audit",
-                 "accountant", "kernel")
+    __slots__ = ("registry", "tracer", "audit", "accountant", "kernel")
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
         self.tracer = Tracer()
-        self.flight = FlightRecorder()
-        self.audit_log = AuditLog()
-        self.audit = AuditEmitter(self.audit_log, self.flight)
+        self.audit = AuditLog()
         self.accountant = InterferenceAccountant(self.registry)
         self.kernel = KernelStats()
 

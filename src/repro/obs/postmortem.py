@@ -9,12 +9,15 @@ holding everything an investigator needs to reconstruct the incident:
 * ``reason`` — the triggering exception (or injected-fault note);
 * ``scenario`` — the active :class:`~repro.scenario.spec.ScenarioSpec`
   (``to_dict()``) plus its seed, so the incident replays exactly;
-* ``flight`` — the flight-recorder tail (recent audit records and
-  mirrored trace events in the sim-time window before the failure);
 * ``audit`` — the audit-log tail with each record's embedded ``prev``
   pointer plus the chain head, so the excerpt *self-verifies*: any
   tampered byte in the serialized bundle breaks a link and
   ``python -m repro postmortem BUNDLE --verify`` exits nonzero;
+* ``flight`` — the same tail rendered as flight entries
+  (``{"kind": "audit", "name": <record kind>, "ts_ns", "tenant",
+  "track": "audit", "args": <record detail>}``), with an entry count
+  capped at :data:`FLIGHT_CAPACITY`.  It is a pure function of the
+  audit section, so ``--verify`` checks it against the chain;
 * ``metrics`` — the full registry snapshot at failure time;
 * ``interference`` — the per-tenant blame matrix flattened to sorted
   JSON rows plus the headline cross-tenant wait.
@@ -22,7 +25,10 @@ holding everything an investigator needs to reconstruct the incident:
 Bundles are pure functions of the seed: no wall-clock reads, sorted
 keys, sorted rows — two same-seed chaos runs produce byte-identical
 files and CI ``cmp``s them (lint rule SNIC008 additionally forbids wall
-clocks anywhere in flight/postmortem scope).
+clocks anywhere in flight/postmortem scope).  The audit log is the one
+sink bundles read security records from; the flight section keeps its
+fixed ``capacity`` and null ``window_ns`` so existing bundles stay
+byte-identical.
 
 CLI::
 
@@ -40,15 +46,19 @@ import sys
 from typing import Any, Dict, List, Optional, TextIO
 
 from repro.obs import auditlog as auditlog_mod
-from repro.obs import flight as flight_mod
 from repro.obs import metrics as metrics_mod
+from repro.obs.bench import positive_int
 from repro.obs.interference import blame_matrix, cross_tenant_wait_ns
 
 SCHEMA = "repro.postmortem"
 SCHEMA_VERSION = 1
 
-#: Default number of flight entries / audit records kept in a bundle.
+#: Default number of audit records (and flight entries) kept in a bundle.
 DEFAULT_TAIL = 64
+
+#: The flight section's ``capacity``: its ``n_entries`` counts at most
+#: this many of the chain's records.
+FLIGHT_CAPACITY = 512
 
 
 def _reason_dict(reason: Any) -> Dict[str, Any]:
@@ -80,16 +90,37 @@ def _interference_rows(
     return rows
 
 
+def _flight_entry(record: Dict[str, Any]) -> Dict[str, Any]:
+    """One audit record as the flight section shows it."""
+    return {"kind": "audit", "name": record.get("kind"),
+            "ts_ns": record.get("ts_ns"), "tenant": record.get("tenant"),
+            "track": "audit", "args": record.get("detail")}
+
+
+def _flight_section(n_records: int,
+                    records: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The flight section of a bundle whose chain holds ``n_records``
+    records and whose audit tail is ``records``."""
+    return {
+        "capacity": FLIGHT_CAPACITY,
+        "window_ns": None,
+        "n_entries": min(n_records, FLIGHT_CAPACITY),
+        "entries": [_flight_entry(record)
+                    for record in records[-FLIGHT_CAPACITY:]],
+    }
+
+
 def build_bundle(*, reason: Any,
                  spec: Any = None,
-                 flight: Optional["flight_mod.FlightRecorder"] = None,
                  audit: Optional["auditlog_mod.AuditLog"] = None,
                  registry: Optional[Any] = None,
                  tail: int = DEFAULT_TAIL) -> Dict[str, Any]:
-    """Assemble a deterministic forensics bundle from live state."""
-    flight = flight or flight_mod.get_flight_recorder()
-    audit = audit or auditlog_mod.get_audit_log()
-    registry = registry or metrics_mod.get_registry()
+    """Assemble a deterministic forensics bundle from live state: the
+    cell's audit log and registry unless others are given."""
+    if audit is None:
+        audit = auditlog_mod.get_audit_log()
+    if registry is None:
+        registry = metrics_mod.get_registry()
     matrix = blame_matrix(registry)
     audit_tail = audit.tail(tail)
     return {
@@ -98,12 +129,9 @@ def build_bundle(*, reason: Any,
         "reason": _reason_dict(reason),
         "scenario": spec.to_dict() if spec is not None else None,
         "seed": getattr(spec, "seed", None),
-        "flight": {
-            "capacity": flight.capacity,
-            "window_ns": flight.window_ns,
-            "n_entries": len(flight),
-            "entries": flight.tail(tail),
-        },
+        # Its own copy of the tail: editing one section never edits
+        # the other.
+        "flight": _flight_section(len(audit), audit.tail(tail)),
         "audit": {
             "genesis": auditlog_mod.GENESIS,
             "n_records": len(audit),
@@ -173,7 +201,25 @@ def verify_bundle(bundle: Dict[str, Any]) -> List[str]:
     elif audit.get("chain_head") != audit.get("genesis"):
         problems.append(
             "empty audit tail but chain head differs from genesis")
+    problems.extend(_flight_problems(bundle.get("flight"), audit, records))
     return problems
+
+
+def _flight_problems(flight: Any, audit: Dict[str, Any],
+                     records: List[Any]) -> List[str]:
+    """The flight section must be the rendering of the audit section:
+    the chain covers the records, and through them the entries."""
+    if not isinstance(flight, dict):
+        return ["missing flight section"]
+    n_records = audit.get("n_records")
+    if not isinstance(n_records, int) or not all(
+            isinstance(record, dict) for record in records):
+        return ["flight section cannot be checked: malformed audit "
+                "section"]
+    expected = _flight_section(n_records, records)
+    return [f"flight.{key} does not match the audit section"
+            for key in sorted(set(flight) | set(expected))
+            if flight.get(key) != expected.get(key)]
 
 
 def diff_bundles(a: Dict[str, Any], b: Dict[str, Any],
@@ -261,7 +307,7 @@ def main(argv: Optional[List[str]] = None,
     parser.add_argument("--diff", metavar="OTHER",
                         help="diff against a second bundle; exit 1 if "
                              "they differ")
-    parser.add_argument("--tail", type=int, default=10,
+    parser.add_argument("--tail", type=positive_int, default=10,
                         help="how many tail rows to pretty-print "
                              "(default 10)")
     parser.add_argument("--format", choices=("text", "json"),

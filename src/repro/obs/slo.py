@@ -33,9 +33,9 @@ but nothing says **pass or fail**.  This module supplies that:
   a longer pair burning ≥ 2×.  Alerts are edge-triggered (one alert
   per excursion, re-armed when the burn subsides), land as
   tenant-tagged tracer instants, and are witnessed as hash-chained
-  audit records through the PR 7 :class:`~repro.obs.auditlog
-  .AuditEmitter` facade — an SLO page is a security-relevant event in
-  a paper whose §4.5 claim *is* an interference budget of zero.
+  audit records in the cell's :class:`~repro.obs.auditlog.AuditLog`
+  — an SLO page is a security-relevant event in a paper whose §4.5
+  claim *is* an interference budget of zero.
 
 Burn rates are dimensionless budget-consumption speeds: 1.0 means
 "spending exactly the error budget", sustained.  For latency,
@@ -53,7 +53,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.obs.auditlog import get_emitter
+from repro.obs.cell import CELL
 from repro.obs.metrics import Histogram
 from repro.obs.tracer import get_tracer
 from repro.obs.windows import WindowSnapshot
@@ -400,9 +400,8 @@ class BurnRateAlerter:
                 "slo.burn_alert", ts_ns=alert.ts_ns, tenant=alert.tenant,
                 track="slo", cat="slo", kind=alert.kind, tier=alert.tier,
                 fast_burn=alert.fast_burn, slow_burn=alert.slow_burn)
-        emitter = get_emitter()
-        if emitter.active:
-            emitter.emit(
+        if CELL.audit.enabled:
+            CELL.audit.append(
                 "slo.alert", tenant=alert.tenant, ts_ns=alert.ts_ns,
                 objective=alert.kind, tier=alert.tier,
                 fast_burn=alert.fast_burn, slow_burn=alert.slow_burn,

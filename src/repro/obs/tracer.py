@@ -118,8 +118,6 @@ class _Span:
             args=self.args,
         )
         tracer.events.append(event)
-        if tracer.mirror is not None:
-            tracer.mirror.record_trace(event)
         return False
 
 
@@ -132,11 +130,6 @@ class Tracer:
         self.events: List[TraceEvent] = []
         self._clock = clock
         self._tick = 0
-        #: Optional flight recorder receiving a copy of each recorded
-        #: event (set by ``repro.obs.flight.enable_flight_recording``).
-        #: Consulted only on the *enabled* path, so the zero-cost
-        #: disabled contract is untouched.
-        self.mirror: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -197,8 +190,6 @@ class Tracer:
                            dur_ns=max(0.0, dur_ns), tenant=tenant,
                            track=track, cat=cat, args=args)
         self.events.append(event)
-        if self.mirror is not None:
-            self.mirror.record_trace(event)
 
     def instant(self, name: str, *, ts_ns: Optional[float] = None,
                 tenant: Optional[int] = None, track: str = "main",
@@ -209,8 +200,6 @@ class Tracer:
                            ts_ns=self.now() if ts_ns is None else ts_ns,
                            tenant=tenant, track=track, cat=cat, args=args)
         self.events.append(event)
-        if self.mirror is not None:
-            self.mirror.record_trace(event)
 
     def counter_sample(self, name: str, value: float, *,
                        ts_ns: Optional[float] = None,
@@ -223,8 +212,6 @@ class Tracer:
                            tenant=tenant, track=track, cat=cat,
                            args={"value": value})
         self.events.append(event)
-        if self.mirror is not None:
-            self.mirror.record_trace(event)
 
     # ------------------------------------------------------------------
     # Introspection

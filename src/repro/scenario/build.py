@@ -266,7 +266,7 @@ class BuiltScenario:
         self.nic_os = NICOS(self.snic)
         self.host_memory = HostMemory(2 * MB)
         self.host_window = DMAWindow(base=0, size=1 * MB)
-        # Runtime first: launch-time audit/flight records should land on
+        # Runtime first: launch-time audit records should land on
         # the cell's simulated clock, not internal ticks.
         self.runtime = SNICRuntime(
             self.snic,

@@ -177,8 +177,8 @@ def run_cell(cell: MatrixCell, quick: bool = False,
     ``--spec FILE`` scenarios run through the same machinery; the
     record is then named after the spec, not the cell.
 
-    With ``postmortem_dir`` set, the flight recorder and audit log are
-    armed for the cell and any error drops a forensics bundle
+    With ``postmortem_dir`` set, the audit log is armed for the cell
+    and any error drops a forensics bundle
     (``POSTMORTEM_<cell>.json``) there before the trailing isolation
     reset wipes the evidence.
     """
@@ -347,7 +347,7 @@ def _sweep(runs: List[tuple], seed: int, reps: int, mode: str,
     """
     if shards is not None and postmortem_dir is not None:
         raise ValueError("per-cell postmortem bundles are not available "
-                         "under --shards (the flight recorder is "
+                         "under --shards (the audit log is "
                          "per-worker-process)")
     records: List[Any] = []
     if shards is None:
@@ -506,7 +506,7 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
                         help="run every cell under the IsoSan runtime "
                              "sanitizer (also via REPRO_ISOSAN=1)")
     parser.add_argument("--postmortem-dir", default=None, metavar="DIR",
-                        help="arm the flight recorder + audit log per cell "
+                        help="arm the audit log per cell "
                              "and write POSTMORTEM_<cell>.json bundles for "
                              "error cells into DIR")
     parser.add_argument("-o", "--out", default=None, metavar="PATH",

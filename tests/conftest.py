@@ -47,9 +47,9 @@ def fresh_cell_state():
     runs (:func:`repro.obs.bench.isolate`).
 
     Components mint per-instance serial labels (``l2#7``) from the
-    cell's registry, and the tracer, flight recorder and audit log are
-    the cell's too; without this, each test's instruments, records and
-    hash-chain heads would depend on what every *earlier* test did.
+    cell's registry, and the tracer and audit log are the cell's too;
+    without this, each test's instruments, records and hash-chain heads
+    would depend on what every *earlier* test did.
     """
     isolate()
     yield

@@ -293,9 +293,9 @@ class TestRuleBehaviour:
     def test_snic008_scrub_with_emit_is_clean(self):
         text = ("def teardown(memory, owner, _AUDIT):\n"
                 "    released = memory.release_pages(owner, scrub=True)\n"
-                "    if _AUDIT.active:\n"
-                "        _AUDIT.emit('memory.scrub', tenant=owner,\n"
-                "                    pages=released)\n")
+                "    if _AUDIT.enabled:\n"
+                "        _AUDIT.append('memory.scrub', tenant=owner,\n"
+                "                      pages=released)\n")
         assert not [f for f in lint_source(text) if f.rule == "SNIC008"]
 
     def test_snic008_tlb_method_without_emit(self):
@@ -309,8 +309,8 @@ class TestRuleBehaviour:
         text = ("class CoreTLB:\n"
                 "    def install(self, entry):\n"
                 "        self.entries.append(entry)\n"
-                "        if _AUDIT.active:\n"
-                "            _AUDIT.emit('tlb.install', bank=self.name)\n")
+                "        if _AUDIT.enabled:\n"
+                "            _AUDIT.append('tlb.install', bank=self.name)\n")
         assert not [f for f in lint_source(text) if f.rule == "SNIC008"]
 
     def test_snic008_non_tlb_install_is_exempt(self):
@@ -329,9 +329,9 @@ class TestRuleBehaviour:
 
     def test_snic008_attestation_raise_with_emit_is_clean(self):
         text = ("def _reject(reason):\n"
-                "    if _AUDIT.active:\n"
-                "        _AUDIT.emit('attest.verdict', ok=False,\n"
-                "                    reason=reason)\n"
+                "    if _AUDIT.enabled:\n"
+                "        _AUDIT.append('attest.verdict', ok=False,\n"
+                "                      reason=reason)\n"
                 "    raise AttestationError(reason)\n")
         assert not [f for f in lint_source(text) if f.rule == "SNIC008"]
 

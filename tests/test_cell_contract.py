@@ -27,7 +27,7 @@ from collections import deque
 from pathlib import Path
 
 from repro.analysis.dataflow.cli import run_dataflow
-from repro.obs import auditlog, flight, tracer
+from repro.obs import auditlog, tracer
 from repro.obs.bench import cell_scope, isolate
 from repro.obs.cell import CELL, CellState
 from repro.obs.interference import get_accountant
@@ -67,9 +67,8 @@ def dirty_every_field():
     registry.instance_label("l2")
     tracer.enable_tracing(clock=lambda: 5.0)
     tracer.get_tracer().instant("stale", tenant=1)
-    flight.enable_flight_recording(capacity=8, window_ns=100.0)
-    auditlog.enable_audit_log()
-    auditlog.get_emitter().emit("stale.record", tenant=1)
+    auditlog.enable_audit_log(clock=lambda: 6.0)
+    auditlog.get_audit_log().append("stale.record", tenant=1)
     get_accountant().blame("bus", victim=1, culprit=2, wait_ns=4.0)
     CELL.kernel.events_executed += 7
     CELL.kernel.sim_ns_advanced += 70
@@ -78,8 +77,8 @@ def dirty_every_field():
 class TestIsolateInstallsFreshState:
     def test_every_field_is_a_new_object_in_fresh_state(self):
         fields = CellState.__slots__
-        assert set(fields) == {"registry", "tracer", "flight", "audit_log",
-                               "audit", "accountant", "kernel"}
+        assert set(fields) == {"registry", "tracer", "audit", "accountant",
+                               "kernel"}
         dirty_every_field()
         before = {name: getattr(CELL, name) for name in fields}
         isolate()
@@ -91,10 +90,9 @@ class TestIsolateInstallsFreshState:
 
     def test_fields_are_wired_to_their_own_cell(self):
         isolate()
-        assert CELL.audit._log is CELL.audit_log
-        assert CELL.audit._flight is CELL.flight
+        assert auditlog.get_audit_log() is CELL.audit
+        assert tracer.get_tracer() is CELL.tracer
         assert CELL.accountant._registry is CELL.registry
-        assert CELL.tracer.mirror is None
 
 
 class TestNoStateOutsideTheCell:

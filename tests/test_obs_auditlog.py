@@ -1,5 +1,5 @@
 """The hash-chained audit log: round-trip integrity, tamper detection
-at the offending index, emitter routing, and determinism."""
+at the offending index, guarded call sites, and determinism."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.obs import auditlog, cell, flight
+from repro.obs import auditlog, cell
 from repro.obs.bench import isolate
 from repro.obs.auditlog import (
     GENESIS,
@@ -146,53 +146,20 @@ class TestTamperDetection:
         assert flips > 100  # the sweep actually exercised the chain
 
 
-class TestEmitterRouting:
-    def test_inactive_emitter_drops_everything(self):
-        emitter = auditlog.get_emitter()
-        assert emitter.active is False
-        emitter.emit("tlb.install", tenant=1, bank="x")
-        assert len(auditlog.get_audit_log()) == 0
-        assert len(flight.get_flight_recorder()) == 0
+class TestCallSites:
+    def test_primitive_appends_to_the_enabled_log(self):
+        from repro.hw.memory import PhysicalMemory
 
-    def test_emitter_routes_to_enabled_log(self):
         auditlog.enable_audit_log()
-        emitter = auditlog.get_emitter()
-        assert emitter.active is True
-        emitter.emit("memory.scrub", tenant=2, pages=4)
+        memory = PhysicalMemory(8 * 4096)
+        memory.claim_pages(2, [3, 4])
+        memory.release_pages(2, scrub=True)
         log = auditlog.get_audit_log()
         assert len(log) == 1
         assert log.records[0]["kind"] == "memory.scrub"
         assert log.records[0]["tenant"] == 2
-        assert log.records[0]["detail"] == {"pages": 4}
+        assert log.records[0]["detail"] == {"pages": 2, "scrubbed": True}
         assert log.verify_chain() is None
-
-    def test_emitter_routes_to_enabled_flight(self):
-        flight.enable_flight_recording()
-        emitter = auditlog.get_emitter()
-        assert emitter.active is True
-        emitter.emit("tlb.clear", tenant=None, bank="core0", dropped=3)
-        recorder = flight.get_flight_recorder()
-        assert len(recorder) == 1
-        entry = recorder.entries()[0]
-        assert (entry.kind, entry.name, entry.track) == \
-            ("audit", "tlb.clear", "audit")
-        assert entry.args == {"bank": "core0", "dropped": 3}
-        # The log stayed off: nothing appended there.
-        assert len(auditlog.get_audit_log()) == 0
-
-    def test_both_sinks_share_one_timestamp(self):
-        auditlog.enable_audit_log()
-        flight.enable_flight_recording()
-        auditlog.get_emitter().emit("attest.verdict", tenant=1, ok=True)
-        record = auditlog.get_audit_log().records[0]
-        entry = flight.get_flight_recorder().entries()[0]
-        assert entry.ts_ns == record["ts_ns"]
-
-    def test_reset_returns_emitter_to_inactive(self):
-        auditlog.enable_audit_log()
-        flight.enable_flight_recording()
-        isolate()
-        assert auditlog.get_emitter().active is False
 
 
 class TestDeterminism:
@@ -225,26 +192,26 @@ class TestDeterminism:
 
 class TestDisabledLogIsInert:
     def test_append_requires_enable(self):
-        log = AuditLog()
-        # Disabled logs are never handed appends by the emitter; direct
-        # appends still work (the flag gates the *facade*), so assert
-        # the facade contract instead.
-        emitter = auditlog.AuditEmitter(log, flight.FlightRecorder())
-        emitter.refresh()
-        assert emitter.active is False
-        emitter.emit("k")
-        assert len(log) == 0
+        # append() itself does not check the flag: every call site
+        # guards with ``if CELL.audit.enabled:``, so a primitive run
+        # with the log off leaves it empty.
+        from repro.hw.mmu import TLB
+
+        TLB(capacity=4, name="core0").clear()
+        assert auditlog.get_audit_log().enabled is False
+        assert len(auditlog.get_audit_log()) == 0
 
     def test_module_singleton_identity_is_stable(self):
         # The CELL holder stays put while isolate() swaps its fields;
-        # the emitter always routes to the current cell's sinks.
+        # the accessor always returns the current cell's log, off.
         holder = cell.CELL
         auditlog.enable_audit_log()
+        before = auditlog.get_audit_log()
         isolate()
         assert cell.CELL is holder
-        assert auditlog.get_emitter()._log is auditlog.get_audit_log()
-        assert auditlog.get_emitter()._flight is \
-            flight.get_flight_recorder()
+        assert auditlog.get_audit_log() is cell.CELL.audit
+        assert auditlog.get_audit_log() is not before
+        assert auditlog.get_audit_log().enabled is False
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 33])

@@ -49,17 +49,15 @@ class TestCellScope:
         assert len(metrics.get_registry()) == 0
 
     def test_forensic_scope_bundles_and_reraises(self, tmp_path):
-        from repro.obs import auditlog, flight
+        from repro.obs import auditlog
 
         path = tmp_path / "POSTMORTEM_cell.json"
         with pytest.raises(RuntimeError):
             with bench.cell_scope(bundle=str(path)):
-                assert flight.get_flight_recorder().enabled
                 assert auditlog.get_audit_log().enabled
                 raise RuntimeError("boom")
         reason = json.loads(path.read_text())["reason"]
         assert reason == {"kind": "RuntimeError", "message": "boom"}
-        assert not flight.get_flight_recorder().enabled
         assert not auditlog.get_audit_log().enabled
 
     def test_forensic_scope_bundles_a_success_only_with_a_note(

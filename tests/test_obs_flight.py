@@ -1,136 +1,91 @@
-"""The flight recorder: ring semantics, sim-time windowing, tracer
-mirroring, metric deltas, and the strict disabled no-op."""
+"""A post-mortem bundle's flight section: the audit tail rendered as
+flight entries, with an entry count capped at the section's capacity.
+
+The hash-chained audit log is the one sink for security records; the
+flight section is a pure function of a bundle's audit section, so
+``postmortem --verify`` checks it against the chain."""
 
 from __future__ import annotations
 
-from repro.obs import auditlog, flight
+import json
+
+from repro.hw.mmu import TLB
+from repro.obs import auditlog
+from repro.obs.auditlog import AuditLog
 from repro.obs.bench import isolate
-from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
-from repro.obs.tracer import get_tracer
+from repro.obs.postmortem import FLIGHT_CAPACITY, build_bundle
+
+
+def flight_of(log: AuditLog, **kwargs):
+    """The flight section of a bundle built from ``log``."""
+    return build_bundle(reason="r", audit=log, **kwargs)["flight"]
+
+
+def filled_log(n: int) -> AuditLog:
+    log = AuditLog()
+    log.enable()
+    for i in range(n):
+        log.append(f"e{i}", ts_ns=float(i))
+    return log
 
 
 class TestRingSemantics:
     def test_capacity_bounds_the_ring(self):
-        recorder = FlightRecorder(capacity=8)
-        recorder.enable()
-        for i in range(50):
-            recorder.record("event", f"e{i}", ts_ns=float(i))
-        assert len(recorder) == 8
-        assert [e.name for e in recorder.entries()] == \
-            [f"e{i}" for i in range(42, 50)]
-
-    def test_window_evicts_by_sim_age(self):
-        recorder = FlightRecorder(capacity=100, window_ns=10.0)
-        recorder.enable()
-        for ts in (0.0, 2.0, 5.0, 11.0, 14.0):
-            recorder.record("event", f"t{ts}", ts_ns=ts)
-        # now=14, window=10 → entries with ts < 4 are gone.
-        assert [e.ts_ns for e in recorder.entries()] == [5.0, 11.0, 14.0]
+        n = FLIGHT_CAPACITY + 8
+        flight = flight_of(filled_log(n), tail=n)
+        assert flight["n_entries"] == FLIGHT_CAPACITY
+        assert [e["name"] for e in flight["entries"]] == \
+            [f"e{i}" for i in range(8, n)]
 
     def test_tail_returns_json_ready_dicts(self):
-        recorder = FlightRecorder()
-        recorder.enable()
-        recorder.record("audit", "tlb.install", ts_ns=3.0, tenant=1,
-                        track="audit", args={"bank": "c0"})
-        (entry,) = recorder.tail()
+        log = AuditLog()
+        log.enable()
+        log.append("tlb.install", tenant=1, ts_ns=3.0, bank="c0")
+        (entry,) = flight_of(log)["entries"]
         assert entry == {"kind": "audit", "name": "tlb.install",
                          "ts_ns": 3.0, "tenant": 1, "track": "audit",
                          "args": {"bank": "c0"}}
+        assert json.loads(json.dumps(entry)) == entry
 
     def test_tail_n_takes_the_most_recent(self):
-        recorder = FlightRecorder()
-        recorder.enable()
-        for i in range(10):
-            recorder.record("event", f"e{i}", ts_ns=float(i))
-        assert [e["name"] for e in recorder.tail(3)] == ["e7", "e8", "e9"]
+        flight = flight_of(filled_log(10), tail=3)
+        assert flight["n_entries"] == 10
+        assert [e["name"] for e in flight["entries"]] == ["e7", "e8", "e9"]
 
     def test_default_capacity(self):
-        assert FlightRecorder().capacity == DEFAULT_CAPACITY
+        flight = flight_of(AuditLog())
+        assert flight["capacity"] == FLIGHT_CAPACITY == 512
+        assert flight["window_ns"] is None
 
     def test_internal_tick_advances_without_a_clock(self):
-        recorder = FlightRecorder()
-        recorder.enable()
-        recorder.record("event", "a")
-        recorder.record("event", "b")
-        ts = [e.ts_ns for e in recorder.entries()]
+        log = AuditLog()
+        log.enable()
+        log.append("a")
+        log.append("b")
+        ts = [e["ts_ns"] for e in flight_of(log)["entries"]]
         assert ts == sorted(ts) and len(set(ts)) == 2
 
 
 class TestDisabledNoOp:
     def test_disabled_record_is_a_no_op(self):
-        recorder = FlightRecorder()
-        recorder.record("event", "x", ts_ns=1.0)
-        recorder.record_trace(object())  # not even attribute-touched
-        assert len(recorder) == 0
-
-
-class TestTracerMirror:
-    def test_enable_attaches_mirror_and_disable_detaches(self):
-        flight.enable_flight_recording()
-        assert get_tracer().mirror is flight.get_flight_recorder()
-        flight.disable_flight_recording()
-        assert get_tracer().mirror is None
-
-    def test_tracer_events_are_mirrored_into_the_ring(self):
-        from repro.obs.tracer import enable_tracing, disable_tracing
-
-        flight.enable_flight_recording()
-        tracer = enable_tracing(clock=lambda: 100)
-        try:
-            tracer.instant("pkt.drop", tenant=3, track="net")
-            tracer.complete("dma.xfer", ts_ns=50, dur_ns=10, tenant=1)
-            tracer.counter_sample("queue_depth", 4.0)
-        finally:
-            disable_tracing()
-            get_tracer().clear()
-        kinds = [(e.kind, e.name) for e in
-                 flight.get_flight_recorder().entries()]
-        assert ("event", "pkt.drop") in kinds
-        assert ("span", "dma.xfer") in kinds
-        assert ("counter", "queue_depth") in kinds
-
-    def test_mirror_keeps_only_the_tail_while_tracer_keeps_all(self):
-        from repro.obs.tracer import enable_tracing, disable_tracing
-
-        flight.enable_flight_recording(capacity=4)
-        tracer = enable_tracing(clock=lambda: 0)
-        try:
-            for i in range(20):
-                tracer.instant(f"e{i}", tenant=None)
-            assert len(tracer.events) == 20
-            assert len(flight.get_flight_recorder()) == 4
-        finally:
-            disable_tracing()
-            isolate()  # a fresh recorder has the default ring capacity
+        # A primitive run with the cell's log off leaves nothing for
+        # the section to show.
+        TLB(capacity=4, name="core0").clear()
+        flight = build_bundle(reason="r")["flight"]
+        assert flight["n_entries"] == 0 and flight["entries"] == []
 
 
 class TestEnableDisableLifecycle:
-    def test_enable_refreshes_the_audit_emitter(self):
-        flight.enable_flight_recording()
-        assert auditlog.get_emitter().active is True
-        flight.disable_flight_recording()
-        assert auditlog.get_emitter().active is False
-
-    def test_capacity_override_rebuilds_preserving_entries(self):
-        flight.enable_flight_recording()
-        recorder = flight.get_flight_recorder()
-        for i in range(6):
-            recorder.record("event", f"e{i}", ts_ns=float(i))
-        flight.enable_flight_recording(capacity=4)
-        assert recorder.capacity == 4
-        assert [e.name for e in recorder.entries()] == \
-            ["e2", "e3", "e4", "e5"]
-
     def test_reset_restores_import_time_state(self):
-        flight.enable_flight_recording(capacity=16, window_ns=50.0,
-                                       clock=lambda: 9.0)
-        flight.get_flight_recorder().record("event", "x")
+        auditlog.enable_audit_log(clock=lambda: 9.0)
+        auditlog.get_audit_log().append("x")
         isolate()
-        recorder = flight.get_flight_recorder()
-        assert recorder.enabled is False
-        assert len(recorder) == 0
-        assert recorder.window_ns is None
+        log = auditlog.get_audit_log()
+        assert log.enabled is False
+        assert flight_of(log) == {"capacity": FLIGHT_CAPACITY,
+                                  "window_ns": None, "n_entries": 0,
+                                  "entries": []}
         # Internal ticks resume from a cleared state.
-        recorder.enable()
-        recorder.record("event", "y")
-        assert recorder.entries()[0].ts_ns == 1.0
+        log.enable()
+        log.append("y")
+        assert flight_of(log)["entries"][0]["ts_ns"] == 1.0

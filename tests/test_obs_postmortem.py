@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from repro.obs import auditlog, flight, metrics, postmortem
+from repro.obs import auditlog, metrics, postmortem
 from repro.obs.bench import isolate
 from repro.obs.postmortem import (
     build_bundle,
@@ -22,14 +22,13 @@ from repro.obs.postmortem import (
 
 
 def drive_forensics(seed: int = 3) -> None:
-    """Deterministically exercise both sinks (same seed → same state)."""
-    auditlog.enable_audit_log()
-    flight.enable_flight_recording()
-    emitter = auditlog.get_emitter()
+    """Deterministically fill the audit log and the registry (same seed
+    → same state)."""
+    log = auditlog.enable_audit_log()
     for i in range(seed + 4):
-        emitter.emit("tlb.install", tenant=i % 2, bank=f"core{i % 2}",
-                     vbase=i * 4096, size=4096)
-    emitter.emit("memory.scrub", tenant=0, pages=seed, scrubbed=True)
+        log.append("tlb.install", tenant=i % 2, bank=f"core{i % 2}",
+                   vbase=i * 4096, size=4096)
+    log.append("memory.scrub", tenant=0, pages=seed, scrubbed=True)
     metrics.get_registry().counter(
         "fixture_pm_total", tenant=0).inc(seed)
 
@@ -205,6 +204,21 @@ class TestVerification:
             checked += 1
         assert checked > 3
 
+    def test_flight_section_is_checked_against_the_chain(self):
+        drive_forensics()
+        bundle = build_bundle(reason="r")
+        assert verify_bundle(bundle) == []
+        forged = json.loads(json.dumps(bundle))
+        forged["flight"]["n_entries"] += 1
+        assert verify_bundle(forged) == [
+            "flight.n_entries does not match the audit section"]
+        forged = json.loads(json.dumps(bundle))
+        forged["flight"]["entries"].pop()
+        assert verify_bundle(forged) == [
+            "flight.entries does not match the audit section"]
+        del forged["flight"]
+        assert verify_bundle(forged) == ["missing flight section"]
+
     def test_wrong_schema_is_rejected(self):
         assert verify_bundle({"schema": "other"})
         assert verify_bundle({"schema": postmortem.SCHEMA})
@@ -269,6 +283,18 @@ class TestCLI:
         assert postmortem.main([path, "--verify"], stream=out) == 1
         assert "FAIL" in out.getvalue()
 
+    def test_verify_fails_on_a_forged_flight_entry(self, tmp_path):
+        """The audit chain covers the flight section too: an entry
+        that is not the rendering of its audit record fails."""
+        def mutate(bundle):
+            entry = bundle["flight"]["entries"][0]
+            entry["tenant"], entry["name"] = 99, "forged"
+        path = self._write(tmp_path, mutate=mutate)
+        out = io.StringIO()
+        assert postmortem.main([path, "--verify"], stream=out) == 1
+        assert out.getvalue() == ("FAIL: flight.entries does not match "
+                                  "the audit section\n")
+
     def test_diff_identical_and_divergent(self, tmp_path):
         p1 = self._write(tmp_path, "POSTMORTEM_a.json")
         isolate()
@@ -307,7 +333,7 @@ class TestHarnessWiring:
             assert verify_bundle(bundle) == []
             assert bundle["audit"]["records"], name
         # Forensics are disarmed afterwards.
-        assert auditlog.get_emitter().active is False
+        assert auditlog.get_audit_log().enabled is False
 
     def test_chaos_report_is_identical_without_postmortem(self, tmp_path):
         from repro.faults.chaos import run_chaos
@@ -329,8 +355,8 @@ class TestHarnessWiring:
 
         class Boom:
             def __enter__(self):
-                auditlog.get_emitter().emit("denylist.blocked",
-                                            tenant=1, op="os_access")
+                auditlog.get_audit_log().append("denylist.blocked",
+                                                tenant=1, op="os_access")
                 raise RuntimeError("synthetic cell failure")
 
             def __exit__(self, *exc):

@@ -38,10 +38,12 @@ _BAD_SIZES = [
     ("sanitize", "--packets", "-2"),
     ("trace", "-n", "0"),
     ("trace", "-n", "-1"),
+    ("postmortem", "--tail", "0"),
+    ("postmortem", "--tail", "-2"),
 ]
 
 #: Commands without a ``--quick`` flag.
-_NO_QUICK = {"sanitize", "trace"}
+_NO_QUICK = {"postmortem", "sanitize", "trace"}
 
 
 class TestBadSizes:

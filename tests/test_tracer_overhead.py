@@ -6,6 +6,7 @@ path — no event allocation, no clock read.  These tests pin that down
 two ways: a real scenario run with tracing off must record *zero*
 events, and a timed hot loop against the disabled tracer must stay
 within a few percent of the same loop against a tracer-free stub.
+The audit log's call-site guard is held to the same bound.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.net.packet import Packet
 from repro.net.rules import MatchRule
 from repro.nf import Monitor
 from repro.obs import get_tracer
+from repro.obs.auditlog import AuditLog
 from repro.obs.tracer import Tracer
 
 MB = 1024 * 1024
@@ -138,47 +140,41 @@ class TestDisabledPathTiming:
         assert len(tracer.events) == 100
 
 
-class _StubFlight:
-    """Flight-recorder-free baseline: same guard attribute, no hooks."""
+class _StubAuditLog:
+    """Audit-log-free baseline: same guard attribute, no hooks."""
 
     enabled = False
 
-    def record(self, kind, name, **kw):
+    def append(self, kind, **detail):
         raise AssertionError("stub must never record")
 
 
-def flight_hot_loop(flight, n: int) -> int:
-    """A hot loop instrumented exactly like the audit/flight hooks:
-    ``if flight.enabled:`` guarding every emission."""
+def audit_hot_loop(audit, n: int) -> int:
+    """A hot loop instrumented exactly like the audit call sites:
+    ``if audit.enabled:`` guarding every append."""
     acc = 0
     for i in range(n):
-        if flight.enabled:
-            flight.record("audit", "memory.scrub", ts_ns=float(i),
-                          tenant=1, args={"pages": 4})
+        if audit.enabled:
+            audit.append("memory.scrub", tenant=1, ts_ns=float(i), pages=4)
         acc += (i * 3) ^ (i >> 2)
     return acc
 
 
-class TestDisabledFlightRecorder:
-    def test_disabled_recorder_records_nothing(self):
-        from repro.obs.flight import FlightRecorder
+class TestDisabledAuditLog:
+    def test_disabled_log_records_nothing(self):
+        log = AuditLog()
+        audit_hot_loop(log, 100)
+        assert len(log) == 0
 
-        flight = FlightRecorder()
-        flight_hot_loop(flight, 100)
-        flight.record("audit", "x")
-        assert len(flight) == 0
-
-    def test_disabled_recorder_within_5pct_of_stub(self):
-        """The flight recorder inherits the tracer's overhead contract:
+    def test_disabled_log_within_5pct_of_stub(self):
+        """The audit log inherits the tracer's overhead contract:
         disabled, its guard is one attribute load and a falsy branch."""
-        from repro.obs.flight import FlightRecorder
-
-        real = FlightRecorder()
-        stub = _StubFlight()
+        real = AuditLog()
+        stub = _StubAuditLog()
         n = 50_000
 
-        flight_hot_loop(real, n)
-        flight_hot_loop(stub, n)
+        audit_hot_loop(real, n)
+        audit_hot_loop(stub, n)
 
         # Same interleaved min-of-N + retry discipline as the tracer
         # bound above.
@@ -186,32 +182,31 @@ class TestDisabledFlightRecorder:
             best_real = best_stub = float("inf")
             for _ in range(9):
                 t0 = perf_counter_ns()
-                flight_hot_loop(real, n)
+                audit_hot_loop(real, n)
                 best_real = min(best_real, perf_counter_ns() - t0)
                 t0 = perf_counter_ns()
-                flight_hot_loop(stub, n)
+                audit_hot_loop(stub, n)
                 best_stub = min(best_stub, perf_counter_ns() - t0)
             if best_real <= best_stub * 1.05:
                 break
         assert best_real <= best_stub * 1.05, (
-            f"disabled flight recorder {best_real} ns vs stub "
+            f"disabled audit log {best_real} ns vs stub "
             f"{best_stub} ns "
             f"({100.0 * (best_real / best_stub - 1.0):+.1f}%)")
 
-    def test_enabled_recorder_actually_records_in_same_loop(self):
-        from repro.obs.flight import FlightRecorder
+    def test_enabled_log_actually_records_in_same_loop(self):
+        log = AuditLog()
+        log.enable()
+        audit_hot_loop(log, 100)
+        assert len(log) == 100
+        assert log.verify_chain() is None
 
-        flight = FlightRecorder(capacity=1024)
-        flight.enable()
-        flight_hot_loop(flight, 100)
-        assert len(flight) == 100
+    def test_disabled_guard_is_one_attribute_load(self):
+        """The call sites guard with ``if CELL.audit.enabled:`` — with
+        the log off the flag is a plain False instance attribute (no
+        property, no call)."""
+        from repro.obs.cell import CELL
 
-    def test_inactive_audit_emitter_is_one_attribute_load(self):
-        """The instrumentation sites guard with ``if _AUDIT.active:`` —
-        with both sinks off the flag is plain False (no property, no
-        call)."""
-        from repro.obs.auditlog import AuditEmitter, get_emitter
-
-        emitter = get_emitter()
-        assert emitter.active is False
-        assert "active" in AuditEmitter.__slots__
+        assert CELL.audit.enabled is False
+        assert "enabled" in vars(CELL.audit)
+        assert not hasattr(AuditLog, "enabled")
