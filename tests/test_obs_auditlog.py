@@ -162,6 +162,36 @@ class TestCallSites:
         assert log.verify_chain() is None
 
 
+class TestEmitterRouting:
+    """Each call site emits through ``if CELL.audit.enabled:``; with the
+    log off, every emission is dropped."""
+
+    def test_inactive_emitter_drops_everything(self):
+        from repro.hw.memory import PhysicalMemory
+        from repro.hw.mmu import TLB
+
+        log = auditlog.get_audit_log()
+        assert log.enabled is False
+        TLB(capacity=4, name="core0").clear()
+        memory = PhysicalMemory(8 * 4096)
+        memory.claim_pages(1, [0, 1])
+        memory.release_pages(1, scrub=True)
+        assert len(log) == 0
+        assert log.head() == GENESIS
+
+    def test_reset_returns_emitter_to_inactive(self):
+        from repro.hw.mmu import TLB
+
+        auditlog.enable_audit_log()
+        TLB(capacity=4, name="core0").clear()
+        assert len(auditlog.get_audit_log()) == 1
+        isolate()
+        log = auditlog.get_audit_log()
+        assert log.enabled is False
+        TLB(capacity=4, name="core0").clear()
+        assert len(log) == 0
+
+
 class TestDeterminism:
     def test_internal_tick_clock_is_deterministic(self):
         a, b = make_log(), make_log()
