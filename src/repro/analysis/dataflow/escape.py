@@ -59,7 +59,7 @@ _MUTATORS = frozenset({
     "append", "extend", "insert", "remove", "pop", "popitem", "clear",
     "add", "discard", "update", "setdefault", "appendleft", "popleft",
     "sort", "reverse", "write", "inc", "dec", "set", "observe",
-    "register", "emit",
+    "register",
 })
 
 Key = Tuple[str, str]

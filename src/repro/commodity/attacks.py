@@ -25,7 +25,7 @@ The three attacks:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.commodity.agilio import AgilioNIC

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.attestation import FunctionAttestationSession, build_quote
@@ -47,6 +48,81 @@ from repro.obs.cell import CELL
 
 
 _DESC_BYTES = 16
+
+#: A zero-run scan skips ``len(_ZEROS)`` bytes at a time (the S-NIC
+#: page size) and narrows a nonzero stretch to ``_BLOCK``-sized blocks; a
+#: measurement regenerates the zeros between runs from ``_ZEROS``.
+_ZEROS = bytes(64 * 1024)
+_BLOCK = 4096
+
+
+def _nonzero_runs(data: bytes, base: int) -> List[Tuple[int, bytes]]:
+    """``(base + offset, bytes)`` for each run of nonzero 4 KiB blocks
+    in ``data``, trimmed to its first and last nonzero byte.
+
+    Everything outside the runs is zero, so the runs and ``len(data)``
+    give back ``data`` exactly.  Blocks are tested with
+    ``startswith``, a ``memcmp`` without a copy; only a run's two end
+    blocks are stripped byte by byte.
+    """
+    runs: List[Tuple[int, bytes]] = []
+    block = _ZEROS[:_BLOCK]
+    size = len(data)
+    start = -1
+    pos = 0
+    while pos < size:
+        if start < 0 and data.startswith(_ZEROS, pos):
+            pos += len(_ZEROS)
+            continue
+        end = min(pos + _BLOCK, size)
+        zero = data.startswith(block[:end - pos], pos)
+        if zero and start >= 0:
+            runs.append(_trimmed_run(data, start, pos, base))
+            start = -1
+        elif not zero and start < 0:
+            start = pos
+        pos = end
+    if start >= 0:
+        runs.append(_trimmed_run(data, start, size, base))
+    return runs
+
+
+def _trimmed_run(data: bytes, lo: int, hi: int, base: int) -> Tuple[int, bytes]:
+    """``data[lo:hi]`` without its leading and trailing zeros; the
+    first and last blocks of ``[lo, hi)`` each hold a nonzero byte."""
+    head = data[lo:lo + _BLOCK]
+    lo += len(head) - len(head.lstrip(b"\0"))
+    tail = data[max(lo, hi - _BLOCK):hi]
+    hi -= len(tail) - len(tail.rstrip(b"\0"))
+    return base + lo, data[lo:hi]
+
+
+@lru_cache(maxsize=64)
+def _measure(descriptor: bytes, rules_blob: bytes, extent_bytes: int,
+             runs: Tuple[Tuple[int, bytes], ...]) -> bytes:
+    """The launch measurement (§4.6) of an extent given as its nonzero
+    runs: SHA-256 over the two length-prefixed blobs, then the extent's
+    bytes with the zeros between runs regenerated from ``_ZEROS``.
+
+    A pure function of its arguments, which hold every measured byte,
+    so each distinct launch input is hashed once per process.  hashlib
+    is SHA-256 at C speed; repro.crypto.sha256 verifies the algorithm
+    itself against it in the test suite.
+    """
+    hasher = hashlib.sha256()
+    for part in (descriptor, rules_blob):
+        hasher.update(len(part).to_bytes(8, "big") + part)
+    zeros = memoryview(_ZEROS)
+    done = 0
+    for offset, data in runs + ((extent_bytes, b""),):
+        gap = offset - done
+        while gap > 0:
+            step = min(gap, len(zeros))
+            hasher.update(zeros[:step])
+            gap -= step
+        hasher.update(data)
+        done = offset + len(data)
+    return hasher.digest()
 
 
 @dataclass(frozen=True)
@@ -422,23 +498,29 @@ class SNIC:
     def _cumulative_hash(
         self, config: NFConfig, extent_base: int, extent_bytes: int
     ) -> bytes:
-        hash_input_parts = [config.descriptor(), config.vpp.rules_blob()]
-        # Digest the claimed memory (initial image + zeroed remainder),
-        # chunked so large extents do not build giant byte strings.
-        # hashlib is SHA-256 at C speed; repro.crypto.sha256 verifies the
-        # algorithm itself against it in the test suite.
-        hasher = hashlib.sha256()
-        for part in hash_input_parts:
-            hasher.update(len(part).to_bytes(8, "big") + part)
-        chunk = 1 << 20
+        """SHA-256 over the descriptor, the rules and the whole extent.
+
+        The extent (initial image plus zeroed remainder, and any stale
+        bytes a ``scrub=False`` release left) is read in full and
+        reduced to its nonzero runs.  Those runs and the two config
+        blobs determine every byte the digest covers, so they key
+        :func:`_measure`, which hashes each distinct input once per
+        process.
+        """
+        runs: List[Tuple[int, bytes]] = []
+        # 256 KiB reads: 1 MiB ones left ~0.7 MB more of the heap
+        # resident (the 72-cell sweep's peak RSS) for no speed gain.
+        chunk = 1 << 18
         offset = 0
         while offset < extent_bytes:
             size = min(chunk, extent_bytes - offset)
+            # One chunk is alive at a time: it is scanned, then dropped.
             # snic: ignore[SNIC001] -- attestation measurement (§4.7):
             # trusted hardware digests the extent it just initialized.
-            hasher.update(self.memory.read(extent_base + offset, size))
+            runs.extend(_nonzero_runs(self.memory.read(extent_base + offset, size), offset))
             offset += size
-        return hasher.digest()
+        return _measure(config.descriptor(), config.vpp.rules_blob(),
+                        extent_bytes, tuple(runs))
 
     # ------------------------------------------------------------------
     # nf_attest (§4.7)

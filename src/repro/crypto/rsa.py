@@ -16,7 +16,9 @@ keep tests fast; sizes are configurable.
 Seeded key generation is a pure function returning frozen dataclasses, so
 each ``(bits, seed)`` pair is computed once per process and the same
 :class:`RSAKeyPair` is returned after that.  Unseeded calls draw from
-``SystemRandom`` and are never cached.
+``SystemRandom`` and are never cached.  Signing is a pure function of a
+frozen :class:`RSAPrivateKey` and the message, so each distinct
+``(key, message)`` pair is signed once per process, seeded key or not.
 """
 
 from __future__ import annotations
@@ -181,6 +183,12 @@ def _fdh(message: bytes, width: int) -> int:
 
 def rsa_sign(private: RSAPrivateKey, message: bytes) -> bytes:
     """Sign ``message`` (FDH-then-exponentiate, via the CRT)."""
+    return _sign(private, message)
+
+
+@lru_cache(maxsize=64)
+def _sign(private: RSAPrivateKey, message: bytes) -> bytes:
+    """Signing is pure and the key frozen, so each signature is shared."""
     width = private.byte_length
     representative = _fdh(message, width)
     # Garner: the unique s < n with s = m1 (mod p) and s = m2 (mod q),

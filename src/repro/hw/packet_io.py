@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.hw.memory import AccessFault, PhysicalMemory
-from repro.hw.mmu import TLB
 from repro.net.packet import Packet
 from repro.net.rules import SwitchingRule
 

@@ -77,7 +77,6 @@ or run the packaged co-tenancy demo end to end::
 from repro.obs.auditlog import (
     GENESIS,
     AuditLog,
-    disable_audit_log,
     enable_audit_log,
     get_audit_log,
     verify_records,
@@ -162,7 +161,6 @@ __all__ = [
     "cross_tenant_events",
     "cross_tenant_wait_ns",
     "diff_bundles",
-    "disable_audit_log",
     "disable_tracing",
     "enable_audit_log",
     "enable_tracing",

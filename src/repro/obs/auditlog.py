@@ -205,6 +205,3 @@ def enable_audit_log(
     log.enable(clock)
     return log
 
-
-def disable_audit_log() -> None:
-    get_audit_log().disable()

@@ -322,10 +322,12 @@ def main(argv: Optional[List[str]] = None,
             for problem in problems:
                 print(f"FAIL: {problem}", file=stream)
             return 1
-        audit = bundle.get("audit", {})
+        audit = bundle["audit"]
         print(f"OK: audit chain intact "
               f"({len(audit.get('records', []))} records in tail, "
-              f"head {str(audit.get('chain_head', ''))[:16]}…)",
+              f"head {str(audit.get('chain_head', ''))[:16]}…); "
+              f"flight section matches it "
+              f"({len(bundle['flight']['entries'])} entries)",
               file=stream)
         return 0
 

@@ -44,9 +44,9 @@ or the packaged one-call version over the co-tenancy demo::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter_ns
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.obs.tracer import TraceEvent, Tracer
 

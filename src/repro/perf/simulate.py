@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.hw.cache import Cache, CacheConfig, CacheHierarchy, HARD
+from repro.hw.cache import CacheConfig, CacheHierarchy, HARD
 from repro.perf.ipc import IPCModel, LevelCounts
 from repro.perf.workloads import LINE_BYTES, NF_ACCESS_MODELS, AccessModel
 

@@ -43,7 +43,6 @@ from repro.scenario.spec import (
     NFSpec,
     ScenarioSpec,
     SpecError,
-    TenantSpec,
 )
 
 MB = 1024 * 1024

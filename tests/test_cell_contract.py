@@ -11,12 +11,16 @@ These tests hold that to what it promises:
   that a cell writes outside the cell state (SNIC010);
 * two different cells run back to back in one process give the
   records each gives alone in a fresh interpreter;
-* nothing keeps a finished cell's registry alive.
+* nothing keeps a finished cell's registry alive;
+* the per-process memos (launch measurements, signatures, seeded keys)
+  are invisible: a quick matrix run twice in one process reports what
+  a fresh interpreter reports.
 """
 
 from __future__ import annotations
 
 import gc
+import io
 import itertools
 import json
 import os
@@ -27,6 +31,8 @@ from collections import deque
 from pathlib import Path
 
 from repro.analysis.dataflow.cli import run_dataflow
+from repro.core.snic import _measure
+from repro.crypto.rsa import _sign
 from repro.obs import auditlog, tracer
 from repro.obs.bench import cell_scope, isolate
 from repro.obs.cell import CELL, CellState
@@ -34,6 +40,7 @@ from repro.obs.interference import get_accountant
 from repro.obs.metrics import get_registry
 from repro.scenario.build import build_scenario
 from repro.scenario.matrix import cell_spec, default_axes, expand, run_cell
+from repro.scenario.matrix import main as matrix_main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -149,3 +156,26 @@ class TestCellsDoNotLeak:
             del built
         gc.collect()
         assert registry() is None
+
+
+_QUICK_MATRIX = ["--quick", "--seed", "7", "--format", "json"]
+
+
+class TestProcessMemosAreInvisible:
+    def test_quick_matrix_twice_in_process_equals_a_fresh_interpreter(self):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "repro", "matrix", *_QUICK_MATRIX],
+            check=True, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC))).stdout
+        reports = []
+        for _ in range(2):
+            measured, signed = _measure.cache_info(), _sign.cache_info()
+            out = io.StringIO()
+            assert matrix_main(_QUICK_MATRIX, stream=out) == 0
+            reports.append(out.getvalue())
+        # The second run found every launch and signature in the memos.
+        assert _measure.cache_info().misses == measured.misses
+        assert _measure.cache_info().hits > measured.hits
+        assert _sign.cache_info().misses == signed.misses
+        assert _sign.cache_info().hits > signed.hits
+        assert reports == [fresh, fresh]

@@ -17,6 +17,7 @@ from repro.crypto.keys import (
 )
 from repro.crypto.rsa import (
     _fdh,
+    _sign,
     _is_probable_prime,
     _modinv,
     _random_prime,
@@ -167,6 +168,23 @@ class TestRSA:
             signature = rsa_sign(private, message)
             assert signature == textbook.to_bytes(width, "big")
             assert rsa_verify(kp.public, message, signature)
+
+    @pytest.mark.parametrize("seed", [11, None])
+    def test_repeated_signature_is_a_cache_hit_equal_to_textbook(self, seed):
+        """A seeded or a fresh key: the second ``rsa_sign`` of the same
+        message comes from the memo, byte-equal to ``pow(fdh, d, n)``."""
+        kp = rsa_generate(512, seed=seed)
+        private, width = kp.private, kp.private.byte_length
+        message = b"memoised-quote-%r" % seed
+        textbook = pow(_fdh(message, width), private.d,
+                       private.n).to_bytes(width, "big")
+        first = rsa_sign(private, message)
+        before = _sign.cache_info()
+        second = rsa_sign(private, message)
+        after = _sign.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert first == second == textbook
+        assert rsa_verify(kp.public, message, second)
 
     @pytest.mark.parametrize("prime", [2, 3, 5, 101, 104729, 2**31 - 1])
     def test_miller_rabin_accepts_primes(self, prime):

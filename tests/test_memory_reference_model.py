@@ -191,6 +191,53 @@ def _naive_extent(memory: PhysicalMemory, base: int, size: int) -> bytes:
     return bytes(out)
 
 
+def _naive_digest(snic: SNIC, record) -> bytes:
+    """SHA-256 over the descriptor, the rules and the naive extent."""
+    config = record.config
+    hasher = hashlib.sha256()
+    for part in (config.descriptor(), config.vpp.rules_blob()):
+        hasher.update(len(part).to_bytes(8, "big") + part)
+    hasher.update(_naive_extent(snic.memory, record.extent_base,
+                                record.extent_bytes))
+    return hasher.digest()
+
+
+def _rules(n_rules: int) -> VPPConfig:
+    return VPPConfig(rules=[MatchRule(dst_prefix=Prefix.parse(f"9.9.9.{i}/32"))
+                            for i in range(n_rules)])
+
+
+#: Image offsets on the edges the measurement scans by: 4 KiB blocks,
+#: 64 KiB pages and the 256 KiB read chunks.  The image sits at the
+#: start of an extent aligned to its largest page, so these are extent
+#: edges.
+MiB = 1 << 20
+CHUNK = 1 << 18
+EDGES = (0, 1, 4095, 4096, 4097, 65535, 65536, 65537, 3 * 65536 - 2,
+         CHUNK - 4097, CHUNK - 1, CHUNK, CHUNK + 1, MiB - 1, MiB, MiB + 1)
+IMAGE_MAX = MiB + 8192
+
+#: One image: a length (trailing zeros past the last segment), then
+#: nonzero-ended segments written at edge or random offsets.  Segments
+#: may hold zeros, and the gaps between them are interior zero runs.
+IMAGES = st.tuples(
+    st.one_of(st.sampled_from((0, 1, 4096, 65536 + 3, MiB + 5, IMAGE_MAX)),
+              st.integers(0, IMAGE_MAX)),
+    st.lists(st.tuples(
+        st.one_of(st.sampled_from(EDGES), st.integers(0, IMAGE_MAX - 1)),
+        st.binary(min_size=0, max_size=9000),
+        st.integers(1, 255)), max_size=5))
+
+
+def _image(spec) -> bytes:
+    length, segments = spec
+    image = bytearray(length)
+    for offset, data, last in segments:
+        data = (data + bytes([last]))[:max(0, length - offset)]
+        image[offset:offset + len(data)] = data
+    return bytes(image)
+
+
 class TestStateHashAgainstNaiveMeasurement:
     @settings(max_examples=4, deadline=None)
     @given(st.binary(min_size=0, max_size=3 * 4096 + 17),
@@ -202,14 +249,54 @@ class TestStateHashAgainstNaiveMeasurement:
             core_ids=(0,),
             memory_bytes=64 * 1024,
             initial_image=image,
-            vpp=VPPConfig(rules=[
-                MatchRule(dst_prefix=Prefix.parse(f"9.9.9.{i}/32"))
-                for i in range(n_rules)]),
+            vpp=_rules(n_rules),
         )
         record = snic.record(snic.nf_launch(config))
-        hasher = hashlib.sha256()
-        for part in (config.descriptor(), config.vpp.rules_blob()):
-            hasher.update(len(part).to_bytes(8, "big") + part)
-        hasher.update(_naive_extent(snic.memory, record.extent_base,
-                                    record.extent_bytes))
-        assert record.state_hash == hasher.digest()
+        assert record.state_hash == _naive_digest(snic, record)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.lists(st.tuples(IMAGES, st.sampled_from(("a", "b")),
+                              st.integers(1, 2)), min_size=2, max_size=3))
+    def test_launches_sharing_the_memo_match_the_naive_input(self, launches):
+        """Several launches in one process, every one through the
+        process-wide measurement memo: same names and rules with
+        different content, runs across block, page and chunk edges,
+        leading, interior and trailing zeros.  A relaunch of the first
+        config after teardown is a memo hit and must still match."""
+        snic = SNIC(n_cores=4, dram_bytes=16 * 1024 * 1024, key_seed=1234)
+        configs = [
+            NFConfig(name=name, core_ids=(core,), memory_bytes=64 * 1024,
+                     initial_image=_image(spec), vpp=_rules(n_rules))
+            for core, (spec, name, n_rules) in enumerate(launches)]
+        nf_ids = []
+        for config in configs:
+            nf_ids.append(snic.nf_launch(config))
+            record = snic.record(nf_ids[-1])
+            assert record.state_hash == _naive_digest(snic, record)
+        first = snic.record(nf_ids[0]).state_hash
+        for nf_id in nf_ids:
+            snic.nf_teardown(nf_id)
+        record = snic.record(snic.nf_launch(configs[0]))
+        assert record.state_hash == first == _naive_digest(snic, record)
+
+    @pytest.mark.no_isosan
+    def test_stale_bytes_change_the_measurement(self):
+        """A ``scrub=False`` release leaves the last owner's bytes in
+        the pages, and a relaunch of the same config over them must
+        measure those bytes: the memo key holds every measured byte."""
+        snic = SNIC(n_cores=2, dram_bytes=16 * 1024 * 1024, key_seed=1234)
+        config = NFConfig(name="stale", core_ids=(0,), memory_bytes=64 * 1024,
+                          initial_image=b"image", vpp=_rules(1))
+        nf_id = snic.nf_launch(config)
+        clean = snic.record(nf_id)
+        # The function's run leaves state past its image, across the
+        # first 64 KiB page edge and on the extent's last byte.
+        snic.memory.write(clean.extent_base + 65536 - 3, b"runtime state")
+        snic.memory.write(clean.extent_base + clean.extent_bytes - 1, b"\x01")
+        snic.memory.release_pages(nf_id, scrub=False)
+        snic.nf_teardown(nf_id)
+
+        stale = snic.record(snic.nf_launch(config))
+        assert stale.extent_base == clean.extent_base
+        assert stale.state_hash != clean.state_hash
+        assert stale.state_hash == _naive_digest(snic, stale)

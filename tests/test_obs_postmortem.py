@@ -275,6 +275,18 @@ class TestCLI:
         assert postmortem.main([path, "--verify"], stream=out) == 0
         assert out.getvalue().startswith("OK")
 
+    def test_verify_ok_line_names_the_chain_and_the_flight_section(
+            self, tmp_path):
+        path = self._write(tmp_path)
+        bundle = load_bundle(path)
+        records = bundle["audit"]["records"]
+        out = io.StringIO()
+        assert postmortem.main([path, "--verify"], stream=out) == 0
+        assert out.getvalue() == (
+            f"OK: audit chain intact ({len(records)} records in tail, "
+            f"head {bundle['audit']['chain_head'][:16]}…); "
+            f"flight section matches it ({len(records)} entries)\n")
+
     def test_verify_fails_on_tamper(self, tmp_path):
         def mutate(bundle):
             bundle["audit"]["records"][1]["kind"] = "forged"
