@@ -45,14 +45,12 @@ Commands:
   ``matrix`` (``--postmortem-dir``): pretty-print the audit
   excerpt and its flight tail, ``--verify`` the sha256 hash chain, or
   ``--diff`` two bundles field by field
-* ``lint``    — S-NIC-specific static analysis (SNIC001–SNIC008) over
-  the source tree (``--format text|json|github``; ``--stats`` prints
+* ``lint``    — S-NIC-specific static analysis over the source tree:
+  the per-module rules SNIC001–SNIC008 and the whole-program rule
+  SNIC010 (module-level state a cell writes outside its cell state)
+  in one pass (``--format text|json|github``; ``--stats`` prints
   the per-rule suppression table and fails on stale
   ``# snic: ignore[...]`` comments)
-* ``dataflow`` — whole-program dataflow analysis: cross-tenant taint
-  (SNIC009) and module-level state a cell writes outside its cell
-  state (SNIC010) with a committed baseline
-  (``--format text|json|github``)
 * ``sanitize`` — determinism checker: run the co-tenancy demo twice
   and fail on event-stream digest divergence (``--shards`` also
   asserts that a quick matrix sweep dealt to 1 and 2 workers equals
@@ -91,10 +89,8 @@ _COMMANDS = {
            "--violation-demo, --openmetrics PATH)",
     "postmortem": "inspect a forensics bundle: pretty-print, --verify "
                   "the hash chain, --diff two bundles",
-    "lint": "S-NIC-specific static analysis SNIC001-SNIC008 "
-            "(--format text|json|github, --stats)",
-    "dataflow": "whole-program taint + cell-state analysis "
-                "SNIC009-SNIC010 (--write-baseline)",
+    "lint": "S-NIC-specific static analysis SNIC001-SNIC008 and the "
+            "whole-program SNIC010 (--format text|json|github, --stats)",
     "sanitize": "determinism checker: same seed must give the same "
                 "event-stream digest (--shards adds the worker "
                 "invariance of a quick sweep)",
@@ -110,7 +106,7 @@ def _info() -> None:
     print()
     print("commands: python -m repro "
           "[info|report|attacks|trace|matrix|bench|audit|chaos|slo|"
-          "postmortem|lint|dataflow|sanitize]")
+          "postmortem|lint|sanitize]")
     print("tests:    pytest tests/")
     print("benches:  python -m repro bench [--quick|--profile|--compare A B]")
     print("matrix:   python -m repro matrix [--quick] [--seed N] "
@@ -125,7 +121,6 @@ def _info() -> None:
     print("forensics: python -m repro postmortem BUNDLE "
           "[--verify] [--diff OTHER] [--tail N]")
     print("analysis: python -m repro lint [--format github] [--stats]; "
-          "python -m repro dataflow; "
           "python -m repro sanitize")
     print()
     print("run `python -m repro help` for one line per command")
@@ -316,10 +311,6 @@ def main(argv: list) -> int:
         from repro.analysis.lint import main as lint_main
 
         return lint_main(argv[2:])
-    elif command == "dataflow":
-        from repro.analysis.dataflow.cli import main as dataflow_main
-
-        return dataflow_main(argv[2:])
     elif command == "sanitize":
         from repro.analysis.determinism import main as sanitize_main
 

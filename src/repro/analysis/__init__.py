@@ -6,9 +6,13 @@ buses — eliminate cross-tenant channels.  ``repro.hw`` encodes those
 invariants; this package *checks* that new code keeps them:
 
 * :mod:`repro.analysis.lint` — a custom AST lint engine with
-  S-NIC-specific rules (SNIC001–SNIC005): static isolation-bypass
-  detection, nondeterminism in simulation paths, event-callback races,
-  untagged telemetry, and float sim-time arithmetic.
+  S-NIC-specific per-module rules (SNIC001–SNIC008,
+  :mod:`repro.analysis.rules`): static isolation-bypass detection,
+  nondeterminism in simulation and fault/scenario paths,
+  event-callback races, untagged telemetry, float sim-time arithmetic,
+  and security primitives without an audit record.  The same pass runs
+  the whole-program rule SNIC010 from :mod:`repro.analysis.dataflow`:
+  module-level state a cell writes outside its cell state.
   CLI: ``python -m repro lint``.
 * :mod:`repro.analysis.isosan` — **IsoSan**, a TSan/ASan-style runtime
   sanitizer that interposes on :class:`~repro.hw.memory.PhysicalMemory`,

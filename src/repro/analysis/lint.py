@@ -27,8 +27,8 @@ comment, e.g.::
 
 ``--show-suppressed`` lists what was silenced; the exit code only counts
 active findings.  ``--stats`` audits the suppression inventory itself:
-per-rule counts plus any tag that no longer silences a finding from
-either engine (per-module rules here, whole-program rules in
+per-rule counts plus any tag that no longer silences a finding from any
+rule, per-module or whole-program (SNIC010,
 :mod:`repro.analysis.dataflow`) — stale tags fail CI.
 """
 
@@ -63,11 +63,8 @@ _SUPPRESS_RE = re.compile(
 class Finding:
     """One rule violation at a source location.
 
-    ``key`` is a stable fingerprint for whole-program findings (used by
-    the dataflow baseline, where line numbers drift too easily);
-    per-module lint rules leave it empty.  ``baselined`` marks findings
-    matched by a committed baseline entry: still reported in JSON, but
-    not counted toward the exit code.
+    ``key`` is a stable fingerprint for whole-program findings (a
+    qualname, not a line number); per-module lint rules leave it empty.
     """
 
     rule: str
@@ -78,11 +75,10 @@ class Finding:
     hint: str = ""
     suppressed: bool = False
     key: str = ""
-    baselined: bool = False
 
     @property
     def active(self) -> bool:
-        return not self.suppressed and not self.baselined
+        return not self.suppressed
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -94,7 +90,6 @@ class Finding:
             "hint": self.hint,
             "suppressed": self.suppressed,
             "key": self.key,
-            "baselined": self.baselined,
         }
 
 
@@ -213,12 +208,10 @@ class ProgramRule:
     """Base class for whole-program rules (``repro.analysis.dataflow``).
 
     Unlike :class:`Rule`, which sees one module at a time, a program
-    rule sees every parsed module at once — that is what lets SNIC009
-    chase a taint path across function and module boundaries and
-    SNIC010 see a cross-module alias of a mutable.  Program rules run
-    under ``python -m repro dataflow`` (with baseline support), share
-    :class:`Finding`/format/suppression machinery with the per-module
-    engine, and are listed by ``repro lint --list-rules``.
+    rule sees every parsed module at once — that is what lets SNIC010
+    see a cross-module alias of a mutable.  :class:`LintEngine` runs
+    program rules in the same pass as the per-module rules, with the
+    same :class:`Finding`, format and suppression machinery.
     """
 
     rule_id: str = "SNIC000"
@@ -368,19 +361,22 @@ def apply_suppressions(
 def sort_findings(findings: List[Finding]) -> List[Finding]:
     """The one canonical finding order: (path, line, col, rule).
 
-    Every CLI surface (lint, dataflow, every format) reports in this
-    order, which is what makes double runs byte-identical.
+    Every format reports in this order, which is what makes double runs
+    byte-identical.
     """
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
 
 class LintEngine:
-    """Runs a rule set over files/trees and collects findings."""
+    """Runs a rule set over files/trees and collects findings: the
+    per-module rules over each module, then the whole-program rules
+    over all of them."""
 
     def __init__(self, rules: Optional[Sequence[Rule]] = None) -> None:
         self.rules: List[Rule] = list(rules) if rules is not None \
             else default_rules()
+        self.program_rules: List[ProgramRule] = default_program_rules()
         #: (path, comment_line) of every suppression tag that silenced
         #: at least one finding in this engine's lifetime.
         self.used_suppressions: Set[Tuple[str, int]] = set()
@@ -388,24 +384,28 @@ class LintEngine:
     def select(self, rule_ids: Iterable[str]) -> None:
         wanted = {r.upper() for r in rule_ids}
         self.rules = [r for r in self.rules if r.rule_id in wanted]
+        self.program_rules = [r for r in self.program_rules
+                              if r.rule_id in wanted]
 
-    def lint_module(self, module: ModuleSource) -> List[Finding]:
+    def lint_modules(self, modules: Sequence[ModuleSource]) -> List[Finding]:
+        by_path = {str(module.path): module for module in modules}
         findings: List[Finding] = []
-        for rule in self.rules:
-            findings.extend(rule.check(module))
-        apply_suppressions(module, findings, self.used_suppressions)
-        findings.sort(key=lambda f: (f.line, f.col, f.rule))
-        return findings
+        for module in modules:
+            for rule in self.rules:
+                findings.extend(rule.check(module))
+        for program_rule in self.program_rules:
+            findings.extend(program_rule.check_program(modules))
+        for finding in findings:
+            apply_suppressions(by_path[finding.path], [finding],
+                               self.used_suppressions)
+        return sort_findings(findings)
 
     def lint_file(self, path: Path) -> List[Finding]:
-        return self.lint_module(
-            ModuleSource.parse(path, module_name_for(path)))
+        return self.lint_modules(
+            [ModuleSource.parse(path, module_name_for(path))])
 
     def lint_paths(self, paths: Sequence[Path]) -> List[Finding]:
-        findings: List[Finding] = []
-        for module in load_modules(paths):
-            findings.extend(self.lint_module(module))
-        return sort_findings(findings)
+        return self.lint_modules(load_modules(paths))
 
 
 # ----------------------------------------------------------------------
@@ -426,8 +426,7 @@ def format_text(findings: List[Finding],
     for f in findings:
         if not f.active and not show_suppressed:
             continue
-        tag = " (suppressed)" if f.suppressed else \
-            " (baselined)" if f.baselined else ""
+        tag = " (suppressed)" if f.suppressed else ""
         lines.append(f"{_relpath(f.path)}:{f.line}:{f.col} "
                      f"{f.rule}{tag} {f.message}")
         if f.hint and f.active:
@@ -436,10 +435,7 @@ def format_text(findings: List[Finding],
     suffix = ""
     if findings:
         n_suppressed = sum(1 for f in findings if f.suppressed)
-        n_baselined = sum(1 for f in findings if f.baselined)
         suffix = f", {n_suppressed} suppressed"
-        if n_baselined:
-            suffix += f", {n_baselined} baselined"
     lines.append(f"{active} finding(s)" + suffix)
     return "\n".join(lines)
 
@@ -449,7 +445,6 @@ def format_findings_json(findings: List[Finding]) -> str:
         "findings": [f.as_dict() for f in findings],
         "n_active": sum(1 for f in findings if f.active),
         "n_suppressed": sum(1 for f in findings if f.suppressed),
-        "n_baselined": sum(1 for f in findings if f.baselined),
     }, indent=2)
 
 
@@ -478,9 +473,9 @@ FORMATTERS = {"text": format_text, "json": format_findings_json,
 def run_lint(paths: Optional[Sequence[Path]] = None,
              rules: Optional[Sequence[str]] = None,
              ) -> Tuple[List[Finding], int]:
-    """Lint ``paths`` (default: the repro package); returns
-    ``(findings, exit_code)`` where the exit code counts only active
-    (unsuppressed) findings."""
+    """Lint ``paths`` (default: the repro package) with the per-module
+    and whole-program rules; returns ``(findings, exit_code)`` where the
+    exit code counts only active (unsuppressed) findings."""
     engine = LintEngine()
     if rules:
         engine.select(rules)
@@ -507,33 +502,14 @@ class SuppressionStats:
 
 def collect_stats(paths: Optional[Sequence[Path]] = None
                   ) -> Tuple[List[Finding], SuppressionStats]:
-    """Run *both* engines (per-module rules and the whole-program
-    dataflow rules) over ``paths`` and audit every suppression tag.
-
-    Both engines must run because a tag is "used" if it silences a
-    finding from either: a ``# snic: ignore[SNIC009]`` consumed only by
-    ``repro dataflow`` is not stale.  Baselines are deliberately not
-    applied here — a tag beaten to the punch by a baseline entry still
-    suppresses the finding and still counts as used.
-    """
-    from repro.analysis.dataflow.cli import run_program_rules
-
-    roots = list(paths) if paths else [source_root()]
-    modules = load_modules(roots)
-    by_path = {str(m.path): m for m in modules}
-    used: Set[Tuple[str, int]] = set()
-
+    """Run every rule over ``paths`` and audit every suppression tag:
+    a tag is used if it silences a finding from any rule, per-module or
+    whole-program."""
+    modules = load_modules(list(paths) if paths else [source_root()])
     engine = LintEngine()
-    findings: List[Finding] = []
-    for module in modules:
-        module_findings: List[Finding] = []
-        for rule in engine.rules:
-            module_findings.extend(rule.check(module))
-        apply_suppressions(module, module_findings, used)
-        findings.extend(module_findings)
-    program_findings = run_program_rules(modules, used=used)
-    findings.extend(program_findings)
-    sort_findings(findings)
+    findings = engine.lint_modules(modules)
+    used = engine.used_suppressions
+    by_path = {str(m.path): m for m in modules}
 
     stats = SuppressionStats()
     for f in findings:
@@ -589,38 +565,28 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="print the rule catalog and exit")
     args = parser.parse_args(argv)
 
+    catalog: List[Rule | ProgramRule] = [*default_rules(),
+                                         *default_program_rules()]
     if args.list_rules:
-        for rule in default_rules():
+        for rule in catalog:
             print(f"{rule.rule_id}  {rule.title}")
             print(f"    rationale: {rule.rationale}")
             print(f"    hint:      {rule.hint}")
-        for program_rule in default_program_rules():
-            print(f"{program_rule.rule_id}  {program_rule.title} "
-                  f"[whole-program: repro dataflow]")
-            print(f"    rationale: {program_rule.rationale}")
-            print(f"    hint:      {program_rule.hint}")
         return 0
 
     if args.stats:
         # The stats gate is the stale-suppression audit alone: active
-        # findings are the plain `repro lint` / `repro dataflow` exit
-        # codes' job (dataflow findings may be baselined, which this
-        # audit deliberately ignores).
+        # findings are the plain `repro lint` exit code's job.
         _findings, stats = collect_stats(args.paths or None)
         print(format_stats(stats))
         return 1 if stats.unused else 0
 
     rule_ids = [r.upper() for r in (args.rules or "").split(",") if r] or None
     if rule_ids:
-        known = {rule.rule_id for rule in default_rules()}
-        program = {rule.rule_id for rule in default_program_rules()}
-        bad = sorted(set(rule_ids) - known)
+        bad = sorted(set(rule_ids) - {rule.rule_id for rule in catalog})
         if bad:
-            # A typo must not pass vacuously (0 rules => 0 findings);
-            # point whole-program ids at their own command.
-            hint = (" (whole-program rules run via `python -m repro "
-                    "dataflow`)" if any(r in program for r in bad) else "")
-            parser.error(f"unknown rule id(s): {', '.join(bad)}{hint}")
+            # A typo must not pass vacuously (0 rules => 0 findings).
+            parser.error(f"unknown rule id(s): {', '.join(bad)}")
     findings, code = run_lint(args.paths or None, rules=rule_ids)
     if args.format == "text":
         print(format_text(findings, show_suppressed=args.show_suppressed))

@@ -7,7 +7,7 @@ engine, formats, and suppression machinery need no changes.
 
 Whole-program rules (:class:`~repro.analysis.lint.ProgramRule`
 subclasses, which need every module at once) are registered separately
-in :func:`all_program_rules` and run under ``python -m repro dataflow``.
+in :func:`all_program_rules`; the engine runs both kinds in one pass.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ def all_rules() -> List[Rule]:
 def all_program_rules() -> List[ProgramRule]:
     # Imported lazily: the dataflow package imports repro.analysis.lint,
     # which imports this module for default_rules().
-    from repro.analysis.dataflow.rules import (
-        CrossTenantFlowRule,
-        SharedMutableStateRule,
-    )
+    from repro.analysis.dataflow.rules import SharedMutableStateRule
 
-    return [CrossTenantFlowRule(), SharedMutableStateRule()]
+    return [SharedMutableStateRule()]

@@ -126,7 +126,3 @@ class FunctionChain:
             final = self.snic.record(self.nf_ids[-1]).vpp
             emitted += final.drain_tx(self.snic.tx_port)
         return emitted
-
-    def teardown_safe(self) -> None:
-        """Invalidate links (called before destroying any member)."""
-        self.links.clear()

@@ -134,15 +134,6 @@ class NICOS:
         record = self.snic.record(nf_id)
         return self.os_read(record.extent_base, 4096)
 
-    def attempt_tlb_tamper(self, nf_id: int, core_id: int) -> None:
-        """Try to re-map a live function's core TLB (must be blocked)."""
-        from repro.hw.mmu import TLBEntry
-
-        core = self.snic.cores[core_id]
-        core.tlb.install(
-            TLBEntry(vbase=0, pbase=0, size=self.snic.memory.page_size)
-        )
-
     def scan_for_foreign_buffers(self, scan_pages: int = 512) -> List[int]:
         """Scan physical memory for other tenants' data (the S-NIC
         analogue of the LiquidIO allocator-metadata walk).  Every page

@@ -35,6 +35,9 @@ MB = 1024 * 1024
 #: The attacker's legal repertoire: everything its virtual NIC offers.
 ATTACKER_OPS = ("bus", "cache", "memory", "accelerate", "packets")
 
+#: The victim's cache probe: one line in each of the first 16 L2 sets.
+PROBE_LINES = 16
+
 
 @dataclass
 class AttackerProgram:
@@ -56,7 +59,14 @@ class AttackerProgram:
             if op == "bus":
                 attacker.bus_transfer(magnitude, now_ns=float(magnitude))
             elif op == "cache":
-                snic.l2.access(magnitude * 64, owner=attacker.nf_id)
+                # Prime one probe set with a set's worth of the
+                # attacker's own lines (tags the victim never uses).
+                config = snic.l2.config
+                probe_set = magnitude % PROBE_LINES
+                for way in range(1, config.ways + 1):
+                    line = probe_set + way * config.n_sets
+                    snic.l2.access(line * config.line_bytes,
+                                   owner=attacker.nf_id)
             elif op == "memory":
                 offset = magnitude % (attacker.memory_bytes - 64)
                 attacker.write(offset, b"A" * 32)
@@ -96,6 +106,14 @@ def _build_system(key_seed: int) -> Tuple[SNIC, NICOS, VirtualNIC, VirtualNIC]:
     return snic, nic_os, victim, attacker
 
 
+def warm_victim(snic: SNIC, victim: VirtualNIC) -> None:
+    """Load the victim's probe lines, so the cache holds victim state
+    for the attacker to disturb before anything is observed."""
+    line_bytes = snic.l2.config.line_bytes
+    for i in range(PROBE_LINES):
+        snic.l2.access(i * line_bytes, owner=victim.nf_id)
+
+
 def observe_victim(snic: SNIC, victim: VirtualNIC) -> Dict[str, object]:
     """Everything the victim can measure about its own virtual NIC.
 
@@ -108,9 +126,11 @@ def observe_victim(snic: SNIC, victim: VirtualNIC) -> Dict[str, object]:
     victim.write(0x2000, b"victim-data")
     observations["memory"] = victim.read(0x2000, 16)
     # Cache behaviour over a fixed probe pattern.
+    line_bytes = snic.l2.config.line_bytes
     pattern = []
     for i in range(64):
-        pattern.append(snic.l2.access((i % 16) * 64, owner=victim.nf_id))
+        pattern.append(snic.l2.access((i % PROBE_LINES) * line_bytes,
+                                      owner=victim.nf_id))
     observations["cache_pattern"] = tuple(pattern)
     # Bus latencies at fixed issue instants.
     observations["bus_latencies"] = tuple(
@@ -142,12 +162,18 @@ class Violation:
 
 
 def run_experiment(program: AttackerProgram, key_seed: int = 7) -> List[Violation]:
-    """Run one attacker program; returns observation mismatches."""
+    """Run one attacker program; returns observation mismatches.
+
+    The victim warms its probe lines on both systems before the
+    attacker runs, so the attacker acts on live victim state.
+    """
     active_snic, _, active_victim, active_attacker = _build_system(key_seed)
+    warm_victim(active_snic, active_victim)
     program.run(active_snic, active_attacker)
     with_attacker = observe_victim(active_snic, active_victim)
 
     quiet_snic, _, quiet_victim, _ = _build_system(key_seed)
+    warm_victim(quiet_snic, quiet_victim)
     without_attacker = observe_victim(quiet_snic, quiet_victim)
 
     violations = []

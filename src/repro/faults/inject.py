@@ -127,9 +127,6 @@ class FaultInjector:
         """Recovery hook: the watchdog reset un-wedges the core."""
         self._hung.discard(tenant)
 
-    def armed_count(self) -> int:
-        return sum(len(v) for v in self._armed.values())
-
     def _take(self, kind: FaultKind,
               tenant: Optional[int]) -> Optional[FaultEvent]:
         for key in ((kind, tenant), (kind, None)):

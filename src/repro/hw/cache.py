@@ -385,9 +385,6 @@ class CacheHierarchy:
         # is rejected by set_partitions; callers pick geometry to fit).
         self.l2.set_partitions(allocation, mode=mode)
 
-    def share_l2(self) -> None:
-        self.l2.share()
-
     def access(self, addr: int, owner: int, write: bool = False) -> int:
         """Access through the hierarchy; returns the satisfying level.
 

@@ -202,9 +202,6 @@ class PageTable:
     def physical_pages(self) -> List[int]:
         return sorted(set(self._map.values()))
 
-    def virtual_pages(self) -> List[int]:
-        return sorted(self._map)
-
     def __len__(self) -> int:
         return len(self._map)
 

@@ -266,9 +266,6 @@ class PacketInputModule:
     def configure_rules(self, rules: List[SwitchingRule]) -> None:
         self.rules = list(rules)
 
-    def add_rules(self, rules: List[SwitchingRule]) -> None:
-        self.rules.extend(rules)
-
     def remove_rules_for(self, nf_id: int) -> None:
         self.rules = [r for r in self.rules if r.nf_id != nf_id]
 

@@ -195,10 +195,6 @@ class IPv4Header:
             checksum=checksum,
         )
 
-    def verify_checksum(self, raw_header: bytes) -> bool:
-        """True when the checksum over the raw 20-byte header is valid."""
-        return ones_complement_checksum(raw_header[:IPV4_HEADER_LEN]) == 0
-
 
 TCP_FLAG_FIN = 0x01
 TCP_FLAG_SYN = 0x02

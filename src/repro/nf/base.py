@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Optional
 
 from repro.net.packet import Packet
 
@@ -52,15 +52,6 @@ class NetworkFunction(abc.ABC):
         else:
             self.stats.forwarded += 1
         return result
-
-    def process_many(self, packets: Iterable[Packet]) -> List[Packet]:
-        """Process a stream; returns the surviving packets in order."""
-        out: List[Packet] = []
-        for packet in packets:
-            result = self.process(packet)
-            if result is not None:
-                out.append(result)
-        return out
 
     def state_bytes(self) -> int:
         """Approximate size of the NF's mutable state, in bytes.

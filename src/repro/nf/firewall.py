@@ -71,10 +71,6 @@ class Firewall(NetworkFunction):
     def cached_flows(self) -> int:
         return len(self._cache)
 
-    def flush_cache(self) -> None:
-        """Drop all cached verdicts (e.g. after a ruleset update)."""
-        self._cache.clear()
-
     def state_bytes(self) -> int:
         # ~48 B per cached flow entry + ~64 B per installed rule.
         return len(self._cache) * 48 + len(self.rules) * 64

@@ -15,7 +15,7 @@ the same object for the life of the process; between cells
 :class:`CellState`, so nothing one cell left behind reaches the next
 and nothing needs clearing in place.  Never bind a field to a module
 global (``_TRACER = CELL.tracer``): the alias would keep the first
-cell's object.  ``python -m repro dataflow`` (SNIC010) flags any
+cell's object.  ``python -m repro lint`` (SNIC010) flags any
 module-level mutable a cell writes that is not part of this state.
 """
 

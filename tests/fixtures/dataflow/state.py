@@ -1,17 +1,16 @@
-"""Shard-safety fixture: module-level mutables with and without
-function-scope writes.  SNIC010 fires on ``FLOW_TABLE`` (subscript
-stores from ``pipeline.py`` — a cross-module alias — and a ``del``
+"""Cell-state fixture: module-level mutables with and without
+function-scope writes.  SNIC010 fires on ``FLOW_TABLE`` (a ``del``
 here) and ``SEEN`` (mutator call from function scope); the constants
-and the import-time-only dict stay shard-safe."""
+and the import-time-only dict stay cell-safe."""
 
-RULE_IDS = ("SNIC009", "SNIC010")  # immutable -> shard-safe
+RULE_IDS = ("SNIC001", "SNIC010")  # immutable -> cell-safe
 
 DEFAULTS = {"mtu": 1500}  # mutable but only written at import time
 DEFAULTS["window"] = 64
 
-FLOW_TABLE = {}  # shard-unsafe: written from pipeline.steal_and_forward
+FLOW_TABLE = {}  # cell-unsafe: an element is deleted from function scope
 
-SEEN = set()  # shard-unsafe: mutated below, from function scope
+SEEN = set()  # cell-unsafe: mutated below, from function scope
 
 
 def remember(key):

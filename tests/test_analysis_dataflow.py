@@ -1,51 +1,48 @@
-"""Whole-program dataflow analysis: graph, taint (SNIC009), escape
-analysis (SNIC010) and the baseline.
+"""Whole-program analysis: the import graph and the escape analysis
+behind rule SNIC010.
 
-Two fixture sets drive these tests: the seeded violation tree under
-``tests/fixtures/dataflow/`` (known flows, known cell-unsafe state)
-and the real ``src/repro`` tree, which must run clean against the
-committed ``DATAFLOW_BASELINE.json`` — with every baseline entry still
-matching a live finding (no stale entries) and carrying a real
-justification.
+The fixture tree is ``tests/fixtures/dataflow/state.py`` (known
+cell-unsafe state) plus a second module, written per test run, that
+writes one of its mutables through a ``from`` import.  The real
+``src/repro`` tree must lint clean with SNIC010 included
+(``tests/test_analysis_lint.py``, ``tests/test_cell_contract.py``).
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.dataflow.cli import (
-    apply_baseline,
-    default_baseline_path,
-    load_baseline,
-    run_dataflow,
-    run_program_rules,
-    write_baseline,
-)
 from repro.analysis.dataflow.escape import EscapeAnalysis
-from repro.analysis.dataflow.graph import (
-    MODULE_BODY,
-    CallSite,
-    ProgramGraph,
-)
-from repro.analysis.dataflow.rules import analyze
-from repro.analysis.dataflow.taint import SOURCE_SPECS, TaintAnalysis
-from repro.analysis.lint import load_modules, source_root
+from repro.analysis.dataflow.graph import ProgramGraph
+from repro.analysis.lint import load_modules, run_lint
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "dataflow"
 
+#: A module that writes ``state.FLOW_TABLE`` from another module.
+FLOWS = (
+    "import state as st\n"
+    "from state import FLOW_TABLE\n"
+    "\n"
+    "\n"
+    "def record_flow(key, payload):\n"
+    "    FLOW_TABLE[key] = payload\n")
+
 
 @pytest.fixture(scope="module")
-def fixture_graph() -> ProgramGraph:
-    return ProgramGraph.build(load_modules([FIXTURE_DIR]))
+def fixture_tree(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("dataflow")
+    shutil.copy(FIXTURE_DIR / "state.py", root / "state.py")
+    (root / "flows.py").write_text(FLOWS)
+    return root
 
 
 @pytest.fixture(scope="module")
-def repo_analysis():
-    """One shared full-repo analysis (graph + flows + state)."""
-    return analyze(load_modules([source_root()]))
+def fixture_graph(fixture_tree) -> ProgramGraph:
+    return ProgramGraph.build(load_modules([fixture_tree]))
 
 
 # ----------------------------------------------------------------------
@@ -53,98 +50,11 @@ def repo_analysis():
 # ----------------------------------------------------------------------
 
 class TestProgramGraph:
-    def test_functions_indexed_with_qualnames(self, fixture_graph):
-        assert "pipeline.rx_frame" in fixture_graph.functions
-        assert "pipeline.steal_and_forward" in fixture_graph.functions
-        assert "state.remember" in fixture_graph.functions
-
-    def test_every_module_gets_a_body_pseudo_function(self, fixture_graph):
-        for modname in fixture_graph.modules:
-            assert f"{modname}.{MODULE_BODY}" in fixture_graph.functions
-
-    def test_local_calls_resolve_precisely(self, fixture_graph):
-        sites = fixture_graph.sites_in("pipeline.steal_and_forward")
-        by_callee = {s.name: s for s in sites}
-        assert by_callee["rx_frame"].resolution == "local"
-        assert by_callee["rx_frame"].callees == ("pipeline.rx_frame",)
-        assert by_callee["parse"].resolution == "local"
-
     def test_from_import_binds_names_across_modules(self, fixture_graph):
-        names = fixture_graph.imported_names["pipeline"]
-        assert names["FLOW_TABLE"] == ("state", "FLOW_TABLE")
-        assert fixture_graph.importers_of("state") == ["pipeline"]
-
-    def test_unresolvable_receiver_falls_back_by_name(self, fixture_graph):
-        # egress.deliver(...) — "egress" is a parameter, so the call can
-        # only resolve by bare name; here nothing defines deliver().
-        sites = fixture_graph.sites_in("pipeline.steal_and_forward")
-        deliver = next(s for s in sites if s.name == "deliver")
-        assert deliver.resolution == "unresolved"
-        assert deliver.callees == ()
-
-
-# ----------------------------------------------------------------------
-# Taint analysis (SNIC009)
-# ----------------------------------------------------------------------
-
-class TestTaint:
-    def test_seeded_flow_is_found(self, fixture_graph):
-        flows = TaintAnalysis(fixture_graph).run()
-        assert len(flows) == 1
-        flow = flows[0]
-        assert flow.chain[0] == "pipeline.steal_and_forward"
-        assert flow.chain[-1] == "pipeline.rx_frame"
-        assert flow.source_site.name == "read"
-        assert flow.sink_site.name == "deliver"
-
-    def test_mediated_path_is_clean(self, fixture_graph):
-        analysis = TaintAnalysis(fixture_graph)
-        analysis.run()
-        # mediated_forward's only source is behind the os_read stub,
-        # which mediates by name even with a stub body.
-        assert "pipeline.mediated_forward" not in analysis.taint_witness
-        assert analysis._is_mediated_function("pipeline.os_read")
-
-    def test_byname_resolution_never_satisfies_qualname_specs(self):
-        # owners.pop() resolves by-name to every analysed pop(),
-        # including PacketRing.pop — that must not make it a source.
-        site = CallSite(
-            caller="m.f", modname="m", name="pop", receiver="owners",
-            lineno=1, col=1, node=None,
-            callees=("repro.hw.packet_io.PacketRing.pop",),
-            resolution="by-name")
-        assert all(not spec.matches(site) for spec in SOURCE_SPECS)
-        precise = CallSite(
-            caller="m.f", modname="m", name="pop", receiver="owners",
-            lineno=1, col=1, node=None,
-            callees=("repro.hw.packet_io.PacketRing.pop",),
-            resolution="import")
-        assert any(spec.matches(precise) for spec in SOURCE_SPECS)
-
-    def test_generic_byname_edges_do_not_propagate(self, tmp_path):
-        # caller() calls owners.pop(); by-name that aliases the tainted
-        # pop() below, but builtin-container names never carry taint.
-        (tmp_path / "ringmod.py").write_text(
-            "def pop(ring):\n"
-            "    return ring.pop()\n"
-            "\n"
-            "def caller(owners, egress):\n"
-            "    owners.pop()\n"
-            "    egress.deliver(b'x')\n")
-        graph = ProgramGraph.build(load_modules([tmp_path]))
-        analysis = TaintAnalysis(graph)
-        flows = analysis.run()
-        assert "ringmod.pop" in analysis.taint_witness
-        assert "ringmod.caller" not in analysis.taint_witness
-        assert flows == []
-
-    def test_repo_flows_all_baselined(self, repo_analysis):
-        keys = {(f"{fl.chain[0]}->{fl.sink_site.name}"
-                 f"<-{fl.chain[-1]}:{fl.source_site.name}")
-                for fl in repo_analysis["flows"]}
-        baseline = load_baseline(default_baseline_path())
-        unlisted = {k for k in keys if ("SNIC009", k) not in baseline}
-        assert not unlisted, f"new unmediated flows: {sorted(unlisted)}"
+        assert fixture_graph.imported_names["flows"]["FLOW_TABLE"] == \
+            ("state", "FLOW_TABLE")
+        assert fixture_graph.module_aliases["flows"] == {"st": "state"}
+        assert fixture_graph.imported_names["state"] == {}
 
 
 # ----------------------------------------------------------------------
@@ -159,8 +69,8 @@ class TestEscape:
     def test_cross_module_subscript_store_is_unsafe(self, infos):
         info = infos["state.FLOW_TABLE"]
         assert not info.cell_safe
-        assert info.aliases == ["pipeline"]
-        assert any("pipeline:" in r and "subscript store" in r
+        assert info.aliases == ["flows"]
+        assert any("flows:" in r and "subscript store" in r
                    for r in info.reasons)
         assert any("del on element" in r for r in info.reasons)
 
@@ -181,7 +91,7 @@ class TestEscape:
     def test_reasons_name_the_writing_function_not_its_line(self, infos):
         assert infos["state.SEEN"].reasons == [
             "state:remember mutator .add() call"]
-        assert "pipeline:steal_and_forward subscript store" in \
+        assert "flows:record_flow subscript store" in \
             infos["state.FLOW_TABLE"].reasons
 
     def test_nested_writes_are_named_by_qualname_once(self, tmp_path):
@@ -260,74 +170,22 @@ class TestEscape:
 
 
 # ----------------------------------------------------------------------
-# Baseline mechanics + repo invariants
-# ----------------------------------------------------------------------
-
-class TestBaseline:
-    def test_round_trip_silences_exactly_the_written_findings(
-            self, tmp_path):
-        modules = load_modules([FIXTURE_DIR])
-        findings = run_program_rules(modules)
-        assert findings and all(not f.baselined for f in findings)
-        path = write_baseline(findings, tmp_path / "baseline.json")
-        baseline = load_baseline(path)
-        assert len(baseline) == len(findings)
-        apply_baseline(findings, baseline)
-        assert all(f.baselined for f in findings)
-
-    def test_baselined_findings_do_not_count_toward_exit_code(
-            self, tmp_path):
-        _findings, code = run_dataflow([FIXTURE_DIR])
-        assert code == 1
-        findings = run_program_rules(load_modules([FIXTURE_DIR]))
-        path = write_baseline(findings, tmp_path / "baseline.json")
-        _findings, code = run_dataflow([FIXTURE_DIR], baseline_path=path)
-        assert code == 0
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"schema": "nope", "entries": []}))
-        with pytest.raises(ValueError):
-            load_baseline(bogus)
-
-    def test_repo_runs_clean_against_committed_baseline(self):
-        findings, code = run_dataflow(
-            baseline_path=default_baseline_path())
-        assert code == 0, [
-            (f.rule, f.key) for f in findings if f.active]
-
-    def test_committed_baseline_has_no_stale_entries(self):
-        findings, _code = run_dataflow()  # no baseline applied
-        live = {(f.rule, f.key) for f in findings}
-        baseline = load_baseline(default_baseline_path())
-        stale = [k for k in baseline if k not in live]
-        assert not stale, f"baseline entries no longer fire: {stale}"
-
-    def test_committed_baseline_entries_are_justified(self):
-        baseline = load_baseline(default_baseline_path())
-        assert baseline
-        for (rule, key), justification in baseline.items():
-            assert justification and "TODO" not in justification, \
-                f"{rule} {key} lacks a real justification"
-
-
-# ----------------------------------------------------------------------
-# Determinism (satellite: byte-identical JSON across runs)
+# Determinism: byte-identical JSON across runs
 # ----------------------------------------------------------------------
 
 class TestDeterminism:
     def test_fixture_json_is_byte_identical_across_runs(self, capsys):
-        from repro.analysis.dataflow.cli import main
+        from repro.analysis.lint import main
 
-        main(["--format", "json", "--no-baseline", str(FIXTURE_DIR)])
+        main(["--format", "json", "--rules", "SNIC010", str(FIXTURE_DIR)])
         first = capsys.readouterr().out
-        main(["--format", "json", "--no-baseline", str(FIXTURE_DIR)])
+        main(["--format", "json", "--rules", "SNIC010", str(FIXTURE_DIR)])
         second = capsys.readouterr().out
         assert first == second
         payload = json.loads(first)
-        assert payload["n_active"] == 3
+        assert payload["n_active"] == 2
 
-    def test_findings_sorted_by_path_line_rule(self):
-        findings = run_program_rules(load_modules([FIXTURE_DIR]))
+    def test_findings_sorted_by_path_line_rule(self, fixture_tree):
+        findings, _code = run_lint([fixture_tree])
         keys = [(f.path, f.line, f.col, f.rule) for f in findings]
-        assert keys == sorted(keys)
+        assert len(keys) > 1 and keys == sorted(keys)

@@ -28,7 +28,7 @@ from repro.analysis.lint import (
 FIXTURE = Path(__file__).parent / "fixtures" / "lint_violations.py"
 
 ALL_RULES = {"SNIC001", "SNIC002", "SNIC003", "SNIC004", "SNIC005",
-             "SNIC006", "SNIC007", "SNIC008"}
+             "SNIC006", "SNIC007", "SNIC008", "SNIC010"}
 
 
 def lint_source(text: str, modname: str = "scratch") -> list:

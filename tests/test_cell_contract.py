@@ -30,7 +30,7 @@ import weakref
 from collections import deque
 from pathlib import Path
 
-from repro.analysis.dataflow.cli import run_dataflow
+from repro.analysis.lint import run_lint
 from repro.core.snic import _measure
 from repro.crypto.rsa import _sign
 from repro.obs import auditlog, tracer
@@ -104,7 +104,7 @@ class TestIsolateInstallsFreshState:
 
 class TestNoStateOutsideTheCell:
     def test_src_repro_has_no_snic010_finding(self):
-        findings, _code = run_dataflow(rule_ids=["SNIC010"])
+        findings, _code = run_lint(rules=["SNIC010"])
         assert [(f.key, f.message) for f in findings] == []
 
 

@@ -1,6 +1,7 @@
-"""CLI contract for ``python -m repro lint`` / ``python -m repro
-dataflow``: exit codes (clean=0, findings=1, usage=2), the three output
-formats, the suppression round-trip, and ``--stats``.
+"""CLI contract for ``python -m repro lint``, per-module rules and the
+whole-program rule SNIC010 alike: exit codes (clean=0, findings=1,
+usage=2), the three output formats, the suppression round-trip, and
+``--stats``.
 
 Driven through ``runpy`` with ``run_name="__main__"`` (like the
 examples smoke tests) so the whole ``__main__`` dispatch — argv
@@ -69,14 +70,16 @@ class TestExitCodes:
         assert "unknown command" in err
 
     def test_dataflow_findings_exit_one(self):
-        code, out, _ = run_cli("dataflow", "--no-baseline",
-                               str(DATAFLOW_FIXTURES))
+        code, out, _ = run_cli("lint", str(DATAFLOW_FIXTURES))
         assert code == 1
-        assert "SNIC009" in out and "SNIC010" in out
+        assert "SNIC010" in out
 
     def test_dataflow_usage_error_exits_two(self):
-        code, _, _ = run_cli("dataflow", "--format", "bogus")
+        # The whole-program rules run under `lint`; there is no second
+        # front door.
+        code, _, err = run_cli("dataflow", "--format", "json")
         assert code == 2
+        assert "unknown command" in err
 
     def test_unknown_rule_id_exits_two(self):
         # A typo'd --rules filter must not pass vacuously.
@@ -84,15 +87,17 @@ class TestExitCodes:
         assert code == 2
         assert "SNIC999" in err
 
-    def test_lint_rejects_program_rule_ids_with_hint(self):
-        code, _, err = run_cli("lint", "--rules", "SNIC009")
-        assert code == 2
-        assert "repro dataflow" in err
+    def test_lint_accepts_program_rule_ids(self):
+        code, out, _ = run_cli("lint", "--rules", "SNIC010",
+                               str(DATAFLOW_FIXTURES))
+        assert code == 1
+        assert "SNIC010" in out and "SNIC001" not in out
 
     def test_dataflow_unknown_rule_id_exits_two(self):
-        code, _, err = run_cli("dataflow", "--rules", "SNIC999")
+        # SNIC009, the deleted whole-program taint rule, is unknown.
+        code, _, err = run_cli("lint", "--rules", "SNIC009")
         assert code == 2
-        assert "SNIC999" in err
+        assert "SNIC009" in err
 
     def test_rule_filter_is_case_insensitive(self):
         code, out, _ = run_cli("lint", "--rules", "snic001",
@@ -117,8 +122,7 @@ class TestFormats:
                             str(LINT_FIXTURE))
         payload = json.loads(out)
         assert payload["n_active"] == len(
-            [f for f in payload["findings"]
-             if not f["suppressed"] and not f["baselined"]])
+            [f for f in payload["findings"] if not f["suppressed"]])
         assert payload["n_active"] > 0
 
     def test_github_format_emits_error_annotations(self):
@@ -129,19 +133,21 @@ class TestFormats:
                              for ln in lines)
 
     def test_dataflow_json_format(self):
-        _, out, _ = run_cli("dataflow", "--format", "json",
-                            "--no-baseline", str(DATAFLOW_FIXTURES))
+        _, out, _ = run_cli("lint", "--format", "json",
+                            str(DATAFLOW_FIXTURES))
         payload = json.loads(out)
-        assert payload["n_active"] == 3
+        assert payload["n_active"] == 2
         rules = {f["rule"] for f in payload["findings"]}
-        assert rules == {"SNIC009", "SNIC010"}
+        assert rules == {"SNIC010"}
+        assert {f["key"] for f in payload["findings"]} == {
+            "state.FLOW_TABLE", "state.SEEN"}
 
     def test_list_rules_covers_whole_catalog(self):
         code, out, _ = run_cli("lint", "--list-rules")
         assert code == 0
-        for rule_id in [f"SNIC{n:03d}" for n in range(1, 11)]:
-            assert rule_id in out, f"{rule_id} missing from catalog"
-        assert "whole-program" in out
+        listed = {line.split()[0] for line in out.splitlines()
+                  if line.startswith("SNIC")}
+        assert listed == {f"SNIC{n:03d}" for n in (*range(1, 9), 10)}
 
 
 # ----------------------------------------------------------------------
@@ -181,24 +187,27 @@ class TestSuppressionRoundTrip:
         assert code == 1
 
     def test_dataflow_suppression_round_trip(self, tmp_path):
-        for name in ("pipeline.py", "state.py"):
-            (tmp_path / name).write_text(
-                (DATAFLOW_FIXTURES / name).read_text())
-        code, _, _ = run_cli("dataflow", "--no-baseline", str(tmp_path))
+        state = tmp_path / "state.py"
+        original = (DATAFLOW_FIXTURES / "state.py").read_text()
+        state.write_text(original)
+        code, _, _ = run_cli("lint", str(tmp_path))
         assert code == 1
 
-        for name, tag in (("pipeline.py", "SNIC009"),
-                          ("state.py", "SNIC010")):
-            path = tmp_path / name
-            tagged = []
-            for line in path.read_text().splitlines():
-                if "egress.deliver(payload)" in line and "BAD" not in line \
-                        or line.startswith(("FLOW_TABLE", "SEEN")):
-                    line += f"  # snic: ignore[{tag}] -- test"
-                tagged.append(line)
-            path.write_text("\n".join(tagged) + "\n")
-        code, out, _ = run_cli("dataflow", "--no-baseline", str(tmp_path))
+        tagged = []
+        for line in original.splitlines():
+            if line.startswith(("FLOW_TABLE", "SEEN")):
+                line += "  # snic: ignore[SNIC010] -- test"
+            tagged.append(line)
+        state.write_text("\n".join(tagged) + "\n")
+        code, out, _ = run_cli("lint", str(tmp_path))
         assert code == 0, out
+        assert "2 suppressed" in out
+        code, out, _ = run_cli("lint", "--stats", str(tmp_path))
+        assert code == 0 and "0 unused" in out, out
+
+        state.write_text(original)
+        code, _, _ = run_cli("lint", str(tmp_path))
+        assert code == 1
 
 
 # ----------------------------------------------------------------------
