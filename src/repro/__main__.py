@@ -46,9 +46,10 @@ Commands:
   excerpt and its flight tail, ``--verify`` the sha256 hash chain, or
   ``--diff`` two bundles field by field
 * ``lint``    — S-NIC-specific static analysis over the source tree:
-  the per-module rules SNIC001–SNIC008 and the whole-program rule
-  SNIC010 (module-level state a cell writes outside its cell state)
-  in one pass (``--format text|json|github``; ``--stats`` prints
+  one rule per hazard -- the per-module rules SNIC001, SNIC002,
+  SNIC004, SNIC005 and SNIC008 and the whole-program rule SNIC010
+  (module-level state a cell writes outside its cell state) -- in
+  one pass (``--format text|json|github``; ``--stats`` prints
   the per-rule suppression table and fails on stale
   ``# snic: ignore[...]`` comments)
 * ``sanitize`` — determinism checker: run the co-tenancy demo twice
@@ -89,8 +90,9 @@ _COMMANDS = {
            "--violation-demo, --openmetrics PATH)",
     "postmortem": "inspect a forensics bundle: pretty-print, --verify "
                   "the hash chain, --diff two bundles",
-    "lint": "S-NIC-specific static analysis SNIC001-SNIC008 and the "
-            "whole-program SNIC010 (--format text|json|github, --stats)",
+    "lint": "S-NIC-specific static analysis, one rule per hazard "
+            "(SNIC001/002/004/005/008 and the whole-program SNIC010; "
+            "--format text|json|github, --stats)",
     "sanitize": "determinism checker: same seed must give the same "
                 "event-stream digest (--shards adds the worker "
                 "invariance of a quick sweep)",

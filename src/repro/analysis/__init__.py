@@ -6,14 +6,13 @@ buses — eliminate cross-tenant channels.  ``repro.hw`` encodes those
 invariants; this package *checks* that new code keeps them:
 
 * :mod:`repro.analysis.lint` — a custom AST lint engine with
-  S-NIC-specific per-module rules (SNIC001–SNIC008,
-  :mod:`repro.analysis.rules`): static isolation-bypass detection,
-  nondeterminism in simulation and fault/scenario paths,
-  event-callback races, untagged telemetry, float sim-time arithmetic,
-  and security primitives without an audit record.  The same pass runs
-  the whole-program rule SNIC010 from :mod:`repro.analysis.dataflow`:
-  module-level state a cell writes outside its cell state.
-  CLI: ``python -m repro lint``.
+  S-NIC-specific rules (:mod:`repro.analysis.rules`), one per hazard:
+  isolation bypass (SNIC001), nondeterminism — host clocks, unseeded
+  or process-global RNGs, set order into ``schedule()`` — (SNIC002),
+  untagged telemetry (SNIC004), float sim-time arithmetic (SNIC005),
+  security primitives without an audit record (SNIC008), and the
+  whole-program rule SNIC010: module-level state a cell writes or
+  rebinds outside its cell state.  CLI: ``python -m repro lint``.
 * :mod:`repro.analysis.isosan` — **IsoSan**, a TSan/ASan-style runtime
   sanitizer that interposes on :class:`~repro.hw.memory.PhysicalMemory`,
   :class:`~repro.hw.cache.Cache`, :class:`~repro.hw.mmu.TLB`, the bus

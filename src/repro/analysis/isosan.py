@@ -44,28 +44,39 @@ from repro.hw.memory import FREE, PhysicalMemory
 from repro.obs.cell import CELL
 
 
-class _Interposer:
-    """Bookkeeping for one wrapped method (original kept for restore)."""
+class Interposer:
+    """Method wrap-and-pin with restore bookkeeping.
 
-    __slots__ = ("cls", "name", "original")
+    :meth:`wrap` replaces a class attribute with a wrapper around the
+    original and keeps the original; :meth:`restore` puts every
+    original back, last wrapped first, so interposers that wrap the
+    same method (IsoSan and the fault injector) unwind LIFO.
+    """
 
-    def __init__(self, cls: type, name: str,
-                 wrapper_factory: Callable[[Callable[..., Any]],
-                                           Callable[..., Any]]) -> None:
-        self.cls = cls
-        self.name = name
-        self.original = getattr(cls, name)
-        setattr(cls, name, wrapper_factory(self.original))
+    def __init__(self) -> None:
+        self._originals: List[Tuple[type, str, _Method]] = []
+
+    def __bool__(self) -> bool:
+        return bool(self._originals)
+
+    def wrap(self, cls: type, name: str,
+             factory: Callable[[_Method], _Method]) -> None:
+        original = getattr(cls, name)
+        wrapper = factory(original)
+        self._originals.append((cls, name, original))
+        setattr(cls, name, wrapper)
 
     def restore(self) -> None:
-        setattr(self.cls, self.name, self.original)
+        while self._originals:
+            cls, name, original = self._originals.pop()
+            setattr(cls, name, original)
 
 
 class IsoSan:
     """The sanitizer: shadow ownership state + hardware interposers."""
 
     def __init__(self) -> None:
-        self._interposers: List[_Interposer] = []
+        self._interposer = Interposer()
         #: Stack of accessor security domains (single-threaded sim).
         self._context: List[int] = []
         #: Every TLB bank seen installing entries over owned pages.
@@ -81,7 +92,7 @@ class IsoSan:
 
     @property
     def installed(self) -> bool:
-        return bool(self._interposers)
+        return bool(self._interposer)
 
     def install(self) -> "IsoSan":
         if self.installed:
@@ -100,10 +111,7 @@ class IsoSan:
 
         san = self
 
-        def wrap(cls: type, name: str,
-                 factory: Callable[[Callable[..., Any]],
-                                   Callable[..., Any]]) -> None:
-            self._interposers.append(_Interposer(cls, name, factory))
+        wrap = self._interposer.wrap
 
         # -- PhysicalMemory: construction registry, access, ownership --
         def init_factory(orig: _Method) -> _Method:
@@ -206,8 +214,7 @@ class IsoSan:
         return self
 
     def uninstall(self) -> None:
-        while self._interposers:
-            self._interposers.pop().restore()
+        self._interposer.restore()
         self._context.clear()
         self._banks = weakref.WeakSet()
         self._memories = weakref.WeakSet()

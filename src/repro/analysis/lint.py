@@ -29,7 +29,7 @@ comment, e.g.::
 active findings.  ``--stats`` audits the suppression inventory itself:
 per-rule counts plus any tag that no longer silences a finding from any
 rule, per-module or whole-program (SNIC010,
-:mod:`repro.analysis.dataflow`) — stale tags fail CI.
+:mod:`repro.analysis.rules.shared_state`) — stale tags fail CI.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import json
 import re
 import sys
 import tokenize
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -205,7 +206,7 @@ class Rule:
 
 
 class ProgramRule:
-    """Base class for whole-program rules (``repro.analysis.dataflow``).
+    """Base class for whole-program rules (SNIC010).
 
     Unlike :class:`Rule`, which sees one module at a time, a program
     rule sees every parsed module at once — that is what lets SNIC010
@@ -260,7 +261,7 @@ def receiver_token(node: ast.Call) -> str:
 
 #: Kernel calls taking a sim-time first and a callback second
 #: (``Simulator.schedule``/``schedule_at``/``every``): the calls whose
-#: arguments SNIC002, SNIC003 and SNIC005 inspect.
+#: arguments SNIC002 and SNIC005 inspect.
 SCHEDULE_METHODS = frozenset({"schedule", "schedule_at", "every"})
 
 
@@ -310,15 +311,17 @@ def source_root() -> Path:
     return Path(repro.__file__).resolve().parent
 
 
-def module_name_for(path: Path) -> str:
-    """Dotted module name for ``path`` (``repro.…`` when under src)."""
+def module_name_for(path: Path, depth: int = 1) -> str:
+    """Dotted module name for ``path``: ``repro.…`` when under src, else
+    its last ``depth`` path components (``a/mod.py`` at depth 2 is
+    ``a.mod``)."""
     parts = path.resolve().with_suffix("").parts
     if "repro" in parts:
         index = len(parts) - 1 - parts[::-1].index("repro")
         dotted = ".".join(parts[index:])
         return dotted[:-len(".__init__")] if dotted.endswith(".__init__") \
             else dotted
-    return path.stem
+    return ".".join(parts[-depth:])
 
 
 def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
@@ -333,9 +336,29 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
 
 
 def load_modules(paths: Sequence[Path]) -> List[ModuleSource]:
-    """Parse every file under ``paths`` into :class:`ModuleSource`."""
-    return [ModuleSource.parse(file, module_name_for(file))
-            for file in iter_python_files(paths)]
+    """Parse every file under ``paths`` into :class:`ModuleSource`.
+
+    A file named twice (a directory and a file in it) is parsed once.
+    Files outside the ``repro`` package whose stems collide (``a/mod.py``
+    and ``b/mod.py``) take more path components until every name is
+    unique: the whole-program rule keys modules by name.
+    """
+    unique: Dict[Path, Path] = {}
+    for file in iter_python_files(paths):
+        unique.setdefault(file.resolve(), file)
+    files = list(unique.values())
+    depth = [1] * len(files)
+    while True:
+        names = [module_name_for(file, d) for file, d in zip(files, depth)]
+        counts = Counter(names)
+        grow = [i for i, name in enumerate(names) if counts[name] > 1
+                and depth[i] < len(files[i].resolve().parts)]
+        if not grow:
+            break
+        for i in grow:
+            depth[i] += 1
+    return [ModuleSource.parse(file, name)
+            for file, name in zip(files, names)]
 
 
 def apply_suppressions(

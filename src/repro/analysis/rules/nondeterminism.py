@@ -1,17 +1,20 @@
 """SNIC002/SNIC005 — nondeterminism in simulation paths.
 
 The event kernel (:mod:`repro.hw.events`) promises bit-identical reruns:
-the determinism checker (:mod:`repro.analysis.determinism`) and the
-noninterference experiments both depend on it.  Two static rules guard
-that promise:
+the determinism checker (:mod:`repro.analysis.determinism`), the
+noninterference experiments and every byte-compared report (matrix,
+chaos, audit, post-mortem bundles) depend on it.  Two static rules
+guard that promise:
 
-* **SNIC002** — wall-clock reads (``time.time``), module-level random
-  draws (``random.random()`` instead of a seeded ``random.Random``),
-  and set iteration feeding ``schedule()`` (set order is
-  hash-randomized across processes for str/bytes elements).
-  ``time.perf_counter``/``perf_counter_ns`` are deliberately *not*
-  flagged: they measure host wall-time for profiling and never feed
-  simulated time.
+* **SNIC002** — the one determinism rule, applied to every module with
+  no name scope: host-clock reads (one catalog: ``time.time``,
+  ``perf_counter``, ``strftime``, ``datetime.now``, ...), draws from the
+  process-global RNG (``random.random()``, ``np.random.rand()``,
+  ``random.seed(...)``), a ``Random()``/``default_rng()`` constructed
+  without a seed, and set iteration feeding ``schedule()`` (set order is
+  hash-randomized across processes for str/bytes elements).  Code that
+  *measures* host time (the bench harness) says so with a tagged
+  ``# snic: ignore[SNIC002]``.
 * **SNIC005** — float arithmetic on sim-time nanoseconds.  The kernel
   clock is integral by design; a float delay in ``schedule()`` (or
   a float interval in ``every()``, or
@@ -35,22 +38,33 @@ from repro.analysis.lint import (
     is_schedule_call,
 )
 
-_WALL_CLOCK = {
-    "time.time", "time.time_ns",
+#: Host-clock entry points: each returns a different value per run.
+_WALL_CLOCK = frozenset({
+    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+    "time.perf_counter", "time.perf_counter_ns", "time.process_time",
+    "time.process_time_ns", "time.strftime", "time.localtime",
+    "time.gmtime", "time.ctime",
     "datetime.now", "datetime.utcnow", "datetime.today",
     "datetime.datetime.now", "datetime.datetime.utcnow",
-}
+    "datetime.datetime.today", "datetime.date.today", "date.today",
+})
 
-#: Module-level draws on the shared, unseeded global RNG.  Constructing
-#: ``random.Random(seed)`` / ``random.SystemRandom()`` /
-#: ``np.random.default_rng(seed)`` is the *fix*, so those are not listed.
-_RANDOM_DRAWS = {
+#: Calls on the shared, process-global RNG: draws, and ``seed`` (any
+#: import can perturb the global state after it).  Constructing
+#: ``random.Random(seed)`` / ``np.random.default_rng(seed)`` is the
+#: *fix*, so those are not listed.
+_RANDOM_DRAWS = frozenset({
     "random", "randint", "randrange", "uniform", "choice", "choices",
     "shuffle", "sample", "gauss", "normalvariate", "expovariate",
     "betavariate", "paretovariate", "vonmisesvariate", "triangular",
     "getrandbits", "random_sample", "rand", "randn", "permutation",
-}
-_RANDOM_MODULES = {"random", "np.random", "numpy.random"}
+    "seed",
+})
+_RANDOM_MODULES = frozenset({"random", "np.random", "numpy.random"})
+
+#: Generator constructors that seed themselves from OS entropy when
+#: called with no argument.
+_RNG_CONSTRUCTORS = frozenset({"Random", "default_rng"})
 
 #: Modules whose ``*_ns`` state is kernel sim-time (integral by
 #: contract); everywhere else float ns is legitimate model currency.
@@ -70,15 +84,30 @@ def _is_set_expr(node: ast.AST) -> bool:
     return False
 
 
+def _rng_problem(node: ast.Call, name: str) -> Optional[str]:
+    """Why the call draws nondeterministic randomness, if it does."""
+    prefix, _, attr = name.rpartition(".")
+    if prefix in _RANDOM_MODULES and attr in _RANDOM_DRAWS:
+        return f"module-level {name}() uses the process-global RNG"
+    if attr in _RNG_CONSTRUCTORS and (prefix in _RANDOM_MODULES
+                                      or not prefix) \
+            and not node.args and not node.keywords:
+        return f"{name}() without a seed draws from OS entropy"
+    return None
+
+
 class NondeterminismRule(Rule):
     rule_id = "SNIC002"
     title = "nondeterminism leaking into simulation paths"
-    rationale = ("§5/§6 experiments and the determinism checker require "
-                 "bit-identical reruns; wall clocks, unseeded global "
-                 "RNGs, and set iteration order break that")
+    rationale = ("§5/§6 experiments, the determinism checker and every "
+                 "byte-compared report require bit-identical reruns; "
+                 "host clocks, unseeded or process-global RNGs, and set "
+                 "iteration order break that")
     hint = ("use a seeded random.Random(seed)/np.random.default_rng(seed) "
             "instance, simulated time (Simulator.now_ns), and sorted() "
-            "before iterating a set whose order reaches schedule()")
+            "before iterating a set whose order reaches schedule(); code "
+            "that measures host time tags the read "
+            "# snic: ignore[SNIC002] with its reason")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
@@ -88,13 +117,10 @@ class NondeterminismRule(Rule):
                     yield self.finding(
                         module, node,
                         f"wall-clock read {name}() in simulation code")
-                elif "." in name:
-                    prefix, _, attr = name.rpartition(".")
-                    if prefix in _RANDOM_MODULES and attr in _RANDOM_DRAWS:
-                        yield self.finding(
-                            module, node,
-                            f"module-level random draw {name}() uses the "
-                            f"shared unseeded RNG")
+                    continue
+                problem = _rng_problem(node, name)
+                if problem is not None:
+                    yield self.finding(module, node, problem)
             elif isinstance(node, ast.For) and _is_set_expr(node.iter):
                 schedule = next(
                     (n for child in node.body for n in ast.walk(child)

@@ -1,4 +1,4 @@
-"""Module-level state escape analysis (rule SNIC010).
+"""SNIC010 — module-level state a cell writes outside the cell state.
 
 A cell (one simulated NIC run start to finish, :mod:`repro.obs.cell`)
 must start from the state every cell starts from: the same cell run
@@ -9,9 +9,13 @@ between cells, or part of the objects the cell builds.  A module-level
 mutable a cell writes is neither: it outlives the cell and carries one
 cell's writes into the next.
 
-This pass inventories every module-level binding, resolves aliases
-(``from m import NAME``, ``import m`` then ``m.NAME``, ``X = NAME``) to
-the objects they name, and classifies each object:
+The rule is a :class:`~repro.analysis.lint.ProgramRule`: it sees every
+module at once, because a mutable's writers may sit in other modules.
+It indexes each module's imports, inventories every module-level
+binding (plus one object per ``global X`` a function stores to when
+``X`` has no top-level binding), resolves aliases (``from m import
+NAME``, ``import m`` then ``m.NAME``, ``X = NAME``) to the objects they
+name, and classifies each object:
 
 * **cell-safe** — immutable values (constants, tuples, frozensets,
   compiled regexes); mutables only ever written at module top level
@@ -20,10 +24,15 @@ the objects they name, and classifies each object:
   whose fields ``isolate()`` replaces;
 * **cell-unsafe** — mutables written from *function* scope anywhere in
   the program, through any alias: mutator method calls, subscript
-  stores/deletes, attribute stores, ``global`` rebinds, augmented
-  assignments; and bindings that capture a cell-state field at import
-  time (``_TRACER = get_tracer()``, ``_AUDIT = CELL.audit``), which
-  keep the first cell's object after ``isolate()`` installs a new one.
+  stores/deletes, attribute stores, augmented assignments; any object
+  a function rebinds through ``global``; and bindings that capture a
+  cell-state field at import time (``_TRACER = get_tracer()``,
+  ``_AUDIT = CELL.audit``), which keep the first cell's object after
+  ``isolate()`` installs a new one.
+
+Each cell-unsafe object is one finding at its binding, keyed by its
+qualname; each function that rebinds it through ``global`` is one more,
+at the ``global`` statement.
 
 Known approximations (DESIGN.md §1.10): aliasing through locals
 (``x = FLOW_TABLE; x[k] = v``) and mutation behind ``getattr`` are
@@ -36,9 +45,18 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.analysis.dataflow.graph import ProgramGraph
+from repro.analysis.lint import Finding, ModuleSource, ProgramRule
 
 #: Calls whose results are immutable (or immutable-enough: a compiled
 #: regex has no user-visible mutable state).
@@ -81,6 +99,8 @@ class ModuleStateInfo:
     aliases: List[str] = field(default_factory=list)
     #: the binding's value expression (``None`` for annotations).
     value: Optional[ast.AST] = field(default=None, repr=False)
+    #: the ``global`` statements of the functions that rebind it.
+    rebinds: List["_Mutation"] = field(default_factory=list, repr=False)
 
     @property
     def qualname(self) -> str:
@@ -149,6 +169,40 @@ def _walk_scoped(root: ast.AST,
         yield node, scope
 
 
+def _functions(tree: ast.AST) -> List[Tuple[ast.AST, str]]:
+    """Top-level functions and methods with their qualnames."""
+    out: List[Tuple[ast.AST, str]] = []
+    if not isinstance(tree, ast.Module):
+        return out
+    for node in tree.body:
+        if isinstance(node, _FUNCTION_NODES):
+            out.append((node, node.name))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _FUNCTION_NODES):
+                    out.append((item, f"{node.name}.{item.name}"))
+    return out
+
+
+def _global_stores(
+        tree: ast.AST) -> Iterator[Tuple[ast.Global, str, str]]:
+    """``(global statement, name, scope)`` for every name a function
+    declares ``global`` and stores to in the same scope."""
+    for fn_node, qualname in _functions(tree):
+        declared: List[Tuple[ast.Global, str]] = []
+        stored: Set[Tuple[str, str]] = set()
+        for node, scope in _walk_scoped(fn_node, qualname):
+            if isinstance(node, ast.Global):
+                declared.append((node, scope))
+            elif isinstance(node, ast.Name) and \
+                    isinstance(node.ctx, (ast.Store, ast.Del)):
+                stored.add((scope, node.id))
+        for node, scope in declared:
+            for name in node.names:
+                if (scope, name) in stored:
+                    yield node, name, scope
+
+
 @dataclass
 class _Mutation:
     """Evidence that an object is written from function scope.
@@ -160,6 +214,8 @@ class _Mutation:
     modname: str
     scope: str
     what: str
+    #: the ``global`` statement, for a rebind.
+    node: Optional[ast.Global] = None
 
     def text(self) -> str:
         return f"{self.modname}:{self.scope} {self.what}"
@@ -168,8 +224,17 @@ class _Mutation:
 class EscapeAnalysis:
     """Classifies every module-level object across the program."""
 
-    def __init__(self, graph: ProgramGraph) -> None:
-        self.graph = graph
+    def __init__(self, modules: Sequence[ModuleSource]) -> None:
+        self.modules: Dict[str, ModuleSource] = {
+            module.modname: module for module in modules}
+        #: module -> {local alias -> imported module name}.
+        self.module_aliases: Dict[str, Dict[str, str]] = {}
+        #: module -> {local name -> (source module, source name)} for
+        #: ``from m import x [as y]`` bindings resolved to analysed
+        #: modules.
+        self.imported_names: Dict[str, Dict[str, Key]] = {}
+        for modname in self.modules:
+            self._index_imports(modname)
         #: (defining module, name) -> info, for every binding
         self.bindings: Dict[Key, ModuleStateInfo] = {}
         #: alias binding -> the binding it names (or names a part of)
@@ -180,8 +245,10 @@ class EscapeAnalysis:
     def run(self) -> List[ModuleStateInfo]:
         """One :class:`ModuleStateInfo` per object (aliases folded into
         the binding they name), sorted by qualname."""
-        for modname in sorted(self.graph.modules):
+        for modname in sorted(self.modules):
             self._collect_bindings(modname)
+        for modname in sorted(self.modules):
+            self._collect_global_bindings(modname)
         self._resolve_aliases()
         self._collect_aliases()
         mutations = self._collect_mutations()
@@ -192,9 +259,40 @@ class EscapeAnalysis:
         return [info for _, info in objects]
 
     # ------------------------------------------------------------------
+    # The import index: an imported dotted name resolves to an analysed
+    # module by exact match, else by a unique suffix match, so trees
+    # outside the ``repro`` package still form import edges.
+
+    def _resolve_module(self, dotted: str) -> Optional[str]:
+        if dotted in self.modules:
+            return dotted
+        tail = dotted.rsplit(".", 1)[-1]
+        candidates = [name for name in self.modules
+                      if name == tail or name.endswith("." + tail)]
+        return candidates[0] if len(candidates) == 1 else None
+
+    def _index_imports(self, modname: str) -> None:
+        aliases = self.module_aliases.setdefault(modname, {})
+        names = self.imported_names.setdefault(modname, {})
+        for node in ast.walk(self.modules[modname].tree):
+            if isinstance(node, ast.Import):
+                for item in node.names:
+                    target = self._resolve_module(item.name)
+                    if target is not None:
+                        aliases[item.asname or item.name.split(".")[0]] = \
+                            target
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                target = self._resolve_module(node.module)
+                if target is None:
+                    continue
+                for item in node.names:
+                    if item.name != "*":
+                        names[item.asname or item.name] = (target, item.name)
+
+    # ------------------------------------------------------------------
 
     def _collect_bindings(self, modname: str) -> None:
-        module = self.graph.modules[modname]
+        module = self.modules[modname]
         if not isinstance(module.tree, ast.Module):
             return
         for node in module.tree.body:
@@ -218,11 +316,22 @@ class EscapeAnalysis:
                     kind=kind, mutable=mutable, cell_safe=True,
                     value=value)
 
+    def _collect_global_bindings(self, modname: str) -> None:
+        """A ``global X`` a function stores to makes ``X`` a module
+        object even when no top-level statement binds it; the first
+        such statement stands in for the binding."""
+        for node, name, _scope in _global_stores(self.modules[modname].tree):
+            self.bindings.setdefault((modname, name), ModuleStateInfo(
+                modname=modname, name=name,
+                lineno=node.lineno, col=node.col_offset + 1,
+                kind="global without a top-level binding", mutable=False,
+                cell_safe=True))
+
     def _lookup(self, modname: str, name: str) -> Optional[Key]:
         """The binding ``name`` refers to in ``modname``'s namespace."""
         if (modname, name) in self.bindings:
             return (modname, name)
-        src = self.graph.imported_names.get(modname, {}).get(name)
+        src = self.imported_names.get(modname, {}).get(name)
         return src if src is not None and src in self.bindings else None
 
     def _base(self, modname: str,
@@ -235,7 +344,7 @@ class EscapeAnalysis:
             return None if key is None else (key, True)
         if isinstance(expr, ast.Attribute):
             value = expr.value
-            aliases = self.graph.module_aliases.get(modname, {})
+            aliases = self.module_aliases.get(modname, {})
             if isinstance(value, ast.Name) and value.id in aliases:
                 target = (aliases[value.id], expr.attr)
                 return (target, True) if target in self.bindings else None
@@ -284,7 +393,7 @@ class EscapeAnalysis:
             if importer != info.modname and importer not in info.aliases:
                 info.aliases.append(importer)
 
-        for importer, names in sorted(self.graph.imported_names.items()):
+        for importer, names in sorted(self.imported_names.items()):
             for _local, src in sorted(names.items()):
                 if src in self.bindings:
                     note(src, importer)
@@ -298,8 +407,8 @@ class EscapeAnalysis:
     def _collect_mutations(self) -> Dict[Key, List[_Mutation]]:
         out: Dict[Key, List[_Mutation]] = {}
 
-        for modname in sorted(self.graph.modules):
-            module = self.graph.modules[modname]
+        for modname in sorted(self.modules):
+            module = self.modules[modname]
 
             def record(expr: ast.AST, what: str, scope: str,
                        modname: str = modname) -> None:
@@ -308,32 +417,19 @@ class EscapeAnalysis:
                     out.setdefault(self._object(found[0]), []).append(
                         _Mutation(modname, scope, what))
 
-            for fn_node, qualname in self._functions(module.tree):
+            for node, name, scope in _global_stores(module.tree):
+                out.setdefault(self._object((modname, name)), []).append(
+                    _Mutation(modname, scope, f"global rebind of {name}",
+                              node))
+            for fn_node, qualname in _functions(module.tree):
                 for node, scope in _walk_scoped(fn_node, qualname):
                     self._scan_node(node, scope, record)
-        return out
-
-    def _functions(self, tree: ast.AST) -> List[Tuple[ast.AST, str]]:
-        """Top-level functions and methods with their qualnames."""
-        out: List[Tuple[ast.AST, str]] = []
-        if not isinstance(tree, ast.Module):
-            return out
-        for node in tree.body:
-            if isinstance(node, _FUNCTION_NODES):
-                out.append((node, node.name))
-            elif isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, _FUNCTION_NODES):
-                        out.append((item, f"{node.name}.{item.name}"))
         return out
 
     @staticmethod
     def _scan_node(node: ast.AST, scope: str,
                    record: Callable[[ast.AST, str, str], None]) -> None:
-        if isinstance(node, ast.Global):
-            for name in node.names:
-                record(ast.Name(id=name), f"global rebind of {name}", scope)
-        elif isinstance(node, ast.Call) and \
+        if isinstance(node, ast.Call) and \
                 isinstance(node.func, ast.Attribute) and \
                 node.func.attr in _MUTATORS:
             record(node.func.value, f"mutator .{node.func.attr}() call",
@@ -366,13 +462,66 @@ class EscapeAnalysis:
                 f"binds a cell-state field at import time ({captured}); "
                 f"isolate() installs a new one, this name keeps the "
                 f"first cell's")
-        rebinds = [mut for mut in evidence
-                   if mut.what.startswith("global rebind")]
-        if info.mutable or captured is not None:
-            rebinds = list(evidence)
-        if rebinds:
+        info.rebinds = [mut for mut in evidence if mut.node is not None]
+        counted = evidence if info.mutable or captured is not None \
+            else info.rebinds
+        if counted:
             info.cell_safe = False
-            info.reasons.extend(dict.fromkeys(mut.text() for mut in rebinds))
+            info.reasons.extend(dict.fromkeys(mut.text() for mut in counted))
         if info.cell_safe:
             info.reasons.append("mutable, but only written at import time"
                                 if info.mutable else "immutable value")
+
+
+class SharedMutableStateRule(ProgramRule):
+    rule_id = "SNIC010"
+    title = "module-level state a cell writes outside the cell state"
+    rationale = ("§4.6: each network function's state is created at "
+                 "launch and scrubbed at teardown; a cell (one "
+                 "simulated NIC run) starts from fresh state because "
+                 "isolate() replaces the CellState, and a module-level "
+                 "object a cell writes or rebinds outlives it, so a cell "
+                 "run after another (in process or in a --shards "
+                 "worker) no longer gives the records it gives alone")
+    hint = ("keep the state on an object the cell builds, or make it a "
+            "CellState field (repro.obs.cell) and read it as "
+            "CELL.<field> at the call site, never through a module "
+            "alias; suppress with # snic: ignore[SNIC010] only for "
+            "state no report can see (a deterministic per-process "
+            "cache)")
+
+    def check_program(
+            self, modules: Sequence[ModuleSource]) -> Iterator[Finding]:
+        paths = {module.modname: str(module.path) for module in modules}
+        for info in EscapeAnalysis(modules).run():
+            if info.cell_safe:
+                continue
+            evidence = "; ".join(info.reasons[:3])
+            more = len(info.reasons) - 3
+            if more > 0:
+                evidence += f"; +{more} more"
+            alias_note = ""
+            if info.aliases:
+                alias_note = (" (aliased by "
+                              + ", ".join(info.aliases) + ")")
+            yield Finding(
+                rule=self.rule_id,
+                message=(
+                    f"module-level {info.kind} {info.name!r} outlives "
+                    f"the cell: {evidence}{alias_note}"),
+                path=paths[info.modname], line=info.lineno, col=info.col,
+                hint=self.hint, key=info.qualname)
+            for site in info.rebinds:
+                node = site.node
+                if node is None:
+                    continue
+                line, col = node.lineno, node.col_offset + 1
+                if (site.modname, line, col) == \
+                        (info.modname, info.lineno, info.col):
+                    continue  # the statement stands in for the binding
+                yield Finding(
+                    rule=self.rule_id,
+                    message=(f"{site.scope}() rebinds module global "
+                             f"{info.qualname!r}, which outlives the cell"),
+                    path=paths[site.modname], line=line, col=col,
+                    hint=self.hint, key=site.text())

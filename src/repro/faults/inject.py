@@ -1,8 +1,8 @@
 """Fault interposition: armed plan events become live hardware faults.
 
-:class:`FaultInjector` wraps the hardware and core models exactly the
-way IsoSan does (method wrap-and-pin with restore bookkeeping, see
-``analysis/isosan.py``) and consults its armed-event table on every
+:class:`FaultInjector` wraps the hardware and core models with IsoSan's
+own :class:`~repro.analysis.isosan.Interposer` (method wrap-and-pin
+with restore bookkeeping) and consults its armed-event table on every
 interposed operation.  A hit turns into the fault's mechanical effect —
 a raised :class:`~repro.core.errors.FaultInjected`, a swallowed packet,
 a wedged accelerator thread, a burst of babble bytes on the bus — plus
@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.analysis.isosan import Interposer
 from repro.core.errors import FatalFunctionError, FaultInjected
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.obs.cell import CELL
@@ -29,22 +30,6 @@ from repro.obs.tracer import get_tracer
 
 
 _Method = Callable[..., Any]
-
-
-class _Interposer:
-    """Bookkeeping for one wrapped method (original kept for restore)."""
-
-    __slots__ = ("cls", "name", "original")
-
-    def __init__(self, cls: type, name: str,
-                 wrapper_factory: Callable[[_Method], _Method]) -> None:
-        self.cls = cls
-        self.name = name
-        self.original = getattr(cls, name)
-        setattr(cls, name, wrapper_factory(self.original))
-
-    def restore(self) -> None:
-        setattr(self.cls, self.name, self.original)
 
 
 @dataclass
@@ -78,7 +63,7 @@ class FaultInjector:
 
     def __init__(self, plan: Optional[FaultPlan] = None) -> None:
         self.plan = plan if plan is not None else FaultPlan(seed=0)
-        self._interposers: List[_Interposer] = []
+        self._interposer = Interposer()
         #: Operation faults waiting for their trigger, keyed by
         #: (kind, tenant); tenant ``None`` is a wildcard.
         self._armed: Dict[Tuple[FaultKind, Optional[int]],
@@ -227,7 +212,7 @@ class FaultInjector:
 
     @property
     def installed(self) -> bool:
-        return bool(self._interposers)
+        return bool(self._interposer)
 
     def install(self) -> "FaultInjector":
         if self.installed:
@@ -247,9 +232,7 @@ class FaultInjector:
 
         inj = self
 
-        def wrap(cls: type, name: str,
-                 factory: Callable[[_Method], _Method]) -> None:
-            self._interposers.append(_Interposer(cls, name, factory))
+        wrap = self._interposer.wrap
 
         # -- DMA: declared-failed and partial transfers ----------------
         def dma_factory(orig: _Method) -> _Method:
@@ -441,8 +424,7 @@ class FaultInjector:
             orig(port, entry[1])
 
     def uninstall(self) -> None:
-        while self._interposers:
-            self._interposers.pop().restore()
+        self._interposer.restore()
         self._armed.clear()
         self._hung.clear()
         self._ecc_extra.clear()

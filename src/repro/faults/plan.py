@@ -80,7 +80,8 @@ class FaultPlan:
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         #: The plan's private RNG — the only randomness source any
-        #: faults code may touch (rule SNIC006 enforces this).
+        #: faults code may touch (rule SNIC002 flags unseeded and
+        #: process-global RNGs anywhere).
         self.rng = Random(self.seed)
         self._events: List[FaultEvent] = []
 

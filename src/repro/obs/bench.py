@@ -349,7 +349,7 @@ def run_scenario(path: Path, quick: bool = False,
     record = BenchRecord(name=scenario_name(path))
     buffer = io.StringIO()
     with cell_scope(record):
-        started = time.perf_counter()  # snic: ignore[SNIC007] -- the bench harness *measures* host wall-time; BENCH artifacts are timestamped, not byte-compared
+        started = time.perf_counter()  # snic: ignore[SNIC002] -- the bench harness *measures* host wall-time; BENCH artifacts are timestamped, not byte-compared
         try:
             with contextlib.redirect_stdout(buffer) if capture \
                     else contextlib.nullcontext():
@@ -368,7 +368,7 @@ def run_scenario(path: Path, quick: bool = False,
             record.error = traceback.format_exc(limit=8) + (
                 "\n[stdout tail]\n" + "\n".join(tail) if tail else "")
         finally:
-            record.wall_s = time.perf_counter() - started  # snic: ignore[SNIC007] -- wall_s is the bench regression signal; matrix cells leave it 0.0 instead
+            record.wall_s = time.perf_counter() - started  # snic: ignore[SNIC002] -- wall_s is the bench regression signal; matrix cells leave it 0.0 instead
     return record
 
 
@@ -423,6 +423,7 @@ def run_benchmarks(
         paths = [p for p in paths
                  if any(pat in scenario_name(p) for pat in only)]
     records: List[BenchRecord] = []
+    # snic: ignore[SNIC002] -- total_wall_s measures the whole bench run
     started = time.perf_counter()
     if workers is None:
         for path in paths:
@@ -440,6 +441,7 @@ def run_benchmarks(
     return {
         "schema": SCHEMA,
         "schema_version": SCHEMA_VERSION,
+        # snic: ignore[SNIC002] -- a BENCH artifact records when it ran
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "repro_version": getattr(repro, "__version__", "unknown"),
         "python": platform.python_version(),
@@ -448,6 +450,7 @@ def run_benchmarks(
         "n_benchmarks": len(records),
         "n_ok": sum(1 for r in records if r.status == "ok"),
         "n_error": sum(1 for r in records if r.status == "error"),
+        # snic: ignore[SNIC002] -- the bench run's own host wall-time
         "total_wall_s": time.perf_counter() - started,
         "benchmarks": {r.name: r.as_dict() for r in records},
     }
@@ -456,6 +459,7 @@ def run_benchmarks(
 def artifact_path(out_dir: Optional[Path] = None,
                   timestamp: Optional[str] = None) -> Path:
     out_dir = Path(out_dir) if out_dir else default_bench_dir().parent
+    # snic: ignore[SNIC002] -- BENCH file names are timestamped by design
     stamp = timestamp or time.strftime("%Y%m%d_%H%M%S")
     return out_dir / f"BENCH_{stamp}.json"
 

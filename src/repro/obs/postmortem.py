@@ -24,8 +24,8 @@ holding everything an investigator needs to reconstruct the incident:
 
 Bundles are pure functions of the seed: no wall-clock reads, sorted
 keys, sorted rows — two same-seed chaos runs produce byte-identical
-files and CI ``cmp``s them (lint rule SNIC008 additionally forbids wall
-clocks anywhere in flight/postmortem scope).  The audit log is the one
+files and CI ``cmp``s them (lint rule SNIC002 additionally forbids wall
+clocks, here as in every module).  The audit log is the one
 sink bundles read security records from; the flight section keeps its
 fixed ``capacity`` and null ``window_ns`` so existing bundles stay
 byte-identical.

@@ -22,6 +22,7 @@ concrete addresses for the trace-driven cross-validation tests.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -132,7 +133,9 @@ class AccessModel:
             if region.pattern == "zipf":
                 ranks = np.arange(1, n + 1, dtype=np.float64)
                 w = ranks ** (-region.skew)
-                rng = np.random.default_rng(hash((self.name, index)) & 0xFFFF)
+                # crc32, not hash(): str hashes are salted per process.
+                rng = np.random.default_rng(
+                    zlib.crc32(f"{self.name}/{index}".encode()))
                 rng.shuffle(w)
             else:
                 w = np.full(n, 1.0)

@@ -12,8 +12,8 @@ from JSON-shaped dicts, or generated axis-by-axis by the matrix runner
 Determinism is part of the schema, not a convention: a
 :class:`ScenarioSpec` *requires* an explicit ``seed`` and every derived
 random stream flows from it (``derive_seed`` gives stable per-purpose
-sub-seeds).  Lint rule SNIC007 enforces the explicit-seed contract
-statically.
+sub-seeds).  The ``seed`` field has no default, so a spec built
+without one raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -377,9 +377,9 @@ class FaultSpec:
 class ScenarioSpec:
     """One complete, replayable experiment description.
 
-    ``seed`` is mandatory by design (SNIC007 enforces it statically):
-    the matrix runner's same-seed ⇒ byte-identical contract starts
-    here.
+    ``seed`` is mandatory by design (it has no default, so leaving it
+    out raises ``TypeError``): the matrix runner's same-seed ⇒
+    byte-identical contract starts here.
     """
 
     name: str

@@ -12,7 +12,7 @@ memory = None
 sim = None
 tracer = None
 registry = None
-ScenarioSpec = None
+np = None
 AttestationError = None
 
 PACKETS_SEEN = 0
@@ -42,7 +42,7 @@ def schedule_from_set(flows):
 
 
 def on_packet():
-    # SNIC003: kernel-scheduled callback mutating a module global.
+    # SNIC010: kernel-scheduled callback rebinding a module global.
     global PACKETS_SEEN
     PACKETS_SEEN += 1
 
@@ -84,19 +84,19 @@ TICKS_SEEN = 0
 
 
 def on_tick():
-    # SNIC003: observer tick mutating a module global.
+    # SNIC010: observer tick rebinding a module global.
     global TICKS_SEEN
     TICKS_SEEN += 1
 
 
 def arm_sampler(window_ns):
     # SNIC005: every() takes a sim-time interval like schedule()'s
-    # delay, and a callback (on_tick, SNIC003 above).
+    # delay, and a callback (on_tick, SNIC010 above).
     sim.every(window_ns / 4, on_tick)
 
 
 def chaos_fault_jitter(plan):
-    # SNIC006: fault/chaos code must draw from the plan's seeded RNG —
+    # SNIC002: fault/chaos code must draw from the plan's seeded RNG —
     # an unseeded Random() and the process-global random module both
     # make the fault schedule unreplayable.
     rng = random.Random()
@@ -104,15 +104,15 @@ def chaos_fault_jitter(plan):
     return rng.random() + plan.jitter_ns
 
 
-def implicit_seed_spec():
-    # SNIC007: ScenarioSpec without an explicit seed= keyword — the
-    # determinism source must be visible at the call site.
-    return ScenarioSpec(name="fixture-demo")
+def reset_count():
+    # SNIC010: rebinds a module global that has no top-level binding.
+    global COUNT
+    COUNT = 0
 
 
 def scenario_report_stamp(report):
-    # SNIC007: wall-clock read in scenario-scoped code — one host
-    # timestamp and same-seed matrix reports stop being byte-identical.
+    # SNIC002: wall-clock read in scenario code — one host timestamp
+    # and same-seed matrix reports stop being byte-identical.
     report["created"] = time.strftime("%Y-%m-%dT%H:%M:%SZ")
     return report
 
@@ -141,6 +141,18 @@ def reject_stale_quote(nonce, outstanding):
 
 
 def flight_snapshot_stamp(entries):
-    # SNIC008: wall-clock read in forensics-scoped code — post-mortem
-    # bundles must be byte-identical across same-seed runs.
+    # SNIC002: wall-clock read in forensics code — post-mortem bundles
+    # must be byte-identical across same-seed runs.
     return {"captured": time.time(), "n": len(entries)}
+
+
+def release_tenant_pages(owner):
+    # SNIC008: a trusted scrub primitive that never emits an audit
+    # record (its page-ownership call is the mediation layer's own).
+    # snic: ignore[SNIC001] -- stands in for repro.hw.memory's scrub loop
+    return memory.release_pages(owner, scrub=True)
+
+
+def unseeded_numpy_stream(n):
+    # SNIC002: a numpy generator constructed without a seed.
+    return np.random.default_rng().random(n)

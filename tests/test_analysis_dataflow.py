@@ -1,5 +1,5 @@
-"""Whole-program analysis: the import graph and the escape analysis
-behind rule SNIC010.
+"""Whole-program analysis: the import index and the escape analysis
+behind rule SNIC010 (``repro.analysis.rules.shared_state``).
 
 The fixture tree is ``tests/fixtures/dataflow/state.py`` (known
 cell-unsafe state) plus a second module, written per test run, that
@@ -16,9 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.dataflow.escape import EscapeAnalysis
-from repro.analysis.dataflow.graph import ProgramGraph
 from repro.analysis.lint import load_modules, run_lint
+from repro.analysis.rules.shared_state import EscapeAnalysis
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "dataflow"
 
@@ -40,21 +39,40 @@ def fixture_tree(tmp_path_factory) -> Path:
     return root
 
 
-@pytest.fixture(scope="module")
-def fixture_graph(fixture_tree) -> ProgramGraph:
-    return ProgramGraph.build(load_modules([fixture_tree]))
+def analyse(root: Path) -> EscapeAnalysis:
+    return EscapeAnalysis(load_modules([root]))
 
 
 # ----------------------------------------------------------------------
-# Program graph
+# Import index
 # ----------------------------------------------------------------------
 
 class TestProgramGraph:
-    def test_from_import_binds_names_across_modules(self, fixture_graph):
-        assert fixture_graph.imported_names["flows"]["FLOW_TABLE"] == \
+    def test_from_import_binds_names_across_modules(self, fixture_tree):
+        analysis = analyse(fixture_tree)
+        assert analysis.imported_names["flows"]["FLOW_TABLE"] == \
             ("state", "FLOW_TABLE")
-        assert fixture_graph.module_aliases["flows"] == {"st": "state"}
-        assert fixture_graph.imported_names["state"] == {}
+        assert analysis.module_aliases["flows"] == {"st": "state"}
+        assert analysis.imported_names["state"] == {}
+
+    def test_colliding_stems_keep_both_modules(self, tmp_path):
+        # a/mod.py and b/mod.py share a stem; linting both directories
+        # reports each module's state, as linting either alone does.
+        for sub, body in (("a", "T = {}\ndef put(k):\n    T[k] = 1\n"),
+                          ("b", "L = []\ndef add(x):\n    L.append(x)\n")):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "mod.py").write_text(body)
+        findings, code = run_lint([tmp_path / "a", tmp_path / "b"],
+                                  rules=["SNIC010"])
+        assert code == 1
+        assert sorted((Path(f.path).parent.name, f.key)
+                      for f in findings) == [("a", "a.mod.T"),
+                                             ("b", "b.mod.L")]
+
+    def test_a_file_named_twice_is_linted_once(self, fixture_tree):
+        once, _ = run_lint([fixture_tree])
+        twice, _ = run_lint([fixture_tree, fixture_tree / "state.py"])
+        assert [f.as_dict() for f in twice] == [f.as_dict() for f in once]
 
 
 # ----------------------------------------------------------------------
@@ -63,8 +81,8 @@ class TestProgramGraph:
 
 class TestEscape:
     @pytest.fixture(scope="class")
-    def infos(self, fixture_graph):
-        return {i.qualname: i for i in EscapeAnalysis(fixture_graph).run()}
+    def infos(self, fixture_tree):
+        return {i.qualname: i for i in analyse(fixture_tree).run()}
 
     def test_cross_module_subscript_store_is_unsafe(self, infos):
         info = infos["state.FLOW_TABLE"]
@@ -104,16 +122,14 @@ class TestEscape:
             "            CACHE[1] = 1\n"
             "            CACHE[2] = 2\n"
             "        inner()\n")
-        graph = ProgramGraph.build(load_modules([tmp_path]))
-        (info,) = EscapeAnalysis(graph).run()
+        (info,) = analyse(tmp_path).run()
         assert info.reasons == [
             "nest:Box.fill.<locals>.inner subscript store"]
 
     def test_singleton_factory_handle_is_unsafe(self, tmp_path):
         (tmp_path / "single.py").write_text(
             "_TRACER = get_tracer()\n")
-        graph = ProgramGraph.build(load_modules([tmp_path]))
-        (info,) = EscapeAnalysis(graph).run()
+        (info,) = analyse(tmp_path).run()
         assert not info.cell_safe
         assert "cell-state field at import time (get_tracer())" in \
             info.reasons[0]
@@ -133,8 +149,7 @@ class TestEscape:
             "\n"
             "def hot():\n"
             "    CELL.audit.emit('y')\n")
-        graph = ProgramGraph.build(load_modules([tmp_path]))
-        infos = {i.qualname: i for i in EscapeAnalysis(graph).run()}
+        infos = {i.qualname: i for i in analyse(tmp_path).run()}
         assert set(infos) == {"cell.CELL", "hw._TRACER"}
         assert infos["cell.CELL"].cell_safe
         assert infos["cell.CELL"].aliases == ["hw"]
@@ -149,8 +164,7 @@ class TestEscape:
             "\n"
             "def put(k):\n"
             "    MINE[k] = 1\n")
-        graph = ProgramGraph.build(load_modules([tmp_path]))
-        (info,) = EscapeAnalysis(graph).run()
+        (info,) = analyse(tmp_path).run()
         assert info.qualname == "owner.TABLE"
         assert not info.cell_safe
         assert info.aliases == ["user"]
@@ -163,10 +177,27 @@ class TestEscape:
             "def bump():\n"
             "    global SEEN\n"
             "    SEEN += 1\n")
-        graph = ProgramGraph.build(load_modules([tmp_path]))
-        (info,) = EscapeAnalysis(graph).run()
+        (info,) = analyse(tmp_path).run()
         assert not info.cell_safe
         assert info.reasons == ["count:bump global rebind of SEEN"]
+
+    def test_global_without_a_binding_is_an_object(self, tmp_path):
+        (tmp_path / "count.py").write_text(
+            "def reset():\n"
+            "    global COUNT\n"
+            "    COUNT = 0\n"
+            "\n"
+            "def bump():\n"
+            "    global COUNT\n"
+            "    COUNT += 1\n")
+        (info,) = analyse(tmp_path).run()
+        assert (info.qualname, info.lineno) == ("count.COUNT", 2)
+        assert not info.cell_safe
+        assert info.reasons == ["count:reset global rebind of COUNT",
+                                "count:bump global rebind of COUNT"]
+        findings, _code = run_lint([tmp_path])
+        assert [(f.line, f.key) for f in findings] == [
+            (2, "count.COUNT"), (6, "count:bump global rebind of COUNT")]
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.analysis.lint import (
     LintEngine,
     ModuleSource,
     call_name,
+    default_program_rules,
     default_rules,
     format_findings_json,
     format_github,
@@ -27,19 +28,21 @@ from repro.analysis.lint import (
 
 FIXTURE = Path(__file__).parent / "fixtures" / "lint_violations.py"
 
-ALL_RULES = {"SNIC001", "SNIC002", "SNIC003", "SNIC004", "SNIC005",
-             "SNIC006", "SNIC007", "SNIC008", "SNIC010"}
+ALL_RULES = {"SNIC001", "SNIC002", "SNIC004", "SNIC005", "SNIC008",
+             "SNIC010"}
 
 
 def lint_source(text: str, modname: str = "scratch") -> list:
-    """Run every rule over an in-memory module (no suppressions applied
-    unless present in the text)."""
+    """Run every rule, per-module and whole-program, over an in-memory
+    module (no suppressions applied unless present in the text)."""
     module = ModuleSource(path=Path(f"{modname}.py"), modname=modname,
                          text=text, tree=ast.parse(text),
                          lines=text.splitlines())
     findings = []
-    for rule in default_rules():
-        for finding in rule.check(module):
+    checks = [rule.check(module) for rule in default_rules()] + [
+        rule.check_program([module]) for rule in default_program_rules()]
+    for check in checks:
+        for finding in check:
             silenced = module.suppressed_rules_at(finding.line)
             if silenced is not None and (
                     not silenced or finding.rule in silenced):
@@ -127,6 +130,10 @@ class TestRuleBehaviour:
         findings = [f for f in lint_source(text) if f.rule == "SNIC002"]
         assert len(findings) == 1  # the sorted() loop is the fix
 
+    # The hazards of the deleted SNIC003 (callback globals), SNIC006
+    # (fault RNGs) and SNIC007 (scenario clocks) keep their cases under
+    # the old ids; each now asserts the one rule that catches it.
+
     def test_snic003_callback_global_write(self):
         text = textwrap.dedent("""
             COUNT = 0
@@ -136,16 +143,44 @@ class TestRuleBehaviour:
             def arm(sim):
                 sim.schedule(5, cb)
         """)
-        assert [f for f in lint_source(text) if f.rule == "SNIC003"]
+        findings = lint_source(text)
+        assert {(f.rule, f.line) for f in findings} == {
+            ("SNIC010", 2), ("SNIC010", 4)}
 
-    def test_snic003_unscheduled_global_write_not_flagged(self):
+    def test_snic010_every_global_rebind_is_flagged(self):
+        # Scheduled or not: a rebound global outlives the cell.
         text = textwrap.dedent("""
             COUNT = 0
             def not_a_callback():
                 global COUNT
                 COUNT += 1
         """)
-        assert not [f for f in lint_source(text) if f.rule == "SNIC003"]
+        findings = [f for f in lint_source(text) if f.rule == "SNIC010"]
+        assert [f.line for f in findings] == [2, 4]
+        assert "not_a_callback() rebinds" in findings[1].message
+
+    def test_snic010_global_without_a_binding(self):
+        text = textwrap.dedent("""
+            def reset():
+                global COUNT
+                COUNT = 1
+            def bump():
+                global COUNT
+                COUNT += 1
+        """)
+        findings = [f for f in lint_source(text) if f.rule == "SNIC010"]
+        assert [f.line for f in findings] == [3, 6]
+        assert "global without a top-level binding 'COUNT'" in \
+            findings[0].message
+
+    def test_snic010_global_only_read_is_clean(self):
+        text = textwrap.dedent("""
+            LIMIT = 4
+            def peek():
+                global LIMIT
+                return LIMIT
+        """)
+        assert not lint_source(text)
 
     def test_snic004_explicit_tenant_none_is_sanctioned(self):
         dirty = "def f(tracer):\n    tracer.instant('x')\n"
@@ -214,75 +249,74 @@ class TestRuleBehaviour:
                     sim.every(10, flow.poll)
         """)
         fired = {f.rule for f in lint_source(text)}
-        assert {"SNIC002", "SNIC003", "SNIC005"} <= fired
+        assert {"SNIC002", "SNIC005", "SNIC010"} <= fired
         clean = "def f(sim, ns, tick):\n    sim.every(ns // 2, tick)\n"
         assert not lint_source(clean)
 
     def test_snic006_unseeded_random_in_fault_module(self):
         dirty = "import random\nrng = random.Random()\n"
         findings = lint_source(dirty, modname="repro.faults.plan")
-        assert [f for f in findings if f.rule == "SNIC006"]
+        assert [f.rule for f in findings] == ["SNIC002"]
+        assert "without a seed" in findings[0].message
         seeded = "import random\nrng = random.Random(7)\n"
-        findings = lint_source(seeded, modname="repro.faults.plan")
-        assert not [f for f in findings if f.rule == "SNIC006"]
+        assert not lint_source(seeded, modname="repro.faults.plan")
 
     def test_snic006_module_level_random_in_chaos_function(self):
         text = ("import random\n"
                 "def chaos_delay():\n"
                 "    return random.seed(1)\n")
-        findings = [f for f in lint_source(text) if f.rule == "SNIC006"]
+        findings = [f for f in lint_source(text) if f.rule == "SNIC002"]
         assert findings and "process-global" in findings[0].message
 
-    def test_snic006_out_of_scope_code_is_exempt(self):
+    def test_snic002_unseeded_random_flagged_in_any_scope(self):
+        # No name scope: an unseeded generator is a finding anywhere.
         text = ("import random\n"
+                "import numpy as np\n"
                 "def default_delay():\n"
-                "    return random.Random()\n")
-        assert not [f for f in lint_source(text) if f.rule == "SNIC006"]
+                "    return random.Random(), np.random.default_rng()\n")
+        findings = lint_source(text)
+        assert [(f.rule, f.col) for f in findings] == [
+            ("SNIC002", 12), ("SNIC002", 29)]
 
     def test_snic006_plan_rng_draws_are_fine(self):
         text = ("def fault_jitter(plan):\n"
                 "    return plan.rng.randint(0, 10)\n")
-        assert not [f for f in lint_source(text) if f.rule == "SNIC006"]
-
-    def test_snic007_spec_without_seed_fires_anywhere(self):
-        # Call-site explicitness is not scope-limited.
-        text = ("from repro.scenario.spec import ScenarioSpec\n"
-                "def make():\n"
-                "    return ScenarioSpec(name='demo')\n")
-        findings = [f for f in lint_source(text) if f.rule == "SNIC007"]
-        assert findings and "seed" in findings[0].message
+        assert not lint_source(text)
 
     def test_snic007_explicit_seed_is_clean(self):
         text = ("from repro.scenario.spec import ScenarioSpec\n"
                 "def make():\n"
                 "    return ScenarioSpec(name='demo', seed=7)\n")
-        assert not [f for f in lint_source(text) if f.rule == "SNIC007"]
+        assert not lint_source(text)
 
     def test_snic007_kwargs_spread_assumed_seeded(self):
+        # A spec built from a dict is checked by the constructor, which
+        # raises TypeError when the seed is missing.
         text = ("from repro.scenario.spec import ScenarioSpec\n"
                 "def make(fields):\n"
                 "    return ScenarioSpec(**fields)\n")
-        assert not [f for f in lint_source(text) if f.rule == "SNIC007"]
+        assert not lint_source(text)
 
     def test_snic007_wall_clock_in_scenario_module(self):
         text = ("import time\n"
                 "def stamp(report):\n"
                 "    report['at'] = time.strftime('%H:%M')\n")
         findings = lint_source(text, modname="repro.scenario.matrix")
-        assert [f for f in findings if f.rule == "SNIC007"]
+        assert [f.rule for f in findings] == ["SNIC002"]
 
     def test_snic007_wall_clock_in_scenario_function(self):
         text = ("import time\n"
                 "def run_scenario():\n"
                 "    return time.perf_counter()\n")
-        findings = [f for f in lint_source(text) if f.rule == "SNIC007"]
+        findings = [f for f in lint_source(text) if f.rule == "SNIC002"]
         assert findings and "wall-clock" in findings[0].message
 
-    def test_snic007_wall_clock_out_of_scope_is_exempt(self):
+    def test_snic002_wall_clock_flagged_in_any_scope(self):
         text = ("import time\n"
                 "def default_stamp():\n"
-                "    return time.time()\n")
-        assert not [f for f in lint_source(text) if f.rule == "SNIC007"]
+                "    return time.time(), time.monotonic_ns()\n")
+        findings = lint_source(text)
+        assert [f.rule for f in findings] == ["SNIC002", "SNIC002"]
 
     def test_snic008_scrub_without_emit(self):
         text = ("def teardown(memory, owner):\n"
@@ -336,24 +370,26 @@ class TestRuleBehaviour:
         assert not [f for f in lint_source(text) if f.rule == "SNIC008"]
 
     def test_snic008_wall_clock_in_forensics_module(self):
+        # One rule per hazard: SNIC002 owns the clock, SNIC008 the
+        # witness trail.
         text = ("import time\n"
                 "def stamp(bundle):\n"
                 "    bundle['at'] = time.time()\n")
         findings = lint_source(text, modname="repro.obs.postmortem")
-        assert [f for f in findings if f.rule == "SNIC008"]
+        assert [f.rule for f in findings] == ["SNIC002"]
 
     def test_snic008_wall_clock_in_flight_function(self):
         text = ("import time\n"
                 "def flight_snapshot():\n"
                 "    return time.perf_counter()\n")
-        findings = [f for f in lint_source(text) if f.rule == "SNIC008"]
-        assert findings and "byte-identical" in findings[0].message
+        findings = lint_source(text)
+        assert [f.rule for f in findings] == ["SNIC002"]
 
     def test_snic008_wall_clock_out_of_scope_is_exempt(self):
         text = ("import time\n"
                 "def bench_stamp():\n"
                 "    return time.time()\n")
-        assert not [f for f in lint_source(text) if f.rule == "SNIC008"]
+        assert [f.rule for f in lint_source(text)] == ["SNIC002"]
 
 
 # ----------------------------------------------------------------------

@@ -28,10 +28,10 @@ A verdict that raises counts as a kill.  Digest pins and
 fresh-interpreter comparisons are not columns: an in-process patch
 cannot reach a fresh interpreter, so their failures are not kills.
 
-Two static rows seed a leak as source, from the existing lint
-fixtures, and name the leak each kept static rule alone catches.
-Dropping or weakening any checker shows up here as a row whose killer
-set changes.  EXPERIMENTS.md renders the same table.
+The static rows seed a hazard as source, from the lint fixtures, with
+every lint rule as a column: each hazard has exactly one rule that
+reports it.  Dropping or weakening any checker shows up here as a row
+whose killer set changes.  EXPERIMENTS.md renders the same table.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Callable, Dict, FrozenSet, Optional
 import pytest
 
 from repro.analysis.isosan import sanitized
-from repro.analysis.lint import run_lint
+from repro.analysis.lint import default_program_rules, default_rules, run_lint
 from repro.core.nic_os import NICOS
 from repro.core.noninterference import _build_system, check_noninterference
 from repro.core.snic import NFConfig, SNIC
@@ -333,17 +333,20 @@ def test_runtime_row(row, monkeypatch):
 # Static rows: the leak is source, and the kept rules are the columns
 # ----------------------------------------------------------------------
 
-STATIC_RULES = ("SNIC001", "SNIC010")
+STATIC_RULES = tuple(rule.rule_id for rule in
+                     [*default_rules(), *default_program_rules()])
 
-#: (fixture, top-level names that make up the leak, exact killers).
+LINT_FIXTURE = FIXTURES / "lint_violations.py"
+
+#: (fixture, top-level names that make up the hazard, exact killers).
 STATIC_ROWS = {
     # SNIC001 alone catches a raw PhysicalMemory access outside the
     # mediation layers on a path that no workload drives, or that runs
     # outside an attributed context: IsoSan checks only a core's
     # loads/stores and a DMA bank's transfers, so it lets an
     # unattributed read through (the denylist-skipped row).
-    "raw-memory-access": (FIXTURES / "lint_violations.py",
-                          ("isolation_bypass",), frozenset({"SNIC001"})),
+    "raw-memory-access": (LINT_FIXTURE, ("isolation_bypass",),
+                          frozenset({"SNIC001"})),
     # SNIC010 alone catches a module-level mutable that a cell writes:
     # it carries one cell's writes into the next cell in the same
     # process, which at runtime only a fresh-interpreter comparison
@@ -351,6 +354,40 @@ STATIC_ROWS = {
     "module-state-outlives-cell": (FIXTURES / "dataflow" / "state.py",
                                    ("SEEN", "remember"),
                                    frozenset({"SNIC010"})),
+    # SNIC002 is the one determinism rule, with no name scope.
+    "wall-clock": (LINT_FIXTURE, ("wall_clock_latency",),
+                   frozenset({"SNIC002"})),
+    "unseeded-global-rng": (LINT_FIXTURE,
+                            ("unseeded_jitter", "unseeded_numpy_stream"),
+                            frozenset({"SNIC002"})),
+    "set-order-into-schedule": (LINT_FIXTURE, ("schedule_from_set",),
+                                frozenset({"SNIC002"})),
+    "unseeded-fault-rng": (LINT_FIXTURE, ("chaos_fault_jitter",),
+                           frozenset({"SNIC002"})),
+    "wall-clock-in-scenario-code": (LINT_FIXTURE, ("scenario_report_stamp",),
+                                    frozenset({"SNIC002"})),
+    "wall-clock-in-forensics-code": (LINT_FIXTURE, ("flight_snapshot_stamp",),
+                                     frozenset({"SNIC002"})),
+    # SNIC010 reports every function that rebinds a module global,
+    # scheduled or not, with or without a top-level binding.
+    "callback-global": (LINT_FIXTURE,
+                        ("PACKETS_SEEN", "on_packet", "arm_callback"),
+                        frozenset({"SNIC010"})),
+    "global-without-binding": (LINT_FIXTURE, ("reset_count",),
+                               frozenset({"SNIC010"})),
+    "untagged-telemetry": (LINT_FIXTURE,
+                           ("emit_telemetry",
+                            "emit_half_attributed_interference",
+                            "emit_unattributable_slo"),
+                           frozenset({"SNIC004"})),
+    "float-sim-time": (LINT_FIXTURE, ("float_delay", "arm_sampler"),
+                       frozenset({"SNIC005"})),
+    # The scrub primitive's own page-ownership call carries its SNIC001
+    # tag, as the real one in repro.hw.memory needs none.
+    "unwitnessed-security-primitive": (LINT_FIXTURE,
+                                       ("release_tenant_pages",
+                                        "ShadowTLB", "reject_stale_quote"),
+                                       frozenset({"SNIC008"})),
 }
 
 
@@ -372,4 +409,15 @@ def test_static_row(row):
     lines = _spans(fixture, names)
     findings, _code = run_lint([fixture], rules=list(STATIC_RULES))
     assert lines and frozenset(
-        f.rule for f in findings if f.line in lines) == expected
+        f.rule for f in findings if f.active and f.line in lines) == expected
+
+
+def test_one_killer_per_static_row_and_site():
+    assert all(len(killers) == 1 for _, _, killers in STATIC_ROWS.values())
+    assert set(STATIC_RULES) == {
+        rule for _, _, killers in STATIC_ROWS.values() for rule in killers}
+    findings, _code = run_lint([FIXTURES])
+    rules_at: Dict[tuple, set] = {}
+    for f in findings:
+        rules_at.setdefault((f.path, f.line, f.col), set()).add(f.rule)
+    assert all(len(rules) == 1 for rules in rules_at.values())

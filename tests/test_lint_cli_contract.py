@@ -147,7 +147,7 @@ class TestFormats:
         assert code == 0
         listed = {line.split()[0] for line in out.splitlines()
                   if line.startswith("SNIC")}
-        assert listed == {f"SNIC{n:03d}" for n in (*range(1, 9), 10)}
+        assert listed == {f"SNIC{n:03d}" for n in (1, 2, 4, 5, 8, 10)}
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,11 @@ The crown jewel here is the cross-validation test: Che's approximation
 set-associative simulator (:mod:`repro.hw.cache`) on small configs.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -138,6 +143,21 @@ class TestWorkloads:
         a = model.generate_stream(100, seed=9)
         b = model.generate_stream(100, seed=9)
         assert (a == b).all()
+
+    def test_stream_independent_of_hash_seed(self):
+        # Two fresh interpreters with different str-hash salts.
+        code = ("import hashlib; from repro.perf.workloads import "
+                "NF_ACCESS_MODELS as M; print(hashlib.sha256(M['FW']"
+                ".generate_stream(2000, seed=9).tobytes()).hexdigest())")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", code], check=True,
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src,
+                     "PYTHONHASHSEED": hash_seed}).stdout
+            for hash_seed in ("1", "2")}
+        assert len(digests) == 1
 
     def test_fw_dpi_nat_have_biggest_hot_sets(self):
         def hot_bytes(name):

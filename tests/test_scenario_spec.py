@@ -62,6 +62,11 @@ class TestValidation:
         with pytest.raises(SpecError):
             demo_spec(seed=True)
 
+    def test_constructor_requires_seed(self):
+        # seed has no default: a spec without one cannot be built.
+        with pytest.raises(TypeError, match="seed"):
+            ScenarioSpec(name="x")
+
     def test_duplicate_tenant_names_rejected(self):
         tenants = (
             TenantSpec(name="a", nf=NFSpec(kind="monitor"),
