@@ -53,10 +53,9 @@ Commands:
   the per-rule suppression table and fails on stale
   ``# snic: ignore[...]`` comments)
 * ``sanitize`` — determinism checker: run the co-tenancy demo twice
-  and fail on event-stream digest divergence (``--shards`` also
-  asserts that a quick matrix sweep dealt to 1 and 2 workers equals
-  the sweep run in-process)
-* ``info``    — version + package inventory (default)
+  and fail on event-stream digest divergence
+* ``info``    — version, package inventory and this command table
+  (default)
 
 Each experiment has exactly this one entry point.  ``matrix``, ``slo``,
 ``bench``, ``audit``, ``chaos`` and ``sanitize`` run every cell through
@@ -71,7 +70,7 @@ import sys
 #: command -> one-line description, in display order (``--help`` prints
 #: exactly this table, so adding a command here *is* documenting it).
 _COMMANDS = {
-    "info": "version + package inventory (default)",
+    "info": "version, package inventory and this table (default)",
     "report": "headline paper-vs-reproduced evaluation summary",
     "attacks": "replay the §3.3 commodity attacks (corruption, DPI "
                "theft, bus DoS)",
@@ -94,8 +93,7 @@ _COMMANDS = {
             "(SNIC001/002/004/005/008 and the whole-program SNIC010; "
             "--format text|json|github, --stats)",
     "sanitize": "determinism checker: same seed must give the same "
-                "event-stream digest (--shards adds the worker "
-                "invariance of a quick sweep)",
+                "event-stream digest",
     "help": "this table",
 }
 
@@ -106,26 +104,7 @@ def _info() -> None:
     print(f"repro {repro.__version__} — S-NIC (EuroSys 2024) reproduction")
     print("subpackages:", ", ".join(repro.__all__))
     print()
-    print("commands: python -m repro "
-          "[info|report|attacks|trace|matrix|bench|audit|chaos|slo|"
-          "postmortem|lint|sanitize]")
-    print("tests:    pytest tests/")
-    print("benches:  python -m repro bench [--quick|--profile|--compare A B]")
-    print("matrix:   python -m repro matrix [--quick] [--seed N] "
-          "[--format text|json|csv] [--sanitize] [--shards N]")
-    print("audit:    python -m repro audit [--quick] "
-          "[--format text|json|markdown] [--out PATH]")
-    print("chaos:    python -m repro chaos [--seed N] [--matrix] [--quick] "
-          "[--format text|json|markdown] [--postmortem-dir DIR]")
-    print("slo:      python -m repro slo [--quick] [--tenants N] "
-          "[--shards N] [--violation-demo] [--format text|json|csv] "
-          "[--openmetrics PATH]")
-    print("forensics: python -m repro postmortem BUNDLE "
-          "[--verify] [--diff OTHER] [--tail N]")
-    print("analysis: python -m repro lint [--format github] [--stats]; "
-          "python -m repro sanitize")
-    print()
-    print("run `python -m repro help` for one line per command")
+    _help()
 
 
 def _help() -> int:

@@ -31,8 +31,8 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.tracer import TraceEvent, get_tracer
 
@@ -95,15 +95,6 @@ class RunDigest:
     stream_sha256: str
     span_tree_sha256: str
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "event_count": self.event_count,
-            "span_count": self.span_count,
-            "final_ts_ns": self.final_ts_ns,
-            "stream_sha256": self.stream_sha256,
-            "span_tree_sha256": self.span_tree_sha256,
-        }
-
     def diff(self, other: "RunDigest") -> List[str]:
         """Human-readable field-by-field divergence report."""
         lines: List[str] = []
@@ -142,7 +133,7 @@ class DeterminismReport:
         return {
             "scenario": self.scenario,
             "deterministic": self.deterministic,
-            "digests": [d.as_dict() for d in self.digests],
+            "digests": [asdict(d) for d in self.digests],
             "divergence": self.divergence,
         }
 
@@ -201,44 +192,6 @@ def check_cotenancy_determinism(n_packets: int = 60) -> DeterminismReport:
         return check_determinism(run, scenario="cotenancy-demo")
 
 
-def check_shard_invariance(
-    worker_counts: Sequence[int] = (1, 2),
-    seed: int = 7,
-) -> DeterminismReport:
-    """Assert that dealing cells to workers never reaches a report.
-
-    Runs the quick ``commodityx2t`` matrix sweep in-process, then with
-    ``--shards`` at each worker count, and requires every report to be
-    byte-identical to the in-process one: a worker runs whole cells
-    through the same :func:`~repro.scenario.matrix.run_cell`.
-
-    The digest reuses :class:`RunDigest` with sweep-flavoured fields:
-    the kernel tallies summed over the cells (events/spans/sim-time)
-    and two hashes — the rendered report and its ``summary`` rows.
-    """
-    from repro.obs.bench import format_json
-    from repro.scenario.matrix import run_matrix
-
-    report = DeterminismReport(scenario="shard-invariance:commodityx2t")
-    for workers in (None, *worker_counts):
-        sweep = run_matrix(quick=True, only=["commodityx2t"], seed=seed,
-                           shards=workers)
-        cells = cast(Dict[str, Any], sweep["cells"])
-        records = [entry["record"] for entry in cells.values()]
-        report.digests.append(RunDigest(
-            event_count=sum(r["events_executed"] for r in records),
-            span_count=sum(r["trace_events"] for r in records),
-            final_ts_ns=float(sum(r["sim_time_ns"] for r in records)),
-            stream_sha256=hashlib.sha256(
-                format_json(sweep).encode()).hexdigest(),
-            span_tree_sha256=hashlib.sha256(json.dumps(
-                sweep["summary"], sort_keys=True).encode()).hexdigest(),
-        ))
-        report.summaries.append({"workers": workers or 0,
-                                 "n_error": sweep["n_error"]})
-    return report
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI body for ``python -m repro sanitize``."""
     import argparse
@@ -250,26 +203,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="run the determinism checker over the co-tenancy demo")
     parser.add_argument("--packets", type=positive_int, default=60,
                         help="packets per run (default 60)")
-    parser.add_argument("--shards", action="store_true",
-                        help="also assert worker invariance: the quick "
-                             "commodityx2t matrix sweep dealt to 1 and 2 "
-                             "workers must equal the in-process sweep "
-                             "byte for byte")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
     args = parser.parse_args(argv)
 
-    reports = [check_cotenancy_determinism(n_packets=args.packets)]
-    if args.shards:
-        reports.append(check_shard_invariance())
-    if args.json:
-        rendered = json.dumps([r.as_dict() for r in reports], indent=2) \
-            if len(reports) > 1 \
-            else json.dumps(reports[0].as_dict(), indent=2)
-    else:
-        rendered = "\n".join(r.render() for r in reports)
-    return emit_report(rendered + "\n",
-                       ok=all(r.deterministic for r in reports))
+    report = check_cotenancy_determinism(n_packets=args.packets)
+    rendered = json.dumps(report.as_dict(), indent=2) if args.json \
+        else report.render()
+    return emit_report(rendered + "\n", ok=report.deterministic)
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ import re
 import sys
 import tokenize
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import (
     Dict,
@@ -80,18 +80,6 @@ class Finding:
     @property
     def active(self) -> bool:
         return not self.suppressed
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "message": self.message,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "hint": self.hint,
-            "suppressed": self.suppressed,
-            "key": self.key,
-        }
 
 
 @dataclass
@@ -465,7 +453,7 @@ def format_text(findings: List[Finding],
 
 def format_findings_json(findings: List[Finding]) -> str:
     return json.dumps({
-        "findings": [f.as_dict() for f in findings],
+        "findings": [asdict(f) for f in findings],
         "n_active": sum(1 for f in findings if f.active),
         "n_suppressed": sum(1 for f in findings if f.suppressed),
     }, indent=2)

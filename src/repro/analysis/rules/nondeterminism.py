@@ -12,7 +12,9 @@ guard that promise:
   process-global RNG (``random.random()``, ``np.random.rand()``,
   ``random.seed(...)``), a ``Random()``/``default_rng()`` constructed
   without a seed, and set iteration feeding ``schedule()`` (set order is
-  hash-randomized across processes for str/bytes elements).  Code that
+  hash-randomized across processes for str/bytes elements).  Call names
+  resolve through the module's imports first, so ``from time import
+  time`` or ``import time as t`` cannot hide a clock.  Code that
   *measures* host time (the bench harness) says so with a tagged
   ``# snic: ignore[SNIC002]``.
 * **SNIC005** — float arithmetic on sim-time nanoseconds.  The kernel
@@ -27,7 +29,7 @@ guard that promise:
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.analysis.lint import (
     Finding,
@@ -84,6 +86,32 @@ def _is_set_expr(node: ast.AST) -> bool:
     return False
 
 
+def _import_origins(tree: ast.AST) -> Dict[str, str]:
+    """Local name -> what it was imported as, for every import in the
+    module: ``import time as t`` binds ``t`` to ``time``, ``from time
+    import perf_counter as pc`` binds ``pc`` to ``time.perf_counter``."""
+    origins: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    origins[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and not node.level:
+            for alias in node.names:
+                origins[alias.asname or alias.name] = \
+                    f"{node.module}.{alias.name}"
+    return origins
+
+
+def _resolve(name: str, origins: Dict[str, str]) -> str:
+    """``name`` with its first component replaced by its import origin
+    (``pc`` -> ``time.perf_counter``, ``t.time`` -> ``time.time``)."""
+    head, dot, rest = name.partition(".")
+    origin = origins.get(head)
+    return origin + dot + rest if origin else name
+
+
 def _rng_problem(node: ast.Call, name: str) -> Optional[str]:
     """Why the call draws nondeterministic randomness, if it does."""
     prefix, _, attr = name.rpartition(".")
@@ -110,9 +138,10 @@ class NondeterminismRule(Rule):
             "# snic: ignore[SNIC002] with its reason")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
+        origins = _import_origins(module.tree)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
-                name = dotted_name(node.func)
+                name = _resolve(dotted_name(node.func), origins)
                 if name in _WALL_CLOCK:
                     yield self.finding(
                         module, node,

@@ -42,8 +42,6 @@ from repro.hw.accelerator import (
     AcceleratorRequest,
 )
 from repro.hw.packet_io import (
-    PacketInputModule,
-    PacketOutputModule,
     PacketRing,
     RXPort,
     TXPort,
@@ -69,8 +67,6 @@ __all__ = [
     "FCFSArbiter",
     "HostMemory",
     "IOBus",
-    "PacketInputModule",
-    "PacketOutputModule",
     "PacketRing",
     "PageTable",
     "PhysicalMemory",

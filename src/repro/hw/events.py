@@ -206,9 +206,12 @@ class Simulator:
         self._now_ns = time_ns
         profiler = self._profiler
         if profiler is not None:
+            # snic: ignore[SNIC002] -- the profiler's host cost per kernel
+            # event; it feeds the profile, never simulated state
             host_start = perf_counter_ns()
             callback()
             profiler.on_kernel_event(
+                # snic: ignore[SNIC002] -- the same host-cost measurement
                 callback, perf_counter_ns() - host_start, advanced)
         else:
             callback()

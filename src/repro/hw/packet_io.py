@@ -1,11 +1,13 @@
-"""Packet ingress/egress circuitry: ports, input/output modules, rings.
+"""Packet ingress/egress circuitry: ports and DRAM packet rings.
 
 Section 3.1 (BlueField-style flow): incoming packets land in an RX
 buffer; the *packet input module* consults management-configured
 switching rules to pick the destination function and copies the packet
 into that function's DRAM region; the function processes it and notifies
 the *packet output module*, which copies the packet from DRAM to the TX
-buffer and then onto the wire.
+buffer and then onto the wire.  The device's input and output modules
+are :meth:`repro.core.snic.SNIC.process_ingress` and
+:meth:`~repro.core.snic.SNIC.process_egress`.
 
 Section 4.4 carves these resources into virtual packet pipelines: the RX
 and TX ports support per-VPP buffer reservations, and per-core packet
@@ -22,7 +24,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.hw.memory import AccessFault, PhysicalMemory
 from repro.net.packet import Packet
-from repro.net.rules import SwitchingRule
 
 
 @dataclass
@@ -252,81 +253,3 @@ class PacketRing:
             out.append(struct.unpack(_DESCRIPTOR_FORMAT, record))
         return out
 
-
-class PacketInputModule:
-    """Copies arriving packets into per-function rings via switching rules."""
-
-    def __init__(self, rx_port: RXPort) -> None:
-        self.rx_port = rx_port
-        self.rules: List[SwitchingRule] = []
-        self.rings: Dict[int, PacketRing] = {}
-        self.dropped = 0
-        self.delivered: Dict[int, int] = {}
-
-    def configure_rules(self, rules: List[SwitchingRule]) -> None:
-        self.rules = list(rules)
-
-    def remove_rules_for(self, nf_id: int) -> None:
-        self.rules = [r for r in self.rules if r.nf_id != nf_id]
-
-    def attach_ring(self, nf_id: int, ring: PacketRing) -> None:
-        self.rings[nf_id] = ring
-
-    def detach_ring(self, nf_id: int) -> None:
-        self.rings.pop(nf_id, None)
-
-    def classify(self, packet: Packet) -> Optional[int]:
-        """First-match over switching rules; None means drop."""
-        for rule in self.rules:
-            if rule.matches_packet(packet):
-                return rule.nf_id
-        return None
-
-    def process(self) -> int:
-        """Move staged RX packets into their owners' rings.
-
-        A packet with no matching rule, or whose ring is full, counts in
-        ``dropped``; every staged packet is drained either way.
-        """
-        moved = 0
-        for packet in self.rx_port.drain():
-            nf_id = self.classify(packet)
-            ring = self.rings.get(nf_id) if nf_id is not None else None
-            if ring is None:
-                self.dropped += 1
-                continue
-            try:
-                ring.push(packet.to_bytes())
-            except RingFullError:
-                # No room in the ring: dropped, and the batch drains on.
-                self.dropped += 1
-                continue
-            self.delivered[nf_id] = self.delivered.get(nf_id, 0) + 1
-            moved += 1
-        return moved
-
-
-class PacketOutputModule:
-    """Drains per-function TX rings onto the wire."""
-
-    def __init__(self, tx_port: TXPort) -> None:
-        self.tx_port = tx_port
-        self.rings: Dict[int, PacketRing] = {}
-
-    def attach_ring(self, nf_id: int, ring: PacketRing) -> None:
-        self.rings[nf_id] = ring
-
-    def detach_ring(self, nf_id: int) -> None:
-        self.rings.pop(nf_id, None)
-
-    def process(self) -> int:
-        """Transmit everything queued in every attached ring."""
-        sent = 0
-        for nf_id, ring in self.rings.items():
-            while True:
-                frame = ring.pop()
-                if frame is None:
-                    break
-                self.tx_port.wire_transmit(nf_id, frame)
-                sent += 1
-        return sent

@@ -123,20 +123,6 @@ class BenchRecord:
     outputs: Optional[Dict[str, object]] = None
     error: Optional[str] = None
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "wall_s": self.wall_s,
-            "sim_time_ns": self.sim_time_ns,
-            "events_executed": self.events_executed,
-            "trace_events": self.trace_events,
-            "metrics_instruments": self.metrics_instruments,
-            "histograms": self.histograms,
-            "outputs": self.outputs,
-            "error": self.error,
-        }
-
 
 # ----------------------------------------------------------------------
 # The experiment harness: isolation, cell scope, report tail
@@ -349,7 +335,9 @@ def run_scenario(path: Path, quick: bool = False,
     record = BenchRecord(name=scenario_name(path))
     buffer = io.StringIO()
     with cell_scope(record):
-        started = time.perf_counter()  # snic: ignore[SNIC002] -- the bench harness *measures* host wall-time; BENCH artifacts are timestamped, not byte-compared
+        # snic: ignore[SNIC002] -- the bench harness *measures* host
+        # wall-time; BENCH artifacts are timestamped, not byte-compared
+        started = time.perf_counter()
         try:
             with contextlib.redirect_stdout(buffer) if capture \
                     else contextlib.nullcontext():
@@ -368,7 +356,9 @@ def run_scenario(path: Path, quick: bool = False,
             record.error = traceback.format_exc(limit=8) + (
                 "\n[stdout tail]\n" + "\n".join(tail) if tail else "")
         finally:
-            record.wall_s = time.perf_counter() - started  # snic: ignore[SNIC002] -- wall_s is the bench regression signal; matrix cells leave it 0.0 instead
+            # snic: ignore[SNIC002] -- wall_s is the bench regression
+            # signal; matrix cells leave it 0.0 instead
+            record.wall_s = time.perf_counter() - started
     return record
 
 
@@ -452,7 +442,7 @@ def run_benchmarks(
         "n_error": sum(1 for r in records if r.status == "error"),
         # snic: ignore[SNIC002] -- the bench run's own host wall-time
         "total_wall_s": time.perf_counter() - started,
-        "benchmarks": {r.name: r.as_dict() for r in records},
+        "benchmarks": {r.name: dataclasses.asdict(r) for r in records},
     }
 
 

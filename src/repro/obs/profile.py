@@ -119,10 +119,12 @@ class Profiler:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
+        # snic: ignore[SNIC002] -- a profile brackets the run's host time
         self._wall_started = perf_counter_ns()
 
     def stop(self) -> None:
         if self._wall_started is not None:
+            # snic: ignore[SNIC002] -- the other end of that bracket
             self._wall_ns += perf_counter_ns() - self._wall_started
             self._wall_started = None
 

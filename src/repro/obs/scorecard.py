@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
+from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.bench import emit_report, format_json, positive_int
@@ -350,7 +351,7 @@ def _tenant_row(tenant: TenantSpec, nf_id: int, registry, outputs,
         tenant.slo, latency=latency, offered=tenant_offered,
         completed=completed, cross_tenant_wait_ns=tenant_xwait,
         teardown_ns=teardown_ns)
-    row["objectives"] = [r.as_dict() for r in results]
+    row["objectives"] = [asdict(r) for r in results]
     row["passed"] = all(r.passed for r in results)
     return row
 

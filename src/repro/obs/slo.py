@@ -24,7 +24,8 @@ but nothing says **pass or fail**.  This module supplies that:
   ========================  ==============================================
 
 * :class:`TenantSLO` — a tenant's bundle of objectives, attachable to
-  ``TenantSpec.slo`` and JSON round-trippable like every other spec.
+  ``TenantSpec.slo`` and read and written by the same dict codec as
+  every other spec (:func:`repro.scenario.spec.from_dict`).
 * :func:`evaluate_tenant` — end-of-run scoring of cumulative state
   into :class:`ObjectiveResult` rows (the scorecard's cells).
 * :class:`BurnRateAlerter` — SRE-style multi-window burn-rate alerting
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.cell import CELL
@@ -108,15 +109,6 @@ class SLOSpec:
         if not 0.0 < self.target <= 1.0:
             raise SLOError("SLO target must be a fraction in (0, 1]")
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "threshold": self.threshold,
-                "target": self.target}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SLOSpec":
-        return cls(kind=data["kind"], threshold=float(data["threshold"]),
-                   target=float(data.get("target", 0.99)))
-
 
 @dataclass(frozen=True)
 class TenantSLO:
@@ -125,9 +117,13 @@ class TenantSLO:
     objectives: Tuple[SLOSpec, ...]
 
     def __post_init__(self) -> None:
+        # Lazy: repro.scenario.spec imports this module lazily too.
+        from repro.scenario.spec import from_dict
+
         objectives = tuple(
-            obj if isinstance(obj, SLOSpec) else SLOSpec.from_dict(obj)
-            for obj in self.objectives)
+            obj if isinstance(obj, SLOSpec)
+            else from_dict(SLOSpec, obj, f"objectives.{index}")
+            for index, obj in enumerate(self.objectives))
         object.__setattr__(self, "objectives", objectives)
         if not objectives:
             raise SLOError("a TenantSLO needs at least one objective")
@@ -140,13 +136,6 @@ class TenantSLO:
             if obj.kind == kind:
                 return obj
         return None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"objectives": [obj.to_dict() for obj in self.objectives]}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TenantSLO":
-        return cls(objectives=tuple(data.get("objectives", ())))
 
 
 # ----------------------------------------------------------------------
@@ -205,11 +194,6 @@ class ObjectiveResult:
     measured: float
     passed: bool
     detail: str = ""
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "threshold": self.threshold,
-                "target": self.target, "measured": self.measured,
-                "passed": self.passed, "detail": self.detail}
 
 
 def evaluate_tenant(slo: TenantSLO, *,
@@ -307,12 +291,6 @@ class BurnRateAlert:
     window_index: int
     ts_ns: float
 
-    def as_dict(self) -> Dict[str, object]:
-        return {"tenant": self.tenant, "kind": self.kind,
-                "tier": self.tier, "fast_burn": self.fast_burn,
-                "slow_burn": self.slow_burn,
-                "window_index": self.window_index, "ts_ns": self.ts_ns}
-
 
 class BurnRateAlerter:
     """Judge window snapshots against tenant SLOs, tier by tier.
@@ -408,4 +386,4 @@ class BurnRateAlerter:
                 window_index=alert.window_index)
 
     def alert_dicts(self) -> List[Dict[str, Any]]:
-        return [alert.as_dict() for alert in self.alerts]
+        return [asdict(alert) for alert in self.alerts]

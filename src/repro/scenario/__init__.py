@@ -1,8 +1,9 @@
 """``repro.scenario`` — declarative scenarios and the matrix sweep
 runner.
 
-* :mod:`repro.scenario.spec` — frozen, validated experiment specs with
-  a lossless dict/JSON round-trip and mandatory explicit seeding;
+* :mod:`repro.scenario.spec` — frozen, validated experiment specs,
+  one lossless dict codec that rejects unknown keys at every level,
+  and mandatory explicit seeding;
 * :mod:`repro.scenario.build` — spec → live simulation, with
   context-managed setup/teardown;
 * :mod:`repro.scenario.matrix` — the axis-product sweep behind

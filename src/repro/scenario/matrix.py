@@ -24,7 +24,7 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.bench import emit_report, format_json, positive_int
@@ -86,15 +86,6 @@ class MatrixCell:
     def name(self) -> str:
         return (f"{self.nic_model}x{self.tenant_count}t"
                 f"-{self.fault_class}-{self.arbiter}-s{self.seed}")
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "nic_model": self.nic_model,
-            "tenant_count": self.tenant_count,
-            "fault_class": self.fault_class,
-            "arbiter": self.arbiter,
-            "seed": self.seed,
-        }
 
 
 def expand(axes: Dict[str, List[object]], base_seed: int,
@@ -281,10 +272,11 @@ def run_matrix(
 def load_spec(path: str) -> ScenarioSpec:
     """Load a ``ScenarioSpec`` file (``--spec FILE``), JSON or YAML.
 
-    The file holds exactly what :meth:`ScenarioSpec.to_dict` emits (see
+    The file holds what :meth:`ScenarioSpec.to_dict` emits (see
     ``examples/slo_scenario.json``); :meth:`ScenarioSpec.from_dict` runs
-    the full validation, so a malformed file fails with a ``SpecError``
-    naming the bad field rather than a deep builder traceback.  Files
+    the full validation, so a malformed file, at any depth, fails with
+    a ``SpecError`` naming the dotted path of the bad value rather than
+    a deep builder traceback.  Files
     ending in ``.yaml``/``.yml`` parse with PyYAML when it is
     installed; everything else parses as JSON (which a YAML parser
     would accept anyway, so the two paths round-trip to identical
@@ -301,9 +293,6 @@ def load_spec(path: str) -> ScenarioSpec:
             data = yaml.safe_load(fh)
         else:
             data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: spec file must hold a mapping, "
-                         f"got {type(data).__name__}")
     return ScenarioSpec.from_dict(data)
 
 
@@ -366,7 +355,7 @@ def _sweep(runs: List[tuple], seed: int, reps: int, mode: str,
         if progress is not None:
             for record in records:
                 progress(record)
-    entries = [{"cell": cell.as_dict(), "record": record.as_dict()}
+    entries = [{"cell": asdict(cell), "record": asdict(record)}
                for (cell, _spec), record in zip(runs, records)]
     n_ok = sum(1 for entry in entries if entry["record"]["status"] == "ok")
     return {
@@ -520,13 +509,14 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
               file=sys.stderr)
         return 2
     if args.spec:
-        from repro.scenario.spec import SpecError
-
-        try:
-            specs = [load_spec(path) for path in args.spec]
-        except (OSError, ValueError, SpecError) as exc:
-            print(f"error: bad --spec file: {exc}", file=sys.stderr)
-            return 2
+        specs = []
+        for path in args.spec:
+            try:
+                specs.append(load_spec(path))
+            except (OSError, ValueError) as exc:  # SpecError included
+                print(f"error: bad --spec file {path}: {exc}",
+                      file=sys.stderr)
+                return 2
         report = run_specs(specs, quick=args.quick, sanitize=sanitize,
                            postmortem_dir=args.postmortem_dir,
                            shards=args.shards)

@@ -4,23 +4,34 @@ Every experiment in the repo — the co-tenancy trace demo, the chaos
 differentials, the matrix sweep cells — is describable as *which NIC
 model*, *which tenants running which NFs*, *what traffic*, *which fault
 (if any)*, and *which bus arbitration policy*.  This module gives that
-description a frozen, validated dataclass form with a lossless
-dict/JSON round-trip, so scenarios can be authored in Python, loaded
-from JSON-shaped dicts, or generated axis-by-axis by the matrix runner
-(SimBricks' declaratively-joined-components idea applied to one NIC).
+description a frozen, validated dataclass form, so scenarios can be
+authored in Python, loaded from JSON-shaped dicts (``--spec FILE``), or
+generated axis-by-axis by the matrix runner (SimBricks'
+declaratively-joined-components idea applied to one NIC).
+
+One codec, :func:`to_dict` / :func:`from_dict`, maps every record
+(these specs and :mod:`repro.obs.slo`'s objectives) to and from its
+dict form, losslessly.  Each default is written once, in its field
+declaration.  An unknown key, a missing required field, a non-mapping
+where a record belongs or a failed validation raises :class:`SpecError`
+naming its dotted path (``topology.arbiter``, ``tenants.0.slo``) at
+every level, so a misspelled key never runs a different experiment.
 
 Determinism is part of the schema, not a convention: a
 :class:`ScenarioSpec` *requires* an explicit ``seed`` and every derived
 random stream flows from it (``derive_seed`` gives stable per-purpose
 sub-seeds).  The ``seed`` field has no default, so a spec built
-without one raises ``TypeError``.
+without one raises ``TypeError`` (``SpecError`` from a dict).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from functools import lru_cache
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
+                    Tuple, Type, TypeVar, Union, get_args,
+                    get_origin, get_type_hints)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.slo import TenantSLO
@@ -36,6 +47,8 @@ ARBITER_POLICIES = ("fcfs", "temporal", "drr")
 
 _Params = Tuple[Tuple[str, object], ...]
 
+_R = TypeVar("_R")
+
 
 class SpecError(ValueError):
     """A scenario spec failed validation."""
@@ -47,10 +60,6 @@ def _as_params(value) -> _Params:
         return ()
     items = value.items() if isinstance(value, dict) else value
     return tuple(sorted((str(k), v) for k, v in items))
-
-
-def _params_dict(params: _Params) -> Dict[str, object]:
-    return {k: v for k, v in params}
 
 
 def derive_seed(seed: int, *parts: object) -> int:
@@ -84,14 +93,7 @@ class NFSpec:
         object.__setattr__(self, "params", _as_params(self.params))
 
     def param(self, name: str, default=None):
-        return _params_dict(self.params).get(name, default)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "params": _params_dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "NFSpec":
-        return cls(kind=data["kind"], params=_as_params(data.get("params")))
+        return dict(self.params).get(name, default)
 
 
 @dataclass(frozen=True)
@@ -126,44 +128,20 @@ class TenantSpec:
         if self.slo is not None:
             # Lazy import (the FaultSpec -> faults.plan precedent): the
             # spec layer only touches repro.obs when SLOs are attached.
-            from repro.obs.slo import SLOError, TenantSLO
+            from repro.obs.slo import TenantSLO
 
             if not isinstance(self.slo, TenantSLO):
                 try:
                     object.__setattr__(
-                        self, "slo", TenantSLO.from_dict(self.slo))
-                except (SLOError, KeyError, TypeError) as exc:
-                    raise SpecError(f"tenant {self.name!r}: bad slo: "
-                                    f"{exc}") from exc
+                        self, "slo", from_dict(TenantSLO, self.slo, "slo"))
+                except SpecError as exc:
+                    raise SpecError(f"tenant {self.name!r}: {exc}") from exc
 
     def dst_ip(self) -> str:
         """A concrete destination address inside this tenant's prefix."""
         octets = self.dst_prefix.split("/")[0].split(".")
         octets[-1] = "9"
         return ".".join(octets)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "nf": self.nf.to_dict(),
-            "dst_prefix": self.dst_prefix,
-            "cores": self.cores,
-            "memory_mb": self.memory_mb,
-            "dpi_units": self.dpi_units,
-            "slo": self.slo.to_dict() if self.slo is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TenantSpec":
-        return cls(
-            name=data["name"],
-            nf=NFSpec.from_dict(data["nf"]),
-            dst_prefix=data["dst_prefix"],
-            cores=int(data.get("cores", 1)),
-            memory_mb=int(data.get("memory_mb", 4)),
-            dpi_units=int(data.get("dpi_units", 0)),
-            slo=data.get("slo"),
-        )
 
 
 @dataclass(frozen=True)
@@ -186,26 +164,6 @@ class ArbiterSpec:
             raise SpecError("dead time must be shorter than the epoch")
         if self.quantum_bytes < 1:
             raise SpecError("quantum_bytes must be >= 1")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "policy": self.policy,
-            "bandwidth_bytes_per_ns": self.bandwidth_bytes_per_ns,
-            "epoch_ns": self.epoch_ns,
-            "dead_time_ns": self.dead_time_ns,
-            "quantum_bytes": self.quantum_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ArbiterSpec":
-        return cls(
-            policy=data.get("policy", "temporal"),
-            bandwidth_bytes_per_ns=float(
-                data.get("bandwidth_bytes_per_ns", 12.8)),
-            epoch_ns=float(data.get("epoch_ns", 1000.0)),
-            dead_time_ns=float(data.get("dead_time_ns", 100.0)),
-            quantum_bytes=int(data.get("quantum_bytes", 1600)),
-        )
 
 
 @dataclass(frozen=True)
@@ -245,33 +203,6 @@ class TopologySpec:
         if self.l2_ways is not None and self.l2_ways < 2:
             raise SpecError("l2_ways must be >= 2 (one way is the OS's)")
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "nic_model": self.nic_model,
-            "n_cores": self.n_cores,
-            "dram_mb": self.dram_mb,
-            "key_seed": self.key_seed,
-            "arbiter": self.arbiter.to_dict(),
-            "poll_interval_ns": self.poll_interval_ns,
-            "service_ns_per_packet": self.service_ns_per_packet,
-            "l2_ways": self.l2_ways,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TopologySpec":
-        l2_ways = data.get("l2_ways")
-        return cls(
-            nic_model=data.get("nic_model", "snic"),
-            n_cores=int(data.get("n_cores", 4)),
-            dram_mb=int(data.get("dram_mb", 128)),
-            key_seed=int(data.get("key_seed", 7)),
-            arbiter=ArbiterSpec.from_dict(data.get("arbiter", {})),
-            poll_interval_ns=int(data.get("poll_interval_ns", 2_000)),
-            service_ns_per_packet=int(
-                data.get("service_ns_per_packet", 600)),
-            l2_ways=int(l2_ways) if l2_ways is not None else None,
-        )
-
 
 @dataclass(frozen=True)
 class TrafficSpec:
@@ -294,25 +225,6 @@ class TrafficSpec:
             raise SpecError(f"unknown traffic pattern {self.pattern!r}")
         if self.zipf_skew <= 0:
             raise SpecError("zipf_skew must be positive")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "n_packets": self.n_packets,
-            "payload_bytes": self.payload_bytes,
-            "arrival_period_ns": self.arrival_period_ns,
-            "pattern": self.pattern,
-            "zipf_skew": self.zipf_skew,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TrafficSpec":
-        return cls(
-            n_packets=int(data.get("n_packets", 60)),
-            payload_bytes=int(data.get("payload_bytes", 64)),
-            arrival_period_ns=int(data.get("arrival_period_ns", 800)),
-            pattern=data.get("pattern", "round_robin"),
-            zipf_skew=float(data.get("zipf_skew", 1.1)),
-        )
 
 
 @dataclass(frozen=True)
@@ -344,28 +256,7 @@ class FaultSpec:
         object.__setattr__(self, "params", _as_params(self.params))
 
     def param(self, name: str, default=None):
-        return _params_dict(self.params).get(name, default)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "tenant": self.tenant,
-            "start_ns": self.start_ns,
-            "count": self.count,
-            "period_ns": self.period_ns,
-            "params": _params_dict(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FaultSpec":
-        return cls(
-            kind=data["kind"],
-            tenant=data.get("tenant"),
-            start_ns=int(data.get("start_ns", 0)),
-            count=int(data.get("count", 4)),
-            period_ns=int(data.get("period_ns", 8_000)),
-            params=_as_params(data.get("params")),
-        )
+        return dict(self.params).get(name, default)
 
 
 # ----------------------------------------------------------------------
@@ -422,34 +313,98 @@ class ScenarioSpec:
         return derive_seed(self.seed, self.name, *parts)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "description": self.description,
-            "tags": list(self.tags),
-            "topology": self.topology.to_dict(),
-            "tenants": [t.to_dict() for t in self.tenants],
-            "traffic": self.traffic.to_dict(),
-            "fault": self.fault.to_dict() if self.fault else None,
-        }
+        return to_dict(self)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ScenarioSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise SpecError(f"unknown ScenarioSpec fields: {sorted(unknown)}")
-        if "seed" not in data:
-            raise SpecError("a scenario dict must carry an explicit 'seed'")
-        fault = data.get("fault")
-        return cls(
-            name=data["name"],
-            seed=int(data["seed"]),
-            description=data.get("description", ""),
-            tags=tuple(data.get("tags", ())),
-            topology=TopologySpec.from_dict(data.get("topology", {})),
-            tenants=tuple(TenantSpec.from_dict(t)
-                          for t in data.get("tenants", ())),
-            traffic=TrafficSpec.from_dict(data.get("traffic", {})),
-            fault=FaultSpec.from_dict(fault) if fault else None,
-        )
+    def from_dict(cls, data: Mapping[str, object]) -> "ScenarioSpec":
+        return from_dict(cls, data)
+
+
+# ----------------------------------------------------------------------
+# The dict codec
+# ----------------------------------------------------------------------
+
+
+def _json_shape(pairs: List[Tuple[str, Any]]) -> Dict[str, object]:
+    # ``params`` is stored as sorted (key, value) pairs so a spec
+    # hashes; it travels as a mapping.  Every other tuple is a list.
+    return {key: dict(value) if key == "params"
+            else list(value) if isinstance(value, tuple) else value
+            for key, value in pairs}
+
+
+def to_dict(record: Any) -> Dict[str, object]:
+    """The JSON-shaped dict of any spec record, fields in declaration
+    order (what a ``--spec`` file holds)."""
+    return asdict(record, dict_factory=_json_shape)
+
+
+@lru_cache(maxsize=None)
+def _field_types(cls: type) -> Dict[str, Any]:
+    # TenantSpec.slo names repro.obs.slo's TenantSLO; it is imported
+    # here, not at module top, so the spec layer loads without repro.obs.
+    from repro.obs.slo import TenantSLO
+
+    return get_type_hints(cls, localns={"TenantSLO": TenantSLO})
+
+
+def _decode(hint: Any, value: object, path: str) -> object:
+    """One field's value: nested records recurse, ``int``/``float``
+    coerce, ``params`` must be a mapping and any other tuple field a
+    list; the rest is left for the record's ``__post_init__``."""
+    if get_origin(hint) is Union:  # Optional[X]
+        if value is None:
+            return None
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    if is_dataclass(hint):
+        return from_dict(hint, value, path)
+    if hint == _Params:
+        if not isinstance(value, Mapping):
+            raise SpecError(f"{path}: expected a mapping, "
+                            f"got {type(value).__name__}")
+    elif get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise SpecError(f"{path}: expected a list, "
+                            f"got {type(value).__name__}")
+        item_type = get_args(hint)[0]
+        if is_dataclass(item_type):
+            return tuple(from_dict(item_type, item, f"{path}.{index}")
+                         for index, item in enumerate(value))
+    if hint in (int, float):
+        try:
+            return hint(value)
+        except (TypeError, ValueError):
+            raise SpecError(f"{path}: expected {hint.__name__}, "
+                            f"got {value!r}") from None
+    return value
+
+
+def from_dict(cls: Type[_R], data: object, path: str = "") -> _R:
+    """Build the record ``cls`` from its dict form.
+
+    Every field missing from ``data`` takes its declared default.  An
+    unknown key, a non-mapping where a record belongs, a missing
+    required field or a failed validation raises :class:`SpecError`
+    naming the dotted ``path`` (``topology.arbiter``, ``tenants.0``).
+    """
+    prefix = f"{path}: " if path else ""
+    if not isinstance(data, Mapping):
+        raise SpecError(f"{prefix}expected a {cls.__name__} mapping, "
+                        f"got {type(data).__name__}")
+    record_cls: Any = cls
+    declared = fields(record_cls)
+    unknown = sorted(set(map(str, data)) - {f.name for f in declared})
+    if unknown:
+        raise SpecError(f"{prefix}unknown {cls.__name__} fields: {unknown}")
+    hints = _field_types(cls)
+    kwargs: Dict[str, object] = {}
+    for f in declared:
+        if f.name in data:
+            at = f"{path}.{f.name}" if path else f.name
+            kwargs[f.name] = _decode(hints[f.name], data[f.name], at)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise SpecError(f"{prefix}missing required field {f.name!r}")
+    try:
+        return record_cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{prefix}{exc}") from exc

@@ -7,6 +7,8 @@
 
 import random
 import time
+import time as wall
+from time import perf_counter as pc, time as now
 
 memory = None
 sim = None
@@ -28,6 +30,12 @@ def wall_clock_latency():
     # SNIC002: wall-clock read in simulation code.
     start = time.time()
     return time.time() - start
+
+
+def bare_imported_clock():
+    # SNIC002: a clock imported bare or under an alias is still a
+    # wall-clock read.
+    return now(), pc(), wall.time()
 
 
 def unseeded_jitter():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -72,7 +73,7 @@ class TestProgramGraph:
     def test_a_file_named_twice_is_linted_once(self, fixture_tree):
         once, _ = run_lint([fixture_tree])
         twice, _ = run_lint([fixture_tree, fixture_tree / "state.py"])
-        assert [f.as_dict() for f in twice] == [f.as_dict() for f in once]
+        assert [asdict(f) for f in twice] == [asdict(f) for f in once]
 
 
 # ----------------------------------------------------------------------

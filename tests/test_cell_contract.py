@@ -28,6 +28,7 @@ import subprocess
 import sys
 import weakref
 from collections import deque
+from dataclasses import asdict
 from pathlib import Path
 
 from repro.analysis.lint import run_lint
@@ -120,16 +121,17 @@ def _two_cells():
 
 _ALONE = """
 import json, sys
+from dataclasses import asdict
 from repro.scenario.matrix import MatrixCell, run_cell
 cell = MatrixCell(**json.loads(sys.argv[1]))
-print(json.dumps(run_cell(cell, quick=True).as_dict(), sort_keys=True))
+print(json.dumps(asdict(run_cell(cell, quick=True)), sort_keys=True))
 """
 
 
 def _alone(cell):
     """``cell``'s record run alone, in a fresh interpreter."""
     out = subprocess.run(
-        [sys.executable, "-c", _ALONE, json.dumps(cell.as_dict())],
+        [sys.executable, "-c", _ALONE, json.dumps(asdict(cell))],
         check=True, capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)))
     return json.loads(out.stdout)
@@ -141,9 +143,9 @@ class TestCellsDoNotLeak:
         alone = [_alone(first), _alone(second)]
         assert alone[0]["status"] == alone[1]["status"] == "ok"
         isolate()
-        together = [run_cell(first, quick=True).as_dict(),
-                    run_cell(second, quick=True).as_dict(),
-                    run_cell(first, quick=True).as_dict()]
+        together = [asdict(run_cell(first, quick=True)),
+                    asdict(run_cell(second, quick=True)),
+                    asdict(run_cell(first, quick=True))]
         assert json.loads(json.dumps(together, sort_keys=True)) \
             == [alone[0], alone[1], alone[0]]
 

@@ -2,16 +2,12 @@
 
 import pytest
 
+from repro.core import NFConfig, SNIC
+from repro.core.vpp import VPPConfig
 from repro.hw.memory import AccessFault, PhysicalMemory
-from repro.hw.packet_io import (
-    PacketInputModule,
-    PacketOutputModule,
-    PacketRing,
-    RXPort,
-    TXPort,
-)
+from repro.hw.packet_io import PacketRing, RXPort, TXPort
 from repro.net.packet import Packet
-from repro.net.rules import MatchRule, Prefix, SwitchingRule
+from repro.net.rules import MatchRule, Prefix
 
 
 def make_ring(memory, capacity=8):
@@ -118,82 +114,61 @@ class TestPacketRing:
             assert ring.pop() == b"q" * 20000
 
 
-def _rule_for(nf_id, dst):
-    return SwitchingRule(
-        match=MatchRule(dst_prefix=Prefix.parse(dst)), nf_id=nf_id
-    )
+MB = 1024 * 1024
+
+
+def _snic_with(*prefixes):
+    """An S-NIC with one NF per destination prefix, launched in order."""
+    snic = SNIC(n_cores=len(prefixes), dram_bytes=64 * MB, key_seed=1234)
+    nf_ids = tuple(
+        snic.nf_launch(NFConfig(
+            name=f"nf{index}", core_ids=(index,), memory_bytes=4 * MB,
+            vpp=VPPConfig(rules=[MatchRule(dst_prefix=Prefix.parse(prefix))])))
+        for index, prefix in enumerate(prefixes))
+    return snic, nf_ids
 
 
 class TestInputModule:
-    def _setup(self):
-        memory = PhysicalMemory(4 * 1024 * 1024, page_size=4096)
-        rx = RXPort()
-        pim = PacketInputModule(rx)
-        ring1 = PacketRing(memory, 0x10000, 32 * 1024, 0x40000, 16)
-        ring2 = PacketRing(memory, 0x80000, 32 * 1024, 0xC0000, 16)
-        pim.attach_ring(1, ring1)
-        pim.attach_ring(2, ring2)
-        pim.configure_rules([_rule_for(1, "1.0.0.0/8"), _rule_for(2, "2.0.0.0/8")])
-        return rx, pim, ring1, ring2
+    """The device's packet input module: ``SNIC.classify`` and
+    ``SNIC.process_ingress`` over every live VPP's switching rules."""
 
     def test_classify(self):
-        _, pim, _, _ = self._setup()
-        assert pim.classify(Packet.make("9.9.9.9", "1.2.3.4")) == 1
-        assert pim.classify(Packet.make("9.9.9.9", "2.2.2.2")) == 2
-        assert pim.classify(Packet.make("9.9.9.9", "3.3.3.3")) is None
+        snic, (one, two) = _snic_with("1.0.0.0/8", "2.0.0.0/8")
+        assert snic.classify(Packet.make("9.9.9.9", "1.2.3.4")) == one
+        assert snic.classify(Packet.make("9.9.9.9", "2.2.2.2")) == two
+        assert snic.classify(Packet.make("9.9.9.9", "3.3.3.3")) is None
 
     def test_process_routes_to_rings(self):
-        rx, pim, ring1, ring2 = self._setup()
-        rx.wire_arrival(Packet.make("9.9.9.9", "1.2.3.4"))
-        rx.wire_arrival(Packet.make("9.9.9.9", "2.2.2.2"))
-        rx.wire_arrival(Packet.make("9.9.9.9", "3.3.3.3"))
-        moved = pim.process()
-        assert moved == 2
-        assert pim.dropped == 1
-        assert ring1.occupancy == 1 and ring2.occupancy == 1
-        assert pim.delivered == {1: 1, 2: 1}
-
-    def test_full_ring_drops_and_keeps_draining(self):
-        memory = PhysicalMemory(4 * 1024 * 1024, page_size=4096)
-        rx = RXPort()
-        pim = PacketInputModule(rx)
-        ring = PacketRing(memory, 0x10000, 32 * 1024, 0x40000, 2)
-        pim.attach_ring(1, ring)
-        pim.configure_rules([_rule_for(1, "1.0.0.0/8")])
-        packets = [Packet.make("9.9.9.9", "1.2.3.4", src_port=1000 + i)
-                   for i in range(4)]
-        for packet in packets:
-            rx.wire_arrival(packet)
-        assert pim.process() == 2
-        assert pim.delivered == {1: 2}
-        assert pim.dropped == 2
-        assert rx.drain() == []
-        assert [ring.pop() for _ in range(2)] \
-            == [packet.to_bytes() for packet in packets[:2]]
+        snic, (one, two) = _snic_with("1.0.0.0/8", "2.0.0.0/8")
+        for dst in ("1.2.3.4", "2.2.2.2", "3.3.3.3"):
+            snic.rx_port.wire_arrival(Packet.make("9.9.9.9", dst))
+        # -1 counts the packet no rule matched: dropped.
+        assert snic.process_ingress() == {one: 1, two: 1, -1: 1}
+        assert [snic.record(nf_id).vpp.rx_ring.occupancy
+                for nf_id in (one, two)] == [1, 1]
 
     def test_remove_rules_for(self):
-        rx, pim, _, _ = self._setup()
-        pim.remove_rules_for(1)
-        assert pim.classify(Packet.make("9.9.9.9", "1.2.3.4")) is None
+        snic, (one, _two) = _snic_with("1.0.0.0/8", "2.0.0.0/8")
+        snic.nf_teardown(one)
+        assert snic.classify(Packet.make("9.9.9.9", "1.2.3.4")) is None
 
     def test_first_match_wins(self):
-        rx, pim, _, _ = self._setup()
-        pim.configure_rules(
-            [_rule_for(2, "1.2.3.4/32"), _rule_for(1, "1.0.0.0/8")]
-        )
-        assert pim.classify(Packet.make("9.9.9.9", "1.2.3.4")) == 2
+        snic, (wide, narrow) = _snic_with("1.0.0.0/8", "1.2.3.4/32")
+        packet = Packet.make("9.9.9.9", "1.2.3.4")
+        assert snic.classify(packet) == wide
+        snic.nf_teardown(wide)
+        assert snic.classify(packet) == narrow
 
 
 class TestOutputModule:
+    """The device's packet output module: ``SNIC.process_egress``."""
+
     def test_drains_to_wire(self):
-        memory = PhysicalMemory(1024 * 1024, page_size=4096)
-        tx = TXPort()
-        pom = PacketOutputModule(tx)
-        ring = make_ring(memory)
-        pom.attach_ring(5, ring)
-        ring.push(Packet.make("1.1.1.1", "2.2.2.2").to_bytes())
-        ring.push(Packet.make("1.1.1.1", "3.3.3.3").to_bytes())
-        sent = pom.process()
-        assert sent == 2
-        assert len(tx.transmitted) == 2
-        assert tx.transmitted[0][0] == 5
+        snic, (nf_id,) = _snic_with("2.0.0.0/8")
+        vpp = snic.record(nf_id).vpp
+        vpp.transmit(Packet.make("2.2.2.2", "1.1.1.1"))
+        vpp.transmit(Packet.make("2.2.2.2", "3.3.3.3"))
+        assert snic.process_egress() == 2
+        assert [owner for owner, _ in snic.tx_port.transmitted] \
+            == [nf_id, nf_id]
+        assert vpp.tx_ring.occupancy == 0

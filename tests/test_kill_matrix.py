@@ -37,6 +37,7 @@ whose killer set changes.  EXPERIMENTS.md renders the same table.
 from __future__ import annotations
 
 import ast
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, Optional
 
@@ -138,7 +139,7 @@ def _cell() -> bool:
     cell_contract.TestCellsDoNotLeak().test_finished_cell_registry_is_collected()
     bench.isolate()
     first, second = cell_contract._two_cells()
-    records = [run_cell(cell, quick=True).as_dict()
+    records = [asdict(run_cell(cell, quick=True))
                for cell in (first, second, first)]
     return records[0] == records[2] and records[0]["status"] == "ok"
 
@@ -357,6 +358,8 @@ STATIC_ROWS = {
     # SNIC002 is the one determinism rule, with no name scope.
     "wall-clock": (LINT_FIXTURE, ("wall_clock_latency",),
                    frozenset({"SNIC002"})),
+    "wall-clock-imported-bare": (LINT_FIXTURE, ("bare_imported_clock",),
+                                 frozenset({"SNIC002"})),
     "unseeded-global-rng": (LINT_FIXTURE,
                             ("unseeded_jitter", "unseeded_numpy_stream"),
                             frozenset({"SNIC002"})),

@@ -1,6 +1,8 @@
 """Tests for repro.obs.slo: specs, evaluation, burn-rate alerting."""
 
 import json
+import re
+from dataclasses import asdict
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.obs.slo import (
     latency_burn,
 )
 from repro.obs.windows import WindowedAggregator
+from repro.scenario.spec import SpecError, from_dict, to_dict
 
 
 class TestSLOSpec:
@@ -62,7 +65,7 @@ class TestSLOSpec:
     def test_round_trip(self):
         spec = SLOSpec(kind="teardown_deadline_ns", threshold=5e5,
                        target=0.95)
-        clone = SLOSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        clone = from_dict(SLOSpec, json.loads(json.dumps(to_dict(spec))))
         assert clone == spec
 
 
@@ -83,11 +86,18 @@ class TestTenantSLO:
         assert slo.objective("throughput_floor").threshold == 0.9
         assert slo.objective("p99_latency_ns") is None
 
+    def test_misspelled_objective_key_rejected(self):
+        # A typo used to keep the default target silently.
+        with pytest.raises(SpecError, match=re.escape(
+                "objectives.0: unknown SLOSpec fields: ['traget']")):
+            TenantSLO(objectives=({"kind": "p99_latency_ns",
+                                   "threshold": 1000.0, "traget": 0.5},))
+
     def test_round_trip(self):
         slo = TenantSLO(objectives=(
             SLOSpec(kind="p99_latency_ns", threshold=5600.0, target=0.99),
             SLOSpec(kind="interference_budget_ns", threshold=0.0)))
-        clone = TenantSLO.from_dict(json.loads(json.dumps(slo.to_dict())))
+        clone = from_dict(TenantSLO, json.loads(json.dumps(to_dict(slo))))
         assert clone == slo
 
 
@@ -182,7 +192,7 @@ class TestEvaluateTenant:
 
     def test_results_are_jsonable(self):
         results = evaluate_tenant(self._slo())
-        payload = json.loads(json.dumps([r.as_dict() for r in results]))
+        payload = json.loads(json.dumps([asdict(r) for r in results]))
         assert len(payload) == 4
 
 

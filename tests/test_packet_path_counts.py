@@ -264,7 +264,9 @@ class TestIngressDropsWhenThePacketBufferIsFull:
         for packet in packets:
             snic.rx_port.wire_arrival(packet)
         delivered = snic.process_ingress()
+        # Every staged packet is drained: the full ring drops the rest.
         assert delivered == {nf_id: fits, -1: len(packets) - fits}
+        assert snic.rx_port.drain() == []
         assert ring.occupancy == fits
         for packet in packets[:fits]:
             assert ring.pop() == packet.to_bytes()

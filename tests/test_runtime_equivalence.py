@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Dict, List
 
 import pytest
@@ -178,7 +179,7 @@ def run_cell_record(spec: ScenarioSpec) -> Dict[str, object]:
 
     record = run_cell(None, quick=True, spec=spec)
     assert record.status == "ok", record.error
-    return record.as_dict()
+    return asdict(record)
 
 
 def run_slo_block(spec: ScenarioSpec) -> Dict[str, object]:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
+
+import pytest
 
 from repro.hw import events as hw_events
 from repro.obs import metrics, tracer
@@ -83,7 +86,7 @@ class TestCellIsolation:
 
     def test_record_reuses_the_bench_schema(self):
         record = run_cell(one_cell(), quick=True)
-        data = record.as_dict()
+        data = asdict(record)
         for key in ("name", "status", "wall_s", "sim_time_ns",
                     "events_executed", "trace_events",
                     "metrics_instruments", "histograms", "outputs",
@@ -95,7 +98,7 @@ class TestCellIsolation:
     def test_cells_do_not_observe_each_other(self):
         first = run_cell(one_cell(), quick=True)
         second = run_cell(one_cell(), quick=True)
-        assert first.as_dict() == second.as_dict()
+        assert asdict(first) == asdict(second)
 
 
 class TestDeterminism:
@@ -181,3 +184,17 @@ class TestSpecFiles:
         bad.write_text('{"name": "x"}')
         assert matrix_main(["--spec", str(bad), "--quick"]) == 2
         assert "bad --spec file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, path", [
+        ({"tenants": ["oops"]}, "tenants.0"),
+        ({"topology": 5}, "topology"),
+        ({"topology": {"arbiter": {"polcy": "fcfs"}}}, "topology.arbiter"),
+    ])
+    def test_cli_names_the_bad_spec_path(self, tmp_path, capsys,
+                                         extra, path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict({"name": "x", "seed": 1}, **extra)))
+        assert matrix_main(["--spec", str(bad), "--quick"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: bad --spec file {bad}: {path}: " in err
+        assert "Traceback" not in err

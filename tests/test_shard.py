@@ -93,23 +93,17 @@ class TestEngineInvariance:
         with pytest.raises(TypeError, match="cell 0 argument tuple"):
             run_cells(run_cell, [((spec, live[0]),)], workers=1)
 
-    def test_checker_asserts_shard_invariance(self):
-        from repro.analysis.determinism import check_shard_invariance
-
-        report = check_shard_invariance(worker_counts=(1, 2))
-        assert len(report.digests) == 3
-        assert report.deterministic, report.render()
-
 
 # ----------------------------------------------------------------------
 # One model: workers keep the interference a sweep measures
 # ----------------------------------------------------------------------
 
 class TestSameModel:
-    def test_matrix_sweep_at_two_shards_equals_unsharded(self):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_matrix_sweep_at_shards_equals_unsharded(self, shards):
         unsharded = run_matrix(quick=True, only=["commodityx2t"])
         assert run_matrix(quick=True, only=["commodityx2t"],
-                          shards=2) == unsharded
+                          shards=shards) == unsharded
         # The point of one model: commodity sharing still shows its
         # cross-tenant wait under --shards.
         waits = [entry["record"]["outputs"]["cross_tenant_wait_ns"]
