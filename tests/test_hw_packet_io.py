@@ -147,6 +147,24 @@ class TestInputModule:
         assert [snic.record(nf_id).vpp.rx_ring.occupancy
                 for nf_id in (one, two)] == [1, 1]
 
+    def test_full_ring_drops_and_keeps_draining(self):
+        snic = SNIC(n_cores=1, dram_bytes=64 * MB, key_seed=1234)
+        nf_id = snic.nf_launch(NFConfig(
+            name="nf0", core_ids=(0,), memory_bytes=4 * MB,
+            vpp=VPPConfig(ring_capacity=2, rules=[
+                MatchRule(dst_prefix=Prefix.parse("1.0.0.0/8"))])))
+        packets = [Packet.make("9.9.9.9", "1.2.3.4", src_port=1000 + i)
+                   for i in range(4)]
+        for packet in packets:
+            snic.rx_port.wire_arrival(packet)
+        # The ring takes two; the other two are dropped, not left staged.
+        assert snic.process_ingress() == {nf_id: 2, -1: 2}
+        assert snic.rx_port.drain() == []
+        ring = snic.record(nf_id).vpp.rx_ring
+        assert [ring.pop() for _ in range(2)] \
+            == [packet.to_bytes() for packet in packets[:2]]
+        assert ring.pop() is None
+
     def test_remove_rules_for(self):
         snic, (one, _two) = _snic_with("1.0.0.0/8", "2.0.0.0/8")
         snic.nf_teardown(one)
