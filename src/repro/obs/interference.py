@@ -31,9 +31,15 @@ A pair's first blame mints both counters from one label tuple,
 order (:func:`pair_labels`), through the registry's get-or-create, so
 they are the same instruments ``registry.counter(...)`` with those
 keywords returns; the accountant then memoises them per victim and
-culprit, and a repeat blame adds two floats.  Readers of the families
-(:func:`blame_matrix`, the windowed index) read labels on that schema
-by position and parse any other label set by name.
+culprit, and a repeat blame adds two floats.  :func:`blame_matrix`
+reads labels on that schema by position and parses any other label
+set by name.
+
+Besides the pair families, the accountant keeps one running
+cross-tenant wait per ``(resource, victim)`` (:attr:`InterferenceAccountant
+.cross_wait`), the only windowed quantity the SLO judge reads: the
+windows (:mod:`repro.obs.windows`) diff it per rotation, and the
+scorecard judges each victim's interference budget from it.
 
 ``tenant == culprit`` entries are *self-interference* (a tenant queued
 behind its own traffic, or temporal-partitioning epoch/dead-time
@@ -128,6 +134,14 @@ class InterferenceAccountant:
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self._registry = registry if registry is not None else get_registry()
         self._memo: Dict[Tuple[str, Optional[int]], Row] = {}
+        #: ``(resource, victim) -> cross-tenant wait so far``: the sum of
+        #: every share blamed on a culprit other than the victim.
+        self.cross_wait: Dict[Tuple[str, Optional[int]], float] = {}
+
+    @property
+    def registry(self) -> MetricsRegistry:
+        """The registry the pair counters live in."""
+        return self._registry
 
     def _row(self, resource: str, victim: Optional[int]) -> Row:
         """The victim's memo row for ``resource``."""
@@ -153,6 +167,9 @@ class InterferenceAccountant:
             wait = _mint_pair(self._registry, row, resource, victim, culprit)
         wait.value += wait_ns
         row[1][culprit].value += events
+        if culprit != victim:
+            key = (resource, victim)
+            self.cross_wait[key] = self.cross_wait.get(key, 0.0) + wait_ns
 
     def blame_each(self, resource: str, victim: Optional[int],
                    waits: Iterable[Tuple[Optional[int], float]]) -> None:
@@ -165,12 +182,18 @@ class InterferenceAccountant:
         registry = self._registry
         row = self._row(resource, victim)
         wait_counters, event_counters = row
+        cross = 0.0
         for culprit, wait_ns in waits:
             wait = wait_counters.get(culprit)
             if wait is None:
                 wait = _mint_pair(registry, row, resource, victim, culprit)
             wait.value += wait_ns
             event_counters[culprit].value += 1
+            if culprit != victim:
+                cross += wait_ns
+        if cross:
+            key = (resource, victim)
+            self.cross_wait[key] = self.cross_wait.get(key, 0.0) + cross
 
     # ------------------------------------------------------------------
     # Read side
@@ -178,6 +201,24 @@ class InterferenceAccountant:
 
     def matrix(self, resource: Optional[str] = None) -> "BlameMatrix":
         return blame_matrix(self._registry, resource=resource)
+
+    def cross_tenant_wait_by_victim(self) -> Dict[str, float]:
+        """Cross-tenant wait so far per victim label, summed over the
+        resources in sorted order; victims in label order."""
+        return victim_totals(self.cross_wait)
+
+
+def victim_totals(cross_wait: Dict[Tuple[str, object], float]) \
+        -> Dict[str, float]:
+    """Per-victim sums of a ``(resource, victim) -> wait`` map, adding
+    each victim's resources in sorted order; keyed by the victim's
+    string label, in label order."""
+    waits: Dict[str, float] = {}
+    for _resource, victim, wait in sorted(
+            (resource, str(victim), wait)
+            for (resource, victim), wait in cross_wait.items()):
+        waits[victim] = waits.get(victim, 0.0) + wait
+    return dict(sorted(waits.items()))
 
 
 #: One (victim, culprit) cell: attributed wait and blamed-event count.

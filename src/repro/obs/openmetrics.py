@@ -46,7 +46,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
 )
-from repro.obs.windows import WindowSnapshot
+from repro.obs.windows import CROSS_WAIT_METRIC, WindowSnapshot
 
 #: ``(sample_name, labels, value)`` — one exposition line.
 Sample = Tuple[str, Dict[str, str], float]
@@ -140,11 +140,13 @@ def window_families(snapshots: Sequence[WindowSnapshot],
                     ) -> List[Family]:
     """Per-window series as gauge families.
 
-    Three families, one sample per (window, instrument):
-
-    * ``slo_window_end_ns`` — each window's closing sim timestamp;
-    * ``slo_window_delta`` — every counter's in-window delta, labelled
-      with the source ``metric`` name plus its own labels;
+    * ``slo_window_end_ns`` — each window's closing sim timestamp, one
+      sample per window;
+    * ``slo_window_delta`` — the cross-tenant wait a victim (``tenant``)
+      suffered on one ``resource`` in the window, one sample per pair
+      that moved, labelled ``metric="interference_cross_tenant_wait_ns"``
+      (the per-culprit breakdown is in the cumulative
+      ``interference_wait_ns`` family);
     * ``slo_window_p99_ns`` — each delta histogram's in-window p99.
     """
     extra = dict(extra_labels or {})
@@ -155,13 +157,14 @@ def window_families(snapshots: Sequence[WindowSnapshot],
         window = str(snap.index)
         ends.append(("slo_window_end_ns", dict(extra, window=window),
                      float(snap.end_ns)))
-        for (name, labels), delta in sorted(snap.counters.items()):
+        for (resource, victim), delta in snap.cross_wait.items():
+            deltas.append(("slo_window_delta",
+                           dict(extra, window=window,
+                                metric=CROSS_WAIT_METRIC, resource=resource,
+                                tenant=victim), delta))
+        for (name, labels), hist in snap.histograms.items():
             row = dict(extra, window=window, metric=name)
-            row.update({k: v for k, v in labels})
-            deltas.append(("slo_window_delta", row, delta))
-        for (name, labels), hist in sorted(snap.histograms.items()):
-            row = dict(extra, window=window, metric=name)
-            row.update({k: v for k, v in labels})
+            row.update(labels)
             p99s.append(("slo_window_p99_ns", row, hist.p99))
     families: List[Family] = [("slo_window_end_ns", "gauge", ends)]
     if deltas:

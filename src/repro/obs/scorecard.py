@@ -203,16 +203,6 @@ EXPECTED_DEMO_ALERTS: Tuple[Tuple[str, str, str], ...] = (
 # ----------------------------------------------------------------------
 
 
-def _xwait_by_victim(matrix) -> Dict[str, float]:
-    """Per-victim cross-tenant wait from a blame matrix, all resources."""
-    waits: Dict[str, float] = {}
-    for cells in matrix.values():
-        for (victim, culprit), cell in cells.items():
-            if victim != culprit:
-                waits[victim] = waits.get(victim, 0.0) + cell["wait_ns"]
-    return waits
-
-
 def run_spec(spec: ScenarioSpec, quick: bool = False,
              sanitize: bool = False,
              window_ns: int = DEFAULT_WINDOW_NS,
@@ -269,7 +259,7 @@ def run_spec(spec: ScenarioSpec, quick: bool = False,
                 on_round=lambda _i, end_ns: aggregator.rotate(
                     now_ns=sim.now_ns + end_ns))
             aggregator.stop()
-            xwait = _xwait_by_victim(built.blame)
+            xwait = aggregator.accountant.cross_tenant_wait_by_victim()
             timing = built.snic.timing
             rows = []
             for tenant in spec.tenants:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hw.events import PeriodicHandle, Simulator, kernel_stats
 from repro.obs.bench import isolate
+from repro.obs.interference import InterferenceAccountant
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import Series
 from repro.obs.windows import WindowedAggregator
@@ -230,12 +231,13 @@ def _observed_run(with_sampler, with_windows):
     """One work event at 1,000 ns under 100 ns observers."""
     sim = Simulator()
     registry = MetricsRegistry()
-    work = registry.counter("slo_work_total")
-    sim.schedule(1_000, work.inc)
-    series = _sampler(sim, 100, lambda: work.value) if with_sampler else None
+    work = registry.histogram("slo_work_ns")
+    sim.schedule(1_000, lambda: work.observe(1.0))
+    series = _sampler(sim, 100, lambda: work.count) if with_sampler else None
     windows = None
     if with_windows:
-        windows = WindowedAggregator(sim, window_ns=100, registry=registry)
+        windows = WindowedAggregator(
+            sim, window_ns=100, accountant=InterferenceAccountant(registry))
         windows.start()
     executed = sim.run(max_events=1_000)  # bounds a failing run
     rows = {}
@@ -243,7 +245,7 @@ def _observed_run(with_sampler, with_windows):
         rows["samples"] = series.points()
     if windows is not None:
         rows["windows"] = [(w.start_ns, w.end_ns,
-                            w.counter("slo_work_total"))
+                            w.histogram("slo_work_ns") is not None)
                            for w in windows.snapshots]
     return executed, sim.now_ns, sim.pending, rows
 

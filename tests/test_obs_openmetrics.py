@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.hw.events import Simulator
+from repro.obs.interference import InterferenceAccountant
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.openmetrics import (
     main as checker_main,
@@ -83,10 +84,12 @@ class TestRendering:
 
 class TestWindowFamilies:
     def _windows(self, registry):
-        sim = Simulator()
-        agg = WindowedAggregator(sim, window_ns=100, registry=registry)
+        accountant = InterferenceAccountant(registry)
+        agg = WindowedAggregator(Simulator(), window_ns=100,
+                                 accountant=accountant)
         agg.start()
-        registry.counter("slo_alerts_total", tenant=1).inc(2)
+        accountant.blame("bus", victim=1, culprit=2, wait_ns=2.0)
+        accountant.blame("bus", victim=2, culprit=2, wait_ns=5.0)
         agg.rotate(now_ns=100)
         registry.histogram("slo_latency_ns", tenant=1).observe(700.0)
         agg.rotate(now_ns=200)
@@ -104,11 +107,12 @@ class TestWindowFamilies:
         snapshots = self._windows(registry)
         families = window_families(snapshots)
         by_name = {name: samples for name, _, samples in families}
-        deltas = by_name["slo_window_delta"]
-        hit = [s for s in deltas
-               if s[1]["metric"] == "slo_alerts_total"
-               and s[1]["window"] == "0"]
-        assert hit and hit[0][2] == 2.0
+        # One sample per (victim, resource) that moved: the self-wait
+        # of tenant 2 is not cross-tenant, and window 1 moved nothing.
+        assert by_name["slo_window_delta"] == [
+            ("slo_window_delta",
+             {"window": "0", "metric": "interference_cross_tenant_wait_ns",
+              "resource": "bus", "tenant": "1"}, 2.0)]
 
 
 class TestMergeFamilies:

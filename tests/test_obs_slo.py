@@ -9,6 +9,7 @@ import pytest
 from repro.hw.events import Simulator
 from repro.obs import auditlog
 from repro.obs.bench import isolate
+from repro.obs.interference import InterferenceAccountant
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.slo import (
     BURN_CAP,
@@ -220,7 +221,8 @@ class TestBurnRateAlerter:
             SLOSpec(kind="p99_latency_ns", threshold=threshold,
                     target=target),))
         alerter = BurnRateAlerter({1: slo}, horizon_ns=10_000.0)
-        agg = WindowedAggregator(sim, window_ns=100, registry=registry,
+        agg = WindowedAggregator(sim, window_ns=100,
+                                 accountant=InterferenceAccountant(registry),
                                  on_rotate=alerter.observe)
         agg.start()
         return agg, alerter, registry.histogram(LATENCY_METRIC, tenant=1)
@@ -268,16 +270,15 @@ class TestBurnRateAlerter:
         assert alerter.alerts == []
 
     def test_interference_alerting_from_snapshot_deltas(self):
-        registry = MetricsRegistry()
+        accountant = InterferenceAccountant(MetricsRegistry())
         sim = Simulator()
         slo = TenantSLO(objectives=(
             SLOSpec(kind="interference_budget_ns", threshold=0.0),))
         alerter = BurnRateAlerter({1: slo}, horizon_ns=10_000.0)
-        agg = WindowedAggregator(sim, window_ns=100, registry=registry,
+        agg = WindowedAggregator(sim, window_ns=100, accountant=accountant,
                                  on_rotate=alerter.observe)
         agg.start()
-        registry.counter("interference_wait_ns_total", resource="bus",
-                         tenant=1, culprit=2).inc(50.0)
+        accountant.blame("bus", victim=1, culprit=2, wait_ns=50.0)
         agg.rotate(now_ns=100)
         assert alerter.alerts
         assert alerter.alerts[0].kind == "interference_budget_ns"
