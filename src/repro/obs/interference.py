@@ -33,13 +33,9 @@ they are the same instruments ``registry.counter(...)`` with those
 keywords returns; the accountant then memoises them per victim and
 culprit, and a repeat blame adds two floats.  :func:`blame_matrix`
 reads labels on that schema by position and parses any other label
-set by name.
-
-Besides the pair families, the accountant keeps one running
-cross-tenant wait per ``(resource, victim)`` (:attr:`InterferenceAccountant
-.cross_wait`), the only windowed quantity the SLO judge reads: the
-windows (:mod:`repro.obs.windows`) diff it per rotation, and the
-scorecard judges each victim's interference budget from it.
+set by name.  The accountant also keeps a running cross-tenant wait
+per ``(resource, victim)``, which the SLO windows
+(:mod:`repro.obs.windows`) and the scorecard read.
 
 ``tenant == culprit`` entries are *self-interference* (a tenant queued
 behind its own traffic, or temporal-partitioning epoch/dead-time
@@ -67,7 +63,7 @@ Sources of blame by resource (see the ``hw`` modules):
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import Counter, LabelKey, MetricsRegistry, get_registry
 
@@ -199,26 +195,23 @@ class InterferenceAccountant:
     # Read side
     # ------------------------------------------------------------------
 
-    def matrix(self, resource: Optional[str] = None) -> "BlameMatrix":
-        return blame_matrix(self._registry, resource=resource)
-
     def cross_tenant_wait_by_victim(self) -> Dict[str, float]:
         """Cross-tenant wait so far per victim label, summed over the
         resources in sorted order; victims in label order."""
         return victim_totals(self.cross_wait)
 
 
-def victim_totals(cross_wait: Dict[Tuple[str, object], float]) \
+def victim_totals(cross_wait: Dict[Tuple[str, Any], float]) \
         -> Dict[str, float]:
     """Per-victim sums of a ``(resource, victim) -> wait`` map, adding
     each victim's resources in sorted order; keyed by the victim's
     string label, in label order."""
     waits: Dict[str, float] = {}
-    for _resource, victim, wait in sorted(
-            (resource, str(victim), wait)
+    for victim, _resource, wait in sorted(
+            (str(victim), resource, wait)
             for (resource, victim), wait in cross_wait.items()):
         waits[victim] = waits.get(victim, 0.0) + wait
-    return dict(sorted(waits.items()))
+    return waits
 
 
 #: One (victim, culprit) cell: attributed wait and blamed-event count.
@@ -227,19 +220,12 @@ Cell = Dict[str, float]
 BlameMatrix = Dict[str, Dict[Tuple[str, str], Cell]]
 
 
-def on_pair_schema(labels: LabelKey) -> bool:
-    """Whether ``labels`` is on the fixed schema :func:`pair_labels`
-    builds: ``culprit``, ``resource`` and ``tenant`` at positions 0, 1
-    and 2, so the values can be read by position."""
-    return len(labels) == 3 and labels[0][0] == "culprit" \
-        and labels[1][0] == "resource" and labels[2][0] == "tenant"
-
-
 def _pair_of(labels: LabelKey) -> Tuple[str, str, str]:
     """``(resource, victim, culprit)`` of an interference key's labels:
-    by position on the fixed schema, else searched by name, with
-    ``"?"``/``"None"`` for a missing label."""
-    if on_pair_schema(labels):
+    by position on the fixed schema :func:`pair_labels` builds, else
+    searched by name, with ``"?"``/``"None"`` for a missing label."""
+    if len(labels) == 3 and labels[0][0] == "culprit" \
+            and labels[1][0] == "resource" and labels[2][0] == "tenant":
         return labels[1][1], labels[2][1], labels[0][1]
     res, victim, culprit = "?", "None", "None"
     for label, value in labels:
@@ -419,17 +405,13 @@ class FCFSWaitAttributor:
     def attribute(self, victim: int, now_ns: float, start_ns: float) -> None:
         """Blame the wait interval ``[now_ns, start_ns)`` on the owners
         of the busy segments covering it."""
-        if start_ns <= now_ns:
-            self._prune(now_ns)
-            return
         self._prune(now_ns)
-        if not self._segments:
+        if start_ns <= now_ns or not self._segments:
             return
         totals = self._totals
         head_start, _head_end, head_client = self._segments[0]
         span = start_ns - now_ns
-        culprits: List[int] = []
-        waits: List[float] = []
+        shares: List[Tuple[int, float]] = []
         for culprit in self._clients:
             share = totals[culprit]
             if culprit == head_client and head_start < now_ns:
@@ -437,10 +419,8 @@ class FCFSWaitAttributor:
                 share = share - (now_ns - head_start)
             wait = span if span < share else share
             if wait > 1e-12:
-                culprits.append(culprit)
-                waits.append(wait)
-        self._accountant.blame_each(self.resource, victim,
-                                    zip(culprits, waits))
+                shares.append((culprit, wait))
+        self._accountant.blame_each(self.resource, victim, shares)
 
     def reset(self) -> None:
         self._segments.clear()

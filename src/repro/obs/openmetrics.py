@@ -37,6 +37,7 @@ first violation.
 from __future__ import annotations
 
 import sys
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import (
@@ -56,8 +57,10 @@ Family = Tuple[str, str, List[Sample]]
 
 
 def _escape_label(value: str) -> str:
-    return (value.replace("\\", "\\\\").replace("\"", "\\\"")
-            .replace("\n", "\\n"))
+    if "\\" in value or "\"" in value or "\n" in value:
+        return (value.replace("\\", "\\\\").replace("\"", "\\\"")
+                .replace("\n", "\\n"))
+    return value
 
 
 def _fmt_value(value: float) -> str:
@@ -70,12 +73,12 @@ def _fmt_value(value: float) -> str:
     return repr(float(value))
 
 
-def _fmt_labels(labels: Dict[str, str]) -> str:
-    if not labels:
+def _label_text(items: Sequence[Tuple[str, str]]) -> str:
+    """``{k="v",...}`` for label items already in name order."""
+    if not items:
         return ""
-    inner = ",".join(f'{k}="{_escape_label(str(v))}"'
-                     for k, v in sorted(labels.items()))
-    return "{" + inner + "}"
+    return "{" + ",".join([f'{k}="{_escape_label(str(v))}"'
+                           for k, v in items]) + "}"
 
 
 def _family_name(name: str, kind: str) -> str:
@@ -88,7 +91,9 @@ def _family_name(name: str, kind: str) -> str:
 def registry_families(registry: Optional[MetricsRegistry] = None,
                       extra_labels: Optional[Dict[str, str]] = None,
                       ) -> List[Family]:
-    """Group a registry's instruments into sorted exposition families.
+    """Group a registry's instruments into exposition families, sorted
+    by name; :func:`render_families` puts each family's samples in
+    order.
 
     ``extra_labels`` (e.g. ``{"arbiter": "temporal"}``) are folded into
     every sample — how the scorecard stamps each arbiter's sweep.
@@ -97,7 +102,7 @@ def registry_families(registry: Optional[MetricsRegistry] = None,
     extra = dict(extra_labels or {})
     families: Dict[Tuple[str, str], List[Sample]] = {}
     for instrument in registry.instruments():
-        labels = {k: v for k, v in instrument.labels}
+        labels = dict(instrument.labels)
         labels.update(extra)
         if isinstance(instrument, Histogram):
             family = _family_name(instrument.name, "histogram")
@@ -110,29 +115,18 @@ def registry_families(registry: Optional[MetricsRegistry] = None,
                              float(cumulative)))
             rows.append((family + "_bucket", dict(labels, le="+Inf"),
                          float(instrument.count)))
-            rows.append((family + "_count", dict(labels),
-                         float(instrument.count)))
-            rows.append((family + "_sum", dict(labels),
-                         float(instrument.sum)))
+            rows.append((family + "_count", labels, float(instrument.count)))
+            rows.append((family + "_sum", labels, float(instrument.sum)))
         elif isinstance(instrument, Counter):
             family = _family_name(instrument.name, "counter")
             families.setdefault((family, "counter"), []).append(
-                (family + "_total", dict(labels), instrument.value))
+                (family + "_total", labels, instrument.value))
         elif isinstance(instrument, Gauge):
             family = _family_name(instrument.name, "gauge")
             families.setdefault((family, "gauge"), []).append(
-                (family, dict(labels), instrument.value))
-    return [(name, kind, sorted(samples, key=_sample_sort_key))
+                (family, labels, instrument.value))
+    return [(name, kind, samples)
             for (name, kind), samples in sorted(families.items())]
-
-
-def _sample_sort_key(sample: Sample):
-    name, labels, _ = sample
-    # ``le`` must keep bucket order (numeric), not lexical order.
-    le = labels.get("le")
-    le_rank = (float("inf") if le in (None, "+Inf") else float(le))
-    rest = sorted((k, v) for k, v in labels.items() if k != "le")
-    return (name, rest, le_rank)
 
 
 def window_families(snapshots: Sequence[WindowSnapshot],
@@ -180,9 +174,10 @@ def merge_families(families: Iterable[Family]) -> List[Family]:
     The scorecard exports one exposition covering several arbiter runs:
     each run contributes the same family names (distinguished by an
     ``arbiter`` sample label), and OpenMetrics forbids repeating a
-    ``# TYPE`` line — so samples are concatenated per family and
-    re-sorted.  A name registered with two different kinds is a hard
-    error (the same rule the registry itself enforces).
+    ``# TYPE`` line — so samples are concatenated per family (and put
+    in order once, by :func:`render_families`).  A name registered
+    with two different kinds is a hard error (the same rule the
+    registry itself enforces).
     """
     merged: Dict[str, Tuple[str, List[Sample]]] = {}
     for name, kind, samples in families:
@@ -194,17 +189,41 @@ def merge_families(families: Iterable[Family]) -> List[Family]:
                              f"{kind}")
         else:
             known[1].extend(samples)
-    return [(name, kind, sorted(samples, key=_sample_sort_key))
+    return [(name, kind, samples)
             for name, (kind, samples) in sorted(merged.items())]
+
+
+_INF = float("inf")
+
+
+def _sample_lines(samples: Iterable[Sample]) -> List[str]:
+    """A family's exposition lines, in sample order.
+
+    Samples sort by name, then by their labels other than ``le`` as
+    ``(name, value)`` pairs, then by ``le`` as a number, so buckets
+    keep their numeric order.  Each sample's labels are sorted once,
+    for both its sort key and its label text.
+    """
+    rows = []
+    for sample_name, labels, value in samples:
+        items = sorted(labels.items())
+        le = labels.get("le")
+        if le is None:
+            key = (sample_name, items, _INF)
+        else:
+            key = (sample_name, [item for item in items if item[0] != "le"],
+                   _INF if le == "+Inf" else float(le))
+        rows.append((key, f"{sample_name}{_label_text(items)} "
+                          f"{_fmt_value(value)}"))
+    rows.sort(key=itemgetter(0))
+    return [line for _, line in rows]
 
 
 def render_families(families: Iterable[Family]) -> str:
     lines: List[str] = []
     for name, kind, samples in families:
         lines.append(f"# TYPE {name} {kind}")
-        for sample_name, labels, value in samples:
-            lines.append(f"{sample_name}{_fmt_labels(labels)} "
-                         f"{_fmt_value(value)}")
+        lines.extend(_sample_lines(samples))
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
 
@@ -316,8 +335,8 @@ def validate_text(text: str) -> List[str]:
                 errors.append(f"line {lineno}: histogram bucket without "
                               f"le label")
                 continue
-            series = family + _fmt_labels(
-                {k: v for k, v in labels.items() if k != "le"})
+            series = family + _label_text(
+                sorted((k, v) for k, v in labels.items() if k != "le"))
             le_value = float("inf") if le == "+Inf" else float(le)
             prev_le, prev_cum = bucket_state.get(
                 series, (float("-inf"), 0.0))

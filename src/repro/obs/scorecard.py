@@ -67,9 +67,6 @@ DEFAULT_ARBITERS = ("fcfs", "temporal", "drr")
 #: Window width for the kernel-driven traffic phase.
 DEFAULT_WINDOW_NS = 50_000
 
-#: Contention-phase round period (mirrors the builder's drive phase).
-_ROUND_PERIOD_NS = 8_000.0
-
 #: Scaled-down arbiter bandwidth: 2 KiB transfers take 512 ns against a
 #: 200 ns issue spacing, so shared-bus queueing is real at scale (the
 #: stock 12.8 B/ns leaves the bus idle between back-to-back tenants).
@@ -220,9 +217,13 @@ def run_spec(spec: ScenarioSpec, quick: bool = False,
     from repro.obs import openmetrics
     from repro.obs.bench import cell_scope
     from repro.obs.metrics import get_registry
-    from repro.scenario.build import build_scenario
+    from repro.scenario.build import (
+        ROUND_PERIOD_NS,
+        build_scenario,
+        contention_rounds,
+    )
 
-    rounds = 8 if quick else 16
+    rounds = contention_rounds(quick)
     with cell_scope(sanitize=sanitize, audit=True):
         with build_scenario(spec) as built:
             registry = get_registry()
@@ -246,7 +247,7 @@ def run_spec(spec: ScenarioSpec, quick: bool = False,
             built.runtime.on_complete = observe
             horizon_ns = float(
                 spec.traffic.n_packets * spec.traffic.arrival_period_ns
-                + rounds * _ROUND_PERIOD_NS)
+                + rounds * ROUND_PERIOD_NS)
             alerter = BurnRateAlerter(slos, horizon_ns=horizon_ns)
             aggregator = WindowedAggregator(
                 built.runtime.sim, window_ns=window_ns,

@@ -1,48 +1,41 @@
-"""Sim-time windowed aggregation of metrics registry state.
+"""Sim-time windowed aggregation of the SLO judge's inputs.
 
-The registry (:mod:`repro.obs.metrics`) is cumulative: a counter or
-histogram answers "what happened since the run began", which is the
-right shape for end-of-run scorecards but useless for *rate* questions
-— an SLO burn rate is "how fast is the error budget being consumed
-**right now**", which needs per-window deltas.
+The registry (:mod:`repro.obs.metrics`) is cumulative: an instrument
+answers "what happened since the run began", which is the right shape
+for end-of-run scorecards but useless for *rate* questions — an SLO
+burn rate is "how fast is the error budget being consumed **right
+now**", which needs per-window deltas.
 
-:class:`WindowedAggregator` is an observer on the event kernel
-(:meth:`~repro.hw.events.Simulator.every`, which ends the ticks with the
-work; no wall clock anywhere): every ``window_ns`` of simulated time it
-*rotates*, snapshotting the delta of every tracked quantity since the
-previous rotation into a :class:`WindowSnapshot`:
+A window holds only what its reader, the burn-rate alerter, uses: per
+tenant, the ``slo_`` latency histogram's delta and the victim's
+cross-tenant wait.  :class:`WindowedAggregator` is an observer on the
+event kernel (:meth:`~repro.hw.events.Simulator.every`, which ends the
+ticks with the work; no wall clock anywhere): every ``window_ns`` of
+simulated time it *rotates* into a :class:`WindowSnapshot`:
 
-* cross-tenant wait deltas are floats (``total_now -
-  total_at_window_start``), one per ``(resource, victim)`` that moved;
 * histogram deltas are real :class:`~repro.obs.metrics.Histogram`
   objects carrying the per-bucket count difference, so a window can
-  answer percentile and threshold-exceedance questions on its own —
-  and windows **compose**: merging every window's delta histogram via
-  :meth:`Histogram.merge` reproduces the cumulative histogram
-  bucket-for-bucket.
+  answer percentile questions on its own, and merging every window's
+  delta via :meth:`Histogram.merge` reproduces the cumulative
+  histogram bucket-for-bucket;
+* the wait comes from the interference accountant's running
+  cross-tenant total per ``(resource, victim)``
+  (:attr:`~repro.obs.interference.InterferenceAccountant.cross_wait`):
+  a rotation diffs those few totals (resources times victims, not
+  victims times culprits) into :attr:`WindowSnapshot.cross_wait`.  The
+  per-pair breakdown stays in the cumulative ``interference_*_total``
+  counter families.
 
 Phases of an experiment that advance time *outside* the kernel (the
 contention rig drives the bus/DMA/DRAM models on hand-stepped
 timestamps) rotate manually via :meth:`WindowedAggregator.rotate`, so
 their interference still lands in a window of its own.
 
-Delta histograms inherit an approximation: the registry's cumulative
-``min``/``max`` cannot be split per window, so a window's extrema are
-reconstructed from its occupied buckets (lower edge of the first, upper
-edge of the last, both clamped to the cumulative extrema).  Percentile
-estimates inside a window are therefore bucket-resolution accurate —
-the same resolution the cumulative histogram offers anyway.
-
-A window holds only what its readers use.  The SLO alerter reads two
-things per tenant: the ``slo_`` latency histogram's delta and the
-victim's cross-tenant wait.  So the aggregator tracks the registry's
-``slo_`` histograms, and the interference accountant's running
-cross-tenant wait per ``(resource, victim)``
-(:attr:`~repro.obs.interference.InterferenceAccountant.cross_wait`).
-A rotation diffs those few totals -- resources times victims, not
-victims times culprits -- into :attr:`WindowSnapshot.cross_wait`; the
-per-pair breakdown stays in the cumulative ``interference_*_total``
-counter families.
+The registry's cumulative ``min``/``max`` cannot be split per window,
+so a delta histogram's extrema are reconstructed from its occupied
+buckets (lower edge of the first, upper edge of the last, both clamped
+to the cumulative extrema): bucket resolution, the same the cumulative
+histogram offers anyway.
 """
 
 from __future__ import annotations
@@ -120,13 +113,11 @@ def _delta_histogram(current: Histogram, base_counts: List[int],
                      base_count: int, base_sum: float) -> Histogram:
     """A fresh Histogram holding ``current``'s change since the base."""
     delta = Histogram(current.name, current.labels, bounds=current.bounds)
-    total = 0
     first = last = -1
     for i, cumulative in enumerate(current.counts):
         diff = cumulative - base_counts[i]
         if diff:
             delta.counts[i] = diff
-            total += diff
             if first < 0:
                 first = i
             last = i
@@ -266,8 +257,9 @@ class WindowedAggregator:
         observer (:meth:`~repro.hw.events.Simulator.every`)."""
         if self.running:
             raise RuntimeError("aggregator already started")
-        self._window_start_ns = float(self.sim.now_ns)
-        self._prime_bases()
+        # Capture and drop the pre-run state, so window 0 holds only
+        # new work.
+        self._capture(float(self.sim.now_ns))
         self._ticks = self.sim.every(self.window_ns, self.rotate)
 
     def stop(self) -> None:
@@ -277,13 +269,6 @@ class WindowedAggregator:
     @property
     def running(self) -> bool:
         return self._ticks is not None and self._ticks.active
-
-    def _prime_bases(self) -> None:
-        """Capture the pre-run state so window 0 holds only new work."""
-        self._refresh_histograms()
-        self._cross_bases = dict(self.accountant.cross_wait)
-        for entry in self._histograms:
-            entry[2] = _histogram_state(entry[1])
 
     def close(self, now_ns: Optional[float] = None) -> None:
         """Stop and capture any final partial window.

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.obs.bench import bind_clock
 from repro.scenario.spec import (
@@ -49,6 +49,15 @@ MB = 1024 * 1024
 
 #: DMA staging window per tenant in the contention rig.
 _DMA_WINDOW = 64 * 1024
+
+#: Simulated length of one contention round (phase 2 of
+#: :meth:`BuiltScenario.drive`).
+ROUND_PERIOD_NS = 8_000.0
+
+
+def contention_rounds(quick: bool) -> int:
+    """How many contention rounds :meth:`BuiltScenario.drive` runs."""
+    return 8 if quick else 16
 
 
 class ScenarioBuildError(SpecError):
@@ -225,8 +234,6 @@ class BuiltScenario:
         self.vnics: Dict[str, object] = {}
         self.fault_plan = None
         self.injector = None
-        #: The blame matrix at the end of the last :meth:`drive`.
-        self.blame: Dict[str, Dict[Tuple[str, str], Dict[str, float]]] = {}
         self._rig: Optional[ContentionRig] = None
         self._deployed = False
 
@@ -378,7 +385,7 @@ class BuiltScenario:
         from repro.obs.interference import blame_matrix, cross_tenant_wait_ns
         from repro.obs.metrics import get_registry
 
-        rounds = rounds if rounds is not None else (8 if quick else 16)
+        rounds = rounds if rounds is not None else contention_rounds(quick)
         victim_id = self.nf_ids[0] if self.nf_ids else None
         outputs: Dict[str, object] = {
             "scenario": self.spec.name,
@@ -419,9 +426,8 @@ class BuiltScenario:
             if victim_id is not None else 0,
         })
         outputs.update(contention)
-        self.blame = blame_matrix(get_registry())
         outputs["cross_tenant_wait_ns"] = float(
-            cross_tenant_wait_ns(self.blame))
+            cross_tenant_wait_ns(blame_matrix(get_registry())))
         outputs["faults_injected"] = (
             len(self.injector.records) if self.injector is not None else 0)
         return outputs
@@ -452,13 +458,12 @@ class BuiltScenario:
             return {"bus_wait_ns_victim": 0.0, "dma_wait_ns_victim": 0.0,
                     "dram_wait_ns_victim": 0.0, "dma_retries_exhausted": 0}
         victim = nf_ids[0]
-        period_ns = 8_000.0
         bus_bytes, dma_bytes, dram_bytes = 2_048, 4_096, 4_096
         policy = BackoffPolicy(attempts=3, base_ns=500)
         bus_wait = dma_wait = dram_wait = 0.0
         exhausted = 0
         for round_index in range(rounds):
-            base = round_index * period_ns
+            base = round_index * ROUND_PERIOD_NS
             # Reverse order on the bus: the last tenant (the FaultSpec's
             # default target) issues first, so a babble burst is already
             # queued when the victim's transfer arrives.
@@ -492,7 +497,7 @@ class BuiltScenario:
                 if nf_id == victim:
                     dram_wait += done_at - issue
             if on_round is not None:
-                on_round(round_index, base + period_ns)
+                on_round(round_index, base + ROUND_PERIOD_NS)
         return {
             "bus_wait_ns_victim": float(bus_wait),
             "dma_wait_ns_victim": float(dma_wait),

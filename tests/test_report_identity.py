@@ -8,7 +8,7 @@ SLO run's ``--openmetrics`` export.  Workers run whole cells, so a
 ``--shards`` report carries the same digest as the run without it.  It also pins the full
 192-tenant ``fcfs`` SLO scorecard (~4 s), the run whose judging cost
 grows as tenants squared, and the ``--openmetrics`` export of a full
-48-tenant ``fcfs`` run (~3 s, 9.7 MB), whose windows span all 16
+48-tenant ``fcfs`` run (~1 s, 0.95 MB), whose windows span all 16
 rounds.  The isolation audit, the full chaos fault
 matrix, the co-tenancy Chrome trace and
 ``examples/nf_dense_scenario.json`` (the perf benchmark's ``nf-dense``
@@ -20,7 +20,7 @@ of the twelve post-mortem bundles that ``chaos --quick --matrix
 from one run of that command.
 Between them they run key provisioning, attested launch and teardown,
 the packet path and every arbiter; the export adds every window's
-per-rotation deltas.  So a host-side change (a cache, a faster
+per-victim cross-tenant wait and latency p99.  So a host-side change (a cache, a faster
 primitive) that alters any simulated number fails here.  A change
 that is *meant* to alter a report regenerates the fixture in the same
 diff with::
