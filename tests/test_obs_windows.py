@@ -237,7 +237,7 @@ class TestArrayBackedDifferential:
                 self._step(rng, accountant)
             snap = agg.rotate(now_ns=100 * window)
             expected = reference.rotate()
-            assert snap.cross_wait == expected
+            assert list(snap.cross_wait.items()) == list(expected.items())
             assert snap.cross_tenant_wait_by_victim() == \
                 EagerWindows.by_victim(expected)
         assert len(agg.snapshots) == 3
