@@ -42,8 +42,7 @@ from repro.faults.recovery import (
 )
 from repro.obs import postmortem as postmortem_mod
 from repro.obs.bench import cell_scope, emit_report, format_json
-from repro.obs.interference import blame_matrix, cross_tenant_wait_ns
-from repro.obs.metrics import get_registry
+from repro.obs.interference import get_accountant
 
 SCHEMA_VERSION = 1
 
@@ -709,7 +708,7 @@ def _differential(kind: FaultKind, seed: int, rounds: int,
                            f"(seed {seed})"}
         with cell_scope(bundle=bundle, spec=spec, note=note):
             faulted, info = workload(snic, True, seed, rounds)
-            matrix = blame_matrix(get_registry())
+            cross_wait = get_accountant().cross_tenant_wait()
         disruption = {key: faulted[key] - clean[key]
                       for key in sorted(clean)}
         entry[label] = {
@@ -718,7 +717,7 @@ def _differential(kind: FaultKind, seed: int, rounds: int,
             "disruption": disruption,
             "disruption_total": float(
                 sum(abs(value) for value in disruption.values())),
-            "cross_tenant_wait_ns": float(cross_tenant_wait_ns(matrix)),
+            "cross_tenant_wait_ns": cross_wait,
             "info": {key: info[key] for key in sorted(info)},
         }
     return entry, bundles

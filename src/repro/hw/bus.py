@@ -298,7 +298,7 @@ class IOBus:
         self.arbiter = arbiter
         self.requests: List[BusRequest] = []
         self.record = False
-        self._registry = registry or get_registry()
+        self._registry = registry if registry is not None else get_registry()
         self._obs_label = instance_label("bus")
         self._bytes: Dict[int, Counter] = {}
         self._latency: Dict[int, Histogram] = {}

@@ -130,7 +130,7 @@ class Cache:
         # the sets it empties, so scrubs cost what is resident.
         self._sets: Dict[int, List[_Line]] = {}
         self._clock = 0
-        self._registry = registry or get_registry()
+        self._registry = registry if registry is not None else get_registry()
         self._obs_label = instance_label(name)
         self.stats: Dict[int, CacheStats] = {}
         self._evictions: Dict[int, Counter] = {}

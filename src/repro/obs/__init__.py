@@ -31,9 +31,10 @@ hot layer:
   and ``emit_report()`` (the report tail every front end ends in).
 * :mod:`repro.obs.interference` — per-tenant contention attribution:
   every shared hardware resource blames each nanosecond a victim
-  waited on the co-tenant that caused it
-  (``interference_wait_ns_total{resource, tenant, culprit}``), and
-  :func:`blame_matrix` reconstructs who-made-whom-wait matrices.
+  waited on the co-tenant that caused it, into the accountant's one
+  table of blame; :func:`blame_matrix` reads who-made-whom-wait
+  matrices from it, and the registry serves it to snapshots and
+  exports as ``interference_wait_ns_total{resource, tenant, culprit}``.
 * :mod:`repro.obs.timeseries` — ring-buffered named series with one
   CSV export, filled by kernel observers
   (:meth:`repro.hw.events.Simulator.every`) or over a fixed grid

@@ -254,7 +254,7 @@ def _measure_resource(resource: str, snic: bool, rounds: int) -> Dict[str, objec
         solo = workload(snic, False, rounds)
     with cell_scope():
         cotenant = workload(snic, True, rounds)
-        matrix = blame_matrix(get_registry(), resource=resource)
+        matrix = blame_matrix(resource=resource)
         percentiles = _victim_latency_percentiles()
     cells = matrix.get(resource, {})
     # A ratio is meaningless off a zero baseline (e.g. a 0% solo miss
@@ -538,7 +538,7 @@ def main(argv: Optional[List[str]] = None,
                         help="reduced iteration counts (CI smoke)")
     parser.add_argument("--format", choices=sorted(_FORMATTERS),
                         default="text", help="output format")
-    parser.add_argument("--out", metavar="PATH",
+    parser.add_argument("-o", "--out", metavar="PATH",
                         help="also write the scorecard to this file")
     args = parser.parse_args(argv)
     scorecard = run_audit(quick=args.quick)

@@ -150,7 +150,7 @@ def _fill_record(record: BenchRecord) -> None:
     record.sim_time_ns = CELL.kernel.sim_ns_advanced
     record.events_executed = CELL.kernel.events_executed
     record.trace_events = len(CELL.tracer.events)
-    record.metrics_instruments = len(CELL.registry)
+    record.metrics_instruments = CELL.registry.series()
     record.histograms = _histogram_percentiles(CELL.registry)
 
 

@@ -16,9 +16,17 @@ work attributable to ``culprit`` on ``resource``, the resource calls::
 FCFS queues split one wait interval across several culprits;
 :class:`FCFSWaitAttributor` hands all the shares of one interval to
 :meth:`InterferenceAccountant.blame_each`, the batched form of
-``blame`` (one event per culprit, the same counters, the same mint
-order).  Either way the blame lands in two tenant-tagged counter
-families in the metrics registry, on one fixed label schema:
+``blame`` (one event per culprit, the same sums in the same order).
+
+The accountant is the one store of blame: one plain row per
+``(resource, victim)``, mapping each culprit to ``[wait_ns, events]``,
+next to a running cross-tenant wait per ``(resource, victim)``, which
+the SLO windows (:mod:`repro.obs.windows`) and the scorecard read.
+:func:`blame_matrix` and :meth:`InterferenceAccountant.cells` read the
+rows in label order.  Registry-wide readers (snapshots, the OpenMetrics
+export, the instrument count in records) see the rows through one
+collector on the accountant's registry, as two tenant-tagged counter
+families on one fixed label schema:
 
 * ``interference_wait_ns_total{resource, tenant, culprit}`` —
   nanoseconds the victim (``tenant``) spent waiting behind the
@@ -26,16 +34,8 @@ families in the metrics registry, on one fixed label schema:
 * ``interference_events_total{resource, tenant, culprit}`` — how many
   of the victim's requests were delayed by that culprit.
 
-A pair's first blame mints both counters from one label tuple,
-``(("culprit", c), ("resource", r), ("tenant", v))`` in sorted label
-order (:func:`pair_labels`), through the registry's get-or-create, so
-they are the same instruments ``registry.counter(...)`` with those
-keywords returns; the accountant then memoises them per victim and
-culprit, and a repeat blame adds two floats.  :func:`blame_matrix`
-reads labels on that schema by position and parses any other label
-set by name.  The accountant also keeps a running cross-tenant wait
-per ``(resource, victim)``, which the SLO windows
-(:mod:`repro.obs.windows`) and the scorecard read.
+Each sample holds what a ``registry.counter(...)`` instrument with
+those labels would hold, but no per-pair object exists.
 
 ``tenant == culprit`` entries are *self-interference* (a tenant queued
 behind its own traffic, or temporal-partitioning epoch/dead-time
@@ -63,9 +63,11 @@ Sources of blame by resource (see the ``hw`` modules):
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from operator import itemgetter
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import Counter, LabelKey, MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 
 #: Canonical resource names, in scorecard display order.
 RESOURCE_BUS = "bus"
@@ -81,69 +83,67 @@ RESOURCES: Tuple[str, ...] = (
 WAIT_METRIC = "interference_wait_ns_total"
 EVENTS_METRIC = "interference_events_total"
 
-
-def pair_labels(resource: str, victim: Optional[int],
-                culprit: Optional[int]) -> LabelKey:
-    """The label key of one pair's counters: exactly what
-    ``registry.counter(name, resource=..., tenant=..., culprit=...)``
-    builds, on the fixed schema, in sorted label order."""
-    return (("culprit", str(culprit)), ("resource", str(resource)),
-            ("tenant", str(victim)))
+#: One (resource, victim) row: culprit -> ``[wait_ns, events]``.
+Row = Dict[Optional[int], List[float]]
+#: One blamed pair in label order: resource, victim label, culprit
+#: label and its ``[wait_ns, events]``.
+PairCell = Tuple[str, str, str, List[float]]
 
 
-#: One (resource, victim) row of the accountant's memo: the wait and
-#: the events counters by culprit.
-Row = Tuple[Dict[Optional[int], Counter], Dict[Optional[int], Counter]]
-
-
-def _mint_pair(registry: MetricsRegistry, row: Row, resource: str,
-               victim: Optional[int], culprit: Optional[int]) -> Counter:
-    """Get or mint one pair's wait and events counters, in that order,
-    from one label key (the two counters share it); file both in
-    ``row`` and return the wait counter."""
-    labels = pair_labels(resource, victim, culprit)
-    waits, events = row
-    wait = waits[culprit] = registry._get_or_create(Counter, WAIT_METRIC,
-                                                     labels)
-    events[culprit] = registry._get_or_create(Counter, EVENTS_METRIC, labels)
-    return wait
+def _pair_samples(rows: Dict[Tuple[str, Optional[int]], Row]) \
+        -> Iterator[Dict[str, object]]:
+    """The registry's view of the rows: one wait and one events counter
+    sample per blamed pair, shaped as :meth:`Counter.sample` shapes
+    them (labels in sorted order)."""
+    for (resource, victim), row in rows.items():
+        tenant = str(victim)
+        for culprit, (wait, events) in row.items():
+            label = str(culprit)
+            yield {"name": WAIT_METRIC, "type": "counter",
+                   "labels": {"culprit": label, "resource": resource,
+                              "tenant": tenant},
+                   "value": wait}
+            yield {"name": EVENTS_METRIC, "type": "counter",
+                   "labels": {"culprit": label, "resource": resource,
+                              "tenant": tenant},
+                   "value": events}
 
 
 class InterferenceAccountant:
-    """The blame sink: resolves ``(resource, victim, culprit)`` to the
-    registry's counter pair and adds to it.
+    """The blame sink and the one store of blame.
 
-    The pair is memoised in one row per ``(resource, victim)``, two
-    dicts keyed by culprit, so a repeat blame costs two dict lookups
-    and two float adds and builds nothing.  A miss mints both counters
-    from one :func:`pair_labels` key through
-    :meth:`MetricsRegistry._get_or_create`, in the same order as
-    ``registry.counter`` calls would, and to the same instruments.  The
-    accountant blames into one registry for life (the current cell's
-    when none is given), and a registry never drops an instrument, so
-    the memo never goes stale; each cell gets a new accountant with its
-    registry (:class:`repro.obs.cell.CellState`).  Memo keys are the raw
-    label values; tenant ids are ints (or ``None``), which never collide
-    under ``==`` while stringifying differently.
+    ``rows`` holds one dict per ``(resource, victim)``, mapping each
+    culprit to ``[wait_ns, events]``: a repeat blame costs two dict
+    lookups and two float adds and builds nothing.  Both sums start at
+    ``0.0``, so they hold the bits a registry counter would.  The
+    accountant serves its rows to one registry for life (the current
+    cell's when none is given) through a collector; each cell gets a
+    new accountant with its registry (:class:`repro.obs.cell.CellState`).
+    Row keys are the raw tenant ids (ints or ``None``), whose labels
+    never collide.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self._registry = registry if registry is not None else get_registry()
-        self._memo: Dict[Tuple[str, Optional[int]], Row] = {}
+        #: ``(resource, victim) -> {culprit: [wait_ns, events]}``.
+        self.rows: Dict[Tuple[str, Optional[int]], Row] = {}
         #: ``(resource, victim) -> cross-tenant wait so far``: the sum of
         #: every share blamed on a culprit other than the victim.
         self.cross_wait: Dict[Tuple[str, Optional[int]], float] = {}
+        # The collector holds the rows, not the accountant, so the
+        # registry and the accountant form no cycle.
+        self._registry.register_collector(partial(_pair_samples, self.rows))
 
     @property
     def registry(self) -> MetricsRegistry:
-        """The registry the pair counters live in."""
+        """The registry that serves the rows as counter families."""
         return self._registry
 
     def _row(self, resource: str, victim: Optional[int]) -> Row:
-        """The victim's memo row for ``resource``."""
-        row = self._memo.get((resource, victim))
+        """The victim's row for ``resource``."""
+        row = self.rows.get((resource, victim))
         if row is None:
-            row = self._memo[(resource, victim)] = ({}, {})
+            row = self.rows[(resource, victim)] = {}
         return row
 
     def blame(
@@ -158,33 +158,34 @@ class InterferenceAccountant:
         if wait_ns <= 0.0 and events <= 0:
             return
         row = self._row(resource, victim)
-        wait = row[0].get(culprit)
-        if wait is None:
-            wait = _mint_pair(self._registry, row, resource, victim, culprit)
-        wait.value += wait_ns
-        row[1][culprit].value += events
+        cell = row.get(culprit)
+        if cell is None:
+            cell = row[culprit] = [0.0, 0.0]
+        cell[0] += wait_ns
+        cell[1] += events
         if culprit != victim:
             key = (resource, victim)
             self.cross_wait[key] = self.cross_wait.get(key, 0.0) + wait_ns
 
     def blame_each(self, resource: str, victim: Optional[int],
-                   waits: Iterable[Tuple[Optional[int], float]]) -> None:
+                   waits: Sequence[Tuple[Optional[int], float]]) -> None:
         """One blamed event per ``(culprit, wait_ns)``, in order.
 
         Equivalent to calling :meth:`blame` once per entry with the
-        default ``events=1`` -- the same counter values and the same
-        mint order -- but looks the memo row up only once.
+        default ``events=1`` -- the same sums, added in the same order,
+        and no row for an empty ``waits`` -- but looks the row up only
+        once.
         """
-        registry = self._registry
+        if not waits:
+            return
         row = self._row(resource, victim)
-        wait_counters, event_counters = row
         cross = 0.0
         for culprit, wait_ns in waits:
-            wait = wait_counters.get(culprit)
-            if wait is None:
-                wait = _mint_pair(registry, row, resource, victim, culprit)
-            wait.value += wait_ns
-            event_counters[culprit].value += 1
+            cell = row.get(culprit)
+            if cell is None:
+                cell = row[culprit] = [0.0, 0.0]
+            cell[0] += wait_ns
+            cell[1] += 1
             if culprit != victim:
                 cross += wait_ns
         if cross:
@@ -194,6 +195,29 @@ class InterferenceAccountant:
     # ------------------------------------------------------------------
     # Read side
     # ------------------------------------------------------------------
+
+    def cells(self, resource: Optional[str] = None) -> Iterator[PairCell]:
+        """Every blamed pair (on ``resource`` only, when given) in
+        ``(resource, victim label, culprit label)`` string order, with
+        its live ``[wait_ns, events]`` entry."""
+        victims = sorted(
+            ((res, str(victim), row) for (res, victim), row
+             in self.rows.items() if resource is None or res == resource),
+            key=itemgetter(0, 1))
+        for res, victim, row in victims:
+            for culprit, cell in sorted(
+                    ((str(culprit), cell) for culprit, cell in row.items()),
+                    key=itemgetter(0)):
+                yield res, victim, culprit, cell
+
+    def cross_tenant_wait(self) -> float:
+        """Total cross-tenant wait, added in :meth:`cells` order: to the
+        bit, ``cross_tenant_wait_ns(blame_matrix(self))``."""
+        total = 0.0
+        for _res, victim, culprit, cell in self.cells():
+            if victim != culprit:
+                total += cell[0]
+        return total
 
     def cross_tenant_wait_by_victim(self) -> Dict[str, float]:
         """Cross-tenant wait so far per victim label, summed over the
@@ -220,70 +244,23 @@ Cell = Dict[str, float]
 BlameMatrix = Dict[str, Dict[Tuple[str, str], Cell]]
 
 
-def _pair_of(labels: LabelKey) -> Tuple[str, str, str]:
-    """``(resource, victim, culprit)`` of an interference key's labels:
-    by position on the fixed schema :func:`pair_labels` builds, else
-    searched by name, with ``"?"``/``"None"`` for a missing label."""
-    if len(labels) == 3 and labels[0][0] == "culprit" \
-            and labels[1][0] == "resource" and labels[2][0] == "tenant":
-        return labels[1][1], labels[2][1], labels[0][1]
-    res, victim, culprit = "?", "None", "None"
-    for label, value in labels:
-        if label == "resource":
-            res = value
-        elif label == "tenant":
-            victim = value
-        elif label == "culprit":
-            culprit = value
-    return res, victim, culprit
-
-
-def _sorted_cells(cells: Dict[Tuple[str, str], Cell]) \
-        -> Dict[Tuple[str, str], Cell]:
-    """``cells`` in ``(victim, culprit)`` string order.
-
-    Sorts integer ranks of the few distinct tenant labels instead of
-    comparing string tuples; the order is the same.
-    """
-    names = sorted({label for pair in cells for label in pair})
-    rank = {label: i for i, label in enumerate(names)}
-    width = len(names)
-    order = sorted(cells, key=lambda pair: rank[pair[0]] * width
-                   + rank[pair[1]])
-    return {pair: cells[pair] for pair in order}
-
-
-def blame_matrix(registry: Optional[MetricsRegistry] = None,
+def blame_matrix(accountant: Optional[InterferenceAccountant] = None,
                  resource: Optional[str] = None) -> BlameMatrix:
-    """The interference matrices currently in the registry.
+    """The interference matrices held by ``accountant`` (the current
+    cell's by default).
 
     Returns ``{resource: {(victim, culprit): {"wait_ns": w, "events": n}}}``
-    with tenant ids as the registry's string labels.  Deterministically
-    ordered (resources and cells sorted).  Reads the two counter
-    families straight off the registry keys, without a full snapshot,
-    and their labels by position (:func:`_pair_of`): each cell field is
-    one instrument's value, so the scan order does not matter.
+    with tenant ids as string labels, resources and cells in sorted
+    order (:meth:`InterferenceAccountant.cells`).  Each cell is a copy.
     """
-    registry = registry if registry is not None else get_registry()
+    accountant = accountant if accountant is not None else get_accountant()
     matrix: BlameMatrix = {}
-    for (name, labels), instrument in registry.items():
-        if name == WAIT_METRIC:
-            field = "wait_ns"
-        elif name == EVENTS_METRIC:
-            field = "events"
-        else:
-            continue
-        res, victim, culprit = _pair_of(labels)
-        if resource is not None and res != resource:
-            continue
-        cells = matrix.get(res)
-        if cells is None:
+    cells: Dict[Tuple[str, str], Cell] = {}
+    for res, victim, culprit, (wait, events) in accountant.cells(resource):
+        if res not in matrix:
             cells = matrix[res] = {}
-        cell = cells.get((victim, culprit))
-        if cell is None:
-            cell = cells[(victim, culprit)] = {"wait_ns": 0.0, "events": 0.0}
-        cell[field] += float(instrument.value)  # type: ignore[attr-defined]
-    return {res: _sorted_cells(cells) for res, cells in sorted(matrix.items())}
+        cells[(victim, culprit)] = {"wait_ns": wait, "events": events}
+    return matrix
 
 
 def cross_tenant_wait_ns(matrix: BlameMatrix,
@@ -368,7 +345,8 @@ class FCFSWaitAttributor:
     def __init__(self, resource: str,
                  accountant: Optional[InterferenceAccountant] = None) -> None:
         self.resource = resource
-        self._accountant = accountant or get_accountant()
+        self._accountant = accountant if accountant is not None \
+            else get_accountant()
         #: Sequential (start, end, client) busy segments not yet consumed.
         self._segments: List[Tuple[float, float, int]] = []
         #: client -> total live-segment duration (the O(1) running sum).

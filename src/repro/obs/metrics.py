@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Tuple)
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -252,8 +252,10 @@ class MetricsRegistry:
     ``counter``/``gauge``/``histogram`` are get-or-create: the same
     ``(name, labels)`` pair always maps to the same instrument object.
     ``register_collector`` attaches a zero-overhead pull source: a
-    callable invoked only at :meth:`snapshot` time, for components whose
-    hot loops are too hot even for a counter increment.
+    callable invoked only when a reader walks the whole registry
+    (:meth:`snapshot`, :meth:`series`, the OpenMetrics export), for
+    components that keep their own tables -- the interference
+    accountant serves its per-pair blame this way.
 
     Instruments are only ever added, in mint order, and never replaced
     or dropped, so a reader may cache instrument objects (or how far it
@@ -294,14 +296,10 @@ class MetricsRegistry:
                             f"{type(instrument).__name__}")
         return instrument
 
-    def _get_or_create(self, cls, name: str,
-                       labels: Union[Dict[str, object], LabelKey]):
+    def _get_or_create(self, cls, name: str, labels: Dict[str, object]):
         """The instrument at ``(name, labels)``, minting a ``cls`` on a
-        miss.  ``labels`` is a label dict or an already-built
-        :data:`LabelKey` (sorted ``(label, str(value))`` pairs), which
-        a caller minting several families on one label set builds once.
-        """
-        key = (name, labels if isinstance(labels, tuple) else _label_key(labels))
+        miss."""
+        key = (name, _label_key(labels))
         instrument = self._instruments.get(key)
         if instrument is None:
             instrument = cls(name, key[1])
@@ -314,7 +312,19 @@ class MetricsRegistry:
     def register_collector(
         self, collector: Callable[[], Iterable[Dict[str, object]]]
     ) -> None:
+        """Serve ``collector``'s samples (``sample()``-shaped counter or
+        gauge dicts) alongside the instruments."""
         self._collectors.append(collector)
+
+    def collected(self) -> Iterator[Dict[str, object]]:
+        """Every collector's samples, collector by collector."""
+        for collector in self._collectors:
+            yield from collector()
+
+    def series(self) -> int:
+        """How many series a snapshot holds: the instruments plus the
+        collected samples."""
+        return len(self._instruments) + sum(1 for _ in self.collected())
 
     # ------------------------------------------------------------------
 
@@ -334,8 +344,7 @@ class MetricsRegistry:
     def snapshot(self) -> List[Dict[str, object]]:
         """Every instrument (and collector output) as plain dicts."""
         samples = [inst.sample() for inst in self._instruments.values()]
-        for collector in self._collectors:
-            samples.extend(collector())
+        samples.extend(self.collected())
         samples.sort(key=lambda s: (s["name"], sorted(s["labels"].items())))
         return samples
 

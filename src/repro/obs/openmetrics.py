@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import sys
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, cast
 
 from repro.obs.metrics import (
     Counter,
@@ -91,9 +91,9 @@ def _family_name(name: str, kind: str) -> str:
 def registry_families(registry: Optional[MetricsRegistry] = None,
                       extra_labels: Optional[Dict[str, str]] = None,
                       ) -> List[Family]:
-    """Group a registry's instruments into exposition families, sorted
-    by name; :func:`render_families` puts each family's samples in
-    order.
+    """Group a registry's instruments and collected counter and gauge
+    samples into exposition families, sorted by name;
+    :func:`render_families` puts each family's samples in order.
 
     ``extra_labels`` (e.g. ``{"arbiter": "temporal"}``) are folded into
     every sample — how the scorecard stamps each arbiter's sweep.
@@ -101,6 +101,18 @@ def registry_families(registry: Optional[MetricsRegistry] = None,
     registry = registry if registry is not None else get_registry()
     extra = dict(extra_labels or {})
     families: Dict[Tuple[str, str], List[Sample]] = {}
+
+    def scalar(name: str, kind: str, labels: Dict[str, str],
+               value: float) -> None:
+        family = _family_name(name, kind)
+        families.setdefault((family, kind), []).append(
+            (family + "_total" if kind == "counter" else family, labels,
+             value))
+
+    for sample in registry.collected():
+        scalar(str(sample["name"]), str(sample["type"]),
+               dict(cast(Dict[str, str], sample["labels"]), **extra),
+               cast(float, sample["value"]))
     for instrument in registry.instruments():
         labels = dict(instrument.labels)
         labels.update(extra)
@@ -118,13 +130,9 @@ def registry_families(registry: Optional[MetricsRegistry] = None,
             rows.append((family + "_count", labels, float(instrument.count)))
             rows.append((family + "_sum", labels, float(instrument.sum)))
         elif isinstance(instrument, Counter):
-            family = _family_name(instrument.name, "counter")
-            families.setdefault((family, "counter"), []).append(
-                (family + "_total", labels, instrument.value))
+            scalar(instrument.name, "counter", labels, instrument.value)
         elif isinstance(instrument, Gauge):
-            family = _family_name(instrument.name, "gauge")
-            families.setdefault((family, "gauge"), []).append(
-                (family, labels, instrument.value))
+            scalar(instrument.name, "gauge", labels, instrument.value)
     return [(name, kind, samples)
             for (name, kind), samples in sorted(families.items())]
 

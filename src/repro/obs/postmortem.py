@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Optional, TextIO
 from repro.obs import auditlog as auditlog_mod
 from repro.obs import metrics as metrics_mod
 from repro.obs.bench import positive_int
-from repro.obs.interference import blame_matrix, cross_tenant_wait_ns
+from repro.obs.interference import get_accountant
 
 SCHEMA = "repro.postmortem"
 SCHEMA_VERSION = 1
@@ -71,23 +71,12 @@ def _reason_dict(reason: Any) -> Dict[str, Any]:
     return {"kind": "note", "message": str(reason)}
 
 
-def _interference_rows(
-        matrix: Dict[str, Dict[Any, Dict[str, float]]]
-) -> List[Dict[str, Any]]:
-    """Flatten the blame matrix's tuple-keyed cells into sorted,
-    JSON-able rows."""
-    rows = []
-    for resource in sorted(matrix):
-        for (victim, culprit) in sorted(matrix[resource]):
-            cell = matrix[resource][(victim, culprit)]
-            rows.append({
-                "resource": resource,
-                "tenant": victim,
-                "culprit": culprit,
-                "wait_ns": cell.get("wait_ns", 0.0),
-                "events": cell.get("events", 0.0),
-            })
-    return rows
+def _interference_rows() -> List[Dict[str, Any]]:
+    """The cell's blamed pairs as sorted, JSON-able rows."""
+    return [{"resource": resource, "tenant": victim, "culprit": culprit,
+             "wait_ns": wait, "events": events}
+            for resource, victim, culprit, (wait, events)
+            in get_accountant().cells()]
 
 
 def _flight_entry(record: Dict[str, Any]) -> Dict[str, Any]:
@@ -113,15 +102,12 @@ def _flight_section(n_records: int,
 def build_bundle(*, reason: Any,
                  spec: Any = None,
                  audit: Optional["auditlog_mod.AuditLog"] = None,
-                 registry: Optional[Any] = None,
                  tail: int = DEFAULT_TAIL) -> Dict[str, Any]:
     """Assemble a deterministic forensics bundle from live state: the
-    cell's audit log and registry unless others are given."""
+    cell's audit log unless another is given, and the cell's registry
+    and interference accountant."""
     if audit is None:
         audit = auditlog_mod.get_audit_log()
-    if registry is None:
-        registry = metrics_mod.get_registry()
-    matrix = blame_matrix(registry)
     audit_tail = audit.tail(tail)
     return {
         "schema": SCHEMA,
@@ -138,10 +124,10 @@ def build_bundle(*, reason: Any,
             "chain_head": audit.head(),
             "records": audit_tail,
         },
-        "metrics": registry.snapshot(),
+        "metrics": metrics_mod.get_registry().snapshot(),
         "interference": {
-            "cross_tenant_wait_ns": cross_tenant_wait_ns(matrix),
-            "rows": _interference_rows(matrix),
+            "cross_tenant_wait_ns": get_accountant().cross_tenant_wait(),
+            "rows": _interference_rows(),
         },
     }
 

@@ -616,6 +616,11 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
                   f"expected a comma-separated subset of "
                   f"{','.join(ARBITER_POLICIES)}", file=sys.stderr)
             return 2
+        repeated = sorted({a for a in arbiters if arbiters.count(a) > 1})
+        if repeated:
+            print(f"error: repeated arbiter(s) {repeated}; each runs "
+                  f"once", file=sys.stderr)
+            return 2
         report = run_scorecard(
             n_tenants=n_tenants, seed=args.seed, quick=args.quick,
             arbiters=arbiters, sanitize=sanitize,

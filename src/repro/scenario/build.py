@@ -382,8 +382,7 @@ class BuiltScenario:
         """
         if not self._deployed:
             raise ScenarioBuildError("deploy() the scenario before driving it")
-        from repro.obs.interference import blame_matrix, cross_tenant_wait_ns
-        from repro.obs.metrics import get_registry
+        from repro.obs.interference import get_accountant
 
         rounds = rounds if rounds is not None else contention_rounds(quick)
         victim_id = self.nf_ids[0] if self.nf_ids else None
@@ -426,8 +425,8 @@ class BuiltScenario:
             if victim_id is not None else 0,
         })
         outputs.update(contention)
-        outputs["cross_tenant_wait_ns"] = float(
-            cross_tenant_wait_ns(blame_matrix(get_registry())))
+        outputs["cross_tenant_wait_ns"] = \
+            get_accountant().cross_tenant_wait()
         outputs["faults_injected"] = (
             len(self.injector.records) if self.injector is not None else 0)
         return outputs

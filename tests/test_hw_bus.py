@@ -132,6 +132,16 @@ class TestTemporalPartitioning:
 
 
 class TestIOBus:
+    def test_an_empty_registry_passed_in_is_used(self):
+        from repro.obs.metrics import MetricsRegistry, get_registry
+
+        registry, cell = MetricsRegistry(), len(get_registry())
+        bus = IOBus(FCFSArbiter(bandwidth_bytes_per_ns=12.8),
+                    registry=registry)
+        bus.transfer(1, 64, now_ns=0.0)
+        assert len(registry) == 3
+        assert len(get_registry()) == cell
+
     def test_latency_and_accounting(self):
         bus = IOBus(FCFSArbiter(bandwidth_bytes_per_ns=10.0))
         latency = bus.transfer(1, 100, now_ns=0.0)

@@ -106,6 +106,16 @@ class TestHardPartition:
         with pytest.raises(AccessFault):
             cache.access(0, owner=99)
 
+    def test_an_empty_registry_passed_in_is_used(self):
+        from repro.obs.metrics import get_registry
+
+        registry, cell = MetricsRegistry(), len(get_registry())
+        cache = Cache(CacheConfig(size_bytes=8 * 1024, line_bytes=64, ways=4),
+                      registry=registry)
+        cache.access(64, owner=1)
+        assert len(registry) > 0
+        assert len(get_registry()) == cell
+
     @pytest.mark.parametrize("mode", [HARD, SOFT])
     def test_faulted_access_leaves_no_trace(self, mode):
         """An unpartitioned owner's miss faults before it counts a miss,

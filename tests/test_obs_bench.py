@@ -46,6 +46,21 @@ class TestCellScope:
         # The traceback starts at the body, not at the scope's frame.
         assert "test_obs_bench.py" in record.error.splitlines()[1]
         assert record.metrics_instruments == 1
+
+    def test_metrics_instruments_counts_the_pair_series(self):
+        from repro.obs import metrics
+        from repro.obs.interference import get_accountant
+
+        record = bench.BenchRecord(name="cell")
+        with bench.cell_scope(record):
+            metrics.get_registry().counter("cell_scope_total").inc()
+            accountant = get_accountant()
+            accountant.blame("bus", victim=1, culprit=2, wait_ns=3.0)
+            accountant.blame("bus", victim=1, culprit=2, wait_ns=1.0)
+            accountant.blame_each("dram", 2, [(1, 2.0), (2, 0.5)])
+            assert len(metrics.get_registry()) == 1
+        # One counter plus a wait and an events series per blamed pair.
+        assert record.metrics_instruments == 1 + 2 * 3
         assert len(metrics.get_registry()) == 0
 
     def test_forensic_scope_bundles_and_reraises(self, tmp_path):

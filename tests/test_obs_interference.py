@@ -13,7 +13,7 @@ from repro.hw.cores import ProgrammableCore
 from repro.hw.dma import DMAController, DMAWindow
 from repro.hw.dram import DRAMChannel
 from repro.hw.memory import HostMemory, PhysicalMemory
-from repro.obs import interference, metrics
+from repro.obs import metrics, openmetrics
 from repro.obs.bench import isolate
 from repro.obs.interference import (
     RESOURCE_BUS,
@@ -87,7 +87,7 @@ class TestAccountant:
 
 def snapshot_blame_matrix(registry, resource=None):
     """The blame matrix rebuilt from a full registry snapshot: the
-    reference the direct instrument scan must agree with."""
+    reference the accountant's table must agree with."""
     matrix = {}
     for sample in registry.snapshot():
         name = sample["name"]
@@ -107,34 +107,37 @@ def snapshot_blame_matrix(registry, resource=None):
 
 
 class TestMemoisedBlame:
-    """The accountant caches counter pairs; a new cell must not inherit
-    the previous cell's counters."""
+    """Each cell's accountant keeps its own table; a new cell must not
+    inherit the previous cell's blame."""
 
     def test_blame_after_reset_lands_in_the_new_registry_only(self):
-        get_accountant().blame("bus", victim=VICTIM, culprit=AGGRESSOR,
-                               wait_ns=10.0)
-        stale = metrics.get_registry().counter(
-            WAIT_METRIC, resource="bus", tenant=VICTIM, culprit=AGGRESSOR)
+        stale = get_accountant()
+        stale_registry = metrics.get_registry()
+        stale.blame("bus", victim=VICTIM, culprit=AGGRESSOR, wait_ns=10.0)
         isolate()
         get_accountant().blame("bus", victim=VICTIM, culprit=AGGRESSOR,
                                wait_ns=5.0)
         assert cell("bus", VICTIM, AGGRESSOR) == {"wait_ns": 5.0,
                                                   "events": 1.0}
-        assert stale.value == 10.0
+        assert blame_matrix(stale)["bus"][(str(VICTIM), str(AGGRESSOR))] \
+            == {"wait_ns": 10.0, "events": 1.0}
+        assert [s["value"] for s in stale_registry.snapshot()] == [1.0,
+                                                                   10.0]
 
     def test_mint_order_matches_uncached_blame(self):
         registry = MetricsRegistry()
         acc = InterferenceAccountant(registry=registry)
         for victim, culprit in ((2, 1), (1, 2), (2, 1), (1, 1)):
             acc.blame("bus", victim=victim, culprit=culprit, wait_ns=1.0)
-        minted = [(inst.name, dict(inst.labels)["tenant"],
-                   dict(inst.labels)["culprit"])
-                  for inst in registry.instruments()]
-        assert minted == [
+        served = [(sample["name"], sample["labels"]["tenant"],
+                   sample["labels"]["culprit"])
+                  for sample in registry.collected()]
+        assert served == [
             (WAIT_METRIC, "2", "1"), (EVENTS_METRIC, "2", "1"),
             (WAIT_METRIC, "1", "2"), (EVENTS_METRIC, "1", "2"),
             (WAIT_METRIC, "1", "1"), (EVENTS_METRIC, "1", "1"),
         ]
+        assert len(registry) == 0
 
     def test_blame_matrix_equals_snapshot_reference(self):
         registry = MetricsRegistry()
@@ -149,24 +152,37 @@ class TestMemoisedBlame:
                       wait_ns=0.1 * (i + 1), events=i + 1)
         registry.histogram("interference_probe_ns", tenant=1).observe(5.0)
         for resource in (None, "bus", "cores"):
-            assert blame_matrix(registry, resource=resource) == \
+            assert blame_matrix(acc, resource=resource) == \
                 snapshot_blame_matrix(registry, resource=resource)
-        assert list(blame_matrix(registry)) == ["bus", "cache", "dma",
-                                                "dram"]
+        assert list(blame_matrix(acc)) == ["bus", "cache", "dma", "dram"]
+
+
+def _counter_registry(blames):
+    """Reference: the same blames as ``registry.counter(...)``
+    instruments, one wait and one events counter per pair, minted in
+    blame order with the accountant's zero-blame rule."""
+    registry = MetricsRegistry()
+    for res, victim, culprit, wait, events in blames:
+        if wait <= 0.0 and events <= 0:
+            continue
+        for name, amount in ((WAIT_METRIC, wait), (EVENTS_METRIC, events)):
+            registry.counter(name, resource=res, tenant=victim,
+                             culprit=culprit).inc(amount)
+    return registry
 
 
 def scanning_blame_matrix(registry, resource=None):
-    """Reference: scan every registry key and parse its labels by name
-    (the ``"?"``/``"None"`` defaults included), then sort the cells."""
+    """Reference: scan every registry key and parse its labels by name,
+    then sort the cells."""
     matrix = {}
     for (name, labels), instrument in registry.items():
         if name not in (WAIT_METRIC, EVENTS_METRIC):
             continue
         parsed = dict(labels)
-        res = parsed.get("resource", "?")
+        res = parsed["resource"]
         if resource is not None and res != resource:
             continue
-        key = (parsed.get("tenant", "None"), parsed.get("culprit", "None"))
+        key = (parsed["tenant"], parsed["culprit"])
         cell = matrix.setdefault(res, {}).setdefault(
             key, {"wait_ns": 0.0, "events": 0.0})
         field = "wait_ns" if name == WAIT_METRIC else "events"
@@ -191,91 +207,66 @@ _BLAMES = st.lists(st.tuples(
 
 
 class TestPairLabels:
-    """A pair's two counters come from one fixed-schema label tuple, and
-    ``blame_matrix`` reads that schema by position."""
+    """The table serves each pair as the two counters
+    ``registry.counter(...)`` would have minted for the same blames,
+    and ``blame_matrix`` reads the table in label order."""
 
     @settings(max_examples=60, deadline=None)
-    @given(blames=_BLAMES,
-           direct=st.lists(st.tuples(
-               st.sampled_from(("bus", "dma")), _TENANT_IDS, _TENANT_IDS,
-               st.floats(min_value=0.0, max_value=1e3)), max_size=8),
-           off_schema=st.booleans())
-    def test_blame_matrix_equals_a_parsing_scan(self, blames, direct,
-                                                off_schema):
-        registry = MetricsRegistry()
-        acc = InterferenceAccountant(registry=registry)
-        registry.counter("cache_hits_total", tenant=1).inc(2)
-        minted = {}
-        for res, victim, culprit, wait in direct:
-            counter = registry.counter(WAIT_METRIC, resource=res,
-                                       tenant=victim, culprit=culprit)
-            counter.inc(wait)
-            minted[(res, victim, culprit)] = counter
-        if off_schema:
-            # Keys off the fixed schema take the parsing path.
-            registry.counter(WAIT_METRIC, resource="bus", tenant=7).inc(3.0)
-            registry.counter(EVENTS_METRIC, tenant=7, culprit=8).inc()
-            registry.counter(WAIT_METRIC, resource="dma", tenant=1,
-                             culprit=2, core=0).inc(5.0)
+    @given(blames=_BLAMES)
+    def test_blame_matrix_equals_a_parsing_scan(self, blames):
+        acc = InterferenceAccountant(MetricsRegistry())
         for res, victim, culprit, wait, events in blames:
             acc.blame(res, victim=victim, culprit=culprit, wait_ns=wait,
                       events=events)
-        for key, counter in minted.items():
-            res, victim, culprit = key
-            acc.blame(res, victim=victim, culprit=culprit, wait_ns=1.0)
-            assert acc._row(res, victim)[0][culprit] is counter
+        reference = _counter_registry(blames)
         for resource in (None, "bus", "dma", "cores", "?"):
-            assert _matrix_bits(blame_matrix(registry, resource=resource)) \
-                == _matrix_bits(scanning_blame_matrix(registry,
-                                                      resource=resource))
+            matrix = blame_matrix(acc, resource=resource)
+            assert _matrix_bits(matrix) == _matrix_bits(
+                scanning_blame_matrix(reference, resource=resource))
+        assert acc.cross_tenant_wait().hex() == \
+            cross_tenant_wait_ns(blame_matrix(acc)).hex()
 
-    def test_a_new_pair_costs_one_label_tuple_and_two_lookups(
-            self, monkeypatch):
+    @settings(max_examples=40, deadline=None)
+    @given(blames=_BLAMES)
+    def test_view_samples_equal_registry_counters(self, blames):
+        registry = MetricsRegistry()
+        acc = InterferenceAccountant(registry)
+        registry.counter("cache_hits_total", tenant=1).inc(2)
+        registry.histogram("slo_latency_ns", tenant=1).observe(7.0)
+        for res, victim, culprit, wait, events in blames:
+            acc.blame(res, victim=victim, culprit=culprit, wait_ns=wait,
+                      events=events)
+        reference = _counter_registry(blames)
+        reference.counter("cache_hits_total", tenant=1).inc(2)
+        reference.histogram("slo_latency_ns", tenant=1).observe(7.0)
+        # ``repr`` tells every float apart and keeps the label order.
+        assert repr(registry.snapshot()) == repr(reference.snapshot())
+        extra = {"arbiter": "fcfs"}
+        assert openmetrics.render_families(openmetrics.registry_families(
+            registry, extra_labels=extra)) == \
+            openmetrics.render_families(openmetrics.registry_families(
+                reference, extra_labels=extra))
+        assert registry.series() == len(reference)
+        assert len(registry) == 2
+
+    def test_a_new_pair_mints_no_instrument(self, monkeypatch):
         registry = MetricsRegistry()
         acc = InterferenceAccountant(registry=registry)
-        lookups, tuples, sorted_keys = [], [], []
+        lookups = []
         get_or_create = MetricsRegistry._get_or_create
-        build = interference.pair_labels
-        label_key = metrics._label_key
 
         def counted_lookup(self, cls, name, labels):
-            lookups.append(labels)
+            lookups.append(name)
             return get_or_create(self, cls, name, labels)
-
-        def counted_build(*args):
-            tuples.append(args)
-            return build(*args)
-
-        def counted_label_key(labels):
-            sorted_keys.append(labels)
-            return label_key(labels)
 
         monkeypatch.setattr(MetricsRegistry, "_get_or_create",
                             counted_lookup)
-        monkeypatch.setattr(interference, "pair_labels", counted_build)
-        monkeypatch.setattr(metrics, "_label_key", counted_label_key)
         acc.blame("bus", victim=1, culprit=2, wait_ns=5.0)
-        assert len(tuples) == 1 and len(lookups) == 2
-        assert lookups[0] is lookups[1]
-        assert sorted_keys == []
-        wait, events = (registry.counter(name, resource="bus", tenant=1,
-                                         culprit=2)
-                        for name in (WAIT_METRIC, EVENTS_METRIC))
-        assert wait.labels is events.labels
-        assert (wait.value, events.value) == (5.0, 1.0)
-        del lookups[:], sorted_keys[:]
         acc.blame("bus", victim=1, culprit=2, wait_ns=1.0, events=2)
-        acc.blame_each("bus", 1, [(2, 1.0), (2, 2.0)])
-        assert (len(tuples), lookups, sorted_keys) == (1, [], [])
         acc.blame_each("bus", 1, [(2, 1.0), (3, 1.0), (3, 1.0)])
-        assert len(tuples) == 2 and len(lookups) == 2
-        assert (wait.value, events.value) == (10.0, 6.0)
-
-    def test_pair_labels_equal_the_registry_label_key(self):
-        for victim, culprit in ((1, 2), (None, 0), (10, None)):
-            assert interference.pair_labels("dram", victim, culprit) == \
-                metrics._label_key(dict(
-                    resource="dram", tenant=victim, culprit=culprit))
+        assert (lookups, len(registry)) == ([], 0)
+        assert acc.rows == {("bus", 1): {2: [7.0, 4.0], 3: [2.0, 2.0]}}
+        assert registry.series() == 4
 
 
 class TestFCFSWaitAttributor:
@@ -331,20 +322,21 @@ class PerCulpritAttributor(FCFSWaitAttributor):
                                        culprit=culprit, wait_ns=wait)
 
 
-def _registry_bits(registry):
-    """Every instrument in mint order, with its exact value bits."""
-    return [(key, float(instrument.value).hex())
-            for key, instrument in registry.items()]
+def _table_bits(accountant):
+    """Every row and pair in insertion order, with exact value bits."""
+    return [(key, culprit, wait.hex(), events.hex())
+            for key, row in accountant.rows.items()
+            for culprit, (wait, events) in row.items()]
 
 
 class TestBatchedBlame:
     """``blame_each`` must be indistinguishable from a ``blame()`` per
-    share: the same counter bits and the same registry mint order."""
+    share: the same sums to the bit, in the same table order."""
 
     @staticmethod
     def _pair(cls):
-        registry = MetricsRegistry()
-        return registry, cls("bus", InterferenceAccountant(registry))
+        accountant = InterferenceAccountant(MetricsRegistry())
+        return accountant, cls("bus", accountant)
 
     def _drive(self, attributor, script):
         for op, *args in script:
@@ -364,12 +356,12 @@ class TestBatchedBlame:
             ("attribute", 1, 250.5, 260.0),
             ("attribute", 7, 400.0, 500.0),     # everything drained
         ]
-        batched_reg, batched = self._pair(FCFSWaitAttributor)
-        looped_reg, looped = self._pair(PerCulpritAttributor)
+        batched_acc, batched = self._pair(FCFSWaitAttributor)
+        looped_acc, looped = self._pair(PerCulpritAttributor)
         self._drive(batched, script)
         self._drive(looped, script)
-        assert _registry_bits(batched_reg) == _registry_bits(looped_reg)
-        matrix = blame_matrix(batched_reg)["bus"]
+        assert _table_bits(batched_acc) == _table_bits(looped_acc)
+        matrix = blame_matrix(batched_acc)["bus"]
         assert ("5", "3") not in matrix          # 1e-12 never blamed
         assert ("5", "4") not in matrix
         assert matrix[("5", "1")]["events"] == 2.0
@@ -390,22 +382,23 @@ class TestBatchedBlame:
             script.append(("attribute", client, now, start))
             script.append(("occupy", client, start, end))
             tail = max(tail, end)
-        batched_reg, batched = self._pair(FCFSWaitAttributor)
-        looped_reg, looped = self._pair(PerCulpritAttributor)
+        batched_acc, batched = self._pair(FCFSWaitAttributor)
+        looped_acc, looped = self._pair(PerCulpritAttributor)
         self._drive(batched, script)
         self._drive(looped, script)
-        assert _registry_bits(batched_reg) == _registry_bits(looped_reg)
-        assert len(batched_reg) > 0
+        assert _table_bits(batched_acc) == _table_bits(looped_acc)
+        assert batched_acc.rows
 
     def test_blame_each_equals_blame_per_entry(self):
         waits = [(2, 0.0), (None, 1e-12), (1, 7.5), (2, 3.25), (10, 0.5),
                  (9, 0.5)]
-        batched_reg, looped_reg = MetricsRegistry(), MetricsRegistry()
-        InterferenceAccountant(batched_reg).blame_each("dram", 4, waits)
-        looped = InterferenceAccountant(looped_reg)
+        batched = InterferenceAccountant(MetricsRegistry())
+        batched.blame_each("dram", 4, waits)
+        looped = InterferenceAccountant(MetricsRegistry())
         for culprit, wait in waits:
             looped.blame("dram", victim=4, culprit=culprit, wait_ns=wait)
-        assert _registry_bits(batched_reg) == _registry_bits(looped_reg)
+        assert _table_bits(batched) == _table_bits(looped)
+        assert batched.cross_wait == looped.cross_wait
 
 
 # ----------------------------------------------------------------------

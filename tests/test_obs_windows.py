@@ -167,13 +167,13 @@ class EagerWindows:
     and diffs each (resource, victim)'s cross-tenant wait against the
     previous snapshot's."""
 
-    def __init__(self, registry):
-        self.registry = registry
+    def __init__(self, accountant):
+        self.accountant = accountant
         self.previous = {}
 
     def _totals(self):
         totals = {}
-        for resource, cells in blame_matrix(self.registry).items():
+        for resource, cells in blame_matrix(self.accountant).items():
             for (victim, culprit), cell in cells.items():
                 if victim != culprit:
                     key = (resource, victim)
@@ -228,7 +228,7 @@ class TestArrayBackedDifferential:
             self._step(rng, accountant)
         seen = []
         agg = _windows(accountant, max_windows=3, on_rotate=seen.append)
-        reference = EagerWindows(accountant.registry)
+        reference = EagerWindows(accountant)
         reference.prime()
         start = dict(reference.previous)
         for window in range(1, 16):
@@ -288,7 +288,7 @@ class TestPairKeyIndex:
     def test_pair_windows_match_eager_reference(self, rounds):
         accountant = InterferenceAccountant(MetricsRegistry())
         agg = _windows(accountant)
-        reference = EagerWindows(accountant.registry)
+        reference = EagerWindows(accountant)
         reference.prime()
         for window, blames in enumerate(rounds, start=1):
             for resource, victim, culprit, wait in blames:

@@ -77,3 +77,37 @@ class TestReport:
         assert "reproduced" in out
         assert "attacks" in out.lower()
         assert "watermark" in out.lower()
+
+
+class TestArbiterList:
+    def test_repeated_arbiter_is_a_usage_error(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        export = tmp_path / "slo.om"
+        code = main(["repro", "slo", "--quick", "--tenants", "2",
+                     "--arbiters", "fcfs,temporal,fcfs",
+                     "--openmetrics", str(export)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: repeated arbiter(s) ['fcfs']" in err
+        assert "Traceback" not in err
+        assert not export.exists()
+
+
+class TestReadmeCommands:
+    def test_audit_markdown_out_runs_as_documented(self, tmp_path,
+                                                   monkeypatch):
+        from pathlib import Path
+
+        from repro.__main__ import main
+
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        prefix = "PYTHONPATH=src python -m repro "
+        (line,) = [line for line in readme.read_text().splitlines()
+                   if line.startswith(prefix + "audit --format markdown")]
+        argv = line[len(prefix):].split()
+        assert argv[-2:] == ["-o", "scorecard.md"]
+        monkeypatch.chdir(tmp_path)
+        assert main(["repro", *argv]) == 0
+        text = (tmp_path / "scorecard.md").read_text()
+        assert text.startswith("# repro audit: isolation scorecard\n")
