@@ -9,8 +9,9 @@ SLO run's ``--openmetrics`` export.  Workers run whole cells, so a
 192-tenant ``fcfs`` SLO scorecard (~4 s), the run whose judging cost
 grows as tenants squared, and the ``--openmetrics`` export of a full
 48-tenant ``fcfs`` run (~1 s, 0.95 MB), whose windows span all 16
-rounds.  The isolation audit, the full chaos fault
-matrix, the co-tenancy Chrome trace and
+rounds.  The isolation audit and the chaos fault matrix, each at
+quick and at full length (the full runs drive the shared bus and DRAM
+rigs at 200 and 48 rounds), the co-tenancy Chrome trace and
 ``examples/nf_dense_scenario.json`` (the perf benchmark's ``nf-dense``
 workload at a tenth of its packets) are pinned the same way, and so is
 the co-tenancy demo's per-poll time-series CSV at 20 and 60 packets,
@@ -68,8 +69,10 @@ REPORTS: Dict[str, Tuple[List[str], str]] = {
         ["slo", "--tenants", "48", "--arbiters", "fcfs", "--seed", "7"],
         "--openmetrics"),
     "audit_quick": (["audit", "--quick", "--format", "json"], "--out"),
+    "audit_full": (["audit", "--format", "json"], "--out"),
     "chaos_quick_matrix_seed0": (
         ["chaos", "--quick", "--matrix", "--format", "json"], "-o"),
+    "chaos_matrix_seed0": (["chaos", "--matrix", "--format", "json"], "-o"),
     "trace_cotenancy_20_packets": (["trace", "-n", "20"], "-o"),
     "matrix_spec_nf_dense_example": (
         ["matrix", "--spec", os.path.join(EXAMPLES, "nf_dense_scenario.json"),
