@@ -208,8 +208,11 @@ def _bench(argv: list) -> int:
     args = parser.parse_args(argv)
 
     if args.compare:
-        report = bench.compare_paths(args.compare[0], args.compare[1],
-                                     threshold=args.threshold / 100.0)
+        try:
+            report = bench.compare_paths(args.compare[0], args.compare[1],
+                                         threshold=args.threshold / 100.0)
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot compare: {exc}")
         return bench.emit_report(bench.format_compare(report) + "\n",
                                  ok=not report["n_regressions"])
 

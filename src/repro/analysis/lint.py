@@ -575,6 +575,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     args = parser.parse_args(argv)
+    missing = [str(path) for path in args.paths if not path.exists()]
+    if missing:
+        parser.error(f"no such file or directory: {', '.join(missing)}")
 
     catalog: List[Rule | ProgramRule] = [*default_rules(),
                                          *default_program_rules()]

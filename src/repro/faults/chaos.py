@@ -20,16 +20,23 @@ into a regression gate:
   **exactly zero** victim disruption and exactly zero cross-tenant
   attributed wait — the blast radius is the faulty tenant.
 
-Everything runs inside an IsoSan ``sanitized()`` scope, and all
-randomness flows from the one ``--seed`` through :class:`FaultPlan`, so
-the same seed produces a byte-identical report.
+The legs run through :func:`repro.obs.bench.run_differential`, the
+runner ``repro audit`` shares (its perturbation is a well-behaved
+co-tenant, and its bus and DRAM legs run :func:`bus_rig` and
+:func:`dram_rig` below): each leg in its own cell, all inside one IsoSan
+``sanitized()`` scope.  All randomness flows from the one ``--seed``
+through each leg's :class:`FaultPlan`, so the same seed produces a
+byte-identical report.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import sys
-from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, ContextManager, Dict, IO, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from repro.faults.inject import FaultInjector, PlanDriver
 from repro.faults.plan import ALL_FAULT_KINDS, FaultKind, FaultPlan
@@ -41,7 +48,7 @@ from repro.faults.recovery import (
     retry_dma,
 )
 from repro.obs import postmortem as postmortem_mod
-from repro.obs.bench import cell_scope, emit_report, format_json
+from repro.obs.bench import emit_report, format_json, run_differential
 from repro.obs.interference import get_accountant
 
 SCHEMA_VERSION = 1
@@ -65,54 +72,121 @@ MB = 1024 * 1024
 
 _Observation = Dict[str, float]
 _Info = Dict[str, float]
-_Workload = Callable[[bool, bool, int, int], Tuple[_Observation, _Info]]
+_Workload = Callable[[bool, "_Fault", int], Tuple[_Observation, _Info]]
 
 
 # ----------------------------------------------------------------------
 # Workloads: one per fault kind.
 #
-# Signature: (snic, inject, seed, rounds) -> (victim observation, info).
-# Each builds its own FaultPlan(seed) so clean and faulted runs share
-# nothing but the seed, and installs its FaultInjector strictly inside
-# the caller's sanitized() scope (IsoSan outermost, injector inner —
-# both wrap some of the same methods and must unwind LIFO).
+# Signature: (snic, fault, rounds) -> (victim observation, info).
+# ``fault`` holds the leg's own FaultPlan(seed), which the clean and
+# the faulted leg author alike.  A workload authors the plan, sets up
+# its rig and only then installs the injector through
+# ``fault.injecting()``, strictly inside the runner's sanitized()
+# scope (IsoSan outermost, injector inner — both wrap some of the same
+# methods and must unwind LIFO).  Only a faulted leg installs one, so a
+# clean leg's plan never fires.
 # ----------------------------------------------------------------------
 
 
-def _bus_babble_workload(snic: bool, inject: bool, seed: int,
-                         rounds: int) -> Tuple[_Observation, _Info]:
-    """§3.3's Agilio bus DoS: the faulty tenant babbles on the IO bus."""
+class _Fault:
+    """One leg's fault plan and the injector a faulted leg installs over
+    its rig; a clean leg installs none, so its plan never fires."""
+
+    def __init__(self, seed: int, inject: bool) -> None:
+        self.plan = FaultPlan(seed)
+        self.inject = inject
+        self.injector: Optional[FaultInjector] = None
+
+    @contextlib.contextmanager
+    def injecting(self, targets: Optional[Dict[FaultKind, object]] = None,
+                  arm: bool = True) -> Iterator[Optional[FaultInjector]]:
+        """Install the injector for the block; ``arm`` arms the whole
+        plan at once with ``targets``, else a :class:`PlanDriver`
+        releases it as the workload's time advances."""
+        if self.inject:
+            self.injector = FaultInjector(self.plan)
+        with self.injector or contextlib.nullcontext() as injector:
+            if injector is not None and arm:
+                injector.arm_all(targets)
+            yield injector
+
+
+def bus_rig(snic: bool, cotenant: bool, rounds: int,
+            during: ContextManager[object] = contextlib.nullcontext()
+            ) -> List[float]:
+    """The victim's per-probe bus latencies (ns) for periodic 1500 B probes.
+
+    Commodity: one FCFS arbiter; the co-tenant's 48 kB burst at the
+    start of each period backlogs the bus right when the victim probes.
+    S-NIC: temporal partitioning (§4.5) — the co-tenant can only spend
+    its own epochs, so the victim's latency is identical with or without
+    it.  The probes run inside ``during`` (the chaos leg's injector).
+    """
     from repro.hw.bus import FCFSArbiter, TemporalPartitioningArbiter
 
-    plan = FaultPlan(seed)
-    if inject:
-        plan.burst(FaultKind.BUS_BABBLE, FAULTY, start_ns=0, count=rounds,
-                   period_ns=8_000, amplify=16, babble_bytes=8_192)
     if snic:
         arbiter = TemporalPartitioningArbiter(
             domains=[VICTIM, FAULTY], bandwidth_bytes_per_ns=12.8,
             epoch_ns=1_000.0, dead_time_ns=100.0)
     else:
         arbiter = FCFSArbiter(bandwidth_bytes_per_ns=12.8)
-    injector = FaultInjector(plan).install() if inject else None
-    latency = 0.0
-    try:
-        if injector is not None:
-            injector.arm_all()
+    latencies: List[float] = []
+    with during:
         for i in range(rounds):
             t = i * 8_000.0
-            arbiter.request(FAULTY, 48_000, t)
+            if cotenant:
+                arbiter.request(FAULTY, 48_000, t)
             issue = t + 100.0
-            latency += arbiter.request(VICTIM, 1_500, issue) - issue
-    finally:
-        if injector is not None:
-            injector.uninstall()
-    obs = {"completed": float(rounds), "latency_ns": latency}
-    info = {"injected": float(len(injector.records))} if injector else {}
-    return obs, info
+            latencies.append(arbiter.request(VICTIM, 1_500, issue) - issue)
+    return latencies
 
 
-def _dram_bit_flip_workload(snic: bool, inject: bool, seed: int,
+def dram_rig(snic: bool, cotenant: bool, rounds: int,
+             during: ContextManager[object] = contextlib.nullcontext()
+             ) -> List[float]:
+    """The victim's per-access DRAM latencies (ns) for single-line reads.
+
+    Shared channel: the co-tenant's 64 kB transfer occupies the channel
+    when the victim's read arrives.  Partitioned: the victim's own
+    bandwidth reservation serves it at a co-tenant-independent latency.
+    The reads run inside ``during`` (the chaos leg's injector).
+    """
+    from repro.hw.dram import DRAMChannel
+
+    channel = DRAMChannel()
+    if snic:
+        channel.partition([VICTIM, FAULTY])
+    latencies: List[float] = []
+    with during:
+        for i in range(rounds):
+            t = i * 16_000.0
+            if cotenant:
+                channel.access(FAULTY, 64_000, t)
+            issue = t + 10.0
+            latencies.append(channel.access(VICTIM, 64, issue) - issue)
+    return latencies
+
+
+def _total(latencies: List[float]) -> float:
+    """The latencies added one by one in probe order: plain float adds,
+    which ``sum`` does not promise on every Python version."""
+    total = 0.0
+    for latency in latencies:
+        total += latency
+    return total
+
+
+def _bus_babble_workload(snic: bool, fault: _Fault,
+                         rounds: int) -> Tuple[_Observation, _Info]:
+    """§3.3's Agilio bus DoS: the faulty tenant babbles on the IO bus."""
+    fault.plan.burst(FaultKind.BUS_BABBLE, FAULTY, start_ns=0, count=rounds,
+                     period_ns=8_000, amplify=16, babble_bytes=8_192)
+    latencies = bus_rig(snic, True, rounds, fault.injecting())
+    return {"completed": float(rounds), "latency_ns": _total(latencies)}, {}
+
+
+def _dram_bit_flip_workload(snic: bool, fault: _Fault,
                             rounds: int) -> Tuple[_Observation, _Info]:
     """Bit-flips in DRAM plus the ECC scrub traffic they trigger.
 
@@ -121,47 +195,23 @@ def _dram_bit_flip_workload(snic: bool, inject: bool, seed: int,
     traffic queues ahead of the victim).  S-NIC: flips are confined to
     the faulty function's extent and the channel is partitioned.
     """
-    from repro.hw.dram import DRAMChannel
     from repro.hw.memory import PhysicalMemory
 
     arena = PhysicalMemory(256 * 1024)
     half = arena.size_bytes // 2  # victim: [0, half); faulty: [half, end)
-    channel = DRAMChannel()
-    if snic:
-        channel.partition([VICTIM, FAULTY])
-    plan = FaultPlan(seed)
-    if inject:
-        if snic:
-            plan.at(0, FaultKind.DRAM_BIT_FLIP, tenant=FAULTY,
-                    base=half, size=half, n_flips=32)
-        else:
-            plan.at(0, FaultKind.DRAM_BIT_FLIP, tenant=FAULTY,
-                    base=0, size=arena.size_bytes, n_flips=32)
-    injector = FaultInjector(plan).install() if inject else None
-    latency = 0.0
-    victim_flips = 0
-    try:
-        if injector is not None:
-            injector.arm_all({FaultKind.DRAM_BIT_FLIP: arena})
-        for i in range(rounds):
-            t = i * 16_000.0
-            channel.access(FAULTY, 64_000, t)
-            issue = t + 10.0
-            latency += channel.access(VICTIM, 64, issue) - issue
-        if injector is not None:
-            victim_flips = sum(1 for addr, _ in injector.flips
-                               if addr < half)
-    finally:
-        if injector is not None:
-            injector.uninstall()
-    obs = {"completed": float(rounds), "latency_ns": latency,
-           "corrupted": float(victim_flips)}
-    info = {"injected": float(len(injector.records)),
-            "flips": float(len(injector.flips))} if injector else {}
-    return obs, info
+    base, size = (half, half) if snic else (0, arena.size_bytes)
+    fault.plan.at(0, FaultKind.DRAM_BIT_FLIP, tenant=FAULTY, base=base,
+                  size=size, n_flips=32)
+    latencies = dram_rig(snic, True, rounds, fault.injecting(
+        {FaultKind.DRAM_BIT_FLIP: arena}))
+    flips = fault.injector.flips if fault.injector is not None else []
+    obs = {"completed": float(rounds), "latency_ns": _total(latencies),
+           "corrupted": float(sum(1 for addr, _ in flips if addr < half))}
+    return obs, {"flips": float(len(flips))}
 
 
-def _dma_workload_factory(kind: FaultKind) -> _Workload:
+def _dma_workload(kind: FaultKind, snic: bool, fault: _Fault,
+                  rounds: int) -> Tuple[_Observation, _Info]:
     """DMA transfer failures, retried under bounded backoff.
 
     The faulty tenant's failed transfer is re-driven by ``retry_dma``;
@@ -169,66 +219,51 @@ def _dma_workload_factory(kind: FaultKind) -> _Workload:
     again and the victim's mid-period transfer queues behind it.  S-NIC
     gives each bank its own engine (§4.2), so retries are invisible.
     """
+    from repro.hw.dma import DMAController, DMAWindow
+    from repro.hw.memory import HostMemory, PhysicalMemory
 
-    def run(snic: bool, inject: bool, seed: int,
-            rounds: int) -> Tuple[_Observation, _Info]:
-        from repro.hw.dma import DMAController, DMAWindow
-        from repro.hw.memory import HostMemory, PhysicalMemory
+    window = 64 * 1024
+    nic_mem = PhysicalMemory(2 * window)
+    host_mem = HostMemory(8 * window)
+    controller = DMAController(2, shared_engine=not snic)
+    for bank_id, owner in ((0, VICTIM), (1, FAULTY)):
+        controller.banks[bank_id].configure(
+            owner,
+            nic_window=DMAWindow(bank_id * window, window),
+            host_window=DMAWindow((4 + bank_id) * window, window))
+    victim_bank = controller.banks[0]
+    faulty_bank = controller.banks[1]
+    fault.plan.burst(kind, FAULTY, start_ns=0, count=rounds,
+                     period_ns=16_000, fraction=0.5)
+    latency = 0.0
+    exhausted = 0
+    with fault.injecting():
+        policy = BackoffPolicy(attempts=3, base_ns=500)
+        for i in range(rounds):
+            t = i * 16_000.0
 
-        window = 64 * 1024
-        nic_mem = PhysicalMemory(2 * window)
-        host_mem = HostMemory(8 * window)
-        controller = DMAController(2, shared_engine=not snic)
-        for bank_id, owner in ((0, VICTIM), (1, FAULTY)):
-            controller.banks[bank_id].configure(
-                owner,
-                nic_window=DMAWindow(bank_id * window, window),
-                host_window=DMAWindow((4 + bank_id) * window, window))
-        victim_bank = controller.banks[0]
-        faulty_bank = controller.banks[1]
-        plan = FaultPlan(seed)
-        if inject:
-            plan.burst(kind, FAULTY, start_ns=0, count=rounds,
-                       period_ns=16_000, fraction=0.5)
-        injector = FaultInjector(plan).install() if inject else None
-        latency = 0.0
-        exhausted = 0
-        try:
-            if injector is not None:
-                injector.arm_all()
-            policy = BackoffPolicy(attempts=3, base_ns=500)
-            for i in range(rounds):
-                t = i * 16_000.0
+            def op(done: int, now: float) -> Optional[float]:
+                return faulty_bank.to_nic(
+                    host_mem, nic_mem, 5 * window + done,
+                    window + done, 32_768 - done, now_ns=now)
 
-                def op(done: int, now: float) -> Optional[float]:
-                    return faulty_bank.to_nic(
-                        host_mem, nic_mem, 5 * window + done,
-                        window + done, 32_768 - done, now_ns=now)
-
-                try:
-                    retry_dma(op, policy=policy, now_ns=t, tenant=FAULTY)
-                except Exception:  # RecoveryExhausted: budget ran out
-                    exhausted += 1
-                # Probe while the faulty tenant's retries still occupy a
-                # shared engine (the clean transfer alone also overlaps,
-                # so the *difference* isolates the retry traffic).
-                issue = t + 3_000.0
-                done_at = victim_bank.to_nic(
-                    host_mem, nic_mem, 4 * window, 0, 4_096, now_ns=issue)
-                latency += done_at - issue
-        finally:
-            if injector is not None:
-                injector.uninstall()
-        obs = {"completed": float(rounds), "latency_ns": latency}
-        info = ({"injected": float(len(injector.records)),
-                 "retries_exhausted": float(exhausted)}
-                if injector else {})
-        return obs, info
-
-    return run
+            try:
+                retry_dma(op, policy=policy, now_ns=t, tenant=FAULTY)
+            except Exception:  # RecoveryExhausted: budget ran out
+                exhausted += 1
+            # Probe while the faulty tenant's retries still occupy a
+            # shared engine (the clean transfer alone also overlaps,
+            # so the *difference* isolates the retry traffic).
+            issue = t + 3_000.0
+            done_at = victim_bank.to_nic(
+                host_mem, nic_mem, 4 * window, 0, 4_096, now_ns=issue)
+            latency += done_at - issue
+    obs = {"completed": float(rounds), "latency_ns": latency}
+    return obs, {"retries_exhausted": float(exhausted)}
 
 
-def _wire_workload_factory(kind: FaultKind) -> _Workload:
+def _wire_workload(kind: FaultKind, snic: bool, fault: _Fault,
+                   rounds: int) -> Tuple[_Observation, _Info]:
     """Wire faults through a real RX port.
 
     Commodity: one shared wire-facing firmware path — faults cannot be
@@ -237,70 +272,56 @@ def _wire_workload_factory(kind: FaultKind) -> _Workload:
     each fault to the faulty tenant's destinations, and each tenant's
     pipeline has an independent service cursor (§4.4).
     """
+    from repro.hw.packet_io import RXPort
+    from repro.net.packet import Packet, ip_to_str
 
-    def run(snic: bool, inject: bool, seed: int,
-            rounds: int) -> Tuple[_Observation, _Info]:
-        from repro.hw.packet_io import RXPort
-        from repro.net.packet import Packet, ip_to_str
+    payload = b"x" * 64
+    victim_dst, faulty_dst = "20.0.0.9", "30.0.0.9"
+    n_events = max(2, rounds // 4)
+    if snic:
+        fault.plan.burst(kind, FAULTY, start_ns=0, count=n_events,
+                         period_ns=2_000, dst_ip=faulty_dst)
+    else:
+        fault.plan.burst(kind, None, start_ns=0, count=n_events,
+                         period_ns=2_000)
+    port = RXPort()
+    with fault.injecting():
+        for i in range(rounds):
+            base = i * 2_000
+            victim_pkt = Packet.make("10.0.0.1", victim_dst,
+                                     src_port=4_000 + i, dst_port=80,
+                                     payload=payload)
+            victim_pkt.arrival_ns = base
+            faulty_pkt = Packet.make("10.0.0.2", faulty_dst,
+                                     src_port=5_000 + i, dst_port=80,
+                                     payload=payload)
+            faulty_pkt.arrival_ns = base + 700
+            port.wire_arrival(victim_pkt)
+            port.wire_arrival(faulty_pkt)
+        staged = port.drain()
 
-        payload = b"x" * 64
-        victim_dst, faulty_dst = "20.0.0.9", "30.0.0.9"
-        plan = FaultPlan(seed)
-        n_events = max(2, rounds // 4)
-        if inject:
-            if snic:
-                plan.burst(kind, FAULTY, start_ns=0, count=n_events,
-                           period_ns=2_000, dst_ip=faulty_dst)
-            else:
-                plan.burst(kind, None, start_ns=0, count=n_events,
-                           period_ns=2_000)
-        port = RXPort()
-        injector = FaultInjector(plan).install() if inject else None
-        try:
-            if injector is not None:
-                injector.arm_all()
-            for i in range(rounds):
-                base = i * 2_000
-                victim_pkt = Packet.make("10.0.0.1", victim_dst,
-                                         src_port=4_000 + i, dst_port=80,
-                                         payload=payload)
-                victim_pkt.arrival_ns = base
-                faulty_pkt = Packet.make("10.0.0.2", faulty_dst,
-                                         src_port=5_000 + i, dst_port=80,
-                                         payload=payload)
-                faulty_pkt.arrival_ns = base + 700
-                port.wire_arrival(victim_pkt)
-                port.wire_arrival(faulty_pkt)
-            staged = port.drain()
-        finally:
-            if injector is not None:
-                injector.uninstall()
-
-        service_ns, slow_factor = 600.0, 4.0
-        latency = completed = corrupted = 0.0
-        cursors: Dict[str, float] = {}
-        for packet in staged:
-            dst = ip_to_str(packet.ip.dst_ip)
-            # S-NIC: per-pipeline cursor; commodity: one shared cursor.
-            key = dst if snic else "shared"
-            cost = service_ns * (slow_factor if packet.payload != payload
-                                 else 1.0)
-            start = max(cursors.get(key, 0.0), float(packet.arrival_ns))
-            cursors[key] = start + cost
-            if dst == victim_dst:
-                latency += cursors[key] - packet.arrival_ns
-                completed += 1
-                if packet.payload != payload:
-                    corrupted += 1
-        obs = {"completed": completed, "latency_ns": latency,
-               "corrupted": corrupted}
-        info = {"injected": float(len(injector.records))} if injector else {}
-        return obs, info
-
-    return run
+    service_ns, slow_factor = 600.0, 4.0
+    latency = completed = corrupted = 0.0
+    cursors: Dict[str, float] = {}
+    for packet in staged:
+        dst = ip_to_str(packet.ip.dst_ip)
+        # S-NIC: per-pipeline cursor; commodity: one shared cursor.
+        key = dst if snic else "shared"
+        cost = service_ns * (slow_factor if packet.payload != payload
+                             else 1.0)
+        start = max(cursors.get(key, 0.0), float(packet.arrival_ns))
+        cursors[key] = start + cost
+        if dst == victim_dst:
+            latency += cursors[key] - packet.arrival_ns
+            completed += 1
+            if packet.payload != payload:
+                corrupted += 1
+    obs = {"completed": completed, "latency_ns": latency,
+           "corrupted": corrupted}
+    return obs, {}
 
 
-def _core_hang_workload(snic: bool, inject: bool, seed: int,
+def _core_hang_workload(snic: bool, fault: _Fault,
                         rounds: int) -> Tuple[_Observation, _Info]:
     """A programmable core stops retiring instructions.
 
@@ -317,20 +338,22 @@ def _core_hang_workload(snic: bool, inject: bool, seed: int,
     period_ns = 2_000
     slice_instructions = 1_000
     hang_at = (rounds // 3) * period_ns
-    plan = FaultPlan(seed)
-    if inject:
-        # Commodity has no per-tenant binding: tenant None is the
-        # injector's wildcard, so the one shared core hangs for all.
-        plan.at(hang_at, FaultKind.CORE_HANG,
-                tenant=FAULTY if snic else None)
+    # Commodity has no per-tenant binding: tenant None is the
+    # injector's wildcard, so the one shared core hangs for all.
+    fault.plan.at(hang_at, FaultKind.CORE_HANG,
+                  tenant=FAULTY if snic else None)
     sim = Simulator()
-    injector = FaultInjector(plan).install() if inject else None
     victim_instructions = 0.0
-    info: _Info = {}
-    try:
-        driver = PlanDriver(plan, injector) if injector is not None else None
-        watchdog: Optional[Watchdog] = None
-        recovery: Optional[CommodityRecovery] = None
+    watchdog: Optional[Watchdog] = None
+    recovery: Optional[CommodityRecovery] = None
+    with fault.injecting(arm=False) as injector:
+        driver = (PlanDriver(fault.plan, injector)
+                  if injector is not None else None)
+
+        def arm_watchdog(dog: Watchdog) -> None:
+            dog.arm("core-faulty", 3 * period_ns, tenant=FAULTY,
+                    on_timeout=lambda exc: injector.clear_hang(FAULTY))
+
         if snic:
             victim_core = ProgrammableCore(0, PhysicalMemory(64 * 1024))
             victim_core.bind(VICTIM)
@@ -338,10 +361,7 @@ def _core_hang_workload(snic: bool, inject: bool, seed: int,
             faulty_core.bind(FAULTY)
             if injector is not None:
                 watchdog = Watchdog(sim)
-                watchdog.arm("core-faulty", 3 * period_ns,
-                             on_timeout=lambda exc: injector.clear_hang(
-                                 FAULTY),
-                             tenant=FAULTY)
+                arm_watchdog(watchdog)
         else:
             shared_core = ProgrammableCore(0, PhysicalMemory(64 * 1024))
             recovery = CommodityRecovery(reboot_ns=50_000)
@@ -364,11 +384,7 @@ def _core_hang_workload(snic: bool, inject: bool, seed: int,
                     if "core-faulty" in watchdog.armed:
                         watchdog.pet("core-faulty")
                     else:
-                        watchdog.arm(
-                            "core-faulty", 3 * period_ns,
-                            on_timeout=lambda exc: injector.clear_hang(
-                                FAULTY),
-                            tenant=FAULTY)
+                        arm_watchdog(watchdog)
             else:
                 if reboot_ready is not None and t < reboot_ready:
                     sim.advance(period_ns)
@@ -386,19 +402,15 @@ def _core_hang_workload(snic: bool, inject: bool, seed: int,
                         reboot_ready = recovery.power_cycle(t)
                         injector.clear_hang(None)
             sim.advance(period_ns)
-        if injector is not None:
-            info["injected"] = float(len(injector.records))
-            if watchdog is not None:
-                info["watchdog_timeouts"] = float(len(watchdog.timeouts))
-            if recovery is not None:
-                info["power_cycles"] = float(len(recovery.cycles))
-    finally:
-        if injector is not None:
-            injector.uninstall()
+    info: _Info = {}
+    if watchdog is not None:
+        info["watchdog_timeouts"] = float(len(watchdog.timeouts))
+    if recovery is not None:
+        info["power_cycles"] = float(len(recovery.cycles))
     return {"instructions": victim_instructions}, info
 
 
-def _accel_timeout_workload(snic: bool, inject: bool, seed: int,
+def _accel_timeout_workload(snic: bool, fault: _Fault,
                             rounds: int) -> Tuple[_Observation, _Info]:
     """A wedged accelerator request hogs a hardware thread.
 
@@ -413,11 +425,9 @@ def _accel_timeout_workload(snic: bool, inject: bool, seed: int,
         AcceleratorRequest,
     )
 
-    plan = FaultPlan(seed)
-    if inject:
-        plan.burst(FaultKind.ACCEL_TIMEOUT, FAULTY, start_ns=0,
-                   count=max(1, rounds // 2), period_ns=50_000,
-                   wedge_ns=200_000.0)
+    fault.plan.burst(FaultKind.ACCEL_TIMEOUT, FAULTY, start_ns=0,
+                     count=max(1, rounds // 2), period_ns=50_000,
+                     wedge_ns=200_000.0)
     if snic:
         victim_dev = AcceleratorCluster(AcceleratorKind.CRYPTO, 0,
                                         n_threads=1)
@@ -427,11 +437,8 @@ def _accel_timeout_workload(snic: bool, inject: bool, seed: int,
         faulty_dev.bind(FAULTY)
     else:
         engine = AcceleratorEngine(AcceleratorKind.CRYPTO, n_threads=1)
-    injector = FaultInjector(plan).install() if inject else None
     latency = 0.0
-    try:
-        if injector is not None:
-            injector.arm_all()
+    with fault.injecting():
         for i in range(rounds):
             t = i * 50_000.0
             faulty_request = AcceleratorRequest(owner=FAULTY,
@@ -447,15 +454,10 @@ def _accel_timeout_workload(snic: bool, inject: bool, seed: int,
                 engine.submit_shared(faulty_request)
                 engine.submit_shared(request)
             latency += request.latency_ns
-    finally:
-        if injector is not None:
-            injector.uninstall()
-    obs = {"completed": float(rounds), "latency_ns": latency}
-    info = {"injected": float(len(injector.records))} if injector else {}
-    return obs, info
+    return {"completed": float(rounds), "latency_ns": latency}, {}
 
 
-def _nf_crash_workload(snic: bool, inject: bool, seed: int,
+def _nf_crash_workload(snic: bool, fault: _Fault,
                        rounds: int) -> Tuple[_Observation, _Info]:
     """The faulty NF raises ``FatalFunctionError`` mid-handler.
 
@@ -467,8 +469,8 @@ def _nf_crash_workload(snic: bool, inject: bool, seed: int,
     whole NIC power-cycles (§3.3).
     """
     if snic:
-        return _nf_crash_snic(inject, seed, rounds)
-    return _nf_crash_commodity(inject, seed, rounds)
+        return _nf_crash_snic(fault, rounds)
+    return _nf_crash_commodity(fault, rounds)
 
 
 def _crash_spec(seed: int) -> "object":
@@ -500,13 +502,13 @@ def _crash_spec(seed: int) -> "object":
     )
 
 
-def _nf_crash_snic(inject: bool, seed: int,
+def _nf_crash_snic(fault: _Fault,
                    rounds: int) -> Tuple[_Observation, _Info]:
     from repro.core.errors import FatalFunctionError
     from repro.net.packet import Packet
     from repro.scenario.build import build_scenario
 
-    with build_scenario(_crash_spec(seed)) as built:
+    with build_scenario(_crash_spec(fault.plan.seed)) as built:
         nic_os, runtime = built.nic_os, built.runtime
         victim_id = built.tenants["chaos-victim"]
         faulty_id = built.tenants["chaos-faulty"]
@@ -518,14 +520,9 @@ def _nf_crash_snic(inject: bool, seed: int,
                 packet.arrival_ns = (i + 1) * 400 + offset
                 packets.append(packet)
         runtime.inject(packets)
-        plan = FaultPlan(seed)
-        if inject:
-            plan.at(4_000, FaultKind.NF_CRASH, tenant=faulty_id)
+        fault.plan.at(4_000, FaultKind.NF_CRASH, tenant=faulty_id)
         supervisor = NFSupervisor(nic_os, runtime)
-        injector = FaultInjector(plan).install() if inject else None
-        try:
-            if injector is not None:
-                injector.arm_all()
+        with fault.injecting() as injector:
             # The injected FatalFunctionError surfaces out of the drain,
             # the supervisor restarts the crashed identity, and the
             # drain resumes.  The clean run takes the exact same loop.
@@ -535,9 +532,6 @@ def _nf_crash_snic(inject: bool, seed: int,
                     break
                 except FatalFunctionError:
                     supervisor.on_crash(injector.records[-1].tenant)
-        finally:
-            if injector is not None:
-                injector.uninstall()
         victim_timings = [t for t in runtime.stats.timings
                           if t.nf_id == victim_id]
     obs = {
@@ -545,20 +539,19 @@ def _nf_crash_snic(inject: bool, seed: int,
         "latency_ns": float(sum(t.latency_ns for t in victim_timings)),
         "dropped": float(rounds - len(victim_timings)),
     }
-    info = ({"injected": float(len(injector.records)),
-             "restarts": float(len(supervisor.restarts))}
-            if injector else {})
-    return obs, info
+    return obs, {"restarts": float(len(supervisor.restarts))}
 
 
-def _nf_crash_commodity(inject: bool, seed: int,
+def _nf_crash_commodity(fault: _Fault,
                         rounds: int) -> Tuple[_Observation, _Info]:
-    plan = FaultPlan(seed)
+    # One firmware loop, simulated here in closed form: the crash is
+    # read off the plan, so only a faulted leg plans it, no injector
+    # is installed and the leg counts what it fired itself.
     crash_at = 4_000
-    if inject:
-        plan.at(crash_at, FaultKind.NF_CRASH, tenant=FAULTY)
+    if fault.inject:
+        fault.plan.at(crash_at, FaultKind.NF_CRASH, tenant=FAULTY)
     recovery = CommodityRecovery(reboot_ns=50_000)
-    pending_crashes = plan.events_for(FaultKind.NF_CRASH) if inject else []
+    pending_crashes = fault.plan.events_for(FaultKind.NF_CRASH)
     outage_until: Optional[float] = None
     cursor = latency = completed = dropped = 0.0
     for i in range(rounds):
@@ -581,14 +574,13 @@ def _nf_crash_commodity(inject: bool, seed: int,
                 completed += 1
     obs = {"completed": completed, "latency_ns": latency,
            "dropped": dropped}
-    info = ({"injected": float(len(plan.events_for(FaultKind.NF_CRASH))
-                               - len(pending_crashes)),
-             "power_cycles": float(len(recovery.cycles))}
-            if inject else {})
-    return obs, info
+    injected = len(fault.plan.events_for(FaultKind.NF_CRASH)) \
+        - len(pending_crashes)
+    return obs, {"injected": float(injected),
+                 "power_cycles": float(len(recovery.cycles))}
 
 
-def _nic_os_stall_workload(snic: bool, inject: bool, seed: int,
+def _nic_os_stall_workload(snic: bool, fault: _Fault,
                            rounds: int) -> Tuple[_Observation, _Info]:
     """The NIC OS management core stops responding.
 
@@ -605,14 +597,11 @@ def _nic_os_stall_workload(snic: bool, inject: bool, seed: int,
     nic_os = NICOS(snic_dev)
     period_ns = 1_000
     stall_round = rounds // 3
-    plan = FaultPlan(seed)
-    if inject:
-        plan.at(stall_round * period_ns, FaultKind.NIC_OS_STALL)
+    fault.plan.at(stall_round * period_ns, FaultKind.NIC_OS_STALL)
     sim = Simulator()
-    injector = FaultInjector(plan).install() if inject else None
     latency = completed = mgmt_failures = 0.0
-    try:
-        driver = PlanDriver(plan, injector,
+    with fault.injecting(arm=False) as injector:
+        driver = PlanDriver(fault.plan, injector,
                             targets={FaultKind.NIC_OS_STALL: nic_os}) \
             if injector is not None else None
         watchdog = Watchdog(sim) if injector is not None else None
@@ -649,26 +638,19 @@ def _nic_os_stall_workload(snic: bool, inject: bool, seed: int,
                     completed += 1
                 backlog = []
             sim.advance(period_ns)
-    finally:
-        if injector is not None:
-            injector.uninstall()
-    obs = {"completed": completed, "latency_ns": latency}
-    info = ({"injected": float(len(injector.records)),
-             "mgmt_failures": mgmt_failures,
-             "watchdog_timeouts": float(len(watchdog.timeouts))}
-            if injector else {})
-    return obs, info
+    info: _Info = {"mgmt_failures": mgmt_failures}
+    if watchdog is not None:
+        info["watchdog_timeouts"] = float(len(watchdog.timeouts))
+    return {"completed": completed, "latency_ns": latency}, info
 
 
 _WORKLOADS: Dict[FaultKind, _Workload] = {
+    **{kind: functools.partial(_dma_workload, kind)
+       for kind in (FaultKind.DMA_ERROR, FaultKind.DMA_PARTIAL)},
+    **{kind: functools.partial(_wire_workload, kind)
+       for kind in (FaultKind.WIRE_DROP, FaultKind.WIRE_CORRUPT,
+                    FaultKind.WIRE_DUPLICATE, FaultKind.WIRE_REORDER)},
     FaultKind.DRAM_BIT_FLIP: _dram_bit_flip_workload,
-    FaultKind.DMA_ERROR: _dma_workload_factory(FaultKind.DMA_ERROR),
-    FaultKind.DMA_PARTIAL: _dma_workload_factory(FaultKind.DMA_PARTIAL),
-    FaultKind.WIRE_DROP: _wire_workload_factory(FaultKind.WIRE_DROP),
-    FaultKind.WIRE_CORRUPT: _wire_workload_factory(FaultKind.WIRE_CORRUPT),
-    FaultKind.WIRE_DUPLICATE:
-        _wire_workload_factory(FaultKind.WIRE_DUPLICATE),
-    FaultKind.WIRE_REORDER: _wire_workload_factory(FaultKind.WIRE_REORDER),
     FaultKind.CORE_HANG: _core_hang_workload,
     FaultKind.ACCEL_TIMEOUT: _accel_timeout_workload,
     FaultKind.NF_CRASH: _nf_crash_workload,
@@ -682,45 +664,15 @@ _WORKLOADS: Dict[FaultKind, _Workload] = {
 # ----------------------------------------------------------------------
 
 
-def _differential(kind: FaultKind, seed: int, rounds: int,
-                  postmortem_dir: Optional[str] = None
-                  ) -> Tuple[Dict[str, object], List[str]]:
-    workload = _WORKLOADS[kind]
-    entry: Dict[str, object] = {}
-    bundles: List[str] = []
-    for label, snic in (("commodity", False), ("snic", True)):
-        with cell_scope():
-            clean, _ = workload(snic, False, seed, rounds)
-        # Forensics are armed only around the faulted S-NIC leg: the
-        # injected fault is the incident under investigation, and the
-        # clean/commodity legs must stay byte-identical to a run with
-        # no --postmortem-dir at all.  A containment failure that
-        # escapes the leg is captured with its exception as the reason.
-        bundle = spec = None
-        if postmortem_dir is not None and snic:
-            bundle = postmortem_mod.bundle_path(
-                postmortem_dir, f"chaos-{kind.value}-snic-s{seed}")
-            bundles.append(bundle)
-            if kind is FaultKind.NF_CRASH:
-                spec = _crash_spec(seed)
-        note = {"kind": "FaultInjected",
-                "message": f"{kind.value} injected into tenant {FAULTY} "
-                           f"(seed {seed})"}
-        with cell_scope(bundle=bundle, spec=spec, note=note):
-            faulted, info = workload(snic, True, seed, rounds)
-            cross_wait = get_accountant().cross_tenant_wait()
-        disruption = {key: faulted[key] - clean[key]
-                      for key in sorted(clean)}
-        entry[label] = {
-            "clean": {key: clean[key] for key in sorted(clean)},
-            "faulted": {key: faulted[key] for key in sorted(faulted)},
-            "disruption": disruption,
-            "disruption_total": float(
-                sum(abs(value) for value in disruption.values())),
-            "cross_tenant_wait_ns": cross_wait,
-            "info": {key: info[key] for key in sorted(info)},
-        }
-    return entry, bundles
+def _leg(kind: FaultKind, snic: bool, faulted: bool, seed: int,
+         rounds: int) -> Tuple[_Observation, _Info, float]:
+    """One leg in its cell: the victim's observation, the fault's info
+    and the cell's cross-tenant attributed wait."""
+    fault = _Fault(seed, faulted)
+    obs, info = _WORKLOADS[kind](snic, fault, rounds)
+    if fault.injector is not None:
+        info["injected"] = float(len(fault.injector.records))
+    return obs, info, get_accountant().cross_tenant_wait()
 
 
 def run_chaos(seed: int = 0, quick: bool = False, matrix: bool = False,
@@ -729,17 +681,21 @@ def run_chaos(seed: int = 0, quick: bool = False, matrix: bool = False,
     """Run the blast-radius experiment; returns the report dict.
 
     ``matrix`` sweeps the full fault taxonomy; the default covers the
-    headline kinds.  Every workload runs inside one IsoSan
-    ``sanitized()`` scope with the injector installed strictly inside
-    it, and all randomness flows from ``seed``.
+    headline kinds.  :func:`~repro.obs.bench.run_differential` runs
+    every leg inside one IsoSan ``sanitized()`` scope, each workload
+    installs its injector strictly inside it, and all randomness flows
+    from ``seed``.
 
     ``postmortem_dir`` arms the forensic layer around every faulted
     S-NIC leg and drops one deterministic ``POSTMORTEM_*.json`` bundle
-    per fault class there (plus a crash bundle if a containment failure
-    actually escapes) — same seed, byte-identical bundles.
+    per fault class there — same seed, byte-identical bundles.  The
+    injected fault is the incident under investigation, and the clean
+    and commodity legs stay byte-identical to a run without forensics.
+    A containment failure that escapes the leg is captured with its
+    exception as the bundle's reason and propagates.
     """
-    from repro.analysis.isosan import get_isosan, sanitized
-
+    if matrix and kinds:
+        raise ValueError("matrix sweeps every fault class; drop kinds")
     mode = "quick" if quick else "full"
     rounds = _SCALE[mode]
     if kinds:
@@ -749,47 +705,70 @@ def run_chaos(seed: int = 0, quick: bool = False, matrix: bool = False,
     else:
         selected = list(HEADLINE_KINDS)
 
+    bundles: Dict[FaultKind, str] = {}
+    if postmortem_dir is not None:
+        bundles = {kind: postmortem_mod.bundle_path(
+            postmortem_dir, f"chaos-{kind.value}-snic-s{seed}")
+            for kind in selected}
+
+    def forensics(kind: FaultKind) -> Dict[str, object]:
+        return {
+            "bundle": bundles[kind],
+            "spec": _crash_spec(seed) if kind is FaultKind.NF_CRASH else None,
+            "note": {"kind": "FaultInjected",
+                     "message": f"{kind.value} injected into tenant "
+                                f"{FAULTY} (seed {seed})"}}
+
+    legs = run_differential(
+        selected, functools.partial(_leg, seed=seed, rounds=rounds),
+        forensics=forensics if bundles else None)
+    kinds_report: Dict[str, Dict[str, Any]] = {}
+    reasons: List[str] = []
+    for kind in sorted(legs, key=lambda k: k.value):
+        entry: Dict[str, Any] = {}
+        kinds_report[kind.value] = entry
+        for label, ((clean, _, _), (faulted, info, cross_wait)) \
+                in legs[kind].items():
+            disruption = {key: faulted[key] - clean[key]
+                          for key in sorted(clean)}
+            entry[label] = {
+                "clean": {key: clean[key] for key in sorted(clean)},
+                "faulted": {key: faulted[key] for key in sorted(faulted)},
+                "disruption": disruption,
+                "disruption_total": float(
+                    sum(abs(value) for value in disruption.values())),
+                "cross_tenant_wait_ns": cross_wait,
+                "info": {key: info[key] for key in sorted(info)},
+            }
+        snic_side, commodity_side = entry["snic"], entry["commodity"]
+        if snic_side["disruption_total"] != 0.0:
+            reasons.append(
+                f"S-NIC co-tenant disrupted under {kind.value} "
+                f"(disruption_total={snic_side['disruption_total']:.6g})")
+        if snic_side["cross_tenant_wait_ns"] != 0.0:
+            reasons.append(
+                f"S-NIC cross-tenant attributed wait under {kind.value} "
+                f"({snic_side['cross_tenant_wait_ns']:.6g} ns)")
+        if commodity_side["disruption_total"] == 0.0:
+            reasons.append(
+                f"commodity co-tenant shows no disruption under "
+                f"{kind.value} — the §3.3 fate-sharing baseline did not "
+                f"reproduce")
     report: Dict[str, object] = {
         "schema_version": SCHEMA_VERSION,
         "seed": int(seed),
         "mode": mode,
         "matrix": bool(matrix),
         "tenants": {"victim": VICTIM, "faulty": FAULTY},
-        "kinds": {},
+        # run_differential runs every leg under IsoSan.
+        "isosan_active": True,
+        "kinds": kinds_report,
+        "verdict": {"pass": not reasons, "reasons": reasons},
     }
-    bundles: List[str] = []
-    with sanitized():
-        report["isosan_active"] = get_isosan().installed
-        for kind in selected:
-            entry, kind_bundles = _differential(
-                kind, seed, rounds, postmortem_dir=postmortem_dir)
-            report["kinds"][kind.value] = entry
-            bundles.extend(kind_bundles)
     if postmortem_dir is not None:
-        report["postmortem"] = {
-            "bundles": sorted(path.rsplit("/", 1)[-1]
-                              for path in bundles)}
+        report["postmortem"] = {"bundles": sorted(
+            path.rsplit("/", 1)[-1] for path in bundles.values())}
 
-    reasons: List[str] = []
-    for kind_name in sorted(report["kinds"]):
-        entry = report["kinds"][kind_name]
-        snic_side = entry["snic"]
-        commodity_side = entry["commodity"]
-        if snic_side["disruption_total"] != 0.0:
-            reasons.append(
-                f"S-NIC co-tenant disrupted under {kind_name} "
-                f"(disruption_total="
-                f"{snic_side['disruption_total']:.6g})")
-        if snic_side["cross_tenant_wait_ns"] != 0.0:
-            reasons.append(
-                f"S-NIC cross-tenant attributed wait under {kind_name} "
-                f"({snic_side['cross_tenant_wait_ns']:.6g} ns)")
-        if commodity_side["disruption_total"] == 0.0:
-            reasons.append(
-                f"commodity co-tenant shows no disruption under "
-                f"{kind_name} — the §3.3 fate-sharing baseline did not "
-                f"reproduce")
-    report["verdict"] = {"pass": not reasons, "reasons": reasons}
     return report
 
 
@@ -878,10 +857,11 @@ def main(argv: Optional[Sequence[str]] = None,
                              "report)")
     parser.add_argument("--quick", action="store_true",
                         help="smaller workloads (CI smoke)")
-    parser.add_argument("--matrix", action="store_true",
+    select = parser.add_mutually_exclusive_group()
+    select.add_argument("--matrix", action="store_true",
                         help="sweep the full fault taxonomy instead of the "
                              "headline kinds")
-    parser.add_argument("--kind", action="append", dest="kinds",
+    select.add_argument("--kind", action="append", dest="kinds",
                         choices=[k.value for k in ALL_FAULT_KINDS],
                         help="run only this fault class (repeatable)")
     parser.add_argument("--format", choices=sorted(_FORMATTERS),
@@ -893,6 +873,9 @@ def main(argv: Optional[Sequence[str]] = None,
                              "bundle per faulted S-NIC leg to this "
                              "directory (inspect with `repro postmortem`)")
     args = parser.parse_args(argv)
+    repeated = sorted({k for k in args.kinds or () if args.kinds.count(k) > 1})
+    if repeated:
+        parser.error(f"repeated --kind {repeated}; each runs once")
     report = run_chaos(seed=args.seed, quick=args.quick,
                        matrix=args.matrix, kinds=args.kinds,
                        postmortem_dir=args.postmortem_dir)
@@ -900,7 +883,7 @@ def main(argv: Optional[Sequence[str]] = None,
                        ok=report["verdict"]["pass"], out=args.out,
                        stream=stream, label="chaos report")
     if args.postmortem_dir is not None:
-        names = report.get("postmortem", {}).get("bundles", [])
+        names = report["postmortem"]["bundles"]  # type: ignore[index]
         (stream if stream is not None else sys.stdout).write(
             f"{len(names)} post-mortem bundle(s) written to "
             f"{args.postmortem_dir}\n")

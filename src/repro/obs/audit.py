@@ -26,12 +26,19 @@ isolation claim holds in the model, not approximately but
 structurally).  Everything is deterministic — fixed seeds, fixed
 workloads, sorted JSON — so two runs produce byte-identical scorecards
 and any diff is a real behaviour change.
+
+The audit is ``repro chaos``'s experiment with a well-behaved co-tenant
+as the perturbation instead of an injected fault: both run their legs
+through :func:`repro.obs.bench.run_differential` (every leg in its own
+cell, all under IsoSan), and the bus and DRAM legs run chaos's rigs.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Callable, Dict, List, Optional, TextIO
+import functools
+from typing import (Any, Callable, Dict, Iterator, List, Optional, TextIO,
+                    Tuple)
 
 from repro.commodity.sidechannels import (
     bus_watermark_on_fcfs,
@@ -40,13 +47,13 @@ from repro.commodity.sidechannels import (
     channel_capacity,
 )
 from repro.core.noninterference import check_noninterference
-from repro.hw.bus import FCFSArbiter, TemporalPartitioningArbiter
+from repro.faults.chaos import FAULTY, VICTIM, bus_rig, dram_rig
 from repro.hw.cache import HARD, Cache, CacheConfig
 from repro.hw.cores import ProgrammableCore
 from repro.hw.dma import DMAController, DMAWindow
-from repro.hw.dram import DRAMChannel
 from repro.hw.memory import HostMemory, PhysicalMemory
-from repro.obs.bench import cell_scope, emit_report, format_json
+from repro.obs.bench import (cell_scope, emit_report, format_json,
+                             run_differential)
 from repro.obs.interference import (
     RESOURCES,
     BlameMatrix,
@@ -55,13 +62,13 @@ from repro.obs.interference import (
     cross_tenant_wait_ns,
     format_matrix,
 )
-from repro.obs.metrics import Histogram, get_registry
+from repro.obs.metrics import get_registry
 
 SCHEMA_VERSION = 1
 
-#: The two security domains every workload uses.
-VICTIM = 1
-AGGRESSOR = 2
+#: The two security domains every rig uses, shared with chaos: its
+#: victim, and its faulty tenant as the audit's well-behaved co-tenant.
+AGGRESSOR = FAULTY
 
 #: Iterations per workload (full / --quick).
 _SCALE = {"full": 200, "quick": 40}
@@ -71,45 +78,15 @@ _NONINT_STEPS = {"full": 30, "quick": 12}
 
 
 # ----------------------------------------------------------------------
-# Per-resource differential workloads.
+# Per-resource rigs: (snic, cotenant, rounds) -> what the victim saw.
 #
-# Each returns the victim's observed figure of merit (mean latency,
-# miss rate, cycles per round) for one (config, tenancy) combination
-# and leaves its blame trail in the metrics registry.  All are pure
-# functions of their arguments: no wall clock, no unseeded randomness.
+# Bus and DRAM are chaos's rigs; the DMA, cache and cores rigs are the
+# audit's own (their timings differ from chaos's).  Each leaves its
+# blame trail in the cell's accountant, and all are pure functions of
+# their arguments: no wall clock, no unseeded randomness.
 # ----------------------------------------------------------------------
 
-def _bus_workload(snic: bool, cotenant: bool, rounds: int) -> float:
-    """Victim mean bus latency (ns) for periodic 1500 B probes.
-
-    Commodity: one FCFS arbiter; the aggressor's 48 kB burst at the
-    start of each period backlogs the bus right when the victim probes.
-    S-NIC: temporal partitioning — the aggressor can only spend its own
-    epochs, so the victim's latency is identical with or without it.
-    """
-    arbiter: object
-    if snic:
-        arbiter = TemporalPartitioningArbiter(
-            domains=[VICTIM, AGGRESSOR], bandwidth_bytes_per_ns=12.8,
-            epoch_ns=1000.0, dead_time_ns=100.0)
-    else:
-        arbiter = FCFSArbiter(bandwidth_bytes_per_ns=12.8)
-    period = 8000.0
-    total = 0.0
-    latency_hist = get_registry().histogram(
-        "audit_victim_latency_ns", resource="bus", tenant=VICTIM)
-    for i in range(rounds):
-        t = i * period
-        if cotenant:
-            arbiter.request(AGGRESSOR, 48_000, t)  # type: ignore[attr-defined]
-        probe_at = t + 100.0
-        done = arbiter.request(VICTIM, 1500, probe_at)  # type: ignore[attr-defined]
-        latency_hist.observe(done - probe_at)
-        total += done - probe_at
-    return total / rounds
-
-
-def _cache_workload(snic: bool, cotenant: bool, rounds: int) -> float:
+def _cache_rig(snic: bool, cotenant: bool, rounds: int) -> float:
     """Victim steady-state miss rate on a resident working set.
 
     The victim's working set is two lines per set — exactly its hard
@@ -143,33 +120,8 @@ def _cache_workload(snic: bool, cotenant: bool, rounds: int) -> float:
     return (stats.misses - base_misses) / accesses
 
 
-def _dram_workload(snic: bool, cotenant: bool, rounds: int) -> float:
-    """Victim mean DRAM access latency (ns) for single-line reads.
-
-    Shared channel: the aggressor's 64 kB transfer occupies the channel
-    when the victim's read arrives.  Partitioned: the victim's own
-    bandwidth reservation serves it at a co-tenant-independent latency.
-    """
-    channel = DRAMChannel()
-    if snic:
-        channel.partition([VICTIM, AGGRESSOR])
-    period = 16_000.0
-    total = 0.0
-    latency_hist = get_registry().histogram(
-        "audit_victim_latency_ns", resource="dram", tenant=VICTIM)
-    for i in range(rounds):
-        t = i * period
-        if cotenant:
-            channel.access(AGGRESSOR, 64_000, t)
-        issue = t + 10.0
-        done = channel.access(VICTIM, 64, issue)
-        latency_hist.observe(done - issue)
-        total += done - issue
-    return total / rounds
-
-
-def _dma_workload(snic: bool, cotenant: bool, rounds: int) -> float:
-    """Victim mean DMA completion latency (ns) for 4 kB downstream copies.
+def _dma_rig(snic: bool, cotenant: bool, rounds: int) -> List[float]:
+    """Victim DMA completion latencies (ns) for 4 kB downstream copies.
 
     Commodity: ``shared_engine=True`` — every bank's transfers funnel
     through one engine, so the aggressor's 32 kB copy delays the
@@ -190,9 +142,7 @@ def _dma_workload(snic: bool, cotenant: bool, rounds: int) -> float:
     victim_bank = controller.bank_for_core(0)
     aggressor_bank = controller.bank_for_core(1)
     period = 12_000.0
-    total = 0.0
-    latency_hist = get_registry().histogram(
-        "audit_victim_latency_ns", resource="dma", tenant=VICTIM)
+    latencies: List[float] = []
     for i in range(rounds):
         t = i * period
         if cotenant:
@@ -202,12 +152,11 @@ def _dma_workload(snic: bool, cotenant: bool, rounds: int) -> float:
         done = victim_bank.to_nic(host, nic, host_addr=4 * window,
                                   nic_addr=0, n_bytes=4096, now_ns=issue)
         assert done is not None  # timed call always returns completion
-        latency_hist.observe(done - issue)
-        total += done - issue
-    return total / rounds
+        latencies.append(done - issue)
+    return latencies
 
 
-def _cores_workload(snic: bool, cotenant: bool, rounds: int) -> float:
+def _cores_rig(snic: bool, cotenant: bool, rounds: int) -> float:
     """Victim mean cycles per scheduling round.
 
     Commodity NICs time-slice firmware threads across shared cores, so
@@ -230,70 +179,66 @@ def _cores_workload(snic: bool, cotenant: bool, rounds: int) -> float:
     return total / rounds
 
 
-_WORKLOADS: Dict[str, Callable[[bool, bool, int], float]] = {
-    "bus": _bus_workload,
-    "cache": _cache_workload,
-    "dram": _dram_workload,
-    "dma": _dma_workload,
-    "cores": _cores_workload,
+_LATENCY = "mean latency (ns)"
+
+#: resource -> (rig, metric).  A latency rig returns the victim's
+#: per-probe latencies; the others return its figure of merit.
+_RIGS: Dict[str, Tuple[Callable[[bool, bool, int], Any], str]] = {
+    "bus": (bus_rig, _LATENCY),
+    "cache": (_cache_rig, "miss rate"),
+    "dram": (dram_rig, _LATENCY),
+    "dma": (_dma_rig, _LATENCY),
+    "cores": (_cores_rig, "cycles/round"),
 }
 
-_METRIC_LABEL = {
-    "bus": "mean latency (ns)",
-    "cache": "miss rate",
-    "dram": "mean latency (ns)",
-    "dma": "mean latency (ns)",
-    "cores": "cycles/round",
-}
+_Leg = Tuple[float, BlameMatrix, Optional[Dict[str, float]]]
 
 
-def _measure_resource(resource: str, snic: bool, rounds: int) -> Dict[str, object]:
-    """One resource under one config: solo run, co-tenant run, blame."""
-    workload = _WORKLOADS[resource]
-    with cell_scope():
-        solo = workload(snic, False, rounds)
-    with cell_scope():
-        cotenant = workload(snic, True, rounds)
-        matrix = blame_matrix(resource=resource)
-        percentiles = _victim_latency_percentiles()
-    cells = matrix.get(resource, {})
-    # A ratio is meaningless off a zero baseline (e.g. a 0% solo miss
-    # rate); report null rather than a JSON-hostile Infinity.
-    slowdown = cotenant / solo if solo > 0 else None
-    return {
-        "metric": _METRIC_LABEL[resource],
-        "solo": solo,
-        "cotenant": cotenant,
-        "slowdown": slowdown,
-        "cotenant_latency_percentiles": percentiles,
-        "cross_tenant_wait_ns": cross_tenant_wait_ns(matrix),
-        "cross_tenant_events": cross_tenant_events(matrix),
-        "matrix": {f"{victim}->{culprit}": cell
-                   for (victim, culprit), cell in sorted(cells.items())},
-    }
+def _leg(resource: str, snic: bool, cotenant: bool, rounds: int) -> _Leg:
+    """One resource's solo or co-tenant run, in its cell: the victim's
+    figure of merit, the cell's blame matrix for the resource and, for
+    a latency rig, the p50/p95/p99 of the victim's latencies."""
+    rig, metric = _RIGS[resource]
+    if metric != _LATENCY:
+        return rig(snic, cotenant, rounds), blame_matrix(resource=resource), None
+    histogram = get_registry().histogram(
+        "audit_victim_latency_ns", resource=resource, tenant=VICTIM)
+    total = 0.0
+    for latency in rig(snic, cotenant, rounds):
+        histogram.observe(latency)
+        total += latency
+    percentiles = {"p50": histogram.p50, "p95": histogram.p95,
+                   "p99": histogram.p99, "count": float(histogram.count)}
+    return total / rounds, blame_matrix(resource=resource), percentiles
 
 
-def _victim_latency_percentiles() -> Optional[Dict[str, float]]:
-    """p50/p95/p99 of the victim's co-tenant latency histogram, when the
-    workload recorded one (latency-shaped resources only)."""
-    for instrument in get_registry().instruments():
-        if isinstance(instrument, Histogram) \
-                and instrument.name == "audit_victim_latency_ns" \
-                and instrument.count:
-            return {"p50": instrument.p50, "p95": instrument.p95,
-                    "p99": instrument.p99, "count": float(instrument.count)}
-    return None
-
-
-def _measure_config(snic: bool, rounds: int) -> Dict[str, object]:
-    resources = {res: _measure_resource(res, snic, rounds)
-                 for res in RESOURCES}
+def _config_report(legs: Dict[str, Dict[str, Tuple[_Leg, _Leg]]],
+                   label: str) -> Dict[str, object]:
+    """One config's scorecard: per resource the solo run, the co-tenant
+    run and the co-tenant run's blame."""
+    resources: Dict[str, Dict[str, Any]] = {}
+    for res in RESOURCES:
+        (solo, _, _), (figure, matrix, percentiles) = legs[res][label]
+        cells = matrix.get(res, {})
+        resources[res] = {
+            "metric": _RIGS[res][1],
+            "solo": solo,
+            "cotenant": figure,
+            # A ratio is meaningless off a zero baseline (e.g. a 0% solo
+            # miss rate); report null rather than a JSON-hostile Infinity.
+            "slowdown": figure / solo if solo > 0 else None,
+            "cotenant_latency_percentiles": percentiles,
+            "cross_tenant_wait_ns": cross_tenant_wait_ns(matrix),
+            "cross_tenant_events": cross_tenant_events(matrix),
+            "matrix": {f"{victim}->{culprit}": cell
+                       for (victim, culprit), cell in sorted(cells.items())},
+        }
     return {
         "resources": resources,
         "cross_tenant_wait_ns": sum(
-            float(r["cross_tenant_wait_ns"]) for r in resources.values()),  # type: ignore[arg-type]
+            float(r["cross_tenant_wait_ns"]) for r in resources.values()),
         "cross_tenant_events": sum(
-            float(r["cross_tenant_events"]) for r in resources.values()),  # type: ignore[arg-type]
+            float(r["cross_tenant_events"]) for r in resources.values()),
     }
 
 
@@ -326,8 +271,9 @@ def run_audit(quick: bool = False) -> Dict[str, object]:
     """Run the full differential and build the scorecard dict."""
     scale = "quick" if quick else "full"
     rounds = _SCALE[scale]
-    commodity = _measure_config(snic=False, rounds=rounds)
-    snic = _measure_config(snic=True, rounds=rounds)
+    legs = run_differential(RESOURCES, functools.partial(_leg, rounds=rounds))
+    commodity = _config_report(legs, "commodity")
+    snic = _config_report(legs, "snic")
     with cell_scope():
         channels = _measure_side_channels(_CHANNEL_BITS[scale])
         violations = check_noninterference(
@@ -382,8 +328,19 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
-def _slowdown_str(slowdown: Optional[float]) -> str:
-    return f"x{slowdown:.2f}" if slowdown is not None else "x n/a"
+def _shift(report: Dict[str, Any], arrow: str) -> str:
+    """``solo -> co-tenant (xslowdown)`` of one resource report."""
+    slowdown = report["slowdown"]
+    return (f"{_fmt(report['solo'])} {arrow} {_fmt(report['cotenant'])} "
+            f"({'x n/a' if slowdown is None else f'x{slowdown:.2f}'})")
+
+
+def _by_resource(scorecard: Dict[str, Any]) -> Iterator[Tuple[str, Any, Any]]:
+    """``(resource, commodity report, S-NIC report)`` in resource order."""
+    configs = scorecard["configs"]
+    for res in RESOURCES:
+        yield (res, configs["commodity"]["resources"][res],
+               configs["snic"]["resources"][res])
 
 
 def _config_matrix(scorecard: Dict[str, object], config: str) -> BlameMatrix:
@@ -409,14 +366,8 @@ def format_scorecard_text(scorecard: Dict[str, object]) -> str:
               f"{'s-nic':>22} {'x-tenant wait (ns)':>24}")
     lines.append(header)
     lines.append("-" * len(header))
-    configs = scorecard["configs"]
-    for res in RESOURCES:
-        com = configs["commodity"]["resources"][res]  # type: ignore[index]
-        sni = configs["snic"]["resources"][res]  # type: ignore[index]
-        com_col = (f"{_fmt(com['solo'])} -> {_fmt(com['cotenant'])} "
-                   f"({_slowdown_str(com['slowdown'])})")
-        sni_col = (f"{_fmt(sni['solo'])} -> {_fmt(sni['cotenant'])} "
-                   f"({_slowdown_str(sni['slowdown'])})")
+    for res, com, sni in _by_resource(scorecard):
+        com_col, sni_col = _shift(com, "->"), _shift(sni, "->")
         cross_col = (f"{_fmt(com['cross_tenant_wait_ns'])} vs "
                      f"{_fmt(sni['cross_tenant_wait_ns'])}")
         lines.append(f"{res:<9} {com['metric']:<17} {com_col:>22} "
@@ -428,9 +379,7 @@ def format_scorecard_text(scorecard: Dict[str, object]) -> str:
             title=f"{config} blame matrix (co-tenant runs)"))
         lines.append("")
     lines.append("--- victim co-tenant latency percentiles (ns) ---")
-    for res in RESOURCES:
-        com = configs["commodity"]["resources"][res]  # type: ignore[index]
-        sni = configs["snic"]["resources"][res]  # type: ignore[index]
+    for res, com, sni in _by_resource(scorecard):
         com_pct = com.get("cotenant_latency_percentiles")
         sni_pct = sni.get("cotenant_latency_percentiles")
         if not com_pct or not sni_pct:
@@ -476,16 +425,10 @@ def format_scorecard_markdown(scorecard: Dict[str, object]) -> str:
                  "S-NIC solo→co (slowdown) | cross-tenant wait ns "
                  "(commodity / S-NIC) |")
     lines.append("|---|---|---|---|---|")
-    configs = scorecard["configs"]
-    for res in RESOURCES:
-        com = configs["commodity"]["resources"][res]  # type: ignore[index]
-        sni = configs["snic"]["resources"][res]  # type: ignore[index]
+    for res, com, sni in _by_resource(scorecard):
         lines.append(
             f"| {res} | {com['metric']} "
-            f"| {_fmt(com['solo'])} → {_fmt(com['cotenant'])} "
-            f"({_slowdown_str(com['slowdown'])}) "
-            f"| {_fmt(sni['solo'])} → {_fmt(sni['cotenant'])} "
-            f"({_slowdown_str(sni['slowdown'])}) "
+            f"| {_shift(com, '→')} | {_shift(sni, '→')} "
             f"| {_fmt(com['cross_tenant_wait_ns'])} / "
             f"{_fmt(sni['cross_tenant_wait_ns'])} |")
     lines.append("")

@@ -29,9 +29,10 @@ The same isolation serves every experiment front end (``matrix``,
 ``slo``, ``bench``, ``audit``, ``chaos`` and ``sanitize``):
 :func:`isolate` installs the one fresh cell state, :func:`cell_scope`
 is the one way to run a cell (isolate, optionally sanitize and arm
-forensics, isolate again), :func:`run_cells` deals whole cells to
-worker processes, and :func:`format_json` plus :func:`emit_report`
-are the one report tail.
+forensics, isolate again), :func:`run_differential` is the one
+commodity-vs-S-NIC leg runner of ``audit`` and ``chaos``,
+:func:`run_cells` deals whole cells to worker processes, and
+:func:`format_json` plus :func:`emit_report` are the one report tail.
 
 CLI: ``python -m repro bench [--quick] [--profile] [--compare A B]``.
 """
@@ -50,7 +51,8 @@ import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path, PurePath
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    TextIO, Tuple)
 
 from repro.obs.cell import CELL, CellState
 
@@ -198,6 +200,39 @@ def cell_scope(record: Optional[BenchRecord] = None, *,
         if record is not None:
             _fill_record(record)
         isolate()
+
+
+def run_differential(
+        items: Sequence[Any], leg: Callable[[Any, bool, bool], Any],
+        forensics: Optional[Callable[[Any], Dict[str, Any]]] = None,
+) -> Dict[Any, Dict[str, Tuple[Any, Any]]]:
+    """The commodity-vs-S-NIC differential ``audit`` and ``chaos`` share.
+
+    For every item, under the commodity and then the S-NIC
+    configuration, run the baseline leg ``leg(item, snic, False)`` and
+    the perturbed leg ``leg(item, snic, True)`` (a well-behaved
+    co-tenant for the audit, an injected fault for chaos), each in its
+    own :func:`cell_scope` and all inside one IsoSan ``sanitized()``
+    scope.  A leg reads what it reports from its cell before it
+    returns.  ``forensics(item)`` gives the ``bundle``, ``spec`` and
+    ``note`` of the perturbed S-NIC leg's scope; no other leg is
+    armed.  Returns ``{item: {"commodity": (baseline, perturbed),
+    "snic": (baseline, perturbed)}}``.
+    """
+    from repro.analysis.isosan import sanitized
+
+    results: Dict[Any, Dict[str, Tuple[Any, Any]]] = {}
+    with sanitized():
+        for item in items:
+            legs: Dict[str, Tuple[Any, Any]] = {}
+            results[item] = legs
+            for label, snic in (("commodity", False), ("snic", True)):
+                with cell_scope():
+                    baseline = leg(item, snic, False)
+                armed = forensics(item) if forensics and snic else {}
+                with cell_scope(**armed):
+                    legs[label] = (baseline, leg(item, snic, True))
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -463,7 +498,10 @@ def write_artifact(artifact: Dict[str, object],
 
 def load_artifact(path) -> Dict[str, object]:
     with open(path) as fh:
-        artifact = json.load(fh)
+        try:
+            artifact = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from exc
     if artifact.get("schema") != SCHEMA:
         raise ValueError(f"{path}: not a {SCHEMA} artifact "
                          f"(schema={artifact.get('schema')!r})")

@@ -379,8 +379,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("usage: python -m repro.obs.openmetrics FILE",
               file=sys.stderr)
         return 2
-    with open(args[0], "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args[0], "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read {args[0]}: {exc}", file=sys.stderr)
+        return 2
     errors = validate_text(text)
     for error in errors:
         print(f"openmetrics: {error}", file=sys.stderr)

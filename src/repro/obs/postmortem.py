@@ -147,7 +147,10 @@ def write_bundle(bundle: Dict[str, Any], path: str) -> str:
 
 def load_bundle(path: str) -> Dict[str, Any]:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        bundle = json.load(handle)
+    if not isinstance(bundle, dict):
+        raise ValueError("not a JSON object")
+    return bundle
 
 
 def bundle_path(directory: str, name: str) -> str:
@@ -300,7 +303,14 @@ def main(argv: Optional[List[str]] = None,
                         default="text")
     args = parser.parse_args(argv)
 
-    bundle = load_bundle(args.bundle)
+    def read(path: str) -> Dict[str, Any]:
+        try:
+            return load_bundle(path)
+        except (OSError, ValueError) as exc:  # missing, unreadable, not JSON
+            parser.error(f"cannot read bundle {path}: {exc}")
+
+    bundle = read(args.bundle)
+    other = read(args.diff) if args.diff else None
 
     if args.verify:
         problems = verify_bundle(bundle)
@@ -317,8 +327,7 @@ def main(argv: Optional[List[str]] = None,
               file=stream)
         return 0
 
-    if args.diff:
-        other = load_bundle(args.diff)
+    if other is not None:
         diffs = diff_bundles(bundle, other)
         if diffs:
             for line in diffs:

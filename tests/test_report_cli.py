@@ -111,3 +111,78 @@ class TestReadmeCommands:
         assert main(["repro", *argv]) == 0
         text = (tmp_path / "scorecard.md").read_text()
         assert text.startswith("# repro audit: isolation scorecard\n")
+
+
+def _run_module(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", *argv],
+                          capture_output=True, text=True)
+
+
+def _assert_usage_error(completed: subprocess.CompletedProcess) -> None:
+    """Exit 2 with one ``error:`` line: never the exit 1 a command
+    keeps for a failed check, and never a traceback."""
+    assert completed.returncode == 2
+    assert "Traceback" not in completed.stderr
+    errors = [line for line in completed.stderr.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1, completed.stderr
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("argv", [
+        ["MISSING.json", "--verify"],
+        ["empty.json", "--diff", "MISSING.json"],
+        ["not_json.txt"],
+        ["list.json", "--verify"],
+    ], ids=["verify-missing", "diff-missing", "not-json", "not-an-object"])
+    def test_postmortem_bad_bundle_is_a_usage_error(self, tmp_path, argv):
+        (tmp_path / "empty.json").write_text("{}")
+        (tmp_path / "not_json.txt").write_text("not json\n")
+        (tmp_path / "list.json").write_text("[]")
+        paths = [arg if arg.startswith("--") else str(tmp_path / arg)
+                 for arg in argv]
+        _assert_usage_error(_run_module("repro", "postmortem", *paths))
+
+    @pytest.mark.parametrize("argv", [
+        ["repro", "bench", "--compare", "{missing}", "{missing}"],
+        ["repro", "bench", "--compare", "{not_json}", "{not_json}"],
+        ["repro.obs.openmetrics", "{missing}"],
+        ["repro", "lint", "{missing}"],
+    ], ids=["bench-compare", "bench-compare-not-json", "openmetrics",
+            "lint"])
+    def test_missing_input_is_a_usage_error(self, tmp_path, argv):
+        not_json = tmp_path / "BENCH_x.json"
+        not_json.write_text("not json\n")
+        paths = {"missing": str(tmp_path / "MISSING"),
+                 "not_json": str(not_json)}
+        completed = _run_module(*[arg.format(**paths) for arg in argv])
+        _assert_usage_error(completed)
+        assert argv[-1].format(**paths) in completed.stderr
+
+
+class TestChaosKinds:
+    def test_matrix_with_kind_is_a_usage_error(self, capsys):
+        from repro.faults.chaos import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--quick", "--matrix", "--kind", "bus_babble"])
+        assert exc.value.code == 2
+        assert "not allowed with argument --matrix" in capsys.readouterr().err
+
+    def test_run_chaos_rejects_matrix_with_kinds(self):
+        from repro.faults.chaos import run_chaos
+
+        with pytest.raises(ValueError, match="matrix"):
+            run_chaos(quick=True, matrix=True, kinds=["bus_babble"])
+
+    def test_repeated_kind_is_a_usage_error(self, tmp_path, capsys):
+        from repro.faults.chaos import main
+
+        bundles = tmp_path / "bundles"
+        with pytest.raises(SystemExit) as exc:
+            main(["--quick", "--kind", "bus_babble", "--kind", "bus_babble",
+                  "--postmortem-dir", str(bundles)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: repeated --kind ['bus_babble']" in err
+        assert not bundles.exists()

@@ -122,6 +122,7 @@ def run_chaos_crash(seed: int = 7, rounds: int = 16) -> Timings:
     """The chaos NF_CRASH S-NIC cell, faulted, with every tenant's
     timings (the report itself only keeps the victim's)."""
     from repro.faults import chaos
+    from repro.faults.plan import FaultKind
 
     seen: List[Timings] = []
     original = BuiltScenario.clean_up
@@ -132,7 +133,7 @@ def run_chaos_crash(seed: int = 7, rounds: int = 16) -> Timings:
 
     BuiltScenario.clean_up = clean_up
     try:
-        chaos._nf_crash_workload(True, True, seed, rounds)
+        chaos._leg(FaultKind.NF_CRASH, True, True, seed, rounds)
     finally:
         BuiltScenario.clean_up = original
     return seen[0]
